@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .corpus import Corpus, Dialogue, load_dialogues
 from .metrics import initial_item_coverage
@@ -145,6 +144,65 @@ def weighted_sample_without_replacement(
     return chosen
 
 
+class _PrefixSampler:
+    """``weighted_sample_without_replacement`` over prefixes ``weights[:cut]``
+    of one fixed weight array, with the per-array work done once.
+
+    Draws are bit-for-bit those of the reference on ``weights[:cut]``:
+    ``cumsum`` adds sequentially, so the reference's cumulative sums equal
+    ``prefix`` below the smallest drawn index and a tail cumsum seeded with
+    the prefix above it; totals stay numpy's pairwise sums of the live
+    weights (never ``prefix[cut - 1]``, which differs by an ulp).
+    """
+
+    def __init__(self, weights: Sequence[float]):
+        self.weights = np.asarray(weights, dtype=float)
+        if (self.weights < 0).any():
+            raise AugmentError("weights must be non-negative")
+        self.prefix = np.cumsum(self.weights)
+        self._totals: dict[int, float] = {}
+
+    def draw(self, cut: int, k: int, rng: np.random.Generator) -> list[int]:
+        """Indices into ``weights`` of up to k draws from ``weights[:cut]``."""
+        removed: list[int] = []  # drawn indices, sorted
+        chosen: list[int] = []
+        for _ in range(min(k, cut)):
+            n_live = cut - len(removed)
+            if removed:
+                total = float(np.delete(self.weights[:cut], removed).sum())
+            elif cut in self._totals:
+                total = self._totals[cut]
+            else:
+                total = self._totals[cut] = float(self.weights[:cut].sum())
+            if total > 0.0:
+                pos = min(self._search(cut, removed, rng.random() * total), n_live - 1)
+            else:
+                pos = int(rng.integers(n_live))
+            # live position -> index: step past the removed indices
+            index = pos
+            for r in removed:
+                if r > index:
+                    break
+                index += 1
+            insort(removed, index)
+            chosen.append(index)
+        return chosen
+
+    def _search(self, cut: int, removed: list[int], target: float) -> int:
+        """``searchsorted(cumsum(live weights), target, side="right")``."""
+        if not removed:
+            return int(np.searchsorted(self.prefix[:cut], target, side="right"))
+        low = removed[0]
+        if low > 0 and target < self.prefix[low - 1]:
+            return int(np.searchsorted(self.prefix[:low], target, side="right"))
+        tail = np.delete(self.weights[low:cut], np.asarray(removed) - low)
+        if tail.size == 0:
+            return low
+        if low > 0:
+            tail[0] = self.prefix[low - 1] + tail[0]
+        return low + int(np.searchsorted(np.cumsum(tail), target, side="right"))
+
+
 # ---------------------------------------------------------------------------
 # pop_nudge plans
 
@@ -224,6 +282,7 @@ def pop_nudge(
     )
     pool_pops = [table.pop_of(pool.item_of[d.dialogue_id]) for d in ranked_pool]
     pool_ids = [d.dialogue_id for d in ranked_pool]
+    sampler = _PrefixSampler(pool_pops)
 
     batches: list[PlanBatch] = []
     n_without = 0
@@ -244,10 +303,7 @@ def pop_nudge(
                     (seed, _STREAM_ANCHOR, batch_index // batch_size, anchor_position)
                 )
             )
-            drawn = weighted_sample_without_replacement(
-                pool_ids[:cut], pool_pops[:cut], k, rng
-            )
-            samples[anchor.dialogue_id] = tuple(drawn)
+            samples[anchor.dialogue_id] = tuple(pool_ids[i] for i in sampler.draw(cut, k, rng))
         batches.append(
             PlanBatch(
                 index=batch_index // batch_size,
@@ -457,6 +513,29 @@ def train_frequencies(corpus: Corpus) -> dict[str, int]:
     return freq
 
 
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks; tied values share the average of their ranks."""
+    a = np.asarray(values)
+    order = np.argsort(a, kind="mergesort")
+    ordered = a[order]
+    first = np.r_[True, ordered[1:] != ordered[:-1]]
+    dense = np.empty(len(a), dtype=np.intp)
+    dense[order] = np.cumsum(first)
+    bounds = np.r_[np.flatnonzero(first), len(a)]
+    return 0.5 * (bounds[dense] + bounds[dense - 1] + 1)
+
+
+def spearman(x: Sequence[float], y: Sequence[float]) -> float:
+    """Spearman rank correlation with average ranks for ties; NaN when
+    either input is constant. Matches ``scipy.stats.spearmanr`` bit-for-bit:
+    the ranks go through ``corrcoef`` as two columns, as scipy passes them."""
+    if len(x) < 2:
+        return float("nan")
+    ranks = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
 @dataclass(frozen=True)
 class LongtailReport:
     """Frequency-distribution comparison between two corpora (same catalog)."""
@@ -483,7 +562,7 @@ def longtail_report(before: Corpus, after: Corpus) -> LongtailReport:
     if x == y:
         rank_correlation = 1.0
     else:
-        rank_correlation = float(stats.spearmanr(x, y).statistic)
+        rank_correlation = spearman(x, y)
     return LongtailReport(
         freq_before=freq_before,
         freq_after=freq_after,

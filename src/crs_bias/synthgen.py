@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
-import requests
 
 from .corpus import Dialogue, Turn, mention_token, save_dialogues, segment_episodes
 from .augment import SyntheticPool
@@ -228,6 +227,8 @@ class HttpChatBackend:
         self.backoff_base = backoff_base
 
     def generate(self, template: PromptTemplate, item_id: str, item_name: str, seed: int) -> str:
+        import requests  # only the HTTP backend pays for the import
+
         token = os.environ.get(self.token_env)
         if not token:
             raise BackendAuthError(f"auth token not found in environment variable {self.token_env}")

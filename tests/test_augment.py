@@ -1,11 +1,19 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import math
+import warnings
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crs_bias.augment import (
+    _STREAM_ANCHOR,
+    _PrefixSampler,
     AugmentError,
     AugmentationPlan,
     PlanBatch,
@@ -21,6 +29,7 @@ from crs_bias.augment import (
     pool_digest,
     pop_nudge,
     save_plan,
+    spearman,
     train_frequencies,
     weighted_sample_without_replacement,
 )
@@ -54,6 +63,47 @@ def _pop_table(pop: dict[str, float]) -> PopularityTable:
         popular_set=frozenset(),
         eta_policy=ThresholdPolicy.count_threshold(5),
     )
+
+
+# popularity values with many ties and zeros, plus arbitrary floats
+_POPS = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.5, 1.0]),
+    st.floats(0.0, 1.0, allow_nan=False),
+)
+
+# sha256 of save_plan(pop_nudge(standard fixture, k=5, batch_size=32, seed=42)),
+# as written by the reference sampler before the prefix-cached one
+_STANDARD_PLAN_SHA256 = "6de7de99ecf54e71ae1c5f0e3fa72382be11492d6bbecf2b082e9d0369ef536a"
+
+
+def _assert_samples_match_reference(
+    pool_pops: list[float], anchor_pops: list[float], k: int, batch_size: int, seed: int
+) -> None:
+    """Every anchor's samples equal the reference sampler run on the anchor's
+    candidate prefix with the anchor's own RNG stream."""
+    pops = {f"p{i}": w for i, w in enumerate(pool_pops)}
+    pops.update({f"a{j}": w for j, w in enumerate(anchor_pops)})
+    table = _pop_table(pops)
+    catalog = ItemCatalog({item: item.upper() for item in pops})
+    train = Corpus(
+        catalog, tuple(make_dialogue(f"d{j}", [f"a{j}"]) for j in range(len(anchor_pops)))
+    )
+    pool = _pool({f"s{i}": f"p{i}" for i in range(len(pool_pops))})
+    plan = pop_nudge(train, pool, table, k, batch_size, seed)
+
+    ranked = sorted(pool.item_of, key=lambda s: (table.pop_of(pool.item_of[s]), s))
+    ranked_pops = [table.pop_of(pool.item_of[s]) for s in ranked]
+    by_id = train.by_id()
+    for batch in plan.batches:
+        for position, anchor_id in enumerate(batch.anchor_ids):
+            cut = bisect_right(ranked_pops, anchor_popularity(by_id[anchor_id], table))
+            rng = np.random.default_rng(
+                np.random.SeedSequence((seed, _STREAM_ANCHOR, batch.index, position))
+            )
+            expected = weighted_sample_without_replacement(
+                ranked[:cut], ranked_pops[:cut], k, rng
+            )
+            assert batch.samples[anchor_id] == tuple(expected)
 
 
 class TestPool:
@@ -141,6 +191,43 @@ class TestWeightedSampling:
     def test_negative_weights_rejected(self):
         with pytest.raises(AugmentError, match="non-negative"):
             weighted_sample_without_replacement(["a"], [-1], 1, np.random.default_rng(0))
+
+
+class _ScriptedRng:
+    """Stands in for a Generator, returning scripted variates in order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self) -> float:
+        return next(self.values)
+
+    def integers(self, n: int) -> int:
+        return int(next(self.values) * n)
+
+
+class TestPrefixSampler:
+    def test_rounding_at_the_top_of_the_mass_matches_reference(self):
+        # variates just below 1 put the target within an ulp of the total,
+        # where a total or cumulative sum rounded differently from the
+        # reference's picks another index (the trailing zero weight decides)
+        top = 1 - 2**-53
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            weights = rng.random(int(rng.integers(9, 60)))
+            weights[rng.random(len(weights)) < 0.3] = 0.0
+            weights[-1] = 0.0
+            weights = weights.tolist()
+            script = [0.5, top, 0.25, top, top] if seed % 2 else [top] * 5
+            got = _PrefixSampler(weights).draw(len(weights), 5, _ScriptedRng(script))
+            expected = weighted_sample_without_replacement(
+                list(range(len(weights))), weights, 5, _ScriptedRng(script)
+            )
+            assert got == expected
+
+    def test_negative_weights_rejected(self):
+        with pytest.raises(AugmentError, match="non-negative"):
+            _PrefixSampler([0.5, -0.1])
 
 
 class TestPopNudge:
@@ -246,6 +333,38 @@ class TestPopNudge:
             samples = {a: s for b in plan.batches for a, s in b.samples.items()}
             hits += samples["d-top"] == ("s-hot",)
         assert abs(hits / n_plans - 0.9 / 1.5) < 0.03
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pool_pops=st.lists(_POPS, min_size=1, max_size=40),
+        anchor_pops=st.lists(_POPS, min_size=1, max_size=12),
+        k=st.integers(1, 6),
+        batch_size=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # an all-zero candidate prefix with cut < k, and ties at the cut
+    @example(
+        pool_pops=[0.0, 0.0, 0.0, 0.5, 0.5], anchor_pops=[0.0, 0.5, 1.0], k=4, batch_size=2, seed=3
+    )
+    # cut == 0 and cut < k
+    @example(pool_pops=[0.25, 0.5], anchor_pops=[0.1, 0.25], k=3, batch_size=1, seed=0)
+    def test_samples_equal_reference_sampler(self, pool_pops, anchor_pops, k, batch_size, seed):
+        _assert_samples_match_reference(pool_pops, anchor_pops, k, batch_size, seed)
+
+    def test_samples_equal_reference_sampler_on_a_large_pool(self):
+        # long prefixes, where the pairwise total and prefix[cut - 1] differ
+        rng = np.random.default_rng(17)
+        pool_pops = np.where(rng.random(3000) < 0.2, 0.0, rng.random(3000) ** 3).tolist()
+        anchor_pops = rng.random(120).tolist()
+        _assert_samples_match_reference(pool_pops, anchor_pops, k=5, batch_size=32, seed=99)
+
+    def test_standard_plan_file_is_pinned(
+        self, standard_corpus, standard_pool, standard_table, tmp_path
+    ):
+        plan = pop_nudge(standard_corpus, standard_pool, standard_table, 5, 32, seed=42)
+        path = tmp_path / "plan.jsonl"
+        save_plan(plan, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == _STANDARD_PLAN_SHA256
 
     def test_originals_and_eval_splits_never_mutated(
         self, standard_corpus, standard_pool, standard_table
@@ -361,6 +480,31 @@ class TestLongtail:
         assert report.freq_after == {"a": 2, "b": 2, "c": 0}
         assert report.max_frequency_drop <= 0
         assert report.curve_after == (2, 2, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=2, max_size=200))
+    def test_spearman_equals_scipy_on_tied_integers(self, pairs):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        x, y = (list(v) for v in zip(*pairs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # constant input warns
+            expected = float(scipy_stats.spearmanr(x, y).statistic)
+        got = spearman(x, y)
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+    def test_spearman_constant_input_is_nan(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert math.isnan(scipy_stats.spearmanr([2, 2, 2], [1, 3, 2]).statistic)
+        assert math.isnan(spearman([2, 2, 2], [1, 3, 2]))
+
+    def test_unchanged_frequencies_correlate_exactly_one(self):
+        # x == y short-cuts to 1.0, even where the rank correlation is NaN
+        catalog = ItemCatalog({"a": "A", "b": "B"})
+        corpus = Corpus(catalog, (make_dialogue("d1", ["a"]), make_dialogue("d2", ["b"])))
+        assert math.isnan(spearman([1, 1], [1, 1]))
+        assert longtail_report(corpus, corpus).rank_correlation == 1.0
 
     def test_catalog_mismatch_rejected(self, standard_corpus):
         other = Corpus(ItemCatalog({"zz": "ZZ"}), (make_dialogue("d1", ["zz"]),))
