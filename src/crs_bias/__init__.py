@@ -42,7 +42,6 @@ from .synthgen import (
     OfflineTemplateBackend,
     PromptTemplate,
     build_pool,
-    generate_dialogue,
     parse_generated,
     render_prompt,
 )

@@ -29,8 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .corpus import Corpus, Dialogue, load_dialogues
-from .metrics import initial_item_coverage
-from .popularity import PopularityTable
+from .popularity import PopularityTable, item_coverage, train_frequencies
 
 # stream tags keep the shuffle RNG disjoint from per-anchor sampling RNGs
 _STREAM_SHUFFLE = 0
@@ -502,17 +501,6 @@ def load_plan(path: str | Path) -> AugmentationPlan:
 # distribution reporting
 
 
-def train_frequencies(corpus: Corpus) -> dict[str, int]:
-    """Per-catalog-item mention counts over the training split."""
-    freq = {item_id: 0 for item_id in corpus.catalog.items}
-    for dialogue in corpus.split("train"):
-        for turn in dialogue.turns:
-            for item_id in turn.item_ids():
-                if item_id in freq:
-                    freq[item_id] += 1
-    return freq
-
-
 def _average_ranks(values: Sequence[float]) -> np.ndarray:
     """1-based ranks; tied values share the average of their ranks."""
     a = np.asarray(values)
@@ -567,8 +555,8 @@ def longtail_report(before: Corpus, after: Corpus) -> LongtailReport:
         freq_before=freq_before,
         freq_after=freq_after,
         rank_correlation=rank_correlation,
-        coverage_before=initial_item_coverage(before),
-        coverage_after=initial_item_coverage(after),
+        coverage_before=item_coverage(freq_before),
+        coverage_after=item_coverage(freq_after),
         n_items_gained=sum(1 for i in items if freq_before[i] == 0 and freq_after[i] > 0),
         max_frequency_drop=max((freq_before[i] - freq_after[i] for i in items), default=0),
         curve_before=tuple(sorted(x, reverse=True)),

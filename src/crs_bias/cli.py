@@ -64,7 +64,7 @@ def cmd_stats(config: RunConfig) -> int:
             "test": summary.dialogues_per_split.get("test", 0),
         },
         "items": len(corpus.catalog),
-        "iic": met.initial_item_coverage(corpus),
+        "iic": pop.item_coverage(table.freq),
         "popular_item_ratio": pop.popular_item_ratio(table, corpus.catalog),
         "n_unknown_mentions": summary.n_unknown_mentions,
     }
@@ -153,14 +153,13 @@ def cmd_augment(config: RunConfig) -> int:
 
     corpus, _ = load_corpus(corpus_path, catalog_path)
     pool = aug.load_pool(pool_path)
-    table = pop.build_popularity(corpus, config.eta_policy)
-    iic_before = met.initial_item_coverage(corpus)
 
     plan = None
     if config.strategy == "once_aug":
         augmented = aug.once_aug(corpus, pool)
         plan_path = None
     else:
+        table = pop.build_popularity(corpus, config.eta_policy)
         plan = aug.pop_nudge(corpus, pool, table, config.k, config.batch_size, seed)
         violations = aug.audit_plan(plan, corpus, pool, table)
         if violations:
@@ -181,7 +180,7 @@ def cmd_augment(config: RunConfig) -> int:
         "k": config.k if config.strategy == "pop_nudge" else None,
         "batch_size": config.batch_size if config.strategy == "pop_nudge" else None,
         "seed": seed,
-        "iic_before": iic_before,
+        "iic_before": tail.coverage_before,
         "iic_after": tail.coverage_after,
         "rank_correlation": tail.rank_correlation,
         "n_items_gained": tail.n_items_gained,
@@ -193,7 +192,7 @@ def cmd_augment(config: RunConfig) -> int:
     _write_json(out / "augment_summary.json", summary)
 
     print(f"strategy: {config.strategy}")
-    print(f"IIC: {_percent(iic_before)} -> {_percent(tail.coverage_after)}")
+    print(f"IIC: {_percent(tail.coverage_before)} -> {_percent(tail.coverage_after)}")
     print(f"long-tail rank correlation: {tail.rank_correlation:.4f}")
     print(f"items gained: {tail.n_items_gained}")
     if plan is not None and (plan.n_anchors_without_candidates or plan.n_anchors_truncated):
@@ -221,12 +220,12 @@ def cmd_evaluate(config: RunConfig) -> int:
     corpus = segment_corpus(corpus, config.episode_policy)
     table = pop.build_popularity(corpus, config.eta_policy)
 
+    # one item index for every run: catalog order, unknown ids appended
+    items = pop.ItemIndex(corpus.catalog.items)
     reports = []
     for run_path in config.runs:
-        run = met.load_run(run_path, cutoffs=config.cutoffs)
-        report = met.evaluate_run(
-            run, corpus, table, log_base=config.log_base, n_workers=config.n_workers
-        )
+        run = met.load_run(run_path, cutoffs=config.cutoffs, items=items)
+        report = met.evaluate_run(run, corpus, table, log_base=config.log_base)
         met.save_report(report, out / f"{report.model_name}.report.jsonl")
         reports.append(report)
 

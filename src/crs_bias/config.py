@@ -53,7 +53,6 @@ class RunConfig:
     eta_policy: ThresholdPolicy = field(default_factory=ThresholdPolicy.count_threshold)
     log_base: float = math.e
     cutoffs: tuple[int, ...] = (10, 50)
-    n_workers: int = 1
     episode_policy: str = "accept_boundary"
     strategy: str = "pop_nudge"
     k: int = 1
@@ -95,7 +94,6 @@ class RunConfig:
             "metrics": {
                 "log_base": self.log_base,
                 "cutoffs": list(self.cutoffs),
-                "n_workers": self.n_workers,
             },
             "episodes": {"policy": self.episode_policy},
             "augment": {"strategy": self.strategy, "k": self.k, "batch_size": self.batch_size},
@@ -180,6 +178,7 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
 
     base = path.parent
     paths = data.get("paths") or {}
+    # metrics.n_workers, from older configs, is accepted and ignored: scoring is columnar
     metrics = data.get("metrics") or {}
     augment = data.get("augment") or {}
     episodes = data.get("episodes") or {}
@@ -234,7 +233,6 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
         eta_policy=_parse_eta(eta),
         log_base=_parse_log_base(metrics.get("log_base")),
         cutoffs=cutoffs,
-        n_workers=max(1, int(metrics.get("n_workers", 1))),
         episode_policy=episode_policy,
         strategy=strategy,
         k=int(overrides.get("k", augment.get("k", 1))),

@@ -16,22 +16,30 @@ list and the ground-truth targets. This module scores:
 Entries that a metric cannot score (no targets, first episode, empty list,
 ...) are skipped and the skip reasons are disclosed in the report; means and
 standard deviations cover the scored entries only.
+
+The per-entry functions are the reference definitions. ``evaluate_run``
+scores a whole run column-wise over interned item codes and reproduces them
+bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+from array import array
 from dataclasses import dataclass, field
 from math import fsum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .corpus import Corpus, CorpusError
-from .popularity import PopularityTable
+from .popularity import ItemIndex, PopularityTable, item_coverage, train_frequencies
 
 DEFAULT_CUTOFFS = (10, 50)
+# run-file turn and episode indices are stored as int64
+_INDEX_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -59,48 +67,195 @@ class RunEntry:
             )
 
 
+@dataclass(frozen=True, eq=False)
+class RunColumns(Sequence[RunEntry]):
+    """A run stored column-wise over interned item ids.
+
+    ``ranks`` is an (entries x longest list, at least 1) int32 matrix of
+    item codes, padded with -1 past each row's ``lengths``. Entry ``i``'s
+    targets are ``target_codes[target_offsets[i]:target_offsets[i + 1]]``.
+    Indexing builds the ``RunEntry`` on demand.
+    """
+
+    items: ItemIndex
+    dialogue_ids: list[str]
+    dialogue_codes: np.ndarray
+    turn_index: np.ndarray
+    episode_index: np.ndarray
+    ranks: np.ndarray
+    lengths: np.ndarray
+    target_codes: np.ndarray
+    target_offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i: int) -> RunEntry:  # type: ignore[override]
+        i = range(len(self))[i]
+        ids = self.items.ids
+        targets = self.target_codes[self.target_offsets[i] : self.target_offsets[i + 1]]
+        return RunEntry(
+            dialogue_id=self.dialogue_ids[self.dialogue_codes[i]],
+            turn_index=int(self.turn_index[i]),
+            episode_index=int(self.episode_index[i]),
+            ranked_item_ids=tuple(ids[c] for c in self.ranks[i, : self.lengths[i]].tolist()),
+            target_item_ids=tuple(ids[c] for c in targets.tolist()),
+        )
+
+
+class _RunBuilder:
+    """Appends entries straight into compact columns, interning ids as it goes."""
+
+    def __init__(self, items: ItemIndex):
+        self.items = items
+        self.dialogue_ids: list[str] = []
+        self._dialogue_code: dict[str, int] = {}
+        self._keys: set[tuple[int, int]] = set()
+        self.dialogue_codes = array("q")
+        self.turn_index = array("q")
+        self.episode_index = array("q")
+        self.lengths = array("q")
+        self.ranked = array("i")
+        self.targets = array("i")
+        self.target_offsets = array("q", [0])
+
+    def _codes(self, item_ids: Sequence[str], what: str) -> list[int]:
+        try:
+            return list(map(self.items.code.__getitem__, item_ids))
+        except (KeyError, TypeError):  # an id seen for the first time, or not a string
+            return [self.items.intern(_id(i, what)) for i in item_ids]
+
+    def add(
+        self,
+        dialogue_id: str,
+        turn_index: int,
+        episode_index: int,
+        ranked: Sequence[str],
+        targets: Sequence[str],
+    ) -> None:
+        dialogue = self._dialogue_code.get(dialogue_id)
+        if dialogue is None:
+            dialogue = self._dialogue_code[dialogue_id] = len(self.dialogue_ids)
+            self.dialogue_ids.append(dialogue_id)
+        key = (dialogue, turn_index)
+        if key in self._keys:
+            raise CorpusError(f"duplicate run entry ({dialogue_id!r}, turn {turn_index})")
+        ranked_codes = self._codes(ranked, "'ranked' item")
+        if len(set(ranked_codes)) != len(ranked_codes):
+            raise CorpusError(
+                f"run entry ({dialogue_id!r}, turn {turn_index}): "
+                f"ranked list contains duplicate item ids"
+            )
+        self.targets.fromlist(self._codes(targets, "'targets' item"))
+        self._keys.add(key)
+        self.dialogue_codes.append(dialogue)
+        self.turn_index.append(turn_index)
+        self.episode_index.append(episode_index)
+        self.lengths.append(len(ranked_codes))
+        self.ranked.fromlist(ranked_codes)
+        self.target_offsets.append(len(self.targets))
+
+    def finish(self) -> RunColumns:
+        lengths = np.array(self.lengths, dtype=np.int64)
+        width = int(lengths.max(initial=1))  # at least one (padding) column
+        ranks = np.full((len(lengths), width), -1, dtype=np.int32)
+        ranks[np.arange(width) < lengths[:, None]] = np.array(self.ranked, dtype=np.int32)
+        return RunColumns(
+            items=self.items,
+            dialogue_ids=self.dialogue_ids,
+            dialogue_codes=np.array(self.dialogue_codes, dtype=np.int64),
+            turn_index=np.array(self.turn_index, dtype=np.int64),
+            episode_index=np.array(self.episode_index, dtype=np.int64),
+            ranks=ranks,
+            lengths=lengths,
+            target_codes=np.array(self.targets, dtype=np.int32),
+            target_offsets=np.array(self.target_offsets, dtype=np.int64),
+        )
+
+
 @dataclass(frozen=True)
 class RankedRun:
-    """A model's ranked lists for a set of recommendation turns."""
+    """A model's ranked lists for a set of recommendation turns.
+
+    ``entries`` is a sequence of ``RunEntry``: a tuple, or the
+    ``RunColumns`` that ``load_run`` builds.
+    """
 
     model_name: str
-    entries: tuple[RunEntry, ...]
+    entries: Sequence[RunEntry]
     cutoffs: tuple[int, ...] = DEFAULT_CUTOFFS
+
+
+def _id(value, what: str) -> str:
+    if type(value) is str:
+        return value
+    if type(value) is int:
+        return str(value)
+    raise CorpusError(f"{what} must be a string or an integer, got {value!r}")
+
+
+def _array(value, key: str) -> list:
+    if type(value) is not list:
+        raise CorpusError(f"{key!r} must be an array of item ids, got {value!r}")
+    return value
+
+
+def _index(value, key: str) -> int:
+    if type(value) is not int or not 0 <= value < _INDEX_LIMIT:
+        raise CorpusError(f"{key!r} must be a non-negative 64-bit integer, got {value!r}")
+    return value
+
+
+def _read_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each non-blank line. Lines are decoded
+    one at a time, so a bad byte, malformed JSON or a non-object record
+    raises ``CorpusError`` naming its own ``path:line``."""
+    with path.open("rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # bad UTF-8, bad JSON, or an int too long to convert
+                message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise CorpusError(f"{path}:{lineno}: malformed record: {message}") from exc
+            if type(record) is not dict:
+                raise CorpusError(f"{path}:{lineno}: record is not an object")
+            yield lineno, record
 
 
 def load_run(
     path: str | Path,
     model_name: str | None = None,
     cutoffs: Sequence[int] = DEFAULT_CUTOFFS,
+    items: ItemIndex | None = None,
 ) -> RankedRun:
     """Read a run file: one record per line with dialogue_id, turn_index,
-    episode_index, ranked, targets."""
+    episode_index, ranked, targets.
+
+    Each line is interned into ``items`` (a fresh index when None) and
+    appended to the run's columns as it is read. Any malformed line, and a
+    second entry for the same (dialogue_id, turn_index), raises
+    ``CorpusError`` naming ``path:line``.
+    """
     path = Path(path)
-    entries: list[RunEntry] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed record: {exc.msg}") from exc
-            try:
-                entry = RunEntry(
-                    dialogue_id=str(record["dialogue_id"]),
-                    turn_index=int(record["turn_index"]),
-                    episode_index=int(record["episode_index"]),
-                    ranked_item_ids=tuple(str(i) for i in record["ranked"]),
-                    target_item_ids=tuple(str(i) for i in record["targets"]),
-                )
-            except KeyError as exc:
-                raise CorpusError(f"{path}:{lineno}: run record missing {exc.args[0]!r}") from exc
-            except CorpusError as exc:
-                raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-            entries.append(entry)
+    builder = _RunBuilder(items if items is not None else ItemIndex())
+    for lineno, record in _read_json_lines(path):
+        try:
+            builder.add(
+                _id(record["dialogue_id"], "'dialogue_id'"),
+                _index(record["turn_index"], "turn_index"),
+                _index(record["episode_index"], "episode_index"),
+                _array(record["ranked"], "ranked"),
+                _array(record["targets"], "targets"),
+            )
+        except KeyError as exc:
+            raise CorpusError(f"{path}:{lineno}: run record missing {exc.args[0]!r}") from exc
+        except CorpusError as exc:
+            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
     return RankedRun(
         model_name=model_name or path.stem,
-        entries=tuple(entries),
+        entries=builder.finish(),
         cutoffs=tuple(cutoffs),
     )
 
@@ -110,13 +265,8 @@ def load_run(
 
 
 def initial_item_coverage(corpus: Corpus) -> float:
-    """Unique catalog items appearing in training dialogues / catalog size."""
-    seen: set[str] = set()
-    for dialogue in corpus.split("train"):
-        for item_id in dialogue.item_ids():
-            if item_id in corpus.catalog:
-                seen.add(item_id)
-    return len(seen) / len(corpus.catalog)
+    """Catalog items with a training interaction / catalog size."""
+    return item_coverage(train_frequencies(corpus))
 
 
 # ---------------------------------------------------------------------------
@@ -286,54 +436,211 @@ class BiasReport:
         ]
 
 
-def _validate_join(run: RankedRun, corpus: Corpus) -> None:
+def _validate_join(model_name: str, run: RunColumns, corpus: Corpus) -> None:
     by_id = corpus.by_id()
+    dialogues = [by_id.get(d) for d in run.dialogue_ids]
     problems: list[str] = []
-    for entry in run.entries:
-        dialogue = by_id.get(entry.dialogue_id)
+    for code, turn_index, episode_index in zip(
+        run.dialogue_codes.tolist(), run.turn_index.tolist(), run.episode_index.tolist()
+    ):
+        dialogue_id = run.dialogue_ids[code]
+        dialogue = dialogues[code]
         if dialogue is None:
-            problems.append(f"unknown dialogue {entry.dialogue_id!r}")
+            problems.append(f"unknown dialogue {dialogue_id!r}")
             continue
-        if not 0 <= entry.turn_index < len(dialogue.turns):
-            problems.append(
-                f"dialogue {entry.dialogue_id!r}: turn_index {entry.turn_index} out of range"
-            )
+        if not 0 <= turn_index < len(dialogue.turns):
+            problems.append(f"dialogue {dialogue_id!r}: turn_index {turn_index} out of range")
             continue
         episodes = dialogue.episode_index_per_turn
-        if episodes is not None and episodes[entry.turn_index] != entry.episode_index:
+        if episodes is not None and episodes[turn_index] != episode_index:
             problems.append(
-                f"dialogue {entry.dialogue_id!r} turn {entry.turn_index}: episode_index "
-                f"{entry.episode_index} does not match corpus segmentation "
-                f"({episodes[entry.turn_index]})"
+                f"dialogue {dialogue_id!r} turn {turn_index}: episode_index "
+                f"{episode_index} does not match corpus segmentation "
+                f"({episodes[turn_index]})"
             )
     if problems:
         shown = "; ".join(sorted(set(problems))[:20])
-        raise CorpusError(f"run {run.model_name!r} does not join against corpus: {shown}")
+        raise CorpusError(f"run {model_name!r} does not join against corpus: {shown}")
 
 
-def _score_entry(
-    entry: RunEntry,
-    previous_by_key: Mapping[tuple[str, int], list[RunEntry]],
+def _run_columns(run: RankedRun, corpus: Corpus) -> RunColumns:
+    if isinstance(run.entries, RunColumns):
+        return run.entries
+    builder = _RunBuilder(ItemIndex(corpus.catalog.items))
+    for entry in run.entries:
+        try:
+            builder.add(
+                entry.dialogue_id,
+                entry.turn_index,
+                entry.episode_index,
+                entry.ranked_item_ids,
+                entry.target_item_ids,
+            )
+        except CorpusError as exc:
+            raise CorpusError(f"run {run.model_name!r}: {exc}") from exc
+    return builder.finish()
+
+
+def _exact_row_sums(mask: np.ndarray, terms: Sequence[float]) -> np.ndarray:
+    """``fsum(terms[j] for j if mask[row, j])`` for every row, bit for bit.
+
+    Finite doubles are integer multiples of ``2**-scale`` for a scale taken
+    from their exponents. When those integers' total fits int64, each row
+    sum is an exact integer sum, and one correctly rounded int-to-float
+    conversion gives the correctly rounded result that ``fsum`` returns.
+    Otherwise every row is summed with ``fsum``.
+    """
+    terms = list(terms[: mask.shape[1]])
+    exponents = [math.frexp(t)[1] for t in terms if t != 0.0]
+    if exponents and all(map(math.isfinite, terms)) and min(exponents) > -900:
+        scale = 53 - min(exponents)
+        if max(exponents) + scale <= 62:
+            scaled = [int(math.ldexp(t, scale)) for t in terms]
+            if sum(map(abs, scaled)) < 2**63:
+                sums = (mask * np.array(scaled, dtype=np.int64)).sum(axis=1)
+                return np.ldexp(sums.astype(np.float64), -scale)
+    return np.array(
+        [fsum(t for t, used in zip(terms, row) if used) for row in mask.tolist()],
+        dtype=np.float64,
+    )
+
+
+# skip-reason codes; 0 means scored
+_REASONS = (
+    None,
+    "first_episode",
+    "no_previous_episode",
+    "no_targets",
+    "empty_ranked_list",
+    "insufficient_overlap",
+)
+_FIRST_EPISODE, _NO_PREVIOUS, _NO_TARGETS, _EMPTY, _OVERLAP = range(1, 6)
+_PEARSON_BLOCK = 512
+
+
+def _previous_rows(run: RunColumns) -> np.ndarray:
+    """Per entry, the row of the highest-turn entry of (dialogue, episode - 1),
+    or -1 when that episode has no entries."""
+    dialogue, episode = run.dialogue_codes, run.episode_index
+    if not len(dialogue):
+        return np.zeros(0, dtype=np.int64)
+    order = np.lexsort((run.turn_index, episode, dialogue))
+    d, e = dialogue[order], episode[order]
+    starts = np.r_[True, (d[1:] != d[:-1]) | (e[1:] != e[:-1])]
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(starts) - 1
+    # each group's last row has its highest turn; (dialogue, turn) is unique, so no ties
+    last_row = order[np.r_[starts[1:], True]]
+    # groups are sorted by (dialogue, episode): (d, e - 1) can only be the group just before (d, e)
+    before = np.maximum(group - 1, 0)
+    found = (group > 0) & (d[starts][before] == dialogue) & (e[starts][before] == episode - 1)
+    return np.where(found, last_row[before], -1)
+
+
+def _pearson_rows(x: np.ndarray, y: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """``pearson(x[i, :length[i]], y[i, :length[i]])`` for every row, bit for bit.
+
+    Deviations and products are elementwise (IEEE, as on Python floats);
+    sums stay per-row ``fsum`` over zero-padded rows (exact zeros leave
+    ``fsum`` unchanged), and squares use Python's ``** 2``, which calls libm
+    ``pow`` and is not always ``d * d``. Rows go in blocks so the Python
+    lists stay short-lived.
+    """
+    inside = np.arange(x.shape[1]) < length[:, None]
+    rho = np.zeros(len(length))
+    for start in range(0, len(length), _PEARSON_BLOCK):
+        rows = slice(start, start + _PEARSON_BLOCK)
+        mask, n = inside[rows], length[rows]
+        x_rows, y_rows = np.where(mask, x[rows], 0.0), np.where(mask, y[rows], 0.0)
+        mean_x = np.array([fsum(row) for row in x_rows.tolist()]) / n
+        mean_y = np.array([fsum(row) for row in y_rows.tolist()]) / n
+        dx = np.where(mask, x_rows - mean_x[:, None], 0.0)
+        dy = np.where(mask, y_rows - mean_y[:, None], 0.0)
+        sxy = np.array([fsum(row) for row in (dx * dy).tolist()])
+        sxx = np.array([fsum([d ** 2 for d in row]) for row in dx.tolist()])
+        syy = np.array([fsum([d ** 2 for d in row]) for row in dy.tolist()])
+        varied = (sxx != 0.0) & (syy != 0.0)
+        if (varied & (sxx * syy == 0.0)).any():
+            raise ZeroDivisionError("float division by zero")  # as pearson, on an underflowed product
+        block = rho[rows]
+        block[varied] = np.clip(sxy[varied] / np.sqrt(sxx[varied] * syy[varied]), -1.0, 1.0)
+    return rho
+
+
+def _score_columns(
+    run: RunColumns,
     table: PopularityTable,
     cutoffs: tuple[int, ...],
     log_base: float,
-) -> dict[str, float | Skipped]:
-    scores: dict[str, float | Skipped] = {}
-    if entry.ranked_item_ids:
-        scores["pop_bias"] = popularity_bias(entry.ranked_item_ids, table.popular_set, log_base)
-    else:
-        scores["pop_bias"] = Skipped("empty_ranked_list")
-    previous = previous_by_key.get((entry.dialogue_id, entry.episode_index - 1), [])
-    scores["cep"] = cross_episode_popularity(entry, previous, table, log_base)
-    scores["uiop"] = intent_oriented_popularity(entry, table, log_base)
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Every metric for every entry: ``name -> (values, skip-reason codes)``.
 
-    ranked_scores = rank_metrics(entry, cutoffs)
-    if isinstance(ranked_scores, Skipped):
-        for k in cutoffs:
-            for prefix in ("hit", "ndcg", "mrr"):
-                scores[f"{prefix}@{k}"] = ranked_scores
-    else:
-        scores.update(ranked_scores)
+    Each column equals the per-entry oracle functions above bit for bit.
+    Padding slots (code -1) read the last slot of ``pop``/``popular``, an
+    extra unpopular item with popularity 0.
+    """
+    pop, popular = table.arrays(run.items)
+    pop, popular = np.append(pop, 0.0), np.append(popular, False)
+    ranks, lengths = run.ranks, run.lengths
+    n, width = ranks.shape
+    rows = np.arange(n)
+    empty = lengths == 0
+
+    is_popular = popular[ranks]
+    utility = _exact_row_sums(
+        is_popular, [1.0 / _rank_discount(rank, log_base) for rank in range(1, width + 1)]
+    )
+    coverage = np.zeros(n)
+    np.divide(is_popular.sum(axis=1), lengths, out=coverage, where=~empty)
+    bias = utility * coverage
+    scores = {"pop_bias": (bias, np.where(empty, _EMPTY, 0))}
+
+    # cross-episode popularity, with the oracle's skip order
+    previous = _previous_rows(run)
+    overlap = np.minimum(lengths, lengths[previous])
+    cep_reason = np.select(
+        [run.episode_index == 0, previous < 0, empty, overlap < 2],
+        [_FIRST_EPISODE, _NO_PREVIOUS, _EMPTY, _OVERLAP],
+        0,
+    )
+    scored = np.flatnonzero(cep_reason == 0)
+    cep = np.zeros(n)
+    rho = _pearson_rows(pop[ranks[scored]], pop[ranks[previous[scored]]], overlap[scored])
+    cep[scored] = bias[scored] * np.abs(rho)
+    scores["cep"] = (cep, cep_reason)
+
+    # intent-oriented popularity: mean |pop(target) - bias| over the raw targets
+    offsets = run.target_offsets
+    n_targets = np.diff(offsets)
+    target_row = np.repeat(rows, n_targets)
+    gaps = np.abs(pop[run.target_codes] - bias[target_row]).tolist()
+    bounds = offsets.tolist()
+    uiop = np.array(
+        [fsum(gaps[a:b]) / (b - a) if b > a else 0.0 for a, b in zip(bounds, bounds[1:])]
+    )
+    no_targets = n_targets == 0
+    scores["uiop"] = (uiop, np.select([no_targets, empty], [_NO_TARGETS, _EMPTY], 0))
+
+    # rank metrics over the distinct targets
+    pairs = np.unique(target_row * len(pop) + run.target_codes)
+    pair_row, pair_code = np.divmod(pairs, len(pop))
+    match = ranks[pair_row] == pair_code[:, None]
+    found = match.any(axis=1)
+    hit = np.zeros((n, width), dtype=bool)
+    hit[pair_row[found], match[found].argmax(axis=1)] = True
+    n_distinct = np.bincount(pair_row, minlength=n)
+    depth = max(width, int(n_distinct.max(initial=0)))
+    log2_terms = [1.0 / math.log2(rank + 1) for rank in range(1, depth + 1)]
+    idcg = _exact_row_sums(np.arange(depth) < n_distinct[:, None], log2_terms)
+    idcg[no_targets] = 1.0
+    any_hit, first_hit = hit.any(axis=1), hit.argmax(axis=1)
+    rank_reason = np.where(no_targets, _NO_TARGETS, 0)
+    for k in cutoffs:
+        top = hit[:, :k]
+        scores[f"hit@{k}"] = (top.any(axis=1).astype(np.float64), rank_reason)
+        scores[f"ndcg@{k}"] = (_exact_row_sums(top, log2_terms) / idcg, rank_reason)
+        mrr = np.where(any_hit & (first_hit < k), 1.0 / (first_hit + 1), 0.0)
+        scores[f"mrr@{k}"] = (mrr, rank_reason)
     return scores
 
 
@@ -350,52 +657,40 @@ def evaluate_run(
     table: PopularityTable,
     *,
     log_base: float = math.e,
-    n_workers: int = 1,
 ) -> BiasReport:
     """Score every entry and aggregate mean/std per metric.
 
-    Per-entry scoring is pure, so it may fan out over ``n_workers`` threads;
-    aggregation always runs in entry order with exact (fsum) summation, so
-    parallel and serial evaluations produce identical reports. Metrics with
-    zero scored entries are omitted from the report rather than reported as 0.
+    Scoring is column-wise over the run's interned item codes and equals the
+    per-entry functions above bit for bit; aggregation runs in entry order
+    with exact (fsum) summation. Metrics with zero scored entries are omitted
+    from the report rather than reported as 0.
     """
-    _validate_join(run, corpus)
-
-    previous_by_key: dict[tuple[str, int], list[RunEntry]] = {}
-    for entry in run.entries:
-        previous_by_key.setdefault((entry.dialogue_id, entry.episode_index), []).append(entry)
-
-    def score(entry: RunEntry) -> dict[str, float | Skipped]:
-        return _score_entry(entry, previous_by_key, table, run.cutoffs, log_base)
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            per_entry = list(pool.map(score, run.entries))
-    else:
-        per_entry = [score(entry) for entry in run.entries]
+    columns = _run_columns(run, corpus)
+    _validate_join(run.model_name, columns, corpus)
+    scores = _score_columns(columns, table, run.cutoffs, log_base)
 
     metrics: dict[str, MetricSummary] = {}
     for name in _metric_order(run.cutoffs):
-        values: list[float] = []
-        skip_reasons: dict[str, int] = {}
-        for scores in per_entry:
-            result = scores[name]
-            if isinstance(result, Skipped):
-                skip_reasons[result.reason] = skip_reasons.get(result.reason, 0) + 1
-            else:
-                values.append(result)
+        column, reasons = scores[name]
+        values = column[reasons == 0].tolist()
         if not values:
             continue
+        skipped = np.flatnonzero(reasons)
+        codes, first = np.unique(reasons[skipped], return_index=True)
+        counts = np.bincount(reasons[skipped])
+        skip_reasons = {
+            _REASONS[code]: int(counts[code]) for code in codes[np.argsort(first)].tolist()
+        }
         mean = fsum(values) / len(values)
         std = math.sqrt(fsum((v - mean) ** 2 for v in values) / len(values))
         metrics[name] = MetricSummary(
             mean=mean,
             std=std,
             n=len(values),
-            n_skipped=sum(skip_reasons.values()),
+            n_skipped=len(skipped),
             skip_reasons=skip_reasons,
         )
-    return BiasReport(model_name=run.model_name, n_entries=len(run.entries), metrics=metrics)
+    return BiasReport(model_name=run.model_name, n_entries=len(columns), metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +704,31 @@ def save_report(report: BiasReport, path: str | Path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 
 
+_REPORT_FIELDS = (
+    ("model", (str,)),
+    ("metric", (str,)),
+    ("mean", (int, float)),
+    ("std", (int, float)),
+    ("n", (int,)),
+    ("n_skipped", (int,)),
+)
+
+
 def load_report_records(path: str | Path) -> list[dict]:
+    """Read a ``save_report`` file; a malformed line or a record missing a
+    field (or holding the wrong type) raises ``CorpusError`` with path:line."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    records: list[dict] = []
+    for lineno, record in _read_json_lines(path):
+        for key, types in _REPORT_FIELDS:
+            if key not in record:
+                raise CorpusError(f"{path}:{lineno}: report record missing {key!r}")
+            if type(record[key]) not in types:
+                raise CorpusError(f"{path}:{lineno}: report field {key!r} has {record[key]!r}")
+        if type(record.get("skip_reasons", {})) is not dict:
+            raise CorpusError(f"{path}:{lineno}: report field 'skip_reasons' is not an object")
+        records.append(record)
+    return records
 
 
 def format_report_table(reports: Iterable[BiasReport]) -> str:

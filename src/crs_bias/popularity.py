@@ -13,6 +13,9 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from .corpus import Corpus, ItemCatalog
 
@@ -63,6 +66,48 @@ class PopularityTable:
         """Normalized popularity; 0.0 for items never seen in training."""
         return self.pop.get(item_id, 0.0)
 
+    def arrays(self, index: "ItemIndex") -> tuple[np.ndarray, np.ndarray]:
+        """``pop`` values and the ``is_popular`` mask, one slot per interned id."""
+        pop = np.array([self.pop_of(i) for i in index.ids], dtype=np.float64)
+        popular = np.array([i in self.popular_set for i in index.ids], dtype=bool)
+        return pop, popular
+
+
+class ItemIndex:
+    """Dense integer ids for item ids: catalog items first, in catalog order;
+    ids outside the catalog are appended in the order they are first seen."""
+
+    def __init__(self, catalog_ids: Iterable[str] = ()):
+        self.ids: list[str] = list(catalog_ids)
+        self.code: dict[str, int] = {item_id: n for n, item_id in enumerate(self.ids)}
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def intern(self, item_id: str) -> int:
+        code = self.code.get(item_id)
+        if code is None:
+            code = self.code[item_id] = len(self.ids)
+            self.ids.append(item_id)
+        return code
+
+
+def train_frequencies(corpus: Corpus) -> dict[str, int]:
+    """Per-catalog-item interaction counts over the training split, in
+    catalog order; an item counts once per turn that touches it."""
+    freq: dict[str, int] = {item_id: 0 for item_id in corpus.catalog.items}
+    for dialogue in corpus.split("train"):
+        for turn in dialogue.turns:
+            for item_id in turn.item_ids():
+                if item_id in freq:
+                    freq[item_id] += 1
+    return freq
+
+
+def item_coverage(freq: Mapping[str, int]) -> float:
+    """Fraction of the catalog (the keys of ``freq``) with frequency > 0."""
+    return sum(1 for f in freq.values() if f > 0) / len(freq)
+
 
 def _popular_items(freq: dict[str, int], policy: ThresholdPolicy) -> frozenset[str]:
     if policy.kind == "count_threshold":
@@ -84,13 +129,7 @@ def build_popularity(corpus: Corpus, policy: ThresholdPolicy) -> PopularityTable
     concern. An empty training split yields an all-zero table with an empty
     popular set (under a count threshold).
     """
-    freq: dict[str, int] = {item_id: 0 for item_id in corpus.catalog.items}
-    for dialogue in corpus.split("train"):
-        for turn in dialogue.turns:
-            for item_id in turn.item_ids():
-                if item_id in freq:
-                    freq[item_id] += 1
-
+    freq = train_frequencies(corpus)
     max_freq = max(freq.values(), default=0)
     if max_freq == 0:
         # no training interactions at all: all-zero table, nothing is popular

@@ -269,17 +269,6 @@ class HttpChatBackend:
         raise last_error
 
 
-def generate_dialogue(
-    backend: GenerationBackend,
-    template: PromptTemplate,
-    item_id: str,
-    item_name: str,
-    seed: int,
-) -> str:
-    """Produce raw multi-turn text for one item."""
-    return backend.generate(template, item_id, item_name, seed)
-
-
 # ---------------------------------------------------------------------------
 # reformatting
 

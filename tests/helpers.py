@@ -9,10 +9,25 @@ the whole catalog with one single-mention synthetic dialogue per item.
 
 from __future__ import annotations
 
+import math
+from math import fsum
+
 import numpy as np
 
 from crs_bias.augment import SyntheticPool
 from crs_bias.corpus import Corpus, Dialogue, ItemCatalog, Turn, mention_token, segment_episodes
+from crs_bias.metrics import (
+    BiasReport,
+    MetricSummary,
+    RankedRun,
+    RunEntry,
+    Skipped,
+    cross_episode_popularity,
+    intent_oriented_popularity,
+    popularity_bias,
+    rank_metrics,
+)
+from crs_bias.popularity import PopularityTable
 
 CATALOG_SIZE = 120
 MENTIONED_ITEMS = 80
@@ -139,3 +154,58 @@ def freq_fixture_corpus() -> Corpus:
             dialogues.append(make_dialogue(f"d{counter:03d}", [iid]))
             counter += 1
     return Corpus(catalog=catalog, dialogues=tuple(dialogues))
+
+
+def scalar_report(run: RankedRun, table: PopularityTable, log_base: float = math.e) -> BiasReport:
+    """``evaluate_run``'s report computed entry by entry from the reference
+    metric functions, aggregated in entry order with ``fsum``."""
+    previous_by_key: dict[tuple[str, int], list] = {}
+    for entry in run.entries:
+        previous_by_key.setdefault((entry.dialogue_id, entry.episode_index), []).append(entry)
+    names = ["pop_bias", "cep", "uiop"]
+    names += [f"{prefix}@{k}" for prefix in ("hit", "ndcg", "mrr") for k in run.cutoffs]
+    per_entry = []
+    for entry in run.entries:
+        ranked = entry.ranked_item_ids
+        previous = previous_by_key.get((entry.dialogue_id, entry.episode_index - 1), [])
+        scores = {
+            "pop_bias": popularity_bias(ranked, table.popular_set, log_base)
+            if ranked else Skipped("empty_ranked_list"),
+            "cep": cross_episode_popularity(entry, previous, table, log_base),
+            "uiop": intent_oriented_popularity(entry, table, log_base),
+        }
+        accuracy = rank_metrics(entry, run.cutoffs)
+        for name in names[3:]:
+            scores[name] = accuracy if isinstance(accuracy, Skipped) else accuracy[name]
+        per_entry.append(scores)
+    metrics = {}
+    for name in names:
+        values = [s[name] for s in per_entry if not isinstance(s[name], Skipped)]
+        reasons: dict[str, int] = {}
+        for s in per_entry:
+            if isinstance(s[name], Skipped):
+                reasons[s[name].reason] = reasons.get(s[name].reason, 0) + 1
+        if values:
+            mean = fsum(values) / len(values)
+            std = math.sqrt(fsum((v - mean) ** 2 for v in values) / len(values))
+            metrics[name] = MetricSummary(mean, std, len(values), sum(reasons.values()), reasons)
+    return BiasReport(model_name=run.model_name, n_entries=len(run.entries), metrics=metrics)
+
+
+def standard_run(corpus: Corpus, seed: int = 2024) -> RankedRun:
+    """A seeded run over every recommender turn of ``corpus``: ragged lists of
+    0-15 items (some outside the catalog), the turn's targets, cutoffs 5/10/20."""
+    rng = np.random.default_rng(seed)
+    items = list(corpus.catalog.items) + [f"x{n}" for n in range(5)]
+    entries = []
+    for dialogue in corpus.dialogues:
+        for turn_index, turn in enumerate(dialogue.turns):
+            if turn.speaker != "recommender":
+                continue
+            size = int(rng.integers(0, 16))
+            ranked = tuple(str(i) for i in rng.choice(items, size=size, replace=False))
+            entries.append(RunEntry(
+                dialogue.dialogue_id, turn_index, dialogue.episode_index_per_turn[turn_index],
+                ranked, turn.target_item_ids,
+            ))
+    return RankedRun("standard", tuple(entries), cutoffs=(5, 10, 20))

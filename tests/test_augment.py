@@ -30,12 +30,11 @@ from crs_bias.augment import (
     pop_nudge,
     save_plan,
     spearman,
-    train_frequencies,
     weighted_sample_without_replacement,
 )
 from crs_bias.corpus import Corpus, CorpusError, Dialogue, ItemCatalog, Turn
 from crs_bias.metrics import initial_item_coverage
-from crs_bias.popularity import PopularityTable, ThresholdPolicy
+from crs_bias.popularity import PopularityTable, ThresholdPolicy, train_frequencies
 
 from helpers import make_dialogue
 

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crs_bias.cli import main
 from crs_bias.config import ConfigError, _redact, load_config
@@ -255,10 +258,94 @@ class TestEvaluate:
         table = capsys.readouterr().out
         assert "pop_bias" in table and "run_small" in table
 
+    @pytest.mark.parametrize(
+        "ranked, turn_index",
+        [('"ab"', "1"), ("null", "1"), ('["m1"]', '"x"'), ('["m1"]', "1.7"), ('["m1"]', "true")],
+    )
+    def test_malformed_run_line_exits_2_with_path_line(self, tmp_path, capsys, ranked, turn_index):
+        bad = tmp_path / "bad_run.jsonl"
+        bad.write_text(
+            (DATA / "run_small.jsonl").read_text()
+            + f'{{"dialogue_id": "d2", "turn_index": {turn_index}, "episode_index": 0, '
+            f'"ranked": {ranked}, "targets": []}}\n'
+        )
+        config = self._config_with_runs(tmp_path, [bad])
+        assert main(["evaluate", "--config", str(config)]) == 2
+        assert "bad_run.jsonl:4:" in capsys.readouterr().err
+
+    def test_duplicate_run_entry_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "dup_run.jsonl"
+        lines = (DATA / "run_small.jsonl").read_text().splitlines()
+        bad.write_text("\n".join(lines + [lines[1]]) + "\n")
+        config = self._config_with_runs(tmp_path, [bad])
+        assert main(["evaluate", "--config", str(config)]) == 2
+        assert "dup_run.jsonl:4: duplicate run entry ('d1', turn 3)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line", ['{"model": "run_small", "metric": "cep"', '{"model": "run_small", "mean": 1}']
+    )
+    def test_malformed_report_exits_2_with_path_line(self, tmp_path, capsys, line):
+        config = self._config_with_runs(tmp_path, [DATA / "run_small.jsonl"])
+        assert main(["evaluate", "--config", str(config)]) == 0
+        report = tmp_path / "out" / "run_small.report.jsonl"
+        report.write_text(report.read_text() + line + "\n")
+        n_lines = len(report.read_text().splitlines())
+        capsys.readouterr()
+        assert main(["report", "--config", str(config)]) == 2
+        assert f"run_small.report.jsonl:{n_lines}:" in capsys.readouterr().err
+
     def test_report_without_reports_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path / "config.yaml")
         assert main(["report", "--config", str(config)]) == 2
         assert "report" in capsys.readouterr().err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# (dialogue_id, turn_index, episode_index) that join against corpus_small.jsonl
+JOINED_KEYS = [("d1", 0, 0), ("d1", 1, 0), ("d1", 2, 1), ("d1", 3, 1), ("d2", 0, 0), ("d2", 1, 0),
+               ("d3", 0, 0), ("d3", 1, 0)]
+RUN_ITEMS = ["m1", "m2", "m3", "m4", "zz"]
+
+
+@st.composite
+def run_lines(draw):
+    """A valid run record, one with a field replaced or dropped, or any JSON value."""
+    dialogue_id, turn_index, episode_index = draw(st.sampled_from(JOINED_KEYS))
+    record = {
+        "dialogue_id": dialogue_id,
+        "turn_index": turn_index,
+        "episode_index": episode_index,
+        "ranked": draw(st.lists(st.sampled_from(RUN_ITEMS), max_size=4, unique=True)),
+        "targets": draw(st.lists(st.sampled_from(RUN_ITEMS), max_size=3)),
+    }
+    damage = draw(st.sampled_from(("none", "none", "replace", "drop", "line")))
+    key = draw(st.sampled_from(sorted(record)))
+    if damage == "replace":
+        record[key] = draw(JSON_VALUES)
+    elif damage == "drop":
+        del record[key]
+    elif damage == "line":
+        return draw(JSON_VALUES)
+    return record
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(records=st.lists(run_lines(), min_size=1, max_size=4))
+def test_evaluate_on_arbitrary_run_lines_exits_0_or_2(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        run = root / "run.jsonl"
+        run.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        config = write_config(
+            root / "config.yaml",
+            paths={"runs": [str(run)], "output_dir": str(root / "out")},
+            popularity={"eta": {"kind": "count_threshold", "min_count": 1}},
+        )
+        assert main(["evaluate", "--config", str(config)]) in (0, 2)
 
 
 class TestConfig:
@@ -292,6 +379,12 @@ class TestConfig:
             config_path = write_config(tmp_path / "config.yaml", **bad)
             with pytest.raises(ConfigError):
                 load_config(config_path)
+
+    def test_n_workers_accepted_but_not_echoed(self, tmp_path):
+        config_path = write_config(tmp_path / "config.yaml", metrics={"n_workers": 4})
+        config = load_config(config_path)
+        assert not hasattr(config, "n_workers")
+        assert "n_workers" not in config.echo_dict()["metrics"]
 
     def test_redaction_hides_secret_looking_keys(self):
         redacted = _redact({

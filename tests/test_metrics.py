@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from math import fsum
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crs_bias.corpus import Corpus, CorpusError, Dialogue, ItemCatalog, Turn, load_corpus
 from crs_bias.metrics import (
     RankedRun,
+    RunColumns,
     RunEntry,
     Skipped,
     cross_episode_popularity,
@@ -26,7 +30,9 @@ from crs_bias.metrics import (
     save_report,
     load_report_records,
 )
-from crs_bias.popularity import PopularityTable, ThresholdPolicy, build_popularity
+from crs_bias.popularity import ItemIndex, PopularityTable, ThresholdPolicy, build_popularity
+
+from helpers import build_standard_corpus, scalar_report, standard_run
 
 # hand-derived reference values (natural log, 1-based ranks)
 PI_ABC = 1.0 + 1.0 / (math.log(3) + 1.0)          # [a,b,c] with popular {a,c}
@@ -261,6 +267,111 @@ class TestRunLoading:
         with pytest.raises(CorpusError, match="duplicate"):
             load_run(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('["d1", 0, 0]', "not an object"),
+            ('"just a string"', "not an object"),
+            ('{"dialogue_id": "d1", "turn_index": 0, "episode_index": 0, "ranked": "ab", '
+             '"targets": []}', "'ranked' must be an array"),
+            ('{"dialogue_id": "d1", "turn_index": 0, "episode_index": 0, "ranked": null, '
+             '"targets": []}', "'ranked' must be an array"),
+            ('{"dialogue_id": "d1", "turn_index": 0, "episode_index": 0, "ranked": [], '
+             '"targets": "m1"}', "'targets' must be an array"),
+            ('{"dialogue_id": "d1", "turn_index": "x", "episode_index": 0, "ranked": [], '
+             '"targets": []}', "'turn_index' must be a non-negative"),
+            ('{"dialogue_id": "d1", "turn_index": 1.7, "episode_index": 0, "ranked": [], '
+             '"targets": []}', "'turn_index' must be a non-negative"),
+            ('{"dialogue_id": "d1", "turn_index": true, "episode_index": 0, "ranked": [], '
+             '"targets": []}', "'turn_index' must be a non-negative"),
+            ('{"dialogue_id": "d1", "turn_index": 0, "episode_index": -1, "ranked": [], '
+             '"targets": []}', "'episode_index' must be a non-negative"),
+            ('{"dialogue_id": "d1", "turn_index": 0, "episode_index": 99999999999999999999, '
+             '"ranked": [], "targets": []}', "'episode_index' must be a non-negative"),
+            ('{"dialogue_id": null, "turn_index": 0, "episode_index": 0, "ranked": [], '
+             '"targets": []}', "'dialogue_id' must be a string"),
+            ('{"dialogue_id": "d1", "turn_index": 0, "episode_index": 0, "ranked": ["m1", [2]], '
+             '"targets": []}', "'ranked' item must be a string"),
+            ('{"dialogue_id": "d1", "turn_index": 0, "episode_index": 0, "ranked": [], '
+             '"targets": [false]}', "'targets' item must be a string"),
+            ('{"dialogue_id": "d1", "turn_index": 0, "episode_index": 0, "ranked": []}',
+             "missing 'targets'"),
+            ('{"dialogue_id": "d1", "turn_index": 0,', "malformed record"),
+        ],
+    )
+    def test_malformed_line_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "bad_run.jsonl"
+        path.write_text(
+            '{"dialogue_id": "d0", "turn_index": 0, "episode_index": 0, '
+            '"ranked": ["m1"], "targets": []}\n\n' + line + "\n"
+        )
+        with pytest.raises(CorpusError, match=f"bad_run.jsonl:3: .*{message}"):
+            load_run(path)
+
+    def test_invalid_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bytes_run.jsonl"
+        # a bad byte far into the file still names its own line
+        good = "".join(
+            f'{{"dialogue_id": "d0", "turn_index": {t}, "episode_index": 0, "ranked": [], '
+            f'"targets": []}}\n' for t in range(2000)
+        )
+        path.write_bytes(good.encode() + b'{"dialogue_id": "d\xff"}\n')
+        with pytest.raises(CorpusError, match="bytes_run.jsonl:2001: malformed record: .*utf-8"):
+            load_run(path)
+
+    def test_duplicate_entry_names_second_line(self, tmp_path):
+        path = tmp_path / "dup_run.jsonl"
+        record = {"dialogue_id": "d1", "turn_index": 3, "episode_index": 1,
+                  "ranked": ["m1"], "targets": []}
+        other = dict(record, turn_index=1)
+        path.write_text("\n".join(json.dumps(r) for r in (record, other, record)) + "\n")
+        with pytest.raises(CorpusError, match=r"dup_run.jsonl:3: duplicate run entry \('d1', turn 3\)"):
+            load_run(path)
+
+    def test_integer_ids_read_as_strings(self, tmp_path):
+        path = tmp_path / "int_run.jsonl"
+        path.write_text(
+            '{"dialogue_id": 7, "turn_index": 1, "episode_index": 0, '
+            '"ranked": [12, "m1"], "targets": [12]}\n'
+        )
+        entry = load_run(path).entries[0]
+        assert entry == RunEntry("7", 1, 0, ("12", "m1"), ("12",))
+
+    def test_columns_intern_catalog_first_and_rebuild_entries(self, data_dir, tmp_path):
+        items = ItemIndex(["m1", "m2", "m3", "m4"])
+        path = tmp_path / "extra.jsonl"
+        path.write_text(
+            (data_dir / "run_small.jsonl").read_text()
+            + '{"dialogue_id": "d2", "turn_index": 0, "episode_index": 0, '
+            '"ranked": [], "targets": ["zz", "m4", "zz"]}\n'
+        )
+        run = load_run(path, items=items)
+        assert isinstance(run.entries, RunColumns)
+        assert items.ids == ["m1", "m2", "m3", "m4", "zz"]
+        assert len(run.entries) == 4
+        assert run.entries.ranks.shape == (4, 3)
+        assert run.entries.ranks[2].tolist() == [2, 1, -1]
+        assert run.entries[-1] == RunEntry("d2", 0, 0, (), ("zz", "m4", "zz"))
+        assert list(run.entries)[:3] == [
+            RunEntry("d1", 1, 0, ("m2", "m1", "m4"), ("m1",)),
+            RunEntry("d1", 3, 1, ("m1", "m3", "m2"), ("m2",)),
+            RunEntry("d2", 1, 0, ("m3", "m2"), ("m3",)),
+        ]
+        with pytest.raises(IndexError):
+            run.entries[4]
+
+
+# item ids for the columnar/scalar comparison: u0 is outside the catalog but
+# in the popularity table, u1 is in neither
+CATALOG_IDS = [f"i{n}" for n in range(7)]
+TABLE_IDS = CATALOG_IDS + ["u0", "zz"]
+RUN_IDS = CATALOG_IDS + ["u0", "u1"]
+RAGGED_TURNS = 10
+
+# sha256 of save_report(evaluate_run(standard_run(standard fixture))), computed
+# with the per-entry scorer this columnar one replaced
+_STANDARD_REPORT_SHA256 = "daa70d4e21a354317e560b48625fa598e6abb69b484f2a7871a68a55bcdc57fd"
+
 
 class TestEvaluateRun:
     def _mini(self):
@@ -316,13 +427,106 @@ class TestEvaluateRun:
         run = RankedRun("m", (RunEntry("d", 1, 0, ("a", "c"), ("a",)),))
         assert evaluate_run(run, corpus, table) == evaluate_run(run, corpus, table)
 
-    def test_parallel_matches_serial(self, data_dir):
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.sampled_from(("d0", "d1")),
+                st.integers(0, RAGGED_TURNS - 1),
+                st.integers(0, 3),
+                st.lists(st.sampled_from(RUN_IDS), max_size=12, unique=True).map(tuple),
+                st.lists(st.sampled_from(RUN_IDS), max_size=4).map(tuple),
+            ),
+            max_size=30,
+            unique_by=lambda e: (e[0], e[1]),
+        ),
+        pops=st.lists(st.floats(0.0, 1.0), min_size=len(TABLE_IDS), max_size=len(TABLE_IDS)),
+        popular=st.lists(st.booleans(), min_size=len(TABLE_IDS), max_size=len(TABLE_IDS)),
+        cutoffs=st.lists(st.integers(1, 16), min_size=1, max_size=3).map(tuple),
+        log_base=st.sampled_from((math.e, 2.0, 10.0, 0.3)),
+    )
+    @example(  # one dialogue, several entries per episode, a missing episode 1
+        entries=[("d0", 0, 0, ("i0", "i1"), ("i0", "i0")), ("d0", 2, 0, ("i2", "i1", "u1"), ()),
+                 ("d0", 5, 2, ("i1", "i2", "i3"), ("u1",)), ("d0", 6, 1, (), ("i2",)),
+                 ("d0", 7, 3, ("i0", "i3"), ("i3", "u0"))],
+        pops=[0.9, 0.3, 0.3, 0.0, 0.1, 0.0, 0.2, 0.5, 0.7],
+        popular=[True, False, True, False, False, False, False, True, True],
+        cutoffs=(1, 16),
+        log_base=math.e,
+    )
+    def test_columnar_matches_scalar(self, entries, pops, popular, cutoffs, log_base):
+        catalog = ItemCatalog({i: i.upper() for i in CATALOG_IDS})
+        turns = tuple(Turn("recommender", f"t{t}") for t in range(RAGGED_TURNS))
+        corpus = Corpus(catalog, (Dialogue("d0", turns), Dialogue("d1", turns)))
+        table = PopularityTable(
+            freq={i: 0 for i in TABLE_IDS},
+            pop=dict(zip(TABLE_IDS, pops)),
+            popular_set=frozenset(i for i, p in zip(TABLE_IDS, popular) if p),
+            eta_policy=ThresholdPolicy.count_threshold(5),
+        )
+        run = RankedRun("m", tuple(RunEntry(*e) for e in entries), cutoffs)
+
+        def outcome(evaluate):
+            try:
+                return evaluate(run, table, log_base=log_base)
+            except ZeroDivisionError:  # pearson on an underflowed variance product
+                return ZeroDivisionError
+
+        columnar = outcome(lambda *a, **kw: evaluate_run(a[0], corpus, *a[1:], **kw))
+        assert columnar == outcome(scalar_report)
+
+    def test_long_lists_fall_back_to_fsum_exactly(self):
+        # 1,200-item lists overflow the int64 fixed-point discount sums
+        ids = [f"i{n}" for n in range(1_300)]
+        catalog = ItemCatalog({i: i for i in ids})
+        turns = tuple(Turn("recommender", f"t{t}") for t in range(4))
+        corpus = Corpus(catalog, (Dialogue("d", turns),))
+        rng = np.random.default_rng(5)
+        pop = {i: float(rng.random()) for i in ids}
+        table = PopularityTable(
+            freq={i: 0 for i in ids}, pop=pop,
+            popular_set=frozenset(i for i in ids if pop[i] > 0.4),
+            eta_policy=ThresholdPolicy.count_threshold(5),
+        )
+        entries = tuple(
+            RunEntry("d", t, t // 2, tuple(rng.choice(ids, size=1_200, replace=False)),
+                     tuple(rng.choice(ids, size=1_100, replace=False)))
+            for t in range(4)
+        )
+        run = RankedRun("long", entries, cutoffs=(10, 1_200))
+        assert evaluate_run(run, corpus, table) == scalar_report(run, table)
+
+    def test_loaded_run_matches_entry_tuple(self, data_dir):
         corpus, _ = load_corpus(data_dir / "corpus_small.jsonl", data_dir / "catalog_small.jsonl")
         table = build_popularity(corpus, ThresholdPolicy.count_threshold(1))
-        run = load_run(data_dir / "run_small.jsonl")
-        serial = evaluate_run(run, corpus, table, n_workers=1)
-        parallel = evaluate_run(run, corpus, table, n_workers=4)
-        assert serial == parallel
+        loaded = load_run(data_dir / "run_small.jsonl")
+        direct = RankedRun(loaded.model_name, tuple(loaded.entries))
+        assert evaluate_run(loaded, corpus, table) == evaluate_run(direct, corpus, table)
+        assert evaluate_run(loaded, corpus, table) == scalar_report(direct, table)
+
+    def test_report_bytes_pinned(self, tmp_path, standard_corpus, standard_table):
+        report = evaluate_run(standard_run(standard_corpus), standard_corpus, standard_table)
+        path = tmp_path / "standard.report.jsonl"
+        save_report(report, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == _STANDARD_REPORT_SHA256
+
+    def test_cep_squares_with_python_pow(self):
+        # with glibc's libm, squaring these deviations as d * d instead of
+        # Python's ** 2 (libm pow) changes pearson in the last bit
+        freq = dict(zip("abcdefgh", (1, 2, 27, 30, 34, 11, 7, 27)))
+        table = _table({i: f / 34 for i, f in freq.items()}, popular={"c", "d", "e"})
+        turns = (Turn("recommender", "t0"), Turn("recommender", "t1"))
+        corpus = Corpus(ItemCatalog({i: i.upper() for i in freq}), (Dialogue("d", turns),))
+        previous = RunEntry("d", 0, 0, ("e", "f", "g", "h"))
+        current = RunEntry("d", 1, 1, ("a", "b", "c", "d"))
+        report = evaluate_run(RankedRun("m", (previous, current)), corpus, table)
+        assert report.metrics["cep"].mean == cross_episode_popularity(current, [previous], table)
+
+    def test_duplicate_entries_rejected(self):
+        corpus, table = self._mini()
+        run = RankedRun("m", (RunEntry("d", 1, 0, ("a",)), RunEntry("d", 1, 0, ("b",))))
+        with pytest.raises(CorpusError, match=r"duplicate run entry \('d', turn 1\)"):
+            evaluate_run(run, corpus, table)
 
     def test_unknown_dialogue_listed(self):
         corpus, table = self._mini()
@@ -368,6 +572,30 @@ class TestReportIO:
         assert {r["metric"] for r in records} == set(report.metrics)
         by_metric = {r["metric"]: r for r in records}
         assert by_metric["pop_bias"]["mean"] == report.metrics["pop_bias"].mean
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"model": "m", "metric": "pop_bias", "mean": 0.5', "malformed record"),
+            ('[1, 2]', "not an object"),
+            ('{"model": "m", "metric": "pop_bias", "mean": 0.5, "std": 0.0, "n": 1}',
+             "missing 'n_skipped'"),
+            ('{"metric": "pop_bias", "mean": 0.5, "std": 0.0, "n": 1, "n_skipped": 0}',
+             "missing 'model'"),
+            ('{"model": "m", "metric": "pop_bias", "mean": "high", "std": 0.0, "n": 1, '
+             '"n_skipped": 0}', "'mean'"),
+            ('{"model": "m", "metric": "pop_bias", "mean": 0.5, "std": 0.0, "n": 1.5, '
+             '"n_skipped": 0}', "'n'"),
+            ('{"model": "m", "metric": "pop_bias", "mean": 0.5, "std": 0.0, "n": 1, '
+             '"n_skipped": 0, "skip_reasons": []}', "'skip_reasons'"),
+        ],
+    )
+    def test_malformed_report_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "m.report.jsonl"
+        good = {"model": "m", "metric": "cep", "mean": 0.1, "std": 0.0, "n": 1, "n_skipped": 0}
+        path.write_text(json.dumps(good) + "\n" + line + "\n")
+        with pytest.raises(CorpusError, match=f"m.report.jsonl:2: .*{message}"):
+            load_report_records(path)
 
     def test_table_formatting(self, data_dir):
         corpus, _ = load_corpus(data_dir / "corpus_small.jsonl", data_dir / "catalog_small.jsonl")

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from crs_bias.corpus import Corpus, Dialogue, ItemCatalog, Turn
 from crs_bias.popularity import (
+    ItemIndex,
     ThresholdPolicy,
     build_popularity,
+    item_coverage,
     popular_item_ratio,
     save_table,
+    train_frequencies,
 )
 
 from helpers import make_dialogue
@@ -149,3 +152,28 @@ class TestExport:
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert {r["item_id"]: r["freq"] for r in records} == table.freq
         assert [r["is_popular"] for r in records if r["item_id"] == "a"] == [True]
+
+
+class TestFrequencyCount:
+    def test_table_uses_the_shared_count(self, freq_corpus):
+        table = build_popularity(freq_corpus, ThresholdPolicy.count_threshold(5))
+        assert table.freq == train_frequencies(freq_corpus) == {"a": 10, "b": 5, "c": 2, "d": 0}
+
+    def test_coverage_counts_items_with_frequency(self, freq_corpus):
+        assert item_coverage(train_frequencies(freq_corpus)) == 0.75
+        assert item_coverage({"a": 0, "b": 0}) == 0.0
+
+
+class TestItemIndex:
+    def test_catalog_first_then_unknown_in_first_seen_order(self):
+        index = ItemIndex(["a", "b"])
+        assert [index.intern(i) for i in ("zz", "b", "yy", "zz")] == [2, 1, 3, 2]
+        assert index.ids == ["a", "b", "zz", "yy"]
+        assert len(index) == 4
+
+    def test_table_arrays_follow_the_index(self, freq_corpus):
+        table = build_popularity(freq_corpus, ThresholdPolicy.count_threshold(5))
+        index = ItemIndex(["d", "a", "unknown"])
+        pop, popular = table.arrays(index)
+        assert pop.tolist() == [0.0, 1.0, 0.0]
+        assert popular.tolist() == [False, True, False]

@@ -18,7 +18,6 @@ from crs_bias.synthgen import (
     SkippedItem,
     build_pool,
     builtin_template,
-    generate_dialogue,
     load_template,
     parse_generated,
     render_prompt,
@@ -107,7 +106,7 @@ class TestOfflineBackend:
             assert raw.splitlines()[0].startswith("User:")
 
     def test_generate_dialogue_dispatch(self):
-        raw = generate_dialogue(OfflineTemplateBackend(), TEMPLATE, "m1", "Up", seed=1)
+        raw = OfflineTemplateBackend().generate(TEMPLATE, "m1", "Up", seed=1)
         assert "Up" in raw
 
 
