@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Dialogue, load_dialogues
+from .corpus import Corpus, Dialogue, load_dialogues, read_json_lines
 from .popularity import PopularityTable, item_coverage, train_frequencies
 
 # stream tags keep the shuffle RNG disjoint from per-anchor sampling RNGs
@@ -462,39 +462,73 @@ def save_plan(plan: AugmentationPlan, path: str | Path) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+# header field -> (type, default); a field without a default is required
+_PLAN_HEADER = {
+    "seed": (int, None),
+    "k": (int, None),
+    "batch_size": (int, None),
+    "strategy": (str, None),
+    "pool_digest": (str, None),
+    "n_anchors_without_candidates": (int, 0),
+    "n_anchors_truncated": (int, 0),
+}
+
+
+def _plan_field(record: dict, key: str, kind: type, default=None):
+    if key not in record:
+        if default is None:
+            raise AugmentError(f"plan record missing {key!r}")
+        return default
+    value = record[key]
+    if type(value) is not kind:
+        raise AugmentError(f"plan field {key!r} has {value!r}")
+    return value
+
+
+def _plan_ids(value, key: str) -> tuple[str, ...]:
+    if type(value) is not list or any(type(i) is not str for i in value):
+        raise AugmentError(f"plan field {key!r} must be an array of ids, got {value!r}")
+    return tuple(value)
+
+
+def _plan_batch(record: dict) -> PlanBatch:
+    return PlanBatch(
+        index=_plan_field(record, "index", int),
+        anchor_ids=_plan_ids(_plan_field(record, "anchors", list), "anchors"),
+        samples={
+            anchor: _plan_ids(ids, f"samples[{anchor!r}]")
+            for anchor, ids in _plan_field(record, "samples", dict).items()
+        },
+    )
+
+
 def load_plan(path: str | Path) -> AugmentationPlan:
+    """Read a ``save_plan`` file. A line that is not a JSON object raises
+    ``CorpusError``; a second header, an unknown record, a missing or
+    mistyped field and a repeated batch index raise ``AugmentError``. Both
+    name ``path:line``."""
     path = Path(path)
     header: dict | None = None
-    batches: list[PlanBatch] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            if record.get("record") == "header":
-                header = record
-            elif record.get("record") == "batch":
-                batches.append(
-                    PlanBatch(
-                        index=int(record["index"]),
-                        anchor_ids=tuple(record["anchors"]),
-                        samples={a: tuple(s) for a, s in record["samples"].items()},
-                    )
-                )
+    batches: dict[int, PlanBatch] = {}
+    for lineno, record in read_json_lines(path):
+        try:
+            kind = record.get("record")
+            if kind == "header":
+                if header is not None:
+                    raise AugmentError("second header record")
+                header = {key: _plan_field(record, key, *spec) for key, spec in _PLAN_HEADER.items()}
+            elif kind == "batch":
+                batch = _plan_batch(record)
+                if batch.index in batches:
+                    raise AugmentError(f"second batch with index {batch.index}")
+                batches[batch.index] = batch
             else:
-                raise AugmentError(f"{path}:{lineno}: unknown plan record")
+                raise AugmentError("unknown plan record")
+        except AugmentError as exc:
+            raise AugmentError(f"{path}:{lineno}: {exc}") from None
     if header is None:
         raise AugmentError(f"{path}: plan file has no header record")
-    return AugmentationPlan(
-        seed=int(header["seed"]),
-        k=int(header["k"]),
-        batch_size=int(header["batch_size"]),
-        strategy=header["strategy"],
-        pool_digest=header["pool_digest"],
-        batches=tuple(sorted(batches, key=lambda b: b.index)),
-        n_anchors_without_candidates=int(header.get("n_anchors_without_candidates", 0)),
-        n_anchors_truncated=int(header.get("n_anchors_truncated", 0)),
-    )
+    return AugmentationPlan(**header, batches=tuple(batches[i] for i in sorted(batches)))
 
 
 # ---------------------------------------------------------------------------

@@ -141,8 +141,9 @@ def _parse_log_base(value: Any) -> float:
         base = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"metrics.log_base: expected 'e' or a number, got {value!r}") from None
-    if base <= 0 or base == 1.0:
-        raise ConfigError("metrics.log_base must be positive and != 1")
+    # the rank discount log_b(r) + 1 must stay >= 1 for every rank r >= 1
+    if not 1 < base < math.inf:
+        raise ConfigError(f"metrics.log_base must be greater than 1, got {value!r}")
     return base
 
 

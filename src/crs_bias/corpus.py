@@ -7,20 +7,26 @@ turn record) and per-turn ground-truth target items. Dialogues can be
 segmented into "episodes": spans that end when a recommendation is accepted,
 i.e. when a turn carries a non-empty target list.
 
-File formats (UTF-8, one JSON record per line):
+File formats (UTF-8, one JSON object per line):
 
 * corpus file — ``{"dialogue_id", "split", "turns": [{"speaker", "text",
   "items", "targets"}], "episodes"?, "provenance"?}``
 * catalog file — ``{"item_id", "name"}``
+
+Ids (``dialogue_id``, ``item_id`` and the entries of ``items`` and
+``targets``) are strings; an integer is read as its decimal string. Text
+fields are strings and ``episodes`` is an array of integers. Every line
+that breaks a rule raises ``CorpusError`` naming ``path:line``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 SPEAKERS = frozenset({"seeker", "recommender"})
 SPLITS = frozenset({"train", "valid", "test"})
@@ -60,25 +66,37 @@ class ItemCatalog:
         return self.items[item_id]
 
 
-@dataclass(frozen=True)
-class Turn:
-    """One utterance: who spoke, the text, and item ids mentioned/accepted."""
-
+class _TurnFields(NamedTuple):
     speaker: str
     text: str
     mentioned_item_ids: tuple[str, ...] = ()
     target_item_ids: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.speaker not in SPEAKERS:
-            raise CorpusError(f"unknown speaker {self.speaker!r}")
+
+class Turn(_TurnFields):
+    """One utterance: who spoke, the text, and item ids mentioned/accepted.
+
+    An immutable named tuple: a corpus holds one per utterance (about 180k
+    at ReDial scale), and a tuple is the cheapest object to build that
+    keeps the field names.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        speaker: str,
+        text: str,
+        mentioned_item_ids: tuple[str, ...] = (),
+        target_item_ids: tuple[str, ...] = (),
+    ) -> "Turn":
+        if type(speaker) is not str or speaker not in SPEAKERS:
+            raise CorpusError(f"unknown speaker {speaker!r}")
+        return tuple.__new__(cls, (speaker, text, mentioned_item_ids, target_item_ids))
 
     def item_ids(self) -> tuple[str, ...]:
         """Unique item ids touched by this turn (mentions first, then targets)."""
-        seen: dict[str, None] = {}
-        for item_id in self.mentioned_item_ids + self.target_item_ids:
-            seen.setdefault(item_id, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.mentioned_item_ids + self.target_item_ids))
 
 
 @dataclass(frozen=True)
@@ -101,9 +119,9 @@ class Dialogue:
             raise CorpusError("dialogue_id must be non-empty")
         if not self.turns:
             raise CorpusError(f"dialogue {self.dialogue_id!r} has no turns")
-        if self.split not in SPLITS:
+        if type(self.split) is not str or self.split not in SPLITS:
             raise CorpusError(f"dialogue {self.dialogue_id!r}: unknown split {self.split!r}")
-        if self.provenance not in PROVENANCES:
+        if type(self.provenance) is not str or self.provenance not in PROVENANCES:
             raise CorpusError(
                 f"dialogue {self.dialogue_id!r}: unknown provenance {self.provenance!r}"
             )
@@ -125,11 +143,9 @@ class Dialogue:
 
     def item_ids(self) -> tuple[str, ...]:
         """Unique item ids across all turns, in first-appearance order."""
-        seen: dict[str, None] = {}
-        for turn in self.turns:
-            for item_id in turn.item_ids():
-                seen.setdefault(item_id, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(
+            [i for t in self.turns for i in t.mentioned_item_ids + t.target_item_ids]
+        ))
 
     def n_episodes(self) -> int:
         if self.episode_index_per_turn is None:
@@ -179,68 +195,106 @@ class LoadSummary:
 # line-delimited I/O
 
 
-def _read_records(path: Path) -> Iterator[tuple[int, dict]]:
-    with path.open("r", encoding="utf-8") as fh:
+def read_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each non-blank line. Lines are decoded
+    one at a time, so a bad byte, malformed JSON or a non-object record
+    raises ``CorpusError`` naming its own ``path:line``."""
+    with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed record: {exc.msg}") from exc
-            if not isinstance(record, dict):
+                record = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # bad UTF-8, bad JSON, or an int too long to convert
+                message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise CorpusError(f"{path}:{lineno}: malformed record: {message}") from exc
+            if type(record) is not dict:
                 raise CorpusError(f"{path}:{lineno}: record is not an object")
             yield lineno, record
+
+
+def parse_id(value, what: str) -> str:
+    """An id field: a string, or an integer read as its decimal string."""
+    if type(value) is str:
+        return value
+    if type(value) is int:
+        return str(value)
+    raise CorpusError(f"{what} must be a string or an integer, got {value!r}")
+
+
+def _item_ids(value, key: str) -> tuple[str, ...]:
+    if type(value) is not list:
+        raise CorpusError(f"turn {key!r} must be an array of item ids, got {value!r}")
+    ids = tuple(value)
+    for item_id in ids:
+        if type(item_id) is not str:
+            return tuple(parse_id(i, f"turn {key!r} item") for i in ids)
+    return ids
 
 
 def load_catalog(path: str | Path) -> ItemCatalog:
     path = Path(path)
     items: dict[str, str] = {}
-    for lineno, record in _read_records(path):
+    for lineno, record in read_json_lines(path):
         try:
-            item_id = record["item_id"]
+            item_id = parse_id(record["item_id"], "'item_id'")
             name = record["name"]
+            if type(name) is not str:
+                raise CorpusError(f"'name' must be a string, got {name!r}")
         except KeyError as exc:
-            raise CorpusError(f"{path}:{lineno}: catalog record missing {exc.args[0]!r}") from exc
+            raise CorpusError(f"{path}:{lineno}: catalog record missing {exc.args[0]!r}") from None
+        except CorpusError as exc:
+            raise CorpusError(f"{path}:{lineno}: {exc}") from None
+        if not item_id:
+            raise CorpusError(f"{path}:{lineno}: empty item_id")
         if item_id in items:
             raise CorpusError(f"{path}:{lineno}: duplicate item_id {item_id!r}")
-        items[str(item_id)] = str(name)
+        items[item_id] = name
     if not items:
         raise CorpusError(f"{path}: catalog is empty")
     return ItemCatalog(items)
 
 
-def _turn_from_record(record: dict, where: str) -> Turn:
-    for key in ("speaker", "text", "items", "targets"):
-        if key not in record:
-            raise CorpusError(f"{where}: turn record missing {key!r}")
-    return Turn(
-        speaker=record["speaker"],
-        text=str(record["text"]),
-        mentioned_item_ids=tuple(str(i) for i in record["items"]),
-        target_item_ids=tuple(str(i) for i in record["targets"]),
-    )
+def _turn_from_record(record) -> Turn:
+    if type(record) is not dict:
+        raise CorpusError(f"turn is not an object: {record!r}")
+    try:
+        speaker = record["speaker"]
+        text = record["text"]
+        items = record["items"]
+        targets = record["targets"]
+    except KeyError as exc:
+        raise CorpusError(f"turn record missing {exc.args[0]!r}") from None
+    if type(text) is not str:
+        raise CorpusError(f"turn 'text' must be a string, got {text!r}")
+    return Turn(speaker, text, _item_ids(items, "items"), _item_ids(targets, "targets"))
 
 
 def dialogue_from_record(record: dict, where: str = "<record>") -> Dialogue:
-    for key in ("dialogue_id", "split", "turns"):
-        if key not in record:
-            raise CorpusError(f"{where}: record missing {key!r}")
-    turns_raw = record["turns"]
-    if not isinstance(turns_raw, list) or not turns_raw:
-        raise CorpusError(f"{where}: 'turns' must be a non-empty array")
-    turns = tuple(_turn_from_record(t, where) for t in turns_raw)
-    episodes = record.get("episodes")
+    """Validate one corpus record; every error names ``where``."""
     try:
+        try:
+            dialogue_id = parse_id(record["dialogue_id"], "'dialogue_id'")
+            split = record["split"]
+            turns = record["turns"]
+        except KeyError as exc:
+            raise CorpusError(f"record missing {exc.args[0]!r}") from None
+        if type(turns) is not list or not turns:
+            raise CorpusError("'turns' must be a non-empty array")
+        episodes = record.get("episodes")
+        if episodes is not None:
+            if type(episodes) is not list or any(type(e) is not int for e in episodes):
+                raise CorpusError(f"'episodes' must be an array of integers, got {episodes!r}")
+            episodes = tuple(episodes)
         return Dialogue(
-            dialogue_id=str(record["dialogue_id"]),
-            turns=turns,
-            split=record["split"],
-            episode_index_per_turn=tuple(int(e) for e in episodes) if episodes is not None else None,
+            dialogue_id=dialogue_id,
+            turns=tuple(map(_turn_from_record, turns)),
+            split=split,
+            episode_index_per_turn=episodes,
             provenance=record.get("provenance", "original"),
         )
     except CorpusError as exc:
-        raise CorpusError(f"{where}: {exc}") from exc
+        raise CorpusError(f"{where}: {exc}") from None
 
 
 def dialogue_to_record(dialogue: Dialogue) -> dict:
@@ -264,8 +318,30 @@ def dialogue_to_record(dialogue: Dialogue) -> dict:
 
 
 def load_dialogues(path: str | Path) -> list[Dialogue]:
+    """Read a corpus or pool file; a malformed line or a repeated
+    dialogue_id raises ``CorpusError`` naming ``path:line``.
+
+    The cyclic garbage collector is paused while the dialogues are built
+    (and the caller's setting restored after): they hold no reference
+    cycles and are freed by reference counting, so its passes over the
+    growing heap would only walk them again and again.
+    """
     path = Path(path)
-    return [dialogue_from_record(record, f"{path}:{lineno}") for lineno, record in _read_records(path)]
+    enabled = gc.isenabled()
+    gc.disable()
+    dialogues: list[Dialogue] = []
+    seen: set[str] = set()
+    try:
+        for lineno, record in read_json_lines(path):
+            dialogue = dialogue_from_record(record, f"{path}:{lineno}")
+            if dialogue.dialogue_id in seen:
+                raise CorpusError(f"{path}:{lineno}: duplicate dialogue_id {dialogue.dialogue_id!r}")
+            seen.add(dialogue.dialogue_id)
+            dialogues.append(dialogue)
+    finally:
+        if enabled:
+            gc.enable()
+    return dialogues
 
 
 def load_corpus(corpus_path: str | Path, catalog_path: str | Path) -> tuple[Corpus, LoadSummary]:
@@ -274,15 +350,21 @@ def load_corpus(corpus_path: str | Path, catalog_path: str | Path) -> tuple[Corp
     dialogues = load_dialogues(corpus_path)
     corpus = Corpus(catalog=catalog, dialogues=tuple(dialogues))
 
-    summary = LoadSummary(n_dialogues=len(dialogues))
+    known = catalog.items
+    unknown: Counter = Counter()
     for d in dialogues:
-        summary.dialogues_per_split[d.split] += 1
-        summary.n_turns += len(d.turns)
-        for turn in d.turns:
-            for item_id in turn.item_ids():
-                if item_id not in catalog:
-                    summary.n_unknown_mentions += 1
-                    summary.unknown_item_ids[item_id] += 1
+        for _, _, mentioned, targets in d.turns:
+            if mentioned or targets:
+                for item_id in dict.fromkeys(mentioned + targets):
+                    if item_id not in known:
+                        unknown[item_id] += 1
+    summary = LoadSummary(
+        n_dialogues=len(dialogues),
+        n_turns=sum(len(d.turns) for d in dialogues),
+        dialogues_per_split=Counter(d.split for d in dialogues),
+        n_unknown_mentions=sum(unknown.values()),
+        unknown_item_ids=unknown,
+    )
     return corpus, summary
 
 

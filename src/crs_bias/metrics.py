@@ -30,11 +30,11 @@ from array import array
 from dataclasses import dataclass, field
 from math import fsum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, CorpusError
+from .corpus import Corpus, CorpusError, parse_id, read_json_lines
 from .popularity import ItemIndex, PopularityTable, item_coverage, train_frequencies
 
 DEFAULT_CUTOFFS = (10, 50)
@@ -123,7 +123,7 @@ class _RunBuilder:
         try:
             return list(map(self.items.code.__getitem__, item_ids))
         except (KeyError, TypeError):  # an id seen for the first time, or not a string
-            return [self.items.intern(_id(i, what)) for i in item_ids]
+            return [self.items.intern(parse_id(i, what)) for i in item_ids]
 
     def add(
         self,
@@ -186,14 +186,6 @@ class RankedRun:
     cutoffs: tuple[int, ...] = DEFAULT_CUTOFFS
 
 
-def _id(value, what: str) -> str:
-    if type(value) is str:
-        return value
-    if type(value) is int:
-        return str(value)
-    raise CorpusError(f"{what} must be a string or an integer, got {value!r}")
-
-
 def _array(value, key: str) -> list:
     if type(value) is not list:
         raise CorpusError(f"{key!r} must be an array of item ids, got {value!r}")
@@ -204,24 +196,6 @@ def _index(value, key: str) -> int:
     if type(value) is not int or not 0 <= value < _INDEX_LIMIT:
         raise CorpusError(f"{key!r} must be a non-negative 64-bit integer, got {value!r}")
     return value
-
-
-def _read_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
-    """``(line number, object)`` for each non-blank line. Lines are decoded
-    one at a time, so a bad byte, malformed JSON or a non-object record
-    raises ``CorpusError`` naming its own ``path:line``."""
-    with path.open("rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except ValueError as exc:  # bad UTF-8, bad JSON, or an int too long to convert
-                message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
-                raise CorpusError(f"{path}:{lineno}: malformed record: {message}") from exc
-            if type(record) is not dict:
-                raise CorpusError(f"{path}:{lineno}: record is not an object")
-            yield lineno, record
 
 
 def load_run(
@@ -240,10 +214,10 @@ def load_run(
     """
     path = Path(path)
     builder = _RunBuilder(items if items is not None else ItemIndex())
-    for lineno, record in _read_json_lines(path):
+    for lineno, record in read_json_lines(path):
         try:
             builder.add(
-                _id(record["dialogue_id"], "'dialogue_id'"),
+                parse_id(record["dialogue_id"], "'dialogue_id'"),
                 _index(record["turn_index"], "turn_index"),
                 _index(record["episode_index"], "episode_index"),
                 _array(record["ranked"], "ranked"),
@@ -719,7 +693,7 @@ def load_report_records(path: str | Path) -> list[dict]:
     field (or holding the wrong type) raises ``CorpusError`` with path:line."""
     path = Path(path)
     records: list[dict] = []
-    for lineno, record in _read_json_lines(path):
+    for lineno, record in read_json_lines(path):
         for key, types in _REPORT_FIELDS:
             if key not in record:
                 raise CorpusError(f"{path}:{lineno}: report record missing {key!r}")

@@ -97,10 +97,11 @@ def train_frequencies(corpus: Corpus) -> dict[str, int]:
     catalog order; an item counts once per turn that touches it."""
     freq: dict[str, int] = {item_id: 0 for item_id in corpus.catalog.items}
     for dialogue in corpus.split("train"):
-        for turn in dialogue.turns:
-            for item_id in turn.item_ids():
-                if item_id in freq:
-                    freq[item_id] += 1
+        for _, _, mentioned, targets in dialogue.turns:
+            if mentioned or targets:
+                for item_id in dict.fromkeys(mentioned + targets):
+                    if item_id in freq:
+                        freq[item_id] += 1
     return freq
 
 

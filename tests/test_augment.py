@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import re
 import warnings
 from bisect import bisect_right
 
@@ -450,6 +451,57 @@ class TestPlanIO:
         path = tmp_path / "plan.jsonl"
         path.write_text('{"record": "batch", "index": 0, "anchors": [], "samples": {}}\n')
         with pytest.raises(AugmentError, match="header"):
+            load_plan(path)
+
+    HEADER = (
+        b'{"record": "header", "seed": 1, "k": 1, "batch_size": 2, "strategy": "pop_nudge", '
+        b'"pool_digest": "x"}\n'
+    )
+    BATCH = b'{"record": "batch", "index": 0, "anchors": ["d1"], "samples": {"d1": ["s1"]}}'
+
+    def test_minimal_plan_loads(self, tmp_path):
+        path = tmp_path / "plan.jsonl"
+        path.write_bytes(self.HEADER + self.BATCH + b"\n")
+        plan = load_plan(path)
+        assert (plan.seed, plan.k, plan.n_anchors_truncated) == (1, 1, 0)
+        assert plan.batches == (PlanBatch(0, ("d1",), {"d1": ("s1",)}),)
+
+    @pytest.mark.parametrize(
+        "line, error, message",
+        [
+            (b'{"record": "batch", "index": 0', CorpusError, "malformed record"),
+            (b'{"record": "batch", "anchors": ["d\xff"]}', CorpusError, "malformed record"),
+            (b'["batch"]', CorpusError, "record is not an object"),
+            (BATCH.replace(b'"index": 0, ', b""), AugmentError, "plan record missing 'index'"),
+            (BATCH.replace(b'"anchors": ["d1"], ', b""), AugmentError, "plan record missing 'anchors'"),
+            (BATCH.replace(b', "samples": {"d1": ["s1"]}', b""), AugmentError,
+             "plan record missing 'samples'"),
+            (BATCH.replace(b'"index": 0', b'"index": "0"'), AugmentError, "plan field 'index'"),
+            (BATCH.replace(b'"index": 0', b'"index": true'), AugmentError, "plan field 'index'"),
+            (BATCH.replace(b'["d1"]', b"[1]"), AugmentError, "'anchors' must be an array of ids"),
+            (BATCH.replace(b'["s1"]', b'"s1"'), AugmentError, "must be an array of ids"),
+            (BATCH.replace(b'{"d1": ["s1"]}', b"[]"), AugmentError, "plan field 'samples'"),
+            (HEADER.strip(), AugmentError, "second header record"),
+            (b'{"record": "footer"}', AugmentError, "unknown plan record"),
+        ],
+    )
+    def test_bad_line_names_path_and_line(self, tmp_path, line, error, message):
+        path = tmp_path / "plan.jsonl"
+        path.write_bytes(self.HEADER + line + b"\n")
+        with pytest.raises(error, match=r"plan\.jsonl:2: .*" + re.escape(message)):
+            load_plan(path)
+
+    def test_repeated_batch_index_rejected(self, tmp_path):
+        path = tmp_path / "plan.jsonl"
+        path.write_bytes(self.HEADER + self.BATCH + b"\n" + self.BATCH + b"\n")
+        with pytest.raises(AugmentError, match=r"plan\.jsonl:3: second batch with index 0"):
+            load_plan(path)
+
+    @pytest.mark.parametrize("field, value", [(b'"seed": 1', b'"seed": 1.0'), (b'"seed": 1, ', b"")])
+    def test_bad_header_names_path_and_line(self, tmp_path, field, value):
+        path = tmp_path / "plan.jsonl"
+        path.write_bytes(self.HEADER.replace(field, value))
+        with pytest.raises(AugmentError, match=r"plan\.jsonl:1: plan (field|record missing) 'seed'"):
             load_plan(path)
 
 

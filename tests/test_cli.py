@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import tempfile
@@ -14,6 +15,7 @@ from crs_bias.cli import main
 from crs_bias.config import ConfigError, _redact, load_config
 
 DATA = Path(__file__).parent / "data"
+GOOD_TURN = b'{"speaker": "seeker", "text": "hi", "items": [], "targets": []}'
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -69,6 +71,46 @@ class TestStats:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["stats", "--config", str(tmp_path / "ghost.yaml")]) == 2
         assert "config" in capsys.readouterr().err
+
+    def test_stats_outputs_are_pinned(self, tmp_path):
+        # as written by the text-mode loader the per-line reader replaced
+        config = write_config(tmp_path / "config.yaml")
+        assert main(["stats", "--config", str(config)]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in ("stats.json", "popularity.jsonl")
+        }
+        assert digests == {
+            "stats.json": "2db8c929339e67294448f735cfa1cbcf10c2d44762567a026298fbbcee6392df",
+            "popularity.jsonl": "c05a52e27e028a42f46f72753c65653edc9b273f9b35854d684fcbd7d7ea76f0",
+        }
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"dialogue_id": "d4", "split": "train", "turns": [5]}',
+            b'{"dialogue_id": "d4", "split": "train", "turns": [' + GOOD_TURN + b'], "episodes": ["x"]}',
+            b'{"dialogue_id": "d4", "split": "train", "turns": [' + GOOD_TURN + b'], "episodes": 5}',
+            b'{"dialogue_id": "d4", "split": "train", "turns": ['
+            + GOOD_TURN.replace(b'"seeker"', b"5") + b"]}",
+            b'{"dialogue_id": "d4", "split": "train", "turns": ['
+            + GOOD_TURN.replace(b'"items": []', b'"items": "ab"') + b"]}",
+            b'{"dialogue_id": "d\xff", "split": "train", "turns": [' + GOOD_TURN + b"]}",
+        ],
+    )
+    def test_malformed_corpus_line_exits_2_with_path_line(self, tmp_path, capsys, line):
+        corpus = tmp_path / "bad_corpus.jsonl"
+        corpus.write_bytes((DATA / "corpus_small.jsonl").read_bytes() + line + b"\n")
+        config = write_config(tmp_path / "config.yaml", paths={"corpus": str(corpus)})
+        assert main(["stats", "--config", str(config)]) == 2
+        assert "bad_corpus.jsonl:4: " in capsys.readouterr().err
+
+    def test_catalog_ids_equal_after_normalizing_exit_2(self, tmp_path, capsys):
+        catalog = tmp_path / "bad_catalog.jsonl"
+        catalog.write_text('{"item_id": "7", "name": "A"}\n{"item_id": 7, "name": "B"}\n')
+        config = write_config(tmp_path / "config.yaml", paths={"catalog": str(catalog)})
+        assert main(["stats", "--config", str(config)]) == 2
+        assert "bad_catalog.jsonl:2: duplicate item_id '7'" in capsys.readouterr().err
 
 
 class TestGenerate:
@@ -294,6 +336,16 @@ class TestEvaluate:
         assert main(["report", "--config", str(config)]) == 2
         assert f"run_small.report.jsonl:{n_lines}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("log_base", [0.5, 1, 0, -2.0, float("inf")])
+    def test_log_base_not_above_1_exits_2(self, tmp_path, capsys, log_base):
+        config = write_config(
+            tmp_path / "config.yaml",
+            paths={"runs": [str(DATA / "run_small.jsonl")]},
+            metrics={"log_base": log_base},
+        )
+        assert main(["evaluate", "--config", str(config)]) == 2
+        assert "metrics.log_base must be greater than 1" in capsys.readouterr().err
+
     def test_report_without_reports_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path / "config.yaml")
         assert main(["report", "--config", str(config)]) == 2
@@ -346,6 +398,54 @@ def test_evaluate_on_arbitrary_run_lines_exits_0_or_2(records):
             popularity={"eta": {"kind": "count_threshold", "min_count": 1}},
         )
         assert main(["evaluate", "--config", str(config)]) in (0, 2)
+
+
+@st.composite
+def corpus_lines(draw):
+    """A valid corpus record, one with a field or a turn field replaced or
+    dropped, or any JSON value."""
+    turns = [
+        {
+            "speaker": draw(st.sampled_from(("seeker", "recommender"))),
+            "text": draw(st.text(max_size=4)),
+            "items": draw(st.lists(st.sampled_from(RUN_ITEMS), max_size=2)),
+            "targets": draw(st.lists(st.sampled_from(RUN_ITEMS), max_size=1)),
+        }
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    record = {
+        "dialogue_id": draw(st.sampled_from(("d1", "d2", "d3", 4))),
+        "split": draw(st.sampled_from(("train", "valid", "test"))),
+        "turns": turns,
+    }
+    if draw(st.booleans()):
+        record["episodes"] = draw(st.lists(st.integers(0, 2), min_size=len(turns), max_size=len(turns)))
+    damage = draw(st.sampled_from(("none", "none", "replace", "drop", "turn", "line")))
+    if damage == "line":
+        return draw(JSON_VALUES)
+    target = record
+    if damage == "turn":
+        target = draw(st.sampled_from(turns))
+        damage = draw(st.sampled_from(("replace", "drop")))
+    key = draw(st.sampled_from(sorted(target)))
+    if damage == "replace":
+        target[key] = draw(JSON_VALUES)
+    elif damage == "drop":
+        del target[key]
+    return record
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(records=st.lists(corpus_lines(), min_size=1, max_size=4))
+def test_stats_on_arbitrary_corpus_lines_exits_0_or_2(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        corpus = root / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        config = write_config(
+            root / "config.yaml", paths={"corpus": str(corpus), "output_dir": str(root / "out")}
+        )
+        assert main(["stats", "--config", str(config)]) in (0, 2)
 
 
 class TestConfig:

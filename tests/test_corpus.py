@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import gc
+import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from crs_bias.corpus import (
     dialogue_to_record,
     load_catalog,
     load_corpus,
+    load_dialogues,
     mention_token,
     save_catalog,
     save_corpus,
@@ -127,6 +131,140 @@ class TestLoading:
         save_catalog(corpus.catalog, tmp / "cat.jsonl")
         reloaded, _ = load_corpus(tmp / "c.jsonl", tmp / "cat.jsonl")
         assert reloaded == corpus
+
+
+GOOD_TURN = '{"speaker": "seeker", "text": "hi", "items": [], "targets": []}'
+
+
+def _line(turns: str = f"[{GOOD_TURN}]", extra: str = "") -> str:
+    return f'{{"dialogue_id": "dx", "split": "train", "turns": {turns}{extra}}}'
+
+
+class TestInputBoundary:
+    """Each malformed corpus line raises CorpusError naming its path:line."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (_line("[5]"), "turn is not an object"),
+            (_line('["x"]'), "turn is not an object"),
+            (_line(extra=', "episodes": ["x"]'), "'episodes' must be an array of integers"),
+            (_line(extra=', "episodes": 5'), "'episodes' must be an array of integers"),
+            (_line(extra=', "episodes": [true]'), "'episodes' must be an array of integers"),
+            (_line(extra=', "episodes": [0.0]'), "'episodes' must be an array of integers"),
+            (_line(GOOD_TURN.replace('"seeker"', "5").join("[]")), "unknown speaker 5"),
+            (_line(GOOD_TURN.replace('"seeker"', '["seeker"]').join("[]")), "unknown speaker"),
+            (_line(GOOD_TURN.replace('"items": []', '"items": "ab"').join("[]")),
+             "'items' must be an array of item ids"),
+            (_line(GOOD_TURN.replace('"targets": []', '"targets": [1.5]').join("[]")),
+             "'targets' item must be a string or an integer"),
+            (_line(GOOD_TURN.replace('"items": []', '"items": [true]').join("[]")),
+             "'items' item must be a string or an integer"),
+            (_line(GOOD_TURN.replace('"hi"', "7").join("[]")), "'text' must be a string"),
+            (_line(GOOD_TURN.replace('"hi"', "null").join("[]")), "'text' must be a string"),
+            ('{"dialogue_id": ["d"], "split": "train", "turns": [' + GOOD_TURN + "]}",
+             "'dialogue_id' must be a string or an integer"),
+            (_line().replace('"train"', "[]"), "unknown split"),
+            (_line(extra=', "provenance": {}'), "unknown provenance"),
+            (_line("[]"), "'turns' must be a non-empty array"),
+            (_line('{"a": 1}'), "'turns' must be a non-empty array"),
+            ('{"dialogue_id": "d1", "split": "train", "turns": [' + GOOD_TURN + "]}",
+             "duplicate dialogue_id 'd1'"),
+            ("[1, 2]", "record is not an object"),
+        ],
+    )
+    def test_bad_line_names_path_and_line(self, tmp_path, data_dir, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text((data_dir / "corpus_small.jsonl").read_text() + line + "\n")
+        with pytest.raises(CorpusError, match=r"bad\.jsonl:4: .*" + re.escape(message)):
+            load_corpus(path, data_dir / "catalog_small.jsonl")
+
+    def test_bad_utf8_byte_names_path_and_line(self, tmp_path, data_dir):
+        path = tmp_path / "bad.jsonl"
+        bad_line = _line().replace("dx", "d\xff").encode("latin-1")
+        path.write_bytes((data_dir / "corpus_small.jsonl").read_bytes() + bad_line + b"\n")
+        with pytest.raises(CorpusError, match=r"bad\.jsonl:4: malformed record"):
+            load_corpus(path, data_dir / "catalog_small.jsonl")
+
+    def test_integer_ids_read_as_strings(self, tmp_path, data_dir):
+        path = tmp_path / "ints.jsonl"
+        path.write_text(
+            '{"dialogue_id": 12, "split": "train", "turns": [{"speaker": "recommender", '
+            '"text": "@7", "items": ["m1", 7], "targets": [7]}], "episodes": [0]}\n'
+        )
+        corpus, summary = load_corpus(path, data_dir / "catalog_small.jsonl")
+        (dialogue,) = corpus.dialogues
+        assert dialogue.dialogue_id == "12"
+        assert dialogue.turns[0] == Turn("recommender", "@7", ("m1", "7"), ("7",))
+        assert summary.unknown_item_ids == {"7": 1}
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (['{"item_id": "7", "name": "A"}', '{"item_id": 7, "name": "B"}'], ":2: duplicate item_id '7'"),
+            (['{"item_id": ["7"], "name": "A"}'], ":1: 'item_id' must be a string or an integer"),
+            (['{"item_id": true, "name": "A"}'], ":1: 'item_id' must be a string or an integer"),
+            (['{"item_id": "7", "name": 7}'], ":1: 'name' must be a string"),
+            (['{"item_id": "", "name": "A"}'], ":1: empty item_id"),
+            (['{"item_id": "7"}'], ":1: catalog record missing 'name'"),
+        ],
+    )
+    def test_bad_catalog_line_names_path_and_line(self, tmp_path, lines, message):
+        path = tmp_path / "cat.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusError, match=re.escape(f"cat.jsonl{message}")):
+            load_catalog(path)
+
+    def test_integer_catalog_ids_read_as_strings(self, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        path.write_text('{"item_id": 7, "name": "A"}\n{"item_id": "8", "name": "B"}\n')
+        assert load_catalog(path).items == {"7": "A", "8": "B"}
+
+
+class TestLoaderState:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_load_dialogues_restores_gc_state(self, tmp_path, data_dir, enabled):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(_line("[5]") + "\n")
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert len(load_dialogues(data_dir / "corpus_small.jsonl")) == 3
+            assert gc.isenabled() is enabled
+            with pytest.raises(CorpusError):
+                load_dialogues(bad)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+    def test_save_of_loaded_small_fixture_is_pinned(self, tmp_path, data_dir):
+        # as written after loading with the text-mode reader the per-line reader replaced
+        corpus, _ = load_corpus(data_dir / "corpus_small.jsonl", data_dir / "catalog_small.jsonl")
+        save_corpus(corpus, tmp_path / "saved.jsonl")
+        digest = hashlib.sha256((tmp_path / "saved.jsonl").read_bytes()).hexdigest()
+        assert digest == "b4aa9ed25c2a095eba64009a3fa26fc00fa9198e59a1706f727389ed34f6229d"
+
+
+class TestTurn:
+    def test_positional_and_keyword_construction_agree(self):
+        positional = Turn("recommender", "@a @b", ("a", "b"), ("b",))
+        keyword = Turn(
+            speaker="recommender", text="@a @b", mentioned_item_ids=("a", "b"), target_item_ids=("b",)
+        )
+        assert positional == keyword
+        assert positional.speaker == "recommender" and positional.target_item_ids == ("b",)
+        assert Turn("seeker", "hi").mentioned_item_ids == ()
+
+    def test_item_ids_unique_in_first_appearance_order(self):
+        assert Turn("recommender", "", ("b", "a", "b"), ("c", "a")).item_ids() == ("b", "a", "c")
+        assert Dialogue(
+            "d", (Turn("seeker", "", ("b",)), Turn("recommender", "", ("a", "b"), ("c",)))
+        ).item_ids() == ("b", "a", "c")
+
+    def test_turn_is_immutable(self):
+        turn = Turn("seeker", "hi")
+        with pytest.raises(AttributeError):
+            turn.text = "bye"
 
 
 class TestInvariants:
