@@ -147,6 +147,15 @@ def _parse_log_base(value: Any) -> float:
     return base
 
 
+def _parse_int(value: Any, name: str, minimum: int) -> int:
+    """A YAML integer (not a bool, float or string) of at least ``minimum``."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 def _parse_eta(section: Mapping[str, Any]) -> ThresholdPolicy:
     kind = section.get("kind", "count_threshold")
     try:
@@ -205,9 +214,7 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
 
     seed = overrides.get("seed", data.get("seed"))
     if seed is not None:
-        seed = int(seed)
-        if seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        seed = _parse_int(seed, "seed", 0)
 
     episode_policy = episodes.get("policy", "accept_boundary")
     if episode_policy not in ("explicit", "accept_boundary"):
@@ -236,16 +243,20 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
         cutoffs=cutoffs,
         episode_policy=episode_policy,
         strategy=strategy,
-        k=int(overrides.get("k", augment.get("k", 1))),
-        batch_size=int(overrides.get("batch_size", augment.get("batch_size", 32))),
+        k=_parse_int(overrides.get("k", augment.get("k", 1)), "augment.k", 1),
+        batch_size=_parse_int(
+            overrides.get("batch_size", augment.get("batch_size", 32)), "augment.batch_size", 1
+        ),
         seed=seed,
         generation=GenerationSettings(
             backend=backend,
             language=str(generation.get("language", "en")),
             template=_resolve(base, generation["template"]) if generation.get("template") else None,
             items=items,
-            max_attempts=int(generation.get("max_attempts", 3)),
-            concurrency=int(generation.get("concurrency", 4)),
+            max_attempts=_parse_int(
+                generation.get("max_attempts", 3), "generation.max_attempts", 1
+            ),
+            concurrency=_parse_int(generation.get("concurrency", 4), "generation.concurrency", 1),
             http=HttpSettings(
                 base_url=http.get("base_url"),
                 model=http.get("model"),
@@ -254,8 +265,4 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
             ),
         ),
     )
-    if config.k < 1:
-        raise ConfigError("augment.k must be >= 1")
-    if config.batch_size < 1:
-        raise ConfigError("augment.batch_size must be >= 1")
     return config

@@ -195,10 +195,20 @@ class LoadSummary:
 # line-delimited I/O
 
 
+def _has_lone_surrogate(record) -> bool:
+    """Whether a decoded record holds text that cannot be written as UTF-8."""
+    try:
+        json.dumps(record, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def read_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
     """``(line number, object)`` for each non-blank line. Lines are decoded
-    one at a time, so a bad byte, malformed JSON or a non-object record
-    raises ``CorpusError`` naming its own ``path:line``."""
+    one at a time, so a bad byte, malformed JSON, a lone surrogate escape
+    or a non-object record raises ``CorpusError`` naming its own
+    ``path:line``."""
     with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -208,6 +218,9 @@ def read_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
             except ValueError as exc:  # bad UTF-8, bad JSON, or an int too long to convert
                 message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
                 raise CorpusError(f"{path}:{lineno}: malformed record: {message}") from exc
+            # only a \u escape can produce a surrogate (the decoder joins valid pairs)
+            if b"\\u" in line and _has_lone_surrogate(record):
+                raise CorpusError(f"{path}:{lineno}: malformed record: lone surrogate escape")
             if type(record) is not dict:
                 raise CorpusError(f"{path}:{lineno}: record is not an object")
             yield lineno, record
@@ -373,10 +386,12 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def save_dialogues(dialogues: Iterable[Dialogue], path: str | Path) -> None:
+    # one encoder per file: json.dumps with options builds a new one per call
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for d in dialogues:
-            fh.write(json.dumps(dialogue_to_record(d), ensure_ascii=False) + "\n")
+            fh.write(encode(dialogue_to_record(d)) + "\n")
 
 
 def save_catalog(catalog: ItemCatalog, path: str | Path) -> None:

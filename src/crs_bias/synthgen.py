@@ -6,15 +6,18 @@ exact item-name matches replaced with ``@<item_id>`` mention tokens, the
 final recommender mention tagged as the accepted target).
 
 Two backends: an HTTP chat-completion client (configurable endpoint/model,
-token from an environment variable, exponential-backoff retries) and an
-offline generator that is a pure function of (template, item, seed) so the
-whole pipeline runs deterministic and network-free.
+token from an environment variable, retries with jittered exponential
+backoff that honour ``Retry-After``) and an offline generator that is a
+pure function of (template, item, seed) so the whole pipeline runs
+deterministic and network-free.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
+import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +27,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Dialogue, Turn, mention_token, save_dialogues, segment_episodes
+from .corpus import Dialogue, Turn, mention_token, save_dialogues
 from .augment import SyntheticPool
 
 LANGUAGES = frozenset({"en", "zh"})
@@ -206,6 +209,9 @@ class HttpChatBackend:
     The auth token is read from an environment variable (default
     ``CRSBIAS_LLM_TOKEN``) and never logged. Transient failures (timeouts,
     connection errors, 429/5xx) are retried up to ``max_attempts`` times.
+    Before retry ``n`` the client sleeps a random time between half and all
+    of ``backoff_base * 2 ** (n - 1)`` seconds, or, after a 429 or 503 that
+    carries a ``Retry-After`` header in seconds, exactly that long.
     """
 
     kind = "http_chat"
@@ -244,6 +250,7 @@ class HttpChatBackend:
 
         last_error: BackendError | None = None
         for attempt in range(1, self.max_attempts + 1):
+            retry_after: float | None = None
             try:
                 response = requests.post(url, json=payload, headers=headers, timeout=self.timeout)
             except (requests.Timeout, requests.ConnectionError) as exc:
@@ -253,6 +260,8 @@ class HttpChatBackend:
                     raise BackendAuthError(f"backend rejected credentials ({response.status_code})")
                 if response.status_code == 429 or response.status_code >= 500:
                     last_error = BackendError(f"transient backend error {response.status_code}")
+                    if response.status_code in (429, 503):
+                        retry_after = _retry_after_seconds(response.headers.get("Retry-After"))
                 elif response.status_code != 200:
                     raise BackendError(f"backend error {response.status_code}")
                 else:
@@ -264,23 +273,27 @@ class HttpChatBackend:
                         raise EmptyCompletionError("backend returned an empty completion")
                     return text
             if attempt < self.max_attempts:
-                time.sleep(self.backoff_base * 2 ** (attempt - 1))
+                if retry_after is None:
+                    # exponential backoff with jitter, so that clients that
+                    # failed together do not all retry at the same moment
+                    delay = self.backoff_base * 2 ** (attempt - 1)
+                    retry_after = random.uniform(delay / 2, delay)
+                time.sleep(retry_after)
         assert last_error is not None
         raise last_error
 
 
+def _retry_after_seconds(value: str | None) -> float | None:
+    """A ``Retry-After`` header given in seconds; None if absent or a date."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if 0 <= seconds < math.inf else None
+
+
 # ---------------------------------------------------------------------------
 # reformatting
-
-
-def _split_speaker_line(line: str) -> tuple[str, str] | None:
-    prefix, sep, rest = line.partition(":")
-    if not sep:
-        return None
-    speaker = _SPEAKER_PREFIXES.get(prefix.strip().lower())
-    if speaker is None:
-        return None
-    return speaker, rest.strip()
 
 
 def parse_generated(
@@ -296,7 +309,8 @@ def parse_generated(
     previous turn. Exact item-name matches are replaced with the mention
     token, and the final recommender turn naming the item carries it as the
     target. Text without speaker prefixes, without any item mention, or
-    where no recommender turn names the item is rejected.
+    where no recommender turn names the item is rejected. Episode indices
+    follow the ``accept_boundary`` policy: the target turn ends episode 0.
     """
     if not raw.strip():
         raise DialogueRejected("empty_text")
@@ -305,10 +319,10 @@ def parse_generated(
         line = line.strip()
         if not line:
             continue
-        parsed = _split_speaker_line(line)
-        if parsed is not None:
-            speaker, text = parsed
-            turns.append((speaker, [text]))
+        prefix, sep, rest = line.partition(":")
+        speaker = _SPEAKER_PREFIXES.get(prefix.strip().lower()) if sep else None
+        if speaker is not None:
+            turns.append((speaker, [rest.strip()]))
         elif turns:
             turns[-1][1].append(line)
         # unprefixed leading lines (model preamble chatter) are dropped
@@ -316,36 +330,39 @@ def parse_generated(
         raise DialogueRejected("no_speaker_prefixes")
 
     token = mention_token(item_id)
-    built: list[Turn] = []
-    last_recommender_mention: int | None = None
+    mention = (item_id,)
+    resolved: list[tuple[str, str, tuple[str, ...]]] = []
+    named = False
+    target: int | None = None  # the last recommender turn naming the item
     for index, (speaker, pieces) in enumerate(turns):
         text = " ".join(pieces)
         mentions: tuple[str, ...] = ()
         if item_name in text:
             text = text.replace(item_name, token)
-            mentions = (item_id,)
+            mentions = mention
+            named = True
             if speaker == "recommender":
-                last_recommender_mention = index
-        built.append(Turn(speaker=speaker, text=text, mentioned_item_ids=mentions))
+                target = index
+        resolved.append((speaker, text, mentions))
 
-    if not any(t.mentioned_item_ids for t in built):
+    if not named:
         raise DialogueRejected("item_name_not_found")
-    if last_recommender_mention is None:
+    if target is None:
         raise DialogueRejected("item_not_recommended")
 
-    built[last_recommender_mention] = Turn(
-        speaker="recommender",
-        text=built[last_recommender_mention].text,
-        mentioned_item_ids=built[last_recommender_mention].mentioned_item_ids,
-        target_item_ids=(item_id,),
-    )
-    dialogue = Dialogue(
+    built = tuple([
+        Turn(speaker, text, mentions, mention if index == target else ())
+        for index, (speaker, text, mentions) in enumerate(resolved)
+    ])
+    # the accept_boundary segmentation: the target turn closes episode 0
+    episodes = (0,) * (target + 1) + (1,) * (len(built) - target - 1)
+    return Dialogue(
         dialogue_id=dialogue_id or f"syn-{item_id}",
-        turns=tuple(built),
+        turns=built,
         split="train",
+        episode_index_per_turn=episodes,
         provenance="synthetic",
     )
-    return segment_episodes(dialogue, "accept_boundary")
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +373,87 @@ def parse_generated(
 class SkippedItem:
     item_id: str
     reason: str
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+
+
+def _uint32_words(value: int) -> list[int]:
+    """SeedSequence's entropy words for a non-negative int: little-endian, 0 -> [0]."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hashmix(init: int, mult: int):
+    """SeedSequence's hash: XOR with a running constant, multiply by the next
+    one, fold the high half down. Applied element-wise to uint32 arrays."""
+    hash_const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * mult) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> _XSHIFT)
+
+
+def derived_seeds(seed: int, indices: np.ndarray, n_attempts: int) -> np.ndarray:
+    """Per-(item, attempt) seeds as a ``(len(indices), n_attempts)`` uint64 matrix.
+
+    ``out[r, a]`` equals ``np.random.SeedSequence((seed, indices[r], a))
+    .generate_state(1, np.uint64)[0]``: SeedSequence's ``mix_entropy`` and
+    ``generate_state`` run on whole columns instead of once per item.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    seed_words = _uint32_words(seed)
+    indices = np.asarray(indices, dtype=np.uint64)
+    attempts = np.arange(n_attempts, dtype=np.uint32)
+    out = np.empty((len(indices), n_attempts), dtype=np.uint64)
+    wide = indices > _MASK32  # an index of two entropy words
+    for rows, n_index_words in ((~wide, 1), (wide, 2)):
+        if not rows.any():
+            continue
+        index = indices[rows, None]
+        entropy = seed_words + [index & _MASK32, index >> 32][:n_index_words] + [attempts[None]]
+        # 2-d words broadcast to (rows, attempts); arrays, not numpy scalars,
+        # wrap mod 2**32 without overflow warnings
+        words = [np.array(w, dtype=np.uint32, ndmin=2) for w in entropy]
+        words += [np.zeros((1, 1), dtype=np.uint32)] * (_POOL_SIZE - len(words))
+        hashmix = _hashmix(_INIT_A, _MULT_A)
+        pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in words[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        # generate_state(1, np.uint64): two uint32 words, little-endian
+        hashmix = _hashmix(_INIT_B, _MULT_B)
+        low, high = (hashmix(word).astype(np.uint64) for word in pool[:2])
+        out[rows] = low | (high << np.uint64(32))
+    return out
 
 
 def build_pool(
@@ -371,19 +469,20 @@ def build_pool(
     """Generate one accepted dialogue per (item_id, name).
 
     Rejected generations are retried with fresh derived seeds up to
-    ``max_attempts`` times, then logged as skipped. Backend requests may run
-    on up to ``concurrency`` threads; outputs keep item order regardless of
-    completion order, and each item's seed depends only on (seed, item
-    index), so the pool is reproducible.
+    ``max_attempts`` times, then logged as skipped. With ``concurrency``
+    above 1, backend requests run on that many threads (worth it only for
+    a backend that waits on the network); otherwise items are generated in
+    the calling thread. Outputs keep item order regardless of completion
+    order, and each attempt's seed depends only on (seed, item index,
+    attempt), so the pool is reproducible.
     """
+
+    seeds = derived_seeds(seed, np.arange(len(items)), max_attempts).tolist()
 
     def generate_one(job: tuple[int, tuple[str, str]]) -> Dialogue | SkippedItem:
         index, (item_id, item_name) = job
         reason = "no_attempts"
-        for attempt in range(max_attempts):
-            derived = int(
-                np.random.SeedSequence((seed, index, attempt)).generate_state(1, np.uint64)[0]
-            )
+        for derived in seeds[index]:
             raw = backend.generate(template, item_id, item_name, derived)
             try:
                 return parse_generated(raw, item_id, item_name)
@@ -391,8 +490,11 @@ def build_pool(
                 reason = exc.reason
         return SkippedItem(item_id=item_id, reason=reason)
 
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
-        results = list(pool.map(generate_one, enumerate(items)))
+    if concurrency <= 1:
+        results = list(map(generate_one, enumerate(items)))
+    else:
+        with ThreadPoolExecutor(max_workers=concurrency) as executor:
+            results = list(executor.map(generate_one, enumerate(items)))
 
     accepted = [r for r in results if isinstance(r, Dialogue)]
     skipped = [r for r in results if isinstance(r, SkippedItem)]

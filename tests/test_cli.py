@@ -96,6 +96,8 @@ class TestStats:
             b'{"dialogue_id": "d4", "split": "train", "turns": ['
             + GOOD_TURN.replace(b'"items": []', b'"items": "ab"') + b"]}",
             b'{"dialogue_id": "d\xff", "split": "train", "turns": [' + GOOD_TURN + b"]}",
+            b'{"dialogue_id": "d4", "split": "train", "turns": ['
+            + GOOD_TURN.replace(b'"hi"', b'"hi \\ud800"') + b"]}",
         ],
     )
     def test_malformed_corpus_line_exits_2_with_path_line(self, tmp_path, capsys, line):
@@ -114,6 +116,36 @@ class TestStats:
 
 
 class TestGenerate:
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"seed": "abc"}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"seed": -1}, "seed"),
+            ({"generation": {"max_attempts": "x"}}, "generation.max_attempts"),
+            ({"generation": {"max_attempts": 0}}, "generation.max_attempts"),
+            ({"generation": {"concurrency": -3}}, "generation.concurrency"),
+            ({"generation": {"concurrency": 2.0}}, "generation.concurrency"),
+            ({"augment": {"k": False}}, "augment.k"),
+            ({"augment": {"batch_size": "32"}}, "augment.batch_size"),
+        ],
+    )
+    def test_bad_integer_fields_exit_2(self, tmp_path, capsys, overrides, field):
+        config = write_config(tmp_path / "config.yaml", **overrides)
+        assert main(["generate", "--config", str(config)]) == 2
+        assert f"config error: {field} must be " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_lone_surrogate_in_catalog_name_exits_2(self, tmp_path, capsys):
+        catalog = tmp_path / "bad_catalog.jsonl"
+        catalog.write_bytes(
+            (DATA / "catalog_small.jsonl").read_bytes() + b'{"item_id": "m5", "name": "A\\udfff"}\n'
+        )
+        config = write_config(tmp_path / "config.yaml", paths={"catalog": str(catalog)})
+        assert main(["generate", "--config", str(config)]) == 2
+        assert "bad_catalog.jsonl:5: malformed record: lone surrogate" in capsys.readouterr().err
+
     def test_offline_generate_writes_pool(self, tmp_path, capsys):
         config = write_config(tmp_path / "config.yaml")
         assert main(["generate", "--config", str(config)]) == 0
@@ -214,6 +246,19 @@ class TestAugment:
         workspace_with_pool.write_text(yaml.safe_dump(config))
         assert main(["augment", "--config", str(workspace_with_pool)]) == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_lone_surrogate_in_corpus_exits_2(self, workspace_with_pool, capsys):
+        corpus = workspace_with_pool.parent / "bad_corpus.jsonl"
+        corpus.write_bytes(
+            (DATA / "corpus_small.jsonl").read_bytes()
+            + b'{"dialogue_id": "d4", "split": "train", "turns": ['
+            + GOOD_TURN.replace(b'"hi"', b'"\\ud800 hi"') + b"]}\n"
+        )
+        config = yaml.safe_load(workspace_with_pool.read_text())
+        config["paths"]["corpus"] = str(corpus)
+        workspace_with_pool.write_text(yaml.safe_dump(config))
+        assert main(["augment", "--config", str(workspace_with_pool)]) == 2
+        assert "bad_corpus.jsonl:4: malformed record: lone surrogate" in capsys.readouterr().err
 
     def test_failed_audit_exits_4(self, workspace_with_pool, capsys, monkeypatch):
         import crs_bias.cli as cli_module

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crs_bias import synthgen
 from crs_bias.augment import load_pool
+from crs_bias.corpus import segment_episodes
 from crs_bias.synthgen import (
     BackendAuthError,
     BackendError,
@@ -18,6 +24,7 @@ from crs_bias.synthgen import (
     SkippedItem,
     build_pool,
     builtin_template,
+    derived_seeds,
     load_template,
     parse_generated,
     render_prompt,
@@ -33,6 +40,17 @@ TEMPLATE = PromptTemplate(
 ITEMS = [(f"m{i}", name) for i, name in enumerate(
     ["Inception", "Alien", "Heat", "Up", "Her", "Jaws"]
 )]
+
+# three items per title, the first named by the bare title: one-word titles
+# that also occur in the offline generator's sentences, non-ASCII, JSON escapes
+PIN_TITLES = (
+    "Up", "It", "Sure", "Perfect", "Enjoy", "Heat", "Amélie", "千与千寻",
+    'Say "Hi"', "Back\\Slash", "Blade Runner", "Léon: The Professional",
+)
+PIN_ITEMS = [
+    (f"p{i}", PIN_TITLES[i // 3 % len(PIN_TITLES)] + ("" if i % 3 == 0 else f" {i}"))
+    for i in range(360)
+]
 
 
 class TestTemplates:
@@ -188,6 +206,25 @@ class TestParsing:
         with pytest.raises(DialogueRejected):
             parse_generated("   \n  ", "m1", "Inception")
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["User: ", "System: ", "Seeker: ", "Recommender: ", ""]),
+            st.sampled_from(["hi", "watch Up", "Up again?", "no thanks", "", "Upside"]),
+        ),
+        min_size=1,
+        max_size=8,
+    ))
+    def test_episodes_equal_accept_boundary_segmentation(self, lines):
+        raw = "\n".join(prefix + text for prefix, text in lines)
+        try:
+            dialogue = parse_generated(raw, "m4", "Up")
+        except DialogueRejected:
+            return
+        assert dialogue.episode_index_per_turn == (
+            segment_episodes(dialogue, "accept_boundary").episode_index_per_turn
+        )
+
 
 class TestBuildPool:
     def test_offline_pool_of_six(self, tmp_path):
@@ -253,11 +290,79 @@ class TestBuildPool:
         for seeds in calls.values():
             assert len(seeds) == 2 and seeds[0] != seeds[1]
 
+    def test_pool_file_is_pinned(self, tmp_path):
+        # computed with one np.random.SeedSequence per attempt and a second
+        # Dialogue build for the episodes; the pool must stay byte-identical
+        path = tmp_path / "pool.jsonl"
+        pool, skipped = build_pool(
+            OfflineTemplateBackend(), builtin_template("en"), PIN_ITEMS, seed=5, output_path=path
+        )
+        assert len(pool) == len(PIN_ITEMS) and not skipped
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "16fafe2c8541a1a36bca484112be4ec27750220dc54688b809c90d6242b1aed1"
+        )
+
+    def test_serial_build_constructs_no_executor(self, monkeypatch):
+        constructed = []
+        real = synthgen.ThreadPoolExecutor
+
+        def recording(max_workers):
+            constructed.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(synthgen, "ThreadPoolExecutor", recording)
+        serial, _ = build_pool(OfflineTemplateBackend(), TEMPLATE, ITEMS, seed=5, concurrency=1)
+        assert constructed == []
+        parallel, _ = build_pool(OfflineTemplateBackend(), TEMPLATE, ITEMS, seed=5, concurrency=3)
+        assert constructed == [3]
+        assert serial.dialogues == parallel.dialogues
+
+    def test_no_seed_sequence_per_item(self, monkeypatch):
+        seen = []
+
+        class RecordingBackend:
+            def generate(self, template, item_id, item_name, seed):
+                seen.append(seed)
+                return f"User: hi\nSystem: watch {item_name}"
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("build_pool must not build a SeedSequence")
+
+        monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+        pool, _ = build_pool(RecordingBackend(), TEMPLATE, ITEMS, seed=5)
+        monkeypatch.undo()
+        assert len(pool) == len(ITEMS)
+        assert seen == [
+            int(np.random.SeedSequence((5, index, 0)).generate_state(1, np.uint64)[0])
+            for index in range(len(ITEMS))
+        ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**128),
+    indices=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    n_attempts=st.integers(1, 5),
+)
+def test_derived_seeds_equal_seed_sequence(seed, indices, n_attempts):
+    seeds = derived_seeds(seed, np.array(indices, dtype=np.uint64), n_attempts)
+    assert seeds.shape == (len(indices), n_attempts) and seeds.dtype == np.uint64
+    for row, index in enumerate(indices):
+        for attempt in range(n_attempts):
+            expected = np.random.SeedSequence((seed, index, attempt)).generate_state(1, np.uint64)
+            assert seeds[row, attempt] == expected[0]
+
+
+def test_derived_seeds_reject_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        derived_seeds(-1, np.arange(2), 1)
+
 
 class _FakeResponse:
-    def __init__(self, status_code=200, content="User: hi\nSystem: watch Alien."):
+    def __init__(self, status_code=200, content="User: hi\nSystem: watch Alien.", headers=None):
         self.status_code = status_code
         self._content = content
+        self.headers = headers or {}
 
     def json(self):
         return {"choices": [{"message": {"content": self._content}}]}
@@ -347,6 +452,52 @@ class TestHttpBackend:
         monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeResponse(status_code=404))
         with pytest.raises(BackendError, match="404"):
             self._backend().generate(TEMPLATE, "m1", "Alien", seed=0)
+
+    def _scripted(self, monkeypatch, responses):
+        """Serve ``responses`` in order to ``requests.post``; return the sleeps."""
+        monkeypatch.setenv("CRSBIAS_LLM_TOKEN", "t")
+        sleeps: list[float] = []
+        monkeypatch.setattr(requests, "post", lambda *a, **k: responses.pop(0))
+        monkeypatch.setattr(synthgen.time, "sleep", sleeps.append)
+        return sleeps
+
+    def test_retry_after_seconds_honoured_on_429_and_503(self, monkeypatch):
+        sleeps = self._scripted(monkeypatch, [
+            _FakeResponse(status_code=429, headers={"Retry-After": "7"}),
+            _FakeResponse(status_code=503, headers={"Retry-After": "0.5"}),
+            _FakeResponse(),
+        ])
+        backend = HttpChatBackend("https://llm.example/v1", "chat-1", max_attempts=3)
+        assert "Alien" in backend.generate(TEMPLATE, "m1", "Alien", seed=0)
+        assert sleeps == [7.0, 0.5]
+
+    def test_retry_after_ignored_when_not_seconds_or_not_429_503(self, monkeypatch):
+        sleeps = self._scripted(monkeypatch, [
+            _FakeResponse(status_code=500, headers={"Retry-After": "30"}),
+            _FakeResponse(status_code=429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+            _FakeResponse(status_code=503, headers={"Retry-After": "-4"}),
+            _FakeResponse(),
+        ])
+        backend = HttpChatBackend(
+            "https://llm.example/v1", "chat-1", max_attempts=4, backoff_base=2.0
+        )
+        assert "Alien" in backend.generate(TEMPLATE, "m1", "Alien", seed=0)
+        # jittered backoff: between half and all of 2 * 2 ** (n - 1) seconds
+        assert len(sleeps) == 3
+        for n, slept in enumerate(sleeps, start=1):
+            assert 2.0 * 2 ** (n - 1) / 2 <= slept <= 2.0 * 2 ** (n - 1)
+
+    def test_backoff_is_jittered(self, monkeypatch):
+        sleeps = self._scripted(monkeypatch, [_FakeResponse(status_code=502)] * 40)
+        backend = HttpChatBackend(
+            "https://llm.example/v1", "chat-1", max_attempts=40, backoff_base=1e-9
+        )
+        with pytest.raises(BackendError, match="502"):
+            backend.generate(TEMPLATE, "m1", "Alien", seed=0)
+        assert len(sleeps) == 39
+        delays = [1e-9 * 2 ** n for n in range(39)]
+        assert all(d / 2 <= slept <= d for slept, d in zip(sleeps, delays))
+        assert sleeps != delays
 
 
 class TestOfflineEndToEnd:
