@@ -35,6 +35,9 @@ from .popularity import PopularityTable, item_coverage, train_frequencies
 _STREAM_SHUFFLE = 0
 _STREAM_ANCHOR = 1
 
+# the plan format save_plan writes; load_plan also reads version 1
+PLAN_FORMAT_VERSION = 2
+
 
 class AugmentError(ValueError):
     """Invalid augmentation input (bad pool, inconsistent plan, ...)."""
@@ -109,97 +112,73 @@ def once_aug(train: Corpus, pool: SyntheticPool) -> Corpus:
 # weighted sampling
 
 
+def _weight_prefix(weights) -> tuple[np.ndarray, np.ndarray]:
+    """Validated int64 weights and their cumulative sums."""
+    weights = np.asarray(weights)
+    if weights.size and weights.dtype.kind not in "iu":
+        raise AugmentError("weights must be integers")
+    if (weights < 0).any():
+        raise AugmentError("weights must be non-negative")
+    if sum(weights.tolist()) >= 2**53:
+        raise AugmentError("total weight must be below 2**53")
+    weights = weights.astype(np.int64)
+    return weights, np.cumsum(weights)
+
+
+def _draw(
+    prefix: np.ndarray, weights: np.ndarray, cut: int, k: int, rng: np.random.Generator
+) -> list[int]:
+    """Indices of up to k draws without replacement from ``weights[:cut]``.
+
+    A draw takes one variate u and hits the first live index whose live
+    cumulative weight exceeds ``min(floor(u * total), total - 1)``; once the
+    live weight is zero, it takes live position ``rng.integers(live)``. The
+    hit is one search on ``prefix``, repeated past each drawn index at or
+    below it with that index's weight added to the target, so a draw is
+    O(k log n) and exact for totals below 2**53.
+    """
+    removed: list[int] = []  # drawn indices, sorted
+    chosen: list[int] = []
+    total = int(prefix[cut - 1]) if cut else 0
+    for _ in range(min(k, cut)):
+        if total > 0:
+            target = min(int(rng.random() * total), total - 1)
+            index = int(np.searchsorted(prefix, target, side="right"))
+            for r in removed:
+                if r > index:
+                    break
+                target += int(weights[r])
+                index = int(np.searchsorted(prefix, target, side="right"))
+        else:
+            # live position -> index: step past the removed indices
+            index = int(rng.integers(cut - len(removed)))
+            for r in removed:
+                if r > index:
+                    break
+                index += 1
+        insort(removed, index)
+        chosen.append(index)
+        total -= int(weights[index])
+    return chosen
+
+
 def weighted_sample_without_replacement(
     candidates: Sequence,
-    weights: Sequence[float],
+    weights: Sequence[int],
     k: int,
     rng: np.random.Generator,
 ) -> list:
     """Draw up to k distinct candidates, each draw proportional to the
-    remaining weights; once all remaining weight is zero, draws are uniform.
+    remaining integer weights; once all remaining weight is zero, draws are
+    uniform.
 
     Each draw consumes exactly one RNG variate, so the first j draws of a
     k-draw run equal the draws of a j-draw run on the same stream.
     """
     if len(candidates) != len(weights):
         raise AugmentError("candidates and weights must have equal length")
-    if any(w < 0 for w in weights):
-        raise AugmentError("weights must be non-negative")
-    k = min(k, len(candidates))
-    remaining = list(range(len(candidates)))
-    live_weights = np.asarray(weights, dtype=float)
-    chosen: list = []
-    for _ in range(k):
-        total = float(live_weights.sum())
-        if total > 0.0:
-            cut = rng.random() * total
-            pos = int(np.searchsorted(np.cumsum(live_weights), cut, side="right"))
-            pos = min(pos, len(remaining) - 1)
-        else:
-            pos = int(rng.integers(len(remaining)))
-        chosen.append(candidates[remaining[pos]])
-        del remaining[pos]
-        live_weights = np.delete(live_weights, pos)
-    return chosen
-
-
-class _PrefixSampler:
-    """``weighted_sample_without_replacement`` over prefixes ``weights[:cut]``
-    of one fixed weight array, with the per-array work done once.
-
-    Draws are bit-for-bit those of the reference on ``weights[:cut]``:
-    ``cumsum`` adds sequentially, so the reference's cumulative sums equal
-    ``prefix`` below the smallest drawn index and a tail cumsum seeded with
-    the prefix above it; totals stay numpy's pairwise sums of the live
-    weights (never ``prefix[cut - 1]``, which differs by an ulp).
-    """
-
-    def __init__(self, weights: Sequence[float]):
-        self.weights = np.asarray(weights, dtype=float)
-        if (self.weights < 0).any():
-            raise AugmentError("weights must be non-negative")
-        self.prefix = np.cumsum(self.weights)
-        self._totals: dict[int, float] = {}
-
-    def draw(self, cut: int, k: int, rng: np.random.Generator) -> list[int]:
-        """Indices into ``weights`` of up to k draws from ``weights[:cut]``."""
-        removed: list[int] = []  # drawn indices, sorted
-        chosen: list[int] = []
-        for _ in range(min(k, cut)):
-            n_live = cut - len(removed)
-            if removed:
-                total = float(np.delete(self.weights[:cut], removed).sum())
-            elif cut in self._totals:
-                total = self._totals[cut]
-            else:
-                total = self._totals[cut] = float(self.weights[:cut].sum())
-            if total > 0.0:
-                pos = min(self._search(cut, removed, rng.random() * total), n_live - 1)
-            else:
-                pos = int(rng.integers(n_live))
-            # live position -> index: step past the removed indices
-            index = pos
-            for r in removed:
-                if r > index:
-                    break
-                index += 1
-            insort(removed, index)
-            chosen.append(index)
-        return chosen
-
-    def _search(self, cut: int, removed: list[int], target: float) -> int:
-        """``searchsorted(cumsum(live weights), target, side="right")``."""
-        if not removed:
-            return int(np.searchsorted(self.prefix[:cut], target, side="right"))
-        low = removed[0]
-        if low > 0 and target < self.prefix[low - 1]:
-            return int(np.searchsorted(self.prefix[:low], target, side="right"))
-        tail = np.delete(self.weights[low:cut], np.asarray(removed) - low)
-        if tail.size == 0:
-            return low
-        if low > 0:
-            tail[0] = self.prefix[low - 1] + tail[0]
-        return low + int(np.searchsorted(np.cumsum(tail), target, side="right"))
+    weights, prefix = _weight_prefix(weights)
+    return [candidates[i] for i in _draw(prefix, weights, len(candidates), k, rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +212,8 @@ class AugmentationPlan:
     batches: tuple[PlanBatch, ...]
     n_anchors_without_candidates: int = 0
     n_anchors_truncated: int = 0
+    # 1: float-popularity draws; 2: exact integer-frequency draws
+    format_version: int = PLAN_FORMAT_VERSION
 
     def appended_ids(self) -> tuple[str, ...]:
         """All synthetic ids the plan appends, deduplicated across batches."""
@@ -255,9 +236,11 @@ def pop_nudge(
 
     Per anchor dialogue, the candidate set is every pool dialogue whose item
     is at most as popular as the anchor; k candidates are drawn with weights
-    proportional to their item popularity (uniform once only zero-weight
-    candidates remain). Anchors with no candidates contribute nothing and are
-    counted; anchors with fewer than k candidates take them all.
+    proportional to their item's training frequency, which is proportional to
+    its popularity (uniform once only zero-weight candidates remain). Anchors
+    with no candidates contribute nothing and are counted; anchors with fewer
+    than k candidates take them all. The pool's total frequency must be below
+    2**53, so that every draw is exact.
     """
     if k < 1:
         raise AugmentError("k must be >= 1")
@@ -274,14 +257,16 @@ def pop_nudge(
     ).permutation(len(train_dialogues))
     shuffled = [train_dialogues[i] for i in order]
 
-    # canonical candidate order: by (item popularity, dialogue_id); a sorted
-    # prefix then gives each anchor its candidate set via one bisect
+    # canonical candidate order: by (item frequency, dialogue_id); a sorted
+    # prefix then gives each anchor its candidate set via one bisect. With
+    # pop = freq / max_freq this is the popularity order, and frequencies
+    # weight the draws exactly as popularities would
+    freq = table.freq
     ranked_pool = sorted(
-        pool.dialogues, key=lambda d: (table.pop_of(pool.item_of[d.dialogue_id]), d.dialogue_id)
+        (freq.get(item, 0), dialogue_id) for dialogue_id, item in pool.item_of.items()
     )
-    pool_pops = [table.pop_of(pool.item_of[d.dialogue_id]) for d in ranked_pool]
-    pool_ids = [d.dialogue_id for d in ranked_pool]
-    sampler = _PrefixSampler(pool_pops)
+    pool_freqs, pool_ids = zip(*ranked_pool)
+    weights, prefix = _weight_prefix(pool_freqs)
 
     batches: list[PlanBatch] = []
     n_without = 0
@@ -290,7 +275,8 @@ def pop_nudge(
         batch_dialogues = shuffled[batch_index : batch_index + batch_size]
         samples: dict[str, tuple[str, ...]] = {}
         for anchor_position, anchor in enumerate(batch_dialogues):
-            cut = bisect_right(pool_pops, anchor_popularity(anchor, table))
+            anchor_freq = max((freq.get(i, 0) for i in anchor.item_ids()), default=0)
+            cut = bisect_right(pool_freqs, anchor_freq)
             if cut == 0:
                 n_without += 1
                 samples[anchor.dialogue_id] = ()
@@ -302,7 +288,8 @@ def pop_nudge(
                     (seed, _STREAM_ANCHOR, batch_index // batch_size, anchor_position)
                 )
             )
-            samples[anchor.dialogue_id] = tuple(pool_ids[i] for i in sampler.draw(cut, k, rng))
+            drawn = _draw(prefix, weights, cut, k, rng)
+            samples[anchor.dialogue_id] = tuple(pool_ids[i] for i in drawn)
         batches.append(
             PlanBatch(
                 index=batch_index // batch_size,
@@ -334,6 +321,8 @@ class MaterializedBatch:
 
 
 def _check_plan_references(plan: AugmentationPlan, train: Corpus, pool: SyntheticPool) -> None:
+    """Every anchor is a training dialogue, every sample a pool dialogue,
+    and the pool is the one the plan was drawn from."""
     train_ids = {d.dialogue_id for d in train.split("train")}
     pool_by_id = pool.by_id()
     for batch in plan.batches:
@@ -344,6 +333,8 @@ def _check_plan_references(plan: AugmentationPlan, train: Corpus, pool: Syntheti
             for synthetic_id in sampled:
                 if synthetic_id not in pool_by_id:
                     raise AugmentError(f"plan references unknown pool dialogue {synthetic_id!r}")
+    if plan.pool_digest != pool_digest(pool):
+        raise AugmentError(f"plan was drawn from another pool (pool_digest {plan.pool_digest!r})")
 
 
 def iter_batches(
@@ -448,6 +439,7 @@ def save_plan(plan: AugmentationPlan, path: str | Path) -> None:
             "batch_size": plan.batch_size,
             "strategy": plan.strategy,
             "pool_digest": plan.pool_digest,
+            "format_version": plan.format_version,
             "n_anchors_without_candidates": plan.n_anchors_without_candidates,
             "n_anchors_truncated": plan.n_anchors_truncated,
         }
@@ -471,6 +463,7 @@ _PLAN_HEADER = {
     "pool_digest": (str, None),
     "n_anchors_without_candidates": (int, 0),
     "n_anchors_truncated": (int, 0),
+    "format_version": (int, 1),
 }
 
 
@@ -503,10 +496,11 @@ def _plan_batch(record: dict) -> PlanBatch:
 
 
 def load_plan(path: str | Path) -> AugmentationPlan:
-    """Read a ``save_plan`` file. A line that is not a JSON object raises
-    ``CorpusError``; a second header, an unknown record, a missing or
-    mistyped field and a repeated batch index raise ``AugmentError``. Both
-    name ``path:line``."""
+    """Read a ``save_plan`` file; a header without ``format_version`` is
+    version 1. A line that is not a JSON object raises ``CorpusError``; a
+    second header, an unknown record, a missing or mistyped field, an
+    unknown format version and a repeated batch index raise
+    ``AugmentError``. Both name ``path:line``."""
     path = Path(path)
     header: dict | None = None
     batches: dict[int, PlanBatch] = {}
@@ -517,6 +511,8 @@ def load_plan(path: str | Path) -> AugmentationPlan:
                 if header is not None:
                     raise AugmentError("second header record")
                 header = {key: _plan_field(record, key, *spec) for key, spec in _PLAN_HEADER.items()}
+                if header["format_version"] not in (1, PLAN_FORMAT_VERSION):
+                    raise AugmentError(f"unsupported plan format_version {header['format_version']}")
             elif kind == "batch":
                 batch = _plan_batch(record)
                 if batch.index in batches:

@@ -39,7 +39,7 @@ class GenerationSettings:
     template: Path | None = None
     items: list[str] | None = None
     max_attempts: int = 3
-    concurrency: int = 4
+    concurrency: int = 1
     http: HttpSettings = field(default_factory=HttpSettings)
 
 
@@ -158,15 +158,19 @@ def _parse_int(value: Any, name: str, minimum: int) -> int:
 
 def _parse_eta(section: Mapping[str, Any]) -> ThresholdPolicy:
     kind = section.get("kind", "count_threshold")
-    try:
-        if kind == "count_threshold":
-            return ThresholdPolicy.count_threshold(int(section.get("min_count", 5)))
-        if kind == "quantile":
-            if "top_fraction" not in section:
-                raise ConfigError("popularity.eta.top_fraction is required for quantile policy")
-            return ThresholdPolicy.quantile(float(section["top_fraction"]))
-    except ValueError as exc:
-        raise ConfigError(f"popularity.eta: {exc}") from exc
+    if kind == "count_threshold":
+        min_count = _parse_int(section.get("min_count", 5), "popularity.eta.min_count", 1)
+        return ThresholdPolicy.count_threshold(min_count)
+    if kind == "quantile":
+        if "top_fraction" not in section:
+            raise ConfigError("popularity.eta.top_fraction is required for quantile policy")
+        top_fraction = section["top_fraction"]
+        if type(top_fraction) not in (int, float):
+            raise ConfigError(f"popularity.eta.top_fraction must be a number, got {top_fraction!r}")
+        try:
+            return ThresholdPolicy.quantile(float(top_fraction))
+        except ValueError as exc:
+            raise ConfigError(f"popularity.eta: {exc}") from exc
     raise ConfigError(f"popularity.eta.kind: unknown policy {kind!r}")
 
 
@@ -205,12 +209,10 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
     else:
         output_dir = base / "out"
 
-    try:
-        cutoffs = tuple(int(k) for k in metrics.get("cutoffs", (10, 50)))
-    except (TypeError, ValueError):
-        raise ConfigError("metrics.cutoffs must be a list of integers") from None
-    if any(k < 1 for k in cutoffs) or not cutoffs:
-        raise ConfigError("metrics.cutoffs must be positive integers")
+    cutoffs = metrics.get("cutoffs", [10, 50])
+    if type(cutoffs) is not list or not cutoffs:
+        raise ConfigError(f"metrics.cutoffs must be a non-empty list, got {cutoffs!r}")
+    cutoffs = tuple(_parse_int(k, "metrics.cutoffs", 1) for k in cutoffs)
 
     seed = overrides.get("seed", data.get("seed"))
     if seed is not None:
@@ -256,7 +258,7 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
             max_attempts=_parse_int(
                 generation.get("max_attempts", 3), "generation.max_attempts", 1
             ),
-            concurrency=_parse_int(generation.get("concurrency", 4), "generation.concurrency", 1),
+            concurrency=_parse_int(generation.get("concurrency", 1), "generation.concurrency", 1),
             http=HttpSettings(
                 base_url=http.get("base_url"),
                 model=http.get("model"),

@@ -464,7 +464,7 @@ def build_pool(
     output_path: str | Path | None = None,
     *,
     max_attempts: int = 3,
-    concurrency: int = 4,
+    concurrency: int = 1,
 ) -> tuple[SyntheticPool, list[SkippedItem]]:
     """Generate one accepted dialogue per (item_id, name).
 

@@ -144,6 +144,28 @@ def single_mention_pool(catalog: ItemCatalog) -> SyntheticPool:
     return SyntheticPool.from_dialogues(dialogues)
 
 
+def reference_sample(weights: list[int], k: int, rng) -> list[int]:
+    """Indices of up to k integer-weighted draws without replacement, by a
+    plain O(n) scan per draw: the target is ``min(int(u * total), total - 1)``
+    for one variate u, the hit is the first live index whose running weight
+    exceeds it, and a zero total draws live position ``rng.integers(live)``."""
+    live = list(range(len(weights)))
+    chosen = []
+    for _ in range(min(k, len(live))):
+        total = sum(weights[i] for i in live)
+        if total > 0:
+            target = min(int(rng.random() * total), total - 1)
+            running = 0
+            for position, index in enumerate(live):
+                running += weights[index]
+                if running > target:
+                    break
+        else:
+            position = int(rng.integers(len(live)))
+        chosen.append(live.pop(position))
+    return chosen
+
+
 def freq_fixture_corpus() -> Corpus:
     """4-item corpus with training mention frequencies a:10, b:5, c:2, d:0."""
     catalog = ItemCatalog({"a": "Alpha", "b": "Beta", "c": "Gamma", "d": "Delta"})

@@ -346,7 +346,7 @@ def test_c07_weighted_sampling_distribution():
     rng = np.random.default_rng(4242)
     draws = 100_000
     hits = sum(
-        weighted_sample_without_replacement(["a", "b"], [2.0, 1.0], 1, rng) == ["a"]
+        weighted_sample_without_replacement(["a", "b"], [2, 1], 1, rng) == ["a"]
         for _ in range(draws)
     )
     frequency = hits / draws

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from crs_bias.augment import (
     _STREAM_ANCHOR,
-    _PrefixSampler,
     AugmentError,
     AugmentationPlan,
     PlanBatch,
@@ -37,7 +36,7 @@ from crs_bias.corpus import Corpus, CorpusError, Dialogue, ItemCatalog, Turn
 from crs_bias.metrics import initial_item_coverage
 from crs_bias.popularity import PopularityTable, ThresholdPolicy, train_frequencies
 
-from helpers import make_dialogue
+from helpers import make_dialogue, reference_sample
 
 
 def _synthetic(dialogue_id: str, item: str) -> Dialogue:
@@ -56,53 +55,54 @@ def _pool(items: dict[str, str]) -> SyntheticPool:
     return SyntheticPool.from_dialogues([_synthetic(d, i) for d, i in items.items()])
 
 
-def _pop_table(pop: dict[str, float]) -> PopularityTable:
+def _pop_table(freq: dict[str, int]) -> PopularityTable:
+    """A table with the given training frequencies and pop = freq / max."""
+    top = max(freq.values(), default=0)
     return PopularityTable(
-        freq={i: 0 for i in pop},
-        pop=pop,
+        freq=freq,
+        pop={i: f / top if top else 0.0 for i, f in freq.items()},
         popular_set=frozenset(),
         eta_policy=ThresholdPolicy.count_threshold(5),
     )
 
 
-# popularity values with many ties and zeros, plus arbitrary floats
-_POPS = st.one_of(
-    st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.5, 1.0]),
-    st.floats(0.0, 1.0, allow_nan=False),
+# training frequencies with many ties and zeros, plus large values
+_FREQS = st.one_of(
+    st.sampled_from([0, 0, 1, 2, 5, 10]),
+    st.integers(0, 2**40),
 )
 
-# sha256 of save_plan(pop_nudge(standard fixture, k=5, batch_size=32, seed=42)),
-# as written by the reference sampler before the prefix-cached one
-_STANDARD_PLAN_SHA256 = "6de7de99ecf54e71ae1c5f0e3fa72382be11492d6bbecf2b082e9d0369ef536a"
+# sha256 of save_plan(pop_nudge(standard fixture, k=5, batch_size=32, seed=42)):
+# plan format 2. Its batch lines equal those of the format-1 file
+# (sha256 6de7de99ecf54e71ae1c5f0e3fa72382be11492d6bbecf2b082e9d0369ef536a),
+# whose header had no format_version
+_STANDARD_PLAN_SHA256 = "57f3f1d6e6fc0816b4b5028770342bc87da746573e2aa872aba3652e88951cc7"
 
 
 def _assert_samples_match_reference(
-    pool_pops: list[float], anchor_pops: list[float], k: int, batch_size: int, seed: int
+    pool_freqs: list[int], anchor_freqs: list[int], k: int, batch_size: int, seed: int
 ) -> None:
-    """Every anchor's samples equal the reference sampler run on the anchor's
-    candidate prefix with the anchor's own RNG stream."""
-    pops = {f"p{i}": w for i, w in enumerate(pool_pops)}
-    pops.update({f"a{j}": w for j, w in enumerate(anchor_pops)})
-    table = _pop_table(pops)
-    catalog = ItemCatalog({item: item.upper() for item in pops})
+    """Every anchor's samples equal the integer reference loop run on the
+    anchor's candidate prefix with the anchor's own RNG stream."""
+    freq = {f"p{i}": f for i, f in enumerate(pool_freqs)}
+    freq.update({f"a{j}": f for j, f in enumerate(anchor_freqs)})
+    table = _pop_table(freq)
+    catalog = ItemCatalog({item: item.upper() for item in freq})
     train = Corpus(
-        catalog, tuple(make_dialogue(f"d{j}", [f"a{j}"]) for j in range(len(anchor_pops)))
+        catalog, tuple(make_dialogue(f"d{j}", [f"a{j}"]) for j in range(len(anchor_freqs)))
     )
-    pool = _pool({f"s{i}": f"p{i}" for i in range(len(pool_pops))})
+    pool = _pool({f"s{i}": f"p{i}" for i in range(len(pool_freqs))})
     plan = pop_nudge(train, pool, table, k, batch_size, seed)
 
-    ranked = sorted(pool.item_of, key=lambda s: (table.pop_of(pool.item_of[s]), s))
-    ranked_pops = [table.pop_of(pool.item_of[s]) for s in ranked]
-    by_id = train.by_id()
+    ranked = sorted(pool.item_of, key=lambda s: (freq[pool.item_of[s]], s))
+    ranked_freqs = [freq[pool.item_of[s]] for s in ranked]
     for batch in plan.batches:
         for position, anchor_id in enumerate(batch.anchor_ids):
-            cut = bisect_right(ranked_pops, anchor_popularity(by_id[anchor_id], table))
+            cut = bisect_right(ranked_freqs, anchor_freqs[int(anchor_id[1:])])
             rng = np.random.default_rng(
                 np.random.SeedSequence((seed, _STREAM_ANCHOR, batch.index, position))
             )
-            expected = weighted_sample_without_replacement(
-                ranked[:cut], ranked_pops[:cut], k, rng
-            )
+            expected = [ranked[i] for i in reference_sample(ranked_freqs[:cut], k, rng)]
             assert batch.samples[anchor_id] == tuple(expected)
 
 
@@ -192,6 +192,20 @@ class TestWeightedSampling:
         with pytest.raises(AugmentError, match="non-negative"):
             weighted_sample_without_replacement(["a"], [-1], 1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("weights", [[2.0, 1.0], [0.5, 1], [True, False], ["2", "1"]])
+    def test_non_integer_weights_rejected(self, weights):
+        with pytest.raises(AugmentError, match="integers"):
+            weighted_sample_without_replacement(["a", "b"], weights, 1, np.random.default_rng(0))
+
+    def test_total_weight_of_2_53_rejected(self):
+        rng = np.random.default_rng(0)
+        assert weighted_sample_without_replacement(["a", "b"], [2**52, 2**52 - 1], 1, rng)
+        with pytest.raises(AugmentError, match="2\\*\\*53"):
+            weighted_sample_without_replacement(["a", "b"], [2**52, 2**52], 1, rng)
+
+    def test_empty_population_draws_nothing(self):
+        assert weighted_sample_without_replacement([], [], 3, np.random.default_rng(0)) == []
+
 
 class _ScriptedRng:
     """Stands in for a Generator, returning scripted variates in order."""
@@ -206,28 +220,56 @@ class _ScriptedRng:
         return int(next(self.values) * n)
 
 
-class TestPrefixSampler:
-    def test_rounding_at_the_top_of_the_mass_matches_reference(self):
-        # variates just below 1 put the target within an ulp of the total,
-        # where a total or cumulative sum rounded differently from the
-        # reference's picks another index (the trailing zero weight decides)
-        top = 1 - 2**-53
-        for seed in range(300):
-            rng = np.random.default_rng(seed)
-            weights = rng.random(int(rng.integers(9, 60)))
-            weights[rng.random(len(weights)) < 0.3] = 0.0
-            weights[-1] = 0.0
-            weights = weights.tolist()
-            script = [0.5, top, 0.25, top, top] if seed % 2 else [top] * 5
-            got = _PrefixSampler(weights).draw(len(weights), 5, _ScriptedRng(script))
-            expected = weighted_sample_without_replacement(
-                list(range(len(weights))), weights, 5, _ScriptedRng(script)
-            )
-            assert got == expected
+class TestIntegerDraws:
+    TOP = 1 - 2**-53  # the largest variate Generator.random returns
 
-    def test_negative_weights_rejected(self):
-        with pytest.raises(AugmentError, match="non-negative"):
-            _PrefixSampler([0.5, -0.1])
+    def test_top_variate_at_totals_near_2_52_hits_the_last_unit_of_mass(self):
+        # u = 1 - 2**-53 puts the target at total - 1, the last unit of live
+        # weight, so each draw takes the last live index with positive weight
+        # (never the trailing zeros) until only zero weights remain
+        weights = [2**50, 0, 2**51 + 7, 3, 2**51 - 11, 0]
+        assert 2**52 < sum(weights) < 2**53
+        script = [self.TOP] * 4 + [0.9, 0.2]
+        drawn = weighted_sample_without_replacement(
+            list(range(6)), weights, 6, _ScriptedRng(script)
+        )
+        assert drawn == [4, 3, 2, 0, 5, 1]
+        assert drawn == reference_sample(weights, 6, _ScriptedRng(script))
+
+    @pytest.mark.parametrize("u", [TOP, 1.0])
+    def test_target_is_clamped_inside_the_live_mass(self, u):
+        # a variate of 1.0 (outside Generator.random's range) must still land
+        # on the last positive weight, not past it
+        weights = [3, 2**52 - 5, 1, 0]
+        drawn = weighted_sample_without_replacement(list(range(4)), weights, 3, _ScriptedRng([u] * 3))
+        assert drawn == [2, 1, 0]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_top_and_middle_variates_match_reference_near_2_52(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 40))
+        weights = rng.integers(0, 2**53 // n, size=n)
+        weights[rng.random(n) < 0.3] = 0
+        weights = weights.tolist()
+        script = [0.5, self.TOP, 0.25, self.TOP, self.TOP] if seed % 2 else [self.TOP] * 5
+        got = weighted_sample_without_replacement(list(range(n)), weights, 5, _ScriptedRng(script))
+        assert got == reference_sample(weights, 5, _ScriptedRng(script))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        weights=st.lists(_FREQS, min_size=0, max_size=30),
+        k=st.integers(1, 8),
+        extra=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_grow_as_prefixes_in_k(self, weights, k, extra, seed):
+        items = list(range(len(weights)))
+        short = weighted_sample_without_replacement(items, weights, k, np.random.default_rng(seed))
+        long = weighted_sample_without_replacement(
+            items, weights, k + extra, np.random.default_rng(seed)
+        )
+        assert long[: len(short)] == short
+        assert short == reference_sample(weights, k, np.random.default_rng(seed))
 
 
 class TestPopNudge:
@@ -240,9 +282,9 @@ class TestPopNudge:
                 make_dialogue("d-top", ["a"]),    # anchor pop 1.0
             ),
         )
-        # explicit popularity so the filter example is exact:
+        # explicit frequencies so the filter example is exact:
         # pool item pops {s-hot: 0.9, s-warm: 0.4, s-cold: 0.2}
-        table = _pop_table({"a": 1.0, "b": 0.5, "c": 0.9, "d": 0.4, "e": 0.2})
+        table = _pop_table({"a": 10, "b": 5, "c": 9, "d": 4, "e": 2})
         pool = _pool({"s-hot": "c", "s-warm": "d", "s-cold": "e"})
         return train, pool, table
 
@@ -259,7 +301,7 @@ class TestPopNudge:
         # the filter removes strictly-more-popular items only
         catalog = ItemCatalog({"a": "A", "b": "B"})
         train = Corpus(catalog, (make_dialogue("d1", ["b"]),))
-        table = _pop_table({"a": 1.0, "b": 0.5})
+        table = _pop_table({"a": 2, "b": 1})
         pool = _pool({"s-same": "b"})
         plan = pop_nudge(train, pool, table, k=1, batch_size=1, seed=5)
         assert plan.batches[0].samples["d1"] == ("s-same",)
@@ -267,7 +309,7 @@ class TestPopNudge:
     def test_anchor_less_popular_than_whole_pool_gets_nothing(self):
         catalog = ItemCatalog({"a": "A", "b": "B"})
         train = Corpus(catalog, (make_dialogue("d1", ["b"]),))
-        table = _pop_table({"a": 1.0, "b": 0.1})
+        table = _pop_table({"a": 10, "b": 1})
         pool = _pool({"s1": "a"})
         plan = pop_nudge(train, pool, table, k=2, batch_size=1, seed=5)
         assert plan.batches[0].samples["d1"] == ()
@@ -336,27 +378,55 @@ class TestPopNudge:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        pool_pops=st.lists(_POPS, min_size=1, max_size=40),
-        anchor_pops=st.lists(_POPS, min_size=1, max_size=12),
+        pool_freqs=st.lists(_FREQS, min_size=1, max_size=40),
+        anchor_freqs=st.lists(_FREQS, min_size=1, max_size=12),
         k=st.integers(1, 6),
         batch_size=st.integers(1, 5),
         seed=st.integers(0, 2**32 - 1),
     )
-    # an all-zero candidate prefix with cut < k, and ties at the cut
+    # an all-zero candidate prefix with cut < k, zeros and ties at the cut
     @example(
-        pool_pops=[0.0, 0.0, 0.0, 0.5, 0.5], anchor_pops=[0.0, 0.5, 1.0], k=4, batch_size=2, seed=3
+        pool_freqs=[0, 0, 0, 5, 5], anchor_freqs=[0, 5, 10], k=4, batch_size=2, seed=3
     )
+    # every candidate ties, so later draws step past drawn indices of equal weight
+    @example(pool_freqs=[3] * 7, anchor_freqs=[3, 3], k=5, batch_size=2, seed=8)
     # cut == 0 and cut < k
-    @example(pool_pops=[0.25, 0.5], anchor_pops=[0.1, 0.25], k=3, batch_size=1, seed=0)
-    def test_samples_equal_reference_sampler(self, pool_pops, anchor_pops, k, batch_size, seed):
-        _assert_samples_match_reference(pool_pops, anchor_pops, k, batch_size, seed)
+    @example(pool_freqs=[25, 50], anchor_freqs=[10, 25], k=3, batch_size=1, seed=0)
+    def test_samples_equal_integer_reference(self, pool_freqs, anchor_freqs, k, batch_size, seed):
+        _assert_samples_match_reference(pool_freqs, anchor_freqs, k, batch_size, seed)
 
-    def test_samples_equal_reference_sampler_on_a_large_pool(self):
-        # long prefixes, where the pairwise total and prefix[cut - 1] differ
+    def test_samples_equal_integer_reference_on_a_large_pool(self):
+        # long prefixes, where the drawn indices sit far below the hit
         rng = np.random.default_rng(17)
-        pool_pops = np.where(rng.random(3000) < 0.2, 0.0, rng.random(3000) ** 3).tolist()
-        anchor_pops = rng.random(120).tolist()
-        _assert_samples_match_reference(pool_pops, anchor_pops, k=5, batch_size=32, seed=99)
+        pool_freqs = np.where(rng.random(3000) < 0.2, 0, rng.integers(1, 500, 3000)).tolist()
+        anchor_freqs = rng.integers(0, 500, 120).tolist()
+        _assert_samples_match_reference(pool_freqs, anchor_freqs, k=5, batch_size=32, seed=99)
+
+    @pytest.mark.parametrize("bad", [{"p0": 2**52, "p1": 2**52}, {"p0": 1.5, "p1": 2}])
+    def test_unusable_frequencies_rejected(self, bad):
+        catalog = ItemCatalog({"a": "A", "p0": "P0", "p1": "P1"})
+        train = Corpus(catalog, (make_dialogue("d1", ["a"]),))
+        table = _pop_table({"a": 1, **bad})
+        pool = _pool({"s0": "p0", "s1": "p1"})
+        with pytest.raises(AugmentError, match="2\\*\\*53|integers"):
+            pop_nudge(train, pool, table, k=1, batch_size=1, seed=0)
+
+    def test_order_and_cut_equal_the_popularity_order(
+        self, standard_corpus, standard_pool, standard_table
+    ):
+        # with pop = freq / max_freq, sorting and cutting by frequency give
+        # the candidate sets the popularity order gives
+        freq, pops = standard_table.freq, standard_table.pop_of
+        by_freq = sorted(standard_pool.item_of, key=lambda s: (freq[standard_pool.item_of[s]], s))
+        by_pop = sorted(standard_pool.item_of, key=lambda s: (pops(standard_pool.item_of[s]), s))
+        assert by_freq == by_pop
+        freqs = [freq[standard_pool.item_of[s]] for s in by_freq]
+        popularities = [pops(standard_pool.item_of[s]) for s in by_pop]
+        for anchor in standard_corpus.split("train"):
+            anchor_freq = max((freq[i] for i in anchor.item_ids()), default=0)
+            assert bisect_right(freqs, anchor_freq) == bisect_right(
+                popularities, anchor_popularity(anchor, standard_table)
+            )
 
     def test_standard_plan_file_is_pinned(
         self, standard_corpus, standard_pool, standard_table, tmp_path
@@ -403,6 +473,18 @@ class TestMaterialize:
             pool_digest=pool_digest(pool), batches=(),
         )
         assert materialize_flat(plan, train, pool) == train
+
+    def test_changed_pool_rejected(self):
+        # same dialogue ids, one item changed: the plan's pool_digest no
+        # longer matches, in both materializations
+        train, pool, table = TestPopNudge()._small()
+        plan = pop_nudge(train, pool, table, k=2, batch_size=1, seed=2)
+        changed = _pool({"s-hot": "c", "s-warm": "e", "s-cold": "e"})
+        assert set(changed.item_of) == set(pool.item_of)
+        with pytest.raises(AugmentError, match="another pool"):
+            materialize_flat(plan, train, changed)
+        with pytest.raises(AugmentError, match="another pool"):
+            iter_batches(plan, train, changed)
 
     def test_unknown_reference_rejected(self):
         train, pool, _ = TestPopNudge()._small()
@@ -465,6 +547,31 @@ class TestPlanIO:
         plan = load_plan(path)
         assert (plan.seed, plan.k, plan.n_anchors_truncated) == (1, 1, 0)
         assert plan.batches == (PlanBatch(0, ("d1",), {"d1": ("s1",)}),)
+        assert plan.format_version == 1  # a header without the field
+
+    def test_format_version_2_loads(self, tmp_path):
+        path = tmp_path / "plan.jsonl"
+        path.write_bytes(self.HEADER.replace(b"}", b', "format_version": 2}') + self.BATCH + b"\n")
+        assert load_plan(path).format_version == 2
+
+    def test_version_1_plan_roundtrips(self, tmp_path):
+        path = tmp_path / "plan.jsonl"
+        path.write_bytes(self.HEADER + self.BATCH + b"\n")
+        save_plan(load_plan(path), tmp_path / "again.jsonl")
+        assert load_plan(tmp_path / "again.jsonl") == load_plan(path)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(b"3", "unsupported plan format_version 3"), (b'"2"', "plan field 'format_version'"),
+         (b"true", "plan field 'format_version'"), (b"0", "unsupported plan format_version 0")],
+    )
+    def test_bad_format_version_names_path_and_line(self, tmp_path, value, message):
+        path = tmp_path / "plan.jsonl"
+        path.write_bytes(
+            self.HEADER.replace(b"}", b', "format_version": ' + value + b"}") + self.BATCH + b"\n"
+        )
+        with pytest.raises(AugmentError, match=r"plan\.jsonl:1: " + re.escape(message)):
+            load_plan(path)
 
     @pytest.mark.parametrize(
         "line, error, message",
@@ -573,10 +680,10 @@ class TestLongtail:
 
 class TestAnchorPopularity:
     def test_max_over_items(self):
-        table = _pop_table({"a": 0.3, "b": 0.9})
+        table = _pop_table({"a": 3, "b": 9, "c": 10})
         assert anchor_popularity(make_dialogue("d", ["a", "b"]), table) == 0.9
 
     def test_no_items_is_zero(self):
-        table = _pop_table({"a": 0.3})
+        table = _pop_table({"a": 3})
         chat = Dialogue("d", (Turn("seeker", "hello"),))
         assert anchor_popularity(chat, table) == 0.0

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import inspect
 import json
 import shutil
 import tempfile
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from crs_bias.cli import main
 from crs_bias.config import ConfigError, _redact, load_config
+from crs_bias.synthgen import build_pool
 
 DATA = Path(__file__).parent / "data"
 GOOD_TURN = b'{"speaker": "seeker", "text": "hi", "items": [], "targets": []}'
@@ -129,6 +132,18 @@ class TestGenerate:
             ({"generation": {"concurrency": 2.0}}, "generation.concurrency"),
             ({"augment": {"k": False}}, "augment.k"),
             ({"augment": {"batch_size": "32"}}, "augment.batch_size"),
+            ({"metrics": {"cutoffs": [1.5, 50]}}, "metrics.cutoffs"),
+            ({"metrics": {"cutoffs": [True]}}, "metrics.cutoffs"),
+            ({"metrics": {"cutoffs": [10, 0]}}, "metrics.cutoffs"),
+            ({"metrics": {"cutoffs": 10}}, "metrics.cutoffs"),
+            ({"metrics": {"cutoffs": []}}, "metrics.cutoffs"),
+            ({"popularity": {"eta": {"min_count": 2.7}}}, "popularity.eta.min_count"),
+            ({"popularity": {"eta": {"min_count": "5"}}}, "popularity.eta.min_count"),
+            ({"popularity": {"eta": {"min_count": 0}}}, "popularity.eta.min_count"),
+            ({"popularity": {"eta": {"kind": "quantile", "top_fraction": "0.5"}}},
+             "popularity.eta.top_fraction"),
+            ({"popularity": {"eta": {"kind": "quantile", "top_fraction": True}}},
+             "popularity.eta.top_fraction"),
         ],
     )
     def test_bad_integer_fields_exit_2(self, tmp_path, capsys, overrides, field):
@@ -259,6 +274,17 @@ class TestAugment:
         workspace_with_pool.write_text(yaml.safe_dump(config))
         assert main(["augment", "--config", str(workspace_with_pool)]) == 2
         assert "bad_corpus.jsonl:4: malformed record: lone surrogate" in capsys.readouterr().err
+
+    def test_plan_from_another_pool_exits_2(self, workspace_with_pool, capsys, monkeypatch):
+        import crs_bias.cli as cli_module
+
+        pop_nudge = cli_module.aug.pop_nudge
+        monkeypatch.setattr(
+            cli_module.aug, "pop_nudge",
+            lambda *a, **k: dataclasses.replace(pop_nudge(*a, **k), pool_digest="0" * 64),
+        )
+        assert main(["augment", "--config", str(workspace_with_pool)]) == 2
+        assert "input error: plan was drawn from another pool" in capsys.readouterr().err
 
     def test_failed_audit_exits_4(self, workspace_with_pool, capsys, monkeypatch):
         import crs_bias.cli as cli_module
@@ -504,6 +530,12 @@ class TestConfig:
         config = load_config(config_path)
         assert config.corpus == tmp_path / "corpus.jsonl"
         assert config.output_dir == tmp_path / "out"
+
+    def test_generation_is_serial_by_default(self, tmp_path):
+        # the offline backend is CPU-bound: threads only slow it down
+        config = load_config(write_config(tmp_path / "config.yaml"))
+        assert config.generation.concurrency == 1
+        assert inspect.signature(build_pool).parameters["concurrency"].default == 1
 
     def test_flag_overrides_win(self, tmp_path):
         config_path = write_config(tmp_path / "config.yaml", augment={"k": 2})
