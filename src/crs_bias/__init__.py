@@ -32,7 +32,6 @@ from .augment import (
     SyntheticPool,
     audit_plan,
     longtail_report,
-    materialize,
     once_aug,
     pop_nudge,
     weighted_sample_without_replacement,

@@ -23,12 +23,13 @@ import hashlib
 import json
 from bisect import bisect_right, insort
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Dialogue, load_dialogues, read_json_lines
+from .corpus import Corpus, Dialogue, load_dialogues, read_json_lines, write_json_lines
 from .popularity import PopularityTable, item_coverage, train_frequencies
 
 # stream tags keep the shuffle RNG disjoint from per-anchor sampling RNGs
@@ -74,6 +75,11 @@ class SyntheticPool:
 
     def by_id(self) -> dict[str, Dialogue]:
         return {d.dialogue_id: d for d in self.dialogues}
+
+    @cached_property
+    def digest(self) -> str:
+        """``pool_digest`` of this pool, computed on first use."""
+        return pool_digest(self)
 
     def __len__(self) -> int:
         return len(self.dialogues)
@@ -302,7 +308,7 @@ def pop_nudge(
         k=k,
         batch_size=batch_size,
         strategy="pop_nudge",
-        pool_digest=pool_digest(pool),
+        pool_digest=pool.digest,
         batches=tuple(batches),
         n_anchors_without_candidates=n_without,
         n_anchors_truncated=n_truncated,
@@ -333,7 +339,7 @@ def _check_plan_references(plan: AugmentationPlan, train: Corpus, pool: Syntheti
             for synthetic_id in sampled:
                 if synthetic_id not in pool_by_id:
                     raise AugmentError(f"plan references unknown pool dialogue {synthetic_id!r}")
-    if plan.pool_digest != pool_digest(pool):
+    if plan.pool_digest != pool.digest:
         raise AugmentError(f"plan was drawn from another pool (pool_digest {plan.pool_digest!r})")
 
 
@@ -371,19 +377,6 @@ def materialize_flat(plan: AugmentationPlan, train: Corpus, pool: SyntheticPool)
         for s in plan.appended_ids()
     )
     return Corpus(catalog=train.catalog, dialogues=train.dialogues + appended)
-
-
-def materialize(
-    plan: AugmentationPlan,
-    train: Corpus,
-    pool: SyntheticPool,
-    mode: str = "flat_corpus",
-) -> Corpus | Iterator[MaterializedBatch]:
-    if mode == "flat_corpus":
-        return materialize_flat(plan, train, pool)
-    if mode == "batch_stream":
-        return iter_batches(plan, train, pool)
-    raise AugmentError(f"unknown materialize mode {mode!r}")
 
 
 def audit_plan(
@@ -430,28 +423,27 @@ def audit_plan(
 
 
 def save_plan(plan: AugmentationPlan, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        header = {
-            "record": "header",
-            "seed": plan.seed,
-            "k": plan.k,
-            "batch_size": plan.batch_size,
-            "strategy": plan.strategy,
-            "pool_digest": plan.pool_digest,
-            "format_version": plan.format_version,
-            "n_anchors_without_candidates": plan.n_anchors_without_candidates,
-            "n_anchors_truncated": plan.n_anchors_truncated,
+    header = {
+        "record": "header",
+        "seed": plan.seed,
+        "k": plan.k,
+        "batch_size": plan.batch_size,
+        "strategy": plan.strategy,
+        "pool_digest": plan.pool_digest,
+        "format_version": plan.format_version,
+        "n_anchors_without_candidates": plan.n_anchors_without_candidates,
+        "n_anchors_truncated": plan.n_anchors_truncated,
+    }
+    batches = [
+        {
+            "record": "batch",
+            "index": batch.index,
+            "anchors": list(batch.anchor_ids),
+            "samples": {a: list(s) for a, s in batch.samples.items()},
         }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for batch in plan.batches:
-            record = {
-                "record": "batch",
-                "index": batch.index,
-                "anchors": list(batch.anchor_ids),
-                "samples": {a: list(s) for a, s in batch.samples.items()},
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for batch in plan.batches
+    ]
+    write_json_lines(path, [header, *batches], json.JSONEncoder(sort_keys=True))
 
 
 # header field -> (type, default); a field without a default is required

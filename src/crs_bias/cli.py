@@ -19,7 +19,7 @@ from . import augment as aug
 from . import metrics as met
 from . import popularity as pop
 from .config import ConfigError, RunConfig, load_config
-from .corpus import CorpusError, load_catalog, load_corpus, save_corpus, segment_corpus
+from .corpus import CorpusError, load_catalog, load_corpus, save_corpus, segment_corpus, write_lines
 from .synthgen import (
     BackendError,
     HttpChatBackend,
@@ -36,7 +36,7 @@ EXIT_INVARIANT = 4
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def _prepare_output_dir(config: RunConfig) -> Path:
@@ -230,7 +230,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         reports.append(report)
 
     table_text = met.format_report_table(reports)
-    (out / "report_table.txt").write_text(table_text + "\n", encoding="utf-8")
+    write_lines(out / "report_table.txt", [table_text])
     print(table_text)
     return EXIT_OK
 

@@ -156,6 +156,19 @@ def _parse_int(value: Any, name: str, minimum: int) -> int:
     return value
 
 
+def _parse_timeout(value: Any) -> float:
+    """A YAML int or float (not a bool or string), finite and > 0."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"generation.http.timeout must be a number, got {value!r}")
+    try:
+        timeout = float(value)
+    except OverflowError:
+        timeout = math.inf
+    if not 0 < timeout < math.inf:
+        raise ConfigError(f"generation.http.timeout must be finite and > 0, got {value!r}")
+    return timeout
+
+
 def _parse_eta(section: Mapping[str, Any]) -> ThresholdPolicy:
     kind = section.get("kind", "count_threshold")
     if kind == "count_threshold":
@@ -263,7 +276,7 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
                 base_url=http.get("base_url"),
                 model=http.get("model"),
                 token_env=str(http.get("token_env", "CRSBIAS_LLM_TOKEN")),
-                timeout=float(http.get("timeout", 30.0)),
+                timeout=_parse_timeout(http.get("timeout", 30.0)),
             ),
         ),
     )

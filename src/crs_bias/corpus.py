@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -226,6 +227,29 @@ def read_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each string plus a newline to ``.<name>.<pid>.tmp`` beside
+    ``path``, then rename it over ``path``: an error or an interrupt while
+    writing leaves the old file (or none) and no temp file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+# built once: json.dumps with options builds a new encoder per call
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
+def write_json_lines(path: str | Path, records: Iterable, encoder=_ENCODER) -> None:
+    """``write_lines`` of one JSON record per line, each encoded by ``encoder``."""
+    write_lines(path, map(encoder.encode, records))
+
+
 def parse_id(value, what: str) -> str:
     """An id field: a string, or an integer read as its decimal string."""
     if type(value) is str:
@@ -386,19 +410,11 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def save_dialogues(dialogues: Iterable[Dialogue], path: str | Path) -> None:
-    # one encoder per file: json.dumps with options builds a new one per call
-    encode = json.JSONEncoder(ensure_ascii=False).encode
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for d in dialogues:
-            fh.write(encode(dialogue_to_record(d)) + "\n")
+    write_json_lines(path, map(dialogue_to_record, dialogues))
 
 
 def save_catalog(catalog: ItemCatalog, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for item_id, name in catalog.items.items():
-            fh.write(json.dumps({"item_id": item_id, "name": name}, ensure_ascii=False) + "\n")
+    write_json_lines(path, ({"item_id": i, "name": name} for i, name in catalog.items.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, CorpusError, parse_id, read_json_lines
+from .corpus import Corpus, CorpusError, parse_id, read_json_lines, write_json_lines
 from .popularity import ItemIndex, PopularityTable, item_coverage, train_frequencies
 
 DEFAULT_CUTOFFS = (10, 50)
@@ -672,10 +672,8 @@ def evaluate_run(
 
 
 def save_report(report: BiasReport, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for record in report.to_records():
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    encoder = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+    write_json_lines(path, report.to_records(), encoder)
 
 
 _REPORT_FIELDS = (
@@ -689,8 +687,9 @@ _REPORT_FIELDS = (
 
 
 def load_report_records(path: str | Path) -> list[dict]:
-    """Read a ``save_report`` file; a malformed line or a record missing a
-    field (or holding the wrong type) raises ``CorpusError`` with path:line."""
+    """Read a ``save_report`` file; a malformed line, a record missing a
+    field (or holding the wrong type) or a ``mean`` or ``std`` that does not
+    convert to a float raises ``CorpusError`` with path:line."""
     path = Path(path)
     records: list[dict] = []
     for lineno, record in read_json_lines(path):
@@ -699,6 +698,13 @@ def load_report_records(path: str | Path) -> list[dict]:
                 raise CorpusError(f"{path}:{lineno}: report record missing {key!r}")
             if type(record[key]) not in types:
                 raise CorpusError(f"{path}:{lineno}: report field {key!r} has {record[key]!r}")
+        for key in ("mean", "std"):
+            try:
+                float(record[key])
+            except OverflowError:
+                raise CorpusError(
+                    f"{path}:{lineno}: report field {key!r} does not fit a float"
+                ) from None
         if type(record.get("skip_reasons", {})) is not dict:
             raise CorpusError(f"{path}:{lineno}: report field 'skip_reasons' is not an object")
         records.append(record)

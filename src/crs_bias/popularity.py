@@ -9,7 +9,6 @@ have 0.0, keeping values comparable across datasets of different size.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .corpus import Corpus, ItemCatalog
+from .corpus import Corpus, ItemCatalog, write_json_lines
 
 
 @dataclass(frozen=True)
@@ -149,13 +148,7 @@ def popular_item_ratio(table: PopularityTable, catalog: ItemCatalog) -> float:
 
 def save_table(table: PopularityTable, path: str | Path) -> None:
     """Export one record per item: item_id, freq, pop, is_popular."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for item_id, f in table.freq.items():
-            record = {
-                "item_id": item_id,
-                "freq": f,
-                "pop": table.pop[item_id],
-                "is_popular": item_id in table.popular_set,
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_json_lines(path, (
+        {"item_id": i, "freq": f, "pop": table.pop[i], "is_popular": i in table.popular_set}
+        for i, f in table.freq.items()
+    ))

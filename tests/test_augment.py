@@ -23,7 +23,6 @@ from crs_bias.augment import (
     iter_batches,
     load_plan,
     longtail_report,
-    materialize,
     materialize_flat,
     once_aug,
     pool_digest,
@@ -494,14 +493,6 @@ class TestMaterialize:
         )
         with pytest.raises(AugmentError, match="nonexistent"):
             materialize_flat(plan, train, pool)
-
-    def test_materialize_dispatch(self):
-        train, pool, table = TestPopNudge()._small()
-        plan = pop_nudge(train, pool, table, k=1, batch_size=1, seed=2)
-        assert isinstance(materialize(plan, train, pool, "flat_corpus"), Corpus)
-        assert list(materialize(plan, train, pool, "batch_stream"))
-        with pytest.raises(AugmentError, match="mode"):
-            materialize(plan, train, pool, "zipped")
 
 
 class TestAudit:

@@ -144,6 +144,12 @@ class TestGenerate:
              "popularity.eta.top_fraction"),
             ({"popularity": {"eta": {"kind": "quantile", "top_fraction": True}}},
              "popularity.eta.top_fraction"),
+            ({"generation": {"http": {"timeout": "30"}}}, "generation.http.timeout"),
+            ({"generation": {"http": {"timeout": True}}}, "generation.http.timeout"),
+            ({"generation": {"http": {"timeout": -5}}}, "generation.http.timeout"),
+            ({"generation": {"http": {"timeout": 0}}}, "generation.http.timeout"),
+            ({"generation": {"http": {"timeout": float("inf")}}}, "generation.http.timeout"),
+            ({"generation": {"http": {"timeout": 10**400}}}, "generation.http.timeout"),
         ],
     )
     def test_bad_integer_fields_exit_2(self, tmp_path, capsys, overrides, field):
@@ -286,6 +292,39 @@ class TestAugment:
         assert main(["augment", "--config", str(workspace_with_pool)]) == 2
         assert "input error: plan was drawn from another pool" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy, digests", [("pop_nudge", 1), ("once_aug", 0)])
+    def test_pool_hashed_at_most_once(self, workspace_with_pool, monkeypatch, strategy, digests):
+        import crs_bias.augment as augment_module
+
+        calls = []
+        pool_digest = augment_module.pool_digest
+        monkeypatch.setattr(
+            augment_module, "pool_digest", lambda pool: calls.append(1) or pool_digest(pool)
+        )
+        assert main(["augment", "--config", str(workspace_with_pool), "--strategy", strategy]) == 0
+        assert len(calls) == digests
+
+    def test_failed_corpus_write_keeps_previous_corpus(self, workspace_with_pool, monkeypatch):
+        import crs_bias.corpus as corpus_module
+
+        out = workspace_with_pool.parent / "out"
+        assert main(["augment", "--config", str(workspace_with_pool)]) == 0
+        before = snapshot(out)
+        to_record = corpus_module.dialogue_to_record
+        written = []
+
+        def failing_to_record(dialogue):
+            written.append(dialogue)
+            if len(written) == 3:
+                raise RuntimeError("disk full")
+            return to_record(dialogue)
+
+        monkeypatch.setattr(corpus_module, "dialogue_to_record", failing_to_record)
+        with pytest.raises(RuntimeError, match="disk full"):
+            main(["augment", "--config", str(workspace_with_pool), "--k", "3"])
+        assert snapshot(out)["augmented_corpus.jsonl"] == before["augmented_corpus.jsonl"]
+        assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+
     def test_failed_audit_exits_4(self, workspace_with_pool, capsys, monkeypatch):
         import crs_bias.cli as cli_module
 
@@ -395,7 +434,19 @@ class TestEvaluate:
         assert "dup_run.jsonl:4: duplicate run entry ('d1', turn 3)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line", ['{"model": "run_small", "metric": "cep"', '{"model": "run_small", "mean": 1}']
+        "line",
+        [
+            '{"model": "run_small", "metric": "cep"',
+            '{"model": "run_small", "mean": 1}',
+            pytest.param(
+                '{"model": "run_small", "metric": "cep", "mean": 1%s, "std": 0, "n": 1, '
+                '"n_skipped": 0}' % ("0" * 399), id="mean-past-float-range",
+            ),
+            pytest.param(
+                '{"model": "run_small", "metric": "cep", "mean": 0, "std": -1%s, "n": 1, '
+                '"n_skipped": 0}' % ("0" * 399), id="std-past-float-range",
+            ),
+        ],
     )
     def test_malformed_report_exits_2_with_path_line(self, tmp_path, capsys, line):
         config = self._config_with_runs(tmp_path, [DATA / "run_small.jsonl"])
@@ -471,6 +522,24 @@ def test_evaluate_on_arbitrary_run_lines_exits_0_or_2(records):
         assert main(["evaluate", "--config", str(config)]) in (0, 2)
 
 
+def damaged(draw, record: dict):
+    """``record`` as it is, with one of its fields or one field of one of
+    its turns replaced or dropped, or any JSON value instead."""
+    damage = draw(st.sampled_from(("none", "none", "replace", "drop", "turn", "line")))
+    if damage == "line":
+        return draw(JSON_VALUES)
+    target = record
+    if damage == "turn":
+        target = draw(st.sampled_from(record["turns"]))
+        damage = draw(st.sampled_from(("replace", "drop")))
+    key = draw(st.sampled_from(sorted(target)))
+    if damage == "replace":
+        target[key] = draw(JSON_VALUES)
+    elif damage == "drop":
+        del target[key]
+    return record
+
+
 @st.composite
 def corpus_lines(draw):
     """A valid corpus record, one with a field or a turn field replaced or
@@ -491,19 +560,7 @@ def corpus_lines(draw):
     }
     if draw(st.booleans()):
         record["episodes"] = draw(st.lists(st.integers(0, 2), min_size=len(turns), max_size=len(turns)))
-    damage = draw(st.sampled_from(("none", "none", "replace", "drop", "turn", "line")))
-    if damage == "line":
-        return draw(JSON_VALUES)
-    target = record
-    if damage == "turn":
-        target = draw(st.sampled_from(turns))
-        damage = draw(st.sampled_from(("replace", "drop")))
-    key = draw(st.sampled_from(sorted(target)))
-    if damage == "replace":
-        target[key] = draw(JSON_VALUES)
-    elif damage == "drop":
-        del target[key]
-    return record
+    return damaged(draw, record)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -517,6 +574,89 @@ def test_stats_on_arbitrary_corpus_lines_exits_0_or_2(records):
             root / "config.yaml", paths={"corpus": str(corpus), "output_dir": str(root / "out")}
         )
         assert main(["stats", "--config", str(config)]) in (0, 2)
+
+
+@st.composite
+def pool_lines(draw):
+    """A synthetic pool record (valid when its item and id are), one with a
+    field or a turn field replaced or dropped, or any JSON value. Ids
+    ``d1``-``d3`` collide with corpus_small.jsonl; ``zz`` is not in the
+    catalog."""
+    item = draw(st.sampled_from(RUN_ITEMS))
+    record = {
+        "dialogue_id": draw(st.sampled_from(("s1", "s2", "s3", "d1", 5))),
+        "split": draw(st.sampled_from(("train", "test"))),
+        "provenance": draw(st.sampled_from(("synthetic", "synthetic", "original"))),
+        "turns": [
+            {"speaker": "seeker", "text": "any ideas?", "items": [], "targets": []},
+            {
+                "speaker": "recommender",
+                "text": f"try @{item}",
+                "items": draw(st.sampled_from(([item], [item, item], [item, "m1"]))),
+                "targets": draw(st.sampled_from(([], [item]))),
+            },
+        ],
+    }
+    if draw(st.booleans()):
+        record["episodes"] = draw(st.sampled_from(([0, 0], [0, 1], [1, 1])))
+    return damaged(draw, record)
+
+
+@pytest.mark.parametrize("strategy", ["once_aug", "pop_nudge"])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(records=st.lists(pool_lines(), min_size=1, max_size=4))
+def test_augment_on_arbitrary_pool_lines_exits_0_or_2(strategy, records):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        pool = root / "pool.jsonl"
+        pool.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        config = write_config(
+            root / "config.yaml",
+            paths={"pool": str(pool), "output_dir": str(root / "out")},
+            augment={"k": 2, "batch_size": 2},
+        )
+        assert main(["augment", "--config", str(config), "--strategy", strategy]) in (0, 2)
+
+
+# integers past the float range as well as floats, for mean and std
+REPORT_NUMBERS = st.floats() | st.integers(-(10**400), 10**400)
+
+
+@st.composite
+def report_lines(draw):
+    """A report record, one with a field replaced or dropped, or any JSON value."""
+    record = {
+        "model": draw(st.sampled_from(("m", "ü"))),
+        "metric": draw(st.sampled_from(("pop_bias", "cep", "hit@10"))),
+        "mean": draw(REPORT_NUMBERS),
+        "std": draw(REPORT_NUMBERS),
+        "n": draw(st.integers()),
+        "n_skipped": draw(st.integers()),
+    }
+    if draw(st.booleans()):
+        record["skip_reasons"] = draw(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=2))
+    damage = draw(st.sampled_from(("none", "none", "replace", "drop", "line")))
+    key = draw(st.sampled_from(sorted(record)))
+    if damage == "replace":
+        record[key] = draw(JSON_VALUES | REPORT_NUMBERS)
+    elif damage == "drop":
+        del record[key]
+    elif damage == "line":
+        return draw(JSON_VALUES)
+    return record
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(records=st.lists(report_lines(), max_size=4))
+def test_report_on_arbitrary_report_lines_exits_0_or_2(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "out").mkdir()
+        (root / "out" / "m.report.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        config = write_config(root / "config.yaml", paths={"output_dir": str(root / "out")})
+        assert main(["report", "--config", str(config)]) in (0, 2)
 
 
 class TestConfig:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import os
 import re
 
 import pytest
@@ -24,6 +25,8 @@ from crs_bias.corpus import (
     save_corpus,
     segment_corpus,
     segment_episodes,
+    write_json_lines,
+    write_lines,
 )
 
 from helpers import make_dialogue
@@ -360,3 +363,52 @@ class TestRecords:
         assert record["turns"][1]["items"] == ["m1", "m2"]
         assert record["turns"][1]["targets"] == ["m1"]
         assert record["episodes"] == [0, 0]
+
+
+class TestWriters:
+    def test_lines_end_in_newlines_and_records_keep_non_ascii(self, tmp_path):
+        write_lines(tmp_path / "a.txt", ["x", "y\nz"])
+        assert (tmp_path / "a.txt").read_bytes() == b"x\ny\nz\n"
+        write_json_lines(tmp_path / "b.jsonl", [{"b": "é", "a": 1}, []])
+        assert (tmp_path / "b.jsonl").read_bytes() == '{"b": "é", "a": 1}\n[]\n'.encode()
+        write_json_lines(tmp_path / "c.jsonl", [{"b": "é", "a": 1}], json.JSONEncoder(sort_keys=True))
+        assert (tmp_path / "c.jsonl").read_bytes() == b'{"a": 1, "b": "\\u00e9"}\n'
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_error_midway_keeps_previous_file(self, tmp_path, error):
+        path = tmp_path / "out.jsonl"
+        write_json_lines(path, [{"n": 0}, {"n": 1}])
+        before = path.read_bytes()
+
+        def records():
+            yield {"n": 2}
+            raise error("stop")
+
+        with pytest.raises(error):
+            write_json_lines(path, records())
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_json_lines(tmp_path / "out.jsonl", [{"n": object()}])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_output_mode_follows_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            write_lines(tmp_path / "out.txt", ["x"])
+        finally:
+            os.umask(old)
+        assert (tmp_path / "out.txt").stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_symlink_is_replaced_not_written_through(self, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_text("old\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        write_lines(link, ["new"])
+        assert not link.is_symlink()
+        assert link.read_text() == "new\n"
+        assert target.read_text() == "old\n"
