@@ -21,6 +21,7 @@ from . import popularity as pop
 from .config import ConfigError, RunConfig, load_config
 from .corpus import CorpusError, load_catalog, load_corpus, save_corpus, segment_corpus, write_lines
 from .synthgen import (
+    POOL_FORMAT,
     BackendError,
     HttpChatBackend,
     OfflineTemplateBackend,
@@ -95,6 +96,7 @@ def _make_backend(config: RunConfig):
         token_env=gen.http.token_env,
         timeout=gen.http.timeout,
         max_attempts=gen.max_attempts,
+        concurrency=gen.concurrency,
     )
 
 
@@ -121,22 +123,25 @@ def cmd_generate(config: RunConfig) -> int:
     backend = _make_backend(config)
 
     pool_path = config.pool if config.pool is not None else out / "pool.jsonl"
-    synthetic_pool, skipped = build_pool(
+    synthetic_pool, record = build_pool(
         backend,
         template,
         items,
         seed,
         output_path=pool_path,
         max_attempts=config.generation.max_attempts,
-        concurrency=config.generation.concurrency,
     )
+    skipped = record.skipped
     _write_json(out / "generation_log.json", {
         "backend": config.generation.backend,
         "template_id": template.template_id,
+        "pool_format": POOL_FORMAT,
         "n_items": len(items),
         "n_accepted": len(synthetic_pool),
         "n_skipped": len(skipped),
         "skipped": [{"item_id": s.item_id, "reason": s.reason} for s in skipped],
+        "attempts": record.attempts,
+        "rejected": record.rejected,
     })
     print(f"pool: {len(synthetic_pool)} dialogues -> {pool_path}")
     if skipped:

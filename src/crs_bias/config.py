@@ -8,13 +8,16 @@ fields. Relative paths are resolved against the config file's directory.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
 import yaml
 
+from .corpus import CorpusError, parse_id
 from .popularity import ThresholdPolicy
+from .synthgen import LANGUAGES
 
 
 class ConfigError(ValueError):
@@ -134,13 +137,21 @@ def _is_secret_key(key: str) -> bool:
     )
 
 
+def _parse_number(value: Any, name: str, expected: str = "a number") -> float:
+    """A YAML int or float (not a bool or string); an int past the float
+    range reads as infinity."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _parse_log_base(value: Any) -> float:
     if value in (None, "e", "natural"):
         return math.e
-    try:
-        base = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"metrics.log_base: expected 'e' or a number, got {value!r}") from None
+    base = _parse_number(value, "metrics.log_base", "'e', 'natural' or a number")
     # the rank discount log_b(r) + 1 must stay >= 1 for every rank r >= 1
     if not 1 < base < math.inf:
         raise ConfigError(f"metrics.log_base must be greater than 1, got {value!r}")
@@ -158,15 +169,26 @@ def _parse_int(value: Any, name: str, minimum: int) -> int:
 
 def _parse_timeout(value: Any) -> float:
     """A YAML int or float (not a bool or string), finite and > 0."""
-    if type(value) not in (int, float):
-        raise ConfigError(f"generation.http.timeout must be a number, got {value!r}")
-    try:
-        timeout = float(value)
-    except OverflowError:
-        timeout = math.inf
+    timeout = _parse_number(value, "generation.http.timeout")
     if not 0 < timeout < math.inf:
         raise ConfigError(f"generation.http.timeout must be finite and > 0, got {value!r}")
     return timeout
+
+
+def _parse_items(value: Any) -> list[str] | None:
+    """A non-empty YAML list of distinct item ids, each read by ``corpus.parse_id``."""
+    if value is None:
+        return None
+    if type(value) is not list or not value:
+        raise ConfigError(f"generation.items must be a non-empty list of item ids, got {value!r}")
+    try:
+        items = [parse_id(item, "each item id") for item in value]
+    except CorpusError as exc:
+        raise ConfigError(f"generation.items must be a list of item ids: {exc}") from None
+    repeated = sorted(item for item, count in Counter(items).items() if count > 1)
+    if repeated:
+        raise ConfigError(f"generation.items must be distinct ids; repeated: {repeated}")
+    return items
 
 
 def _parse_eta(section: Mapping[str, Any]) -> ThresholdPolicy:
@@ -177,11 +199,9 @@ def _parse_eta(section: Mapping[str, Any]) -> ThresholdPolicy:
     if kind == "quantile":
         if "top_fraction" not in section:
             raise ConfigError("popularity.eta.top_fraction is required for quantile policy")
-        top_fraction = section["top_fraction"]
-        if type(top_fraction) not in (int, float):
-            raise ConfigError(f"popularity.eta.top_fraction must be a number, got {top_fraction!r}")
+        top_fraction = _parse_number(section["top_fraction"], "popularity.eta.top_fraction")
         try:
-            return ThresholdPolicy.quantile(float(top_fraction))
+            return ThresholdPolicy.quantile(top_fraction)
         except ValueError as exc:
             raise ConfigError(f"popularity.eta: {exc}") from exc
     raise ConfigError(f"popularity.eta.kind: unknown policy {kind!r}")
@@ -243,9 +263,11 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
     if backend not in ("offline_template", "http_chat"):
         raise ConfigError(f"generation.backend: unknown backend {backend!r}")
 
-    items = generation.get("items")
-    if items is not None:
-        items = [str(i) for i in items]
+    language = generation.get("language", "en")
+    if type(language) is not str or language not in LANGUAGES:
+        raise ConfigError(
+            f"generation.language must be one of {sorted(LANGUAGES)}, got {language!r}"
+        )
 
     config = RunConfig(
         corpus=_resolve(base, paths["corpus"]) if paths.get("corpus") else None,
@@ -265,9 +287,9 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
         seed=seed,
         generation=GenerationSettings(
             backend=backend,
-            language=str(generation.get("language", "en")),
+            language=language,
             template=_resolve(base, generation["template"]) if generation.get("template") else None,
-            items=items,
+            items=_parse_items(generation.get("items")),
             max_attempts=_parse_int(
                 generation.get("max_attempts", 3), "generation.max_attempts", 1
             ),

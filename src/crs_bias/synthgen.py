@@ -2,23 +2,24 @@
 
 A prompt template plus an item name goes to a text-generation backend; the
 raw completion is parsed back into the corpus schema (speaker-prefixed lines,
-exact item-name matches replaced with ``@<item_id>`` mention tokens, the
-final recommender mention tagged as the accepted target).
+item-name matches replaced with ``@<item_id>`` mention tokens, the final
+recommender mention tagged as the accepted target).
 
-Two backends: an HTTP chat-completion client (configurable endpoint/model,
-token from an environment variable, retries with jittered exponential
-backoff that honour ``Retry-After``) and an offline generator that is a
-pure function of (template, item, seed) so the whole pipeline runs
-deterministic and network-free.
+Backends take whole batches (``generate_batch``). Two exist: an HTTP
+chat-completion client (configurable endpoint/model, token from an
+environment variable, retries with jittered exponential backoff that honour
+``Retry-After``, optional request threads) and an offline generator whose
+every row is a pure function of (template, item name, seed), so the whole
+pipeline runs deterministic and network-free.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import random
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -31,6 +32,11 @@ from .corpus import Dialogue, Turn, mention_token, save_dialogues
 from .augment import SyntheticPool
 
 LANGUAGES = frozenset({"en", "zh"})
+# Version of the pool bytes that (template, items, seed) give with the offline
+# backend, recorded in generation_log.json. Format 2: each row's choices come
+# from splitmix64 over its attempt seed, and ``en`` names are tagged only at
+# word boundaries.
+POOL_FORMAT = 2
 PLACEHOLDER = "{item_name}"
 
 _SPEAKER_PREFIXES = {
@@ -134,12 +140,12 @@ def render_prompt(template: PromptTemplate, item_name: str) -> str:
 
 
 class GenerationBackend(Protocol):
-    def generate(self, template: PromptTemplate, item_id: str, item_name: str, seed: int) -> str:
+    def generate_batch(
+        self, template: PromptTemplate, items: Sequence[tuple[str, str]], seeds: Sequence[int]
+    ) -> list[str]:
+        """One raw completion per ``(item_id, item_name)``, in item order,
+        the row for ``items[r]`` drawn with ``seeds[r]``."""
         ...
-
-
-def _item_key(item_id: str) -> int:
-    return int.from_bytes(hashlib.sha256(item_id.encode("utf-8")).digest()[:8], "big")
 
 
 _OPENERS = (
@@ -174,33 +180,78 @@ _CLOSERS = (
     "Great choice — have fun watching {name}!",
     "I hope {name} makes your evening, enjoy!",
 )
+# a row asks the follow-up question when its 5-way draw is below 3: p = 0.6
+_ASK_BUCKETS = 5
+_ASK_BELOW = 3
+# one 16-bit field per choice: opener, suggestion, ask, follow-up, detail,
+# accept, closer
+_CHOICE_SIZES = (
+    len(_OPENERS), len(_SUGGESTIONS), _ASK_BUCKETS, len(_FOLLOWUPS), len(_DETAILS),
+    len(_ACCEPTS), len(_CLOSERS),
+)
+
+_U64 = np.uint64
+_GOLDEN_GAMMA = _U64(0x9E3779B97F4A7C15)
+
+
+def _splitmix64(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One splitmix64 step on a uint64 column: (next state, output word).
+    Array arithmetic wraps mod 2**64 without overflow warnings."""
+    state = state + _GOLDEN_GAMMA
+    z = (state ^ (state >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return state, z ^ (z >> _U64(31))
+
+
+def _choices(seeds: Sequence[int], sizes: Sequence[int]) -> list[list[int]]:
+    """Column ``c`` holds each row's draw from ``range(sizes[c])``.
+
+    Row ``r`` depends only on ``seeds[r]``: splitmix64 from that seed gives
+    four 16-bit fields per word, and field ``f`` maps to ``(f * size) >> 16``
+    (multiply-shift, so each choice is uniform to within ``size / 2**16``).
+    """
+    state = np.asarray(seeds, dtype=np.uint64)
+    fields: list[np.ndarray] = []
+    while len(fields) < len(sizes):
+        state, word = _splitmix64(state)
+        fields += [(word >> _U64(shift)) & _U64(0xFFFF) for shift in (0, 16, 32, 48)]
+    return [((field * _U64(size)) >> _U64(16)).tolist() for field, size in zip(fields, sizes)]
 
 
 class OfflineTemplateBackend:
-    """Deterministic local generator: same (template, item, seed) -> same text.
+    """Deterministic local generator: same (template, item name, seed) -> same text.
 
     Emits a short "User:"/"System:" conversation that always names the item
-    in a System line, so the parser can tag the mention and the target.
+    in a System line, so the parser can tag the mention and the target. A
+    batch draws every row's choices in a few numpy calls; each row depends
+    only on its own item name and seed, never on the rest of the batch.
     """
 
     kind = "offline_template"
 
+    def generate_batch(
+        self, template: PromptTemplate, items: Sequence[tuple[str, str]], seeds: Sequence[int]
+    ) -> list[str]:
+        if len(items) != len(seeds):
+            raise ValueError(f"{len(items)} items for {len(seeds)} seeds")
+        texts = []
+        for (_, name), opener, suggestion, ask, followup, detail, accept, closer in zip(
+            items, *_choices(seeds, _CHOICE_SIZES)
+        ):
+            lines = [
+                "User: " + _OPENERS[opener],
+                "System: " + _SUGGESTIONS[suggestion].format(name=name),
+            ]
+            if ask < _ASK_BELOW:
+                lines.append("User: " + _FOLLOWUPS[followup])
+                lines.append("System: " + _DETAILS[detail])
+            lines.append("User: " + _ACCEPTS[accept])
+            lines.append("System: " + _CLOSERS[closer].format(name=name))
+            texts.append("\n".join(lines))
+        return texts
+
     def generate(self, template: PromptTemplate, item_id: str, item_name: str, seed: int) -> str:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, _item_key(item_id))))
-
-        def pick(bank: tuple[str, ...]) -> str:
-            return bank[int(rng.integers(len(bank)))]
-
-        lines = [
-            "User: " + pick(_OPENERS),
-            "System: " + pick(_SUGGESTIONS).format(name=item_name),
-        ]
-        if rng.random() < 0.6:
-            lines.append("User: " + pick(_FOLLOWUPS))
-            lines.append("System: " + pick(_DETAILS))
-        lines.append("User: " + pick(_ACCEPTS))
-        lines.append("System: " + pick(_CLOSERS).format(name=item_name))
-        return "\n".join(lines)
+        return self.generate_batch(template, [(item_id, item_name)], [seed])[0]
 
 
 class HttpChatBackend:
@@ -212,6 +263,10 @@ class HttpChatBackend:
     Before retry ``n`` the client sleeps a random time between half and all
     of ``backoff_base * 2 ** (n - 1)`` seconds, or, after a 429 or 503 that
     carries a ``Retry-After`` header in seconds, exactly that long.
+
+    A batch sends its requests from ``concurrency`` threads, or one after
+    another in the calling thread when ``concurrency`` is 1; the texts come
+    back in item order either way.
     """
 
     kind = "http_chat"
@@ -224,6 +279,7 @@ class HttpChatBackend:
         timeout: float = 30.0,
         max_attempts: int = 3,
         backoff_base: float = 1.0,
+        concurrency: int = 1,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
@@ -231,6 +287,23 @@ class HttpChatBackend:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
+        self.concurrency = concurrency
+
+    def generate_batch(
+        self, template: PromptTemplate, items: Sequence[tuple[str, str]], seeds: Sequence[int]
+    ) -> list[str]:
+        if len(items) != len(seeds):
+            raise ValueError(f"{len(items)} items for {len(seeds)} seeds")
+
+        def one(job: tuple[tuple[str, str], int]) -> str:
+            (item_id, item_name), seed = job
+            return self.generate(template, item_id, item_name, int(seed))
+
+        jobs = zip(items, seeds)
+        if self.concurrency <= 1:
+            return list(map(one, jobs))
+        with ThreadPoolExecutor(max_workers=self.concurrency) as executor:
+            return list(executor.map(one, jobs))
 
     def generate(self, template: PromptTemplate, item_id: str, item_name: str, seed: int) -> str:
         import requests  # only the HTTP backend pays for the import
@@ -296,22 +369,62 @@ def _retry_after_seconds(value: str | None) -> float | None:
 # reformatting
 
 
+def _tag_words(text: str, name: str, token: str) -> str | None:
+    """``text`` with every occurrence of ``name`` that no word character
+    touches on either side replaced by ``token``; None if there is none.
+    A word character is one of ``re``'s Unicode ``\\w``: alphanumeric or
+    ``_``. The neighbours are read from ``text`` as given."""
+    pieces: list[str] = []
+    start = 0
+    at = text.find(name)
+    while at >= 0:
+        end = at + len(name)
+        # one-character slices, empty at either end of the text
+        before, after = text[at - 1:at], text[end:end + 1]
+        if before.isalnum() or before == "_" or after.isalnum() or after == "_":
+            at = text.find(name, at + 1)
+            continue
+        pieces += (text[start:at], token)
+        start = end
+        at = text.find(name, end)
+    if not pieces:
+        return None
+    pieces.append(text[start:])
+    return "".join(pieces)
+
+
+def _tag_substrings(text: str, name: str, token: str) -> str | None:
+    """``text`` with every occurrence of ``name`` replaced by ``token``
+    (Chinese has no spaces between words); None if there is none."""
+    return text.replace(name, token) if name in text else None
+
+
+_TAGGERS = {"en": _tag_words, "zh": _tag_substrings}
+
+
 def parse_generated(
     raw: str,
     item_id: str,
     item_name: str,
     dialogue_id: str | None = None,
+    *,
+    language: str = "en",
 ) -> Dialogue:
     """Reformat raw generated text into a corpus-schema dialogue.
 
     Lines starting with "User:"/"Seeker:" become seeker turns and
     "System:"/"Recommender:" recommender turns; unprefixed lines continue the
-    previous turn. Exact item-name matches are replaced with the mention
-    token, and the final recommender turn naming the item carries it as the
-    target. Text without speaker prefixes, without any item mention, or
-    where no recommender turn names the item is rejected. Episode indices
-    follow the ``accept_boundary`` policy: the target turn ends episode 0.
+    previous turn. Item-name matches are replaced with the mention token: in
+    ``en`` only where neither neighbouring character is a word character
+    (so "Up" is not found in "Upon"), in ``zh`` wherever the name occurs. The
+    final recommender turn naming the item carries it as the target. Text
+    without speaker prefixes, without any item mention, or where no
+    recommender turn names the item is rejected. Episode indices follow the
+    ``accept_boundary`` policy: the target turn ends episode 0.
     """
+    tag = _TAGGERS.get(language)
+    if tag is None:
+        raise ValueError(f"unsupported language {language!r}")
     if not raw.strip():
         raise DialogueRejected("empty_text")
     turns: list[tuple[str, list[str]]] = []
@@ -328,6 +441,9 @@ def parse_generated(
         # unprefixed leading lines (model preamble chatter) are dropped
     if not turns:
         raise DialogueRejected("no_speaker_prefixes")
+    if not item_name:
+        # an empty name "occurs" everywhere; there is nothing to tag
+        raise DialogueRejected("item_name_not_found")
 
     token = mention_token(item_id)
     mention = (item_id,)
@@ -337,8 +453,9 @@ def parse_generated(
     for index, (speaker, pieces) in enumerate(turns):
         text = " ".join(pieces)
         mentions: tuple[str, ...] = ()
-        if item_name in text:
-            text = text.replace(item_name, token)
+        tagged = tag(text, item_name, token)
+        if tagged is not None:
+            text = tagged
             mentions = mention
             named = True
             if speaker == "recommender":
@@ -373,6 +490,15 @@ def parse_generated(
 class SkippedItem:
     item_id: str
     reason: str
+
+
+@dataclass(frozen=True)
+class GenerationRecord:
+    """What ``build_pool`` asked of its backend and what it did not accept."""
+
+    skipped: tuple[SkippedItem, ...]
+    attempts: int  # backend rows requested over all rounds
+    rejected: dict[str, int]  # rejected rows per reason over all rounds
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -464,43 +590,49 @@ def build_pool(
     output_path: str | Path | None = None,
     *,
     max_attempts: int = 3,
-    concurrency: int = 1,
-) -> tuple[SyntheticPool, list[SkippedItem]]:
-    """Generate one accepted dialogue per (item_id, name).
+) -> tuple[SyntheticPool, GenerationRecord]:
+    """Generate one accepted dialogue per (item_id, name), in rounds.
 
-    Rejected generations are retried with fresh derived seeds up to
-    ``max_attempts`` times, then logged as skipped. With ``concurrency``
-    above 1, backend requests run on that many threads (worth it only for
-    a backend that waits on the network); otherwise items are generated in
-    the calling thread. Outputs keep item order regardless of completion
-    order, and each attempt's seed depends only on (seed, item index,
-    attempt), so the pool is reproducible.
+    Round ``a`` sends every item still without an accepted dialogue to
+    ``backend.generate_batch`` with its seed ``derived_seeds(seed, ...)[index,
+    a]``, which depends only on (seed, item index, attempt), so the pool is
+    reproducible whatever the backend batches or threads. Items rejected in
+    all ``max_attempts`` rounds are skipped with their last reason. The pool
+    keeps item order.
     """
-
-    seeds = derived_seeds(seed, np.arange(len(items)), max_attempts).tolist()
-
-    def generate_one(job: tuple[int, tuple[str, str]]) -> Dialogue | SkippedItem:
-        index, (item_id, item_name) = job
-        reason = "no_attempts"
-        for derived in seeds[index]:
-            raw = backend.generate(template, item_id, item_name, derived)
+    seeds = derived_seeds(seed, np.arange(len(items)), max_attempts)
+    accepted: list[Dialogue | None] = [None] * len(items)
+    last_reason: dict[int, str] = {}
+    rejected: Counter[str] = Counter()
+    attempts = 0
+    pending = list(range(len(items)))
+    for attempt in range(max_attempts):
+        if not pending:
+            break
+        batch = [items[index] for index in pending]
+        texts = backend.generate_batch(template, batch, seeds[pending, attempt])
+        attempts += len(batch)
+        still_rejected = []
+        for index, (item_id, item_name), raw in zip(pending, batch, texts, strict=True):
             try:
-                return parse_generated(raw, item_id, item_name)
+                accepted[index] = parse_generated(
+                    raw, item_id, item_name, language=template.language
+                )
             except DialogueRejected as exc:
-                reason = exc.reason
-        return SkippedItem(item_id=item_id, reason=reason)
+                last_reason[index] = exc.reason
+                rejected[exc.reason] += 1
+                still_rejected.append(index)
+        pending = still_rejected
 
-    if concurrency <= 1:
-        results = list(map(generate_one, enumerate(items)))
-    else:
-        with ThreadPoolExecutor(max_workers=concurrency) as executor:
-            results = list(executor.map(generate_one, enumerate(items)))
-
-    accepted = [r for r in results if isinstance(r, Dialogue)]
-    skipped = [r for r in results if isinstance(r, SkippedItem)]
-    if not accepted:
+    dialogues = [dialogue for dialogue in accepted if dialogue is not None]
+    if not dialogues:
         raise BackendError("no synthetic dialogues were accepted")
-    synthetic_pool = SyntheticPool.from_dialogues(accepted)
+    synthetic_pool = SyntheticPool.from_dialogues(dialogues)
     if output_path is not None:
         save_dialogues(synthetic_pool.dialogues, output_path)
-    return synthetic_pool, skipped
+    record = GenerationRecord(
+        skipped=tuple(SkippedItem(items[i][0], last_reason.get(i, "no_attempts")) for i in pending),
+        attempts=attempts,
+        rejected=dict(rejected),
+    )
+    return synthetic_pool, record

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import shutil
 import tempfile
 from pathlib import Path
@@ -13,9 +14,10 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from crs_bias import cli
 from crs_bias.cli import main
 from crs_bias.config import ConfigError, _redact, load_config
-from crs_bias.synthgen import build_pool
+from crs_bias.synthgen import HttpChatBackend, OfflineTemplateBackend, build_pool
 
 DATA = Path(__file__).parent / "data"
 GOOD_TURN = b'{"speaker": "seeker", "text": "hi", "items": [], "targets": []}'
@@ -150,6 +152,19 @@ class TestGenerate:
             ({"generation": {"http": {"timeout": 0}}}, "generation.http.timeout"),
             ({"generation": {"http": {"timeout": float("inf")}}}, "generation.http.timeout"),
             ({"generation": {"http": {"timeout": 10**400}}}, "generation.http.timeout"),
+            ({"generation": {"items": True}}, "generation.items"),
+            ({"generation": {"items": 5}}, "generation.items"),
+            ({"generation": {"items": "m1"}}, "generation.items"),
+            ({"generation": {"items": []}}, "generation.items"),
+            ({"generation": {"items": ["m1", True]}}, "generation.items"),
+            ({"generation": {"items": ["m1", 1.5]}}, "generation.items"),
+            ({"generation": {"items": ["m1", "m2", "m1"]}}, "generation.items"),
+            ({"generation": {"language": 5}}, "generation.language"),
+            ({"generation": {"language": "fr"}}, "generation.language"),
+            ({"generation": {"language": ["en"]}}, "generation.language"),
+            ({"metrics": {"log_base": "10"}}, "metrics.log_base"),
+            ({"metrics": {"log_base": True}}, "metrics.log_base"),
+            ({"metrics": {"log_base": [10]}}, "metrics.log_base"),
         ],
     )
     def test_bad_integer_fields_exit_2(self, tmp_path, capsys, overrides, field):
@@ -174,6 +189,45 @@ class TestGenerate:
         assert len(pool_lines) == 4  # one dialogue per catalog item
         log = json.loads((tmp_path / "out" / "generation_log.json").read_text())
         assert log["n_accepted"] == 4 and log["n_skipped"] == 0
+        assert log["pool_format"] == 2
+        assert log["attempts"] == 4 and log["rejected"] == {}
+
+    def test_generation_log_counts_rejected_rows(self, tmp_path, monkeypatch):
+        rounds = []
+
+        class FirstRoundRejectsTwo(OfflineTemplateBackend):
+            def generate_batch(self, template, items, seeds):
+                rounds.append(len(items))
+                texts = super().generate_batch(template, items, seeds)
+                return ["no speakers" if len(rounds) == 1 and i in ("m1", "m3") else text
+                        for (i, _), text in zip(items, texts)]
+
+        monkeypatch.setattr(cli, "OfflineTemplateBackend", FirstRoundRejectsTwo)
+        config = write_config(tmp_path / "config.yaml")
+        assert main(["generate", "--config", str(config)]) == 0
+        log = json.loads((tmp_path / "out" / "generation_log.json").read_text())
+        assert log == {
+            "attempts": 6,
+            "backend": "offline_template",
+            "n_accepted": 4,
+            "n_items": 4,
+            "n_skipped": 0,
+            "pool_format": 2,
+            "rejected": {"no_speaker_prefixes": 2},
+            "skipped": [],
+            "template_id": "redial_en",
+        }
+        assert rounds == [4, 2]
+
+    def test_items_subset_with_integer_ids(self, tmp_path):
+        catalog = tmp_path / "catalog.jsonl"
+        catalog.write_text('{"item_id": 7, "name": "Heat"}\n{"item_id": "m2", "name": "Alien"}\n')
+        config = write_config(
+            tmp_path / "config.yaml", paths={"catalog": str(catalog)}, generation={"items": [7]}
+        )
+        assert main(["generate", "--config", str(config)]) == 0
+        pool = (tmp_path / "out" / "pool.jsonl").read_text().splitlines()
+        assert [json.loads(line)["dialogue_id"] for line in pool] == ["syn-7"]
 
     def test_generate_requires_seed(self, tmp_path, capsys):
         config = write_config(tmp_path / "config.yaml", seed=None)
@@ -672,10 +726,15 @@ class TestConfig:
         assert config.output_dir == tmp_path / "out"
 
     def test_generation_is_serial_by_default(self, tmp_path):
-        # the offline backend is CPU-bound: threads only slow it down
+        # only http_chat sends requests from threads; the offline backend has none
         config = load_config(write_config(tmp_path / "config.yaml"))
         assert config.generation.concurrency == 1
-        assert inspect.signature(build_pool).parameters["concurrency"].default == 1
+        assert inspect.signature(HttpChatBackend).parameters["concurrency"].default == 1
+        assert "concurrency" not in inspect.signature(build_pool).parameters
+        http = {"backend": "http_chat", "concurrency": 4,
+                "http": {"base_url": "https://llm.example/v1", "model": "chat-1"}}
+        config = load_config(write_config(tmp_path / "config.yaml", generation=http))
+        assert cli._make_backend(config).concurrency == 4
 
     def test_flag_overrides_win(self, tmp_path):
         config_path = write_config(tmp_path / "config.yaml", augment={"k": 2})
@@ -692,10 +751,18 @@ class TestConfig:
             {"episodes": {"policy": "nonsense"}},
             {"augment": {"strategy": "nonsense"}},
             {"popularity": {"eta": {"kind": "nonsense"}}},
+            {"popularity": {"eta": {"kind": "quantile", "top_fraction": 10**400}}},
         ):
             config_path = write_config(tmp_path / "config.yaml", **bad)
             with pytest.raises(ConfigError):
                 load_config(config_path)
+
+    @pytest.mark.parametrize("log_base, expected", [
+        ("e", math.e), ("natural", math.e), (None, math.e), (10, 10.0), (2.5, 2.5),
+    ])
+    def test_log_base_accepts_e_natural_and_numbers(self, tmp_path, log_base, expected):
+        config_path = write_config(tmp_path / "config.yaml", metrics={"log_base": log_base})
+        assert load_config(config_path).log_base == expected
 
     def test_n_workers_accepted_but_not_echoed(self, tmp_path):
         config_path = write_config(tmp_path / "config.yaml", metrics={"n_workers": 4})

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from crs_bias.synthgen import (
     BackendTimeoutError,
     DialogueRejected,
     EmptyCompletionError,
+    GenerationRecord,
     HttpChatBackend,
     OfflineTemplateBackend,
     PromptTemplate,
@@ -51,6 +54,17 @@ PIN_ITEMS = [
     (f"p{i}", PIN_TITLES[i // 3 % len(PIN_TITLES)] + ("" if i % 3 == 0 else f" {i}"))
     for i in range(360)
 ]
+
+SEEDS = st.integers(0, 2**64 - 1)
+# catalog names that stay on one line and are not blank
+NAMES = st.text(
+    st.characters(
+        blacklist_categories=("Cs",),
+        blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
+    ),
+    min_size=1,
+    max_size=12,
+).filter(str.strip)
 
 
 class TestTemplates:
@@ -126,6 +140,54 @@ class TestOfflineBackend:
     def test_generate_dialogue_dispatch(self):
         raw = OfflineTemplateBackend().generate(TEMPLATE, "m1", "Up", seed=1)
         assert "Up" in raw
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=NAMES, seed=SEEDS)
+    def test_generate_equals_one_row_batch(self, name, seed):
+        backend = OfflineTemplateBackend()
+        assert backend.generate(TEMPLATE, "m1", name, seed) == (
+            backend.generate_batch(TEMPLATE, [("m1", name)], [seed])[0]
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), seeds=st.lists(SEEDS, min_size=1, max_size=12))
+    def test_batch_rows_do_not_depend_on_the_rest_of_the_batch(self, data, seeds):
+        items = [(f"m{i}", ITEMS[i % len(ITEMS)][1]) for i in range(len(seeds))]
+        backend = OfflineTemplateBackend()
+        full = backend.generate_batch(TEMPLATE, items, np.array(seeds, dtype=np.uint64))
+        rows = data.draw(st.lists(st.sampled_from(range(len(seeds))), max_size=12))
+        subset = backend.generate_batch(
+            TEMPLATE, [items[r] for r in rows], np.array([seeds[r] for r in rows], dtype=np.uint64)
+        )
+        assert subset == [full[r] for r in rows]
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=NAMES, seed=SEEDS)
+    def test_every_offline_text_is_accepted(self, name, seed):
+        raw = OfflineTemplateBackend().generate(TEMPLATE, "m1", name, seed)
+        assert any(line.startswith("System: ") and name in line for line in raw.splitlines())
+        dialogue = parse_generated(raw, "m1", name)
+        assert [t for turn in dialogue.turns for t in turn.target_item_ids] == ["m1"]
+
+    def test_every_bank_line_is_drawn(self):
+        texts = OfflineTemplateBackend().generate_batch(
+            TEMPLATE, [("m1", "Heat")] * 2000, derived_seeds(3, np.arange(2000), 1)[:, 0]
+        )
+        lines = {line for text in texts for line in text.splitlines()}
+        for bank, speaker in (
+            (synthgen._OPENERS, "User"), (synthgen._SUGGESTIONS, "System"),
+            (synthgen._FOLLOWUPS, "User"), (synthgen._DETAILS, "System"),
+            (synthgen._ACCEPTS, "User"), (synthgen._CLOSERS, "System"),
+        ):
+            for entry in bank:
+                assert f"{speaker}: " + entry.format(name="Heat") in lines
+        # the follow-up question is asked with probability 0.6
+        asked = sum(len(text.splitlines()) == 6 for text in texts)
+        assert 0.55 < asked / len(texts) < 0.65
+
+    def test_batch_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="2 items for 1 seeds"):
+            OfflineTemplateBackend().generate_batch(TEMPLATE, ITEMS[:2], [1])
 
 
 class TestParsing:
@@ -206,6 +268,56 @@ class TestParsing:
         with pytest.raises(DialogueRejected):
             parse_generated("   \n  ", "m1", "Inception")
 
+    @pytest.mark.parametrize("word", ["Upon", "Up_", "Up2", "CheckUp", "_Up", "2Up", "Upé"])
+    def test_en_name_inside_a_word_not_tagged(self, word):
+        with pytest.raises(DialogueRejected) as err:
+            parse_generated(f"User: hi\nSystem: watch {word} tonight", "m4", "Up")
+        assert err.value.reason == "item_name_not_found"
+
+    @pytest.mark.parametrize("line, tagged", [
+        ("System: watch Up.", "watch @m4."),
+        ("System: watch (Up) tonight", "watch (@m4) tonight"),
+        ("System: Up is great", "@m4 is great"),
+        ("System: you will like Up", "you will like @m4"),
+        ("System: Up, Up! not Upon or Up2; Up", "@m4, @m4! not Upon or Up2; @m4"),
+    ])
+    def test_en_name_tagged_at_word_boundaries(self, line, tagged):
+        dialogue = parse_generated("User: hi\n" + line, "m4", "Up")
+        assert dialogue.turns[1].text == tagged
+        assert dialogue.turns[1].target_item_ids == ("m4",)
+
+    @pytest.mark.parametrize("name", ["(500) Days", "Up!", "...And Justice", "Léon: The Pro"])
+    def test_en_name_with_edge_punctuation_tagged(self, name):
+        dialogue = parse_generated(f"User: hi\nSystem: try {name} now", "m4", name)
+        assert dialogue.turns[1].text == "try @m4 now"
+
+    def test_zh_name_tagged_inside_running_text(self):
+        raw = "User: 有什么推荐吗\nSystem: 我推荐千与千寻给你"
+        dialogue = parse_generated(raw, "m8", "千与千寻", language="zh")
+        assert dialogue.turns[1].text == "我推荐@m8给你"
+        # the en rule sees Chinese characters as word characters
+        with pytest.raises(DialogueRejected):
+            parse_generated(raw, "m8", "千与千寻", language="en")
+
+    def test_empty_name_rejected(self):
+        with pytest.raises(DialogueRejected) as err:
+            parse_generated("User: hi\nSystem: watch this", "m1", "")
+        assert err.value.reason == "item_name_not_found"
+
+    def test_unknown_language_rejected(self):
+        with pytest.raises(ValueError, match="language"):
+            parse_generated("User: hi\nSystem: Up", "m4", "Up", language="fr")
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        text=st.text("Up_2 .(é\u0301\u00b2-", max_size=16),
+        name=st.text("Up_2 .(é\u0301\u00b2-", min_size=1, max_size=4),
+    )
+    def test_word_tagging_equals_the_regex_rule(self, text, name):
+        pattern = re.compile(r"(?<!\w)" + re.escape(name) + r"(?!\w)")
+        expected, count = pattern.subn(lambda match: "@m4", text)
+        assert synthgen._tag_words(text, name, "@m4") == (expected if count else None)
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(
         st.tuples(
@@ -226,13 +338,34 @@ class TestParsing:
         )
 
 
+def _answer(item_name: str) -> str:
+    return f"User: hi\nSystem: watch {item_name}"
+
+
+class ScriptedBackend:
+    """Rejects the rows ``reject(item_id, attempt)`` names, with a text that
+    has no speaker prefixes, and records every batch it is sent."""
+
+    def __init__(self, reject=lambda item_id, attempt: False):
+        self.reject = reject
+        self.calls: list[tuple[list[tuple[str, str]], list[int]]] = []
+
+    def generate_batch(self, template, items, seeds):
+        attempt = len(self.calls)
+        self.calls.append((list(items), [int(s) for s in seeds]))
+        return [
+            "no speakers at all" if self.reject(item_id, attempt) else _answer(item_name)
+            for item_id, item_name in items
+        ]
+
+
 class TestBuildPool:
     def test_offline_pool_of_six(self, tmp_path):
-        pool, skipped = build_pool(
+        pool, record = build_pool(
             OfflineTemplateBackend(), TEMPLATE, ITEMS, seed=5, output_path=tmp_path / "pool.jsonl"
         )
         assert len(pool) == 6
-        assert skipped == []
+        assert record == GenerationRecord(skipped=(), attempts=6, rejected={})
         assert sorted(pool.item_of.values()) == sorted(i for i, _ in ITEMS)
 
     def test_pool_roundtrips_through_corpus_schema(self, tmp_path):
@@ -247,60 +380,28 @@ class TestBuildPool:
         second, _ = build_pool(OfflineTemplateBackend(), TEMPLATE, ITEMS, seed=5)
         assert first.dialogues == second.dialogues
 
-    def test_concurrency_does_not_change_output(self):
-        serial, _ = build_pool(OfflineTemplateBackend(), TEMPLATE, ITEMS, seed=5, concurrency=1)
-        parallel, _ = build_pool(OfflineTemplateBackend(), TEMPLATE, ITEMS, seed=5, concurrency=4)
+    def _http_pool(self, monkeypatch, concurrency):
+        monkeypatch.setenv("CRSBIAS_LLM_TOKEN", "t")
+        names = [name for _, name in ITEMS]
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            name = json["messages"][1]["content"].removeprefix("Recommend ").removesuffix(
+                " in a short conversation."
+            )
+            # later items answer sooner, so threads finish out of item order
+            time.sleep(0.002 * (len(names) - names.index(name)))
+            return _FakeResponse(content=_answer(name))
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        backend = HttpChatBackend("https://llm.example/v1", "chat-1", concurrency=concurrency)
+        return build_pool(backend, TEMPLATE, ITEMS, seed=5)
+
+    def test_concurrency_does_not_change_output(self, monkeypatch):
+        serial, serial_record = self._http_pool(monkeypatch, concurrency=1)
+        parallel, parallel_record = self._http_pool(monkeypatch, concurrency=4)
         assert serial.dialogues == parallel.dialogues
-
-    def test_rejected_item_skipped_and_logged(self):
-        class BrokenForOne:
-            inner = OfflineTemplateBackend()
-
-            def generate(self, template, item_id, item_name, seed):
-                if item_id == "m2":
-                    return "no speakers at all"
-                return self.inner.generate(template, item_id, item_name, seed)
-
-        pool, skipped = build_pool(BrokenForOne(), TEMPLATE, ITEMS, seed=5)
-        assert len(pool) == 5
-        assert skipped == [SkippedItem(item_id="m2", reason="no_speaker_prefixes")]
-
-    def test_zero_accepted_is_error(self):
-        class AlwaysBroken:
-            def generate(self, template, item_id, item_name, seed):
-                return "garbage"
-
-        with pytest.raises(BackendError, match="no synthetic dialogues"):
-            build_pool(AlwaysBroken(), TEMPLATE, ITEMS, seed=5)
-
-    def test_retry_uses_fresh_seed(self):
-        calls: dict[str, list[int]] = {}
-
-        class FlakyFirstAttempt:
-            inner = OfflineTemplateBackend()
-
-            def generate(self, template, item_id, item_name, seed):
-                calls.setdefault(item_id, []).append(seed)
-                if len(calls[item_id]) == 1:
-                    return "unparseable"
-                return self.inner.generate(template, item_id, item_name, seed)
-
-        pool, skipped = build_pool(FlakyFirstAttempt(), TEMPLATE, ITEMS[:2], seed=5)
-        assert len(pool) == 2 and not skipped
-        for seeds in calls.values():
-            assert len(seeds) == 2 and seeds[0] != seeds[1]
-
-    def test_pool_file_is_pinned(self, tmp_path):
-        # computed with one np.random.SeedSequence per attempt and a second
-        # Dialogue build for the episodes; the pool must stay byte-identical
-        path = tmp_path / "pool.jsonl"
-        pool, skipped = build_pool(
-            OfflineTemplateBackend(), builtin_template("en"), PIN_ITEMS, seed=5, output_path=path
-        )
-        assert len(pool) == len(PIN_ITEMS) and not skipped
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "16fafe2c8541a1a36bca484112be4ec27750220dc54688b809c90d6242b1aed1"
-        )
+        assert [d.item_ids() for d in serial.dialogues] == [(i,) for i, _ in ITEMS]
+        assert serial_record == parallel_record
 
     def test_serial_build_constructs_no_executor(self, monkeypatch):
         constructed = []
@@ -311,28 +412,142 @@ class TestBuildPool:
             return real(max_workers=max_workers)
 
         monkeypatch.setattr(synthgen, "ThreadPoolExecutor", recording)
-        serial, _ = build_pool(OfflineTemplateBackend(), TEMPLATE, ITEMS, seed=5, concurrency=1)
+        serial, _ = self._http_pool(monkeypatch, concurrency=1)
         assert constructed == []
-        parallel, _ = build_pool(OfflineTemplateBackend(), TEMPLATE, ITEMS, seed=5, concurrency=3)
-        assert constructed == [3]
+        parallel, _ = self._http_pool(monkeypatch, concurrency=4)
+        assert constructed == [4]
         assert serial.dialogues == parallel.dialogues
 
+    def test_offline_backend_constructs_no_executor(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the offline backend must not build a thread pool")
+
+        monkeypatch.setattr(synthgen, "ThreadPoolExecutor", forbidden)
+        pool, _ = build_pool(OfflineTemplateBackend(), TEMPLATE, ITEMS, seed=5)
+        assert len(pool) == len(ITEMS)
+
+    def test_rejected_item_skipped_and_logged(self):
+        backend = ScriptedBackend(reject=lambda item_id, attempt: item_id == "m2")
+        pool, record = build_pool(backend, TEMPLATE, ITEMS, seed=5)
+        assert len(pool) == 5
+        assert record == GenerationRecord(
+            skipped=(SkippedItem(item_id="m2", reason="no_speaker_prefixes"),),
+            attempts=8,
+            rejected={"no_speaker_prefixes": 3},
+        )
+
+    def test_record_counts_attempts_and_rejections_per_reason(self):
+        class TwoRejectedOnce:
+            def generate_batch(self, template, items, seeds):
+                first_round = len(items) == len(ITEMS)
+                return [
+                    "no speakers" if first_round and item_id == "m1"
+                    else "User: hi\nSystem: nothing named" if first_round and item_id == "m4"
+                    else _answer(item_name)
+                    for item_id, item_name in items
+                ]
+
+        pool, record = build_pool(TwoRejectedOnce(), TEMPLATE, ITEMS, seed=5)
+        assert len(pool) == 6
+        assert record == GenerationRecord(
+            skipped=(),
+            attempts=8,
+            rejected={"item_name_not_found": 1, "no_speaker_prefixes": 1},
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(rejects=st.lists(
+        st.lists(st.booleans(), min_size=3, max_size=3), min_size=1, max_size=len(ITEMS)
+    ))
+    def test_round_sends_only_rejected_items_with_their_attempt_seeds(self, rejects):
+        items = ITEMS[:len(rejects)]
+        index_of = {item_id: index for index, (item_id, _) in enumerate(items)}
+        backend = ScriptedBackend(reject=lambda item_id, a: rejects[index_of[item_id]][a])
+        seeds = derived_seeds(5, np.arange(len(items)), 3)
+        expected_calls = []
+        pending = list(range(len(items)))
+        for attempt in range(3):
+            if pending:
+                expected_calls.append(
+                    ([items[i] for i in pending], [int(seeds[i, attempt]) for i in pending])
+                )
+            pending = [i for i in pending if rejects[i][attempt]]
+        if len(pending) == len(items):
+            with pytest.raises(BackendError, match="no synthetic dialogues"):
+                build_pool(backend, TEMPLATE, items, seed=5)
+        else:
+            pool, record = build_pool(backend, TEMPLATE, items, seed=5)
+            assert [d.item_ids() for d in pool.dialogues] == [
+                (item_id,) for index, (item_id, _) in enumerate(items) if index not in pending
+            ]
+            assert record.skipped == tuple(
+                SkippedItem(items[i][0], "no_speaker_prefixes") for i in pending
+            )
+            assert record.attempts == sum(len(call[0]) for call in expected_calls)
+        assert backend.calls == expected_calls
+
+    def test_zero_accepted_is_error(self):
+        backend = ScriptedBackend(reject=lambda item_id, attempt: True)
+        with pytest.raises(BackendError, match="no synthetic dialogues"):
+            build_pool(backend, TEMPLATE, ITEMS, seed=5)
+
+    def test_retry_uses_fresh_seed(self):
+        calls: dict[str, list[int]] = {}
+
+        class FlakyFirstAttempt:
+            inner = OfflineTemplateBackend()
+
+            def generate_batch(self, template, items, seeds):
+                texts = self.inner.generate_batch(template, items, seeds)
+                for (item_id, _), seed in zip(items, seeds):
+                    calls.setdefault(item_id, []).append(int(seed))
+                return [
+                    "unparseable" if len(calls[item_id]) == 1 else text
+                    for (item_id, _), text in zip(items, texts)
+                ]
+
+        pool, record = build_pool(FlakyFirstAttempt(), TEMPLATE, ITEMS[:2], seed=5)
+        assert len(pool) == 2 and not record.skipped
+        for seeds in calls.values():
+            assert len(seeds) == 2 and seeds[0] != seeds[1]
+
+    def test_pool_tags_by_template_language(self):
+        class Chinese:
+            def generate_batch(self, template, items, seeds):
+                return [f"User: 有什么推荐\nSystem: 我推荐{name}给你" for _, name in items]
+
+        items = [("z1", "千与千寻")]
+        zh = PromptTemplate("t-zh", "zh", "推荐 {item_name}。")
+        pool, _ = build_pool(Chinese(), zh, items, seed=5)
+        assert pool.dialogues[0].turns[1].text == "我推荐@z1给你"
+        with pytest.raises(BackendError, match="no synthetic dialogues"):
+            build_pool(Chinese(), TEMPLATE, items, seed=5)
+
+    def test_pool_file_is_pinned(self, tmp_path):
+        # pool format 2: every row drawn by splitmix64 from its attempt
+        # seed, en names tagged at word boundaries; the pool must stay
+        # byte-identical until the format changes again
+        path = tmp_path / "pool.jsonl"
+        pool, record = build_pool(
+            OfflineTemplateBackend(), builtin_template("en"), PIN_ITEMS, seed=5, output_path=path
+        )
+        assert len(pool) == len(PIN_ITEMS) and not record.skipped
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "4582434fd62ec22093c0ce73845ffbdc29e8066081d15b4f1719e0dc1dc1644f"
+        )
+
     def test_no_seed_sequence_per_item(self, monkeypatch):
-        seen = []
-
-        class RecordingBackend:
-            def generate(self, template, item_id, item_name, seed):
-                seen.append(seed)
-                return f"User: hi\nSystem: watch {item_name}"
-
         def forbidden(*args, **kwargs):
             raise AssertionError("build_pool must not build a SeedSequence")
 
+        backend = ScriptedBackend()
         monkeypatch.setattr(np.random, "SeedSequence", forbidden)
-        pool, _ = build_pool(RecordingBackend(), TEMPLATE, ITEMS, seed=5)
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        pool, _ = build_pool(backend, TEMPLATE, ITEMS, seed=5)
+        offline, _ = build_pool(OfflineTemplateBackend(), TEMPLATE, ITEMS, seed=5)
         monkeypatch.undo()
-        assert len(pool) == len(ITEMS)
-        assert seen == [
+        assert len(pool) == len(offline) == len(ITEMS)
+        assert backend.calls[0][1] == [
             int(np.random.SeedSequence((5, index, 0)).generate_state(1, np.uint64)[0])
             for index in range(len(ITEMS))
         ]
