@@ -2,7 +2,8 @@
 
 Every command is driven by one config file (see ``config.load_config``) with
 flag overrides, writes its outputs plus a redacted config echo into the
-configured output directory, and is reproducible from config + seed alone.
+configured output directory, and is reproducible from config + seed alone
+(except ``generate`` with the ``http_chat`` backend, which sends no seed).
 
 Exit codes: 0 success, 2 config/input error, 3 generation-backend error,
 4 internal invariant violation.
@@ -114,10 +115,14 @@ def cmd_generate(config: RunConfig) -> int:
             raise ConfigError(f"generation.items: unknown item ids {unknown}")
         items = [(i, catalog.name_of(i)) for i in config.generation.items]
 
-    if config.generation.template is not None:
-        if not config.generation.template.exists():
-            raise ConfigError(f"generation.template: no such file: {config.generation.template}")
-        template = load_template(config.generation.template)
+    template_path = config.generation.template
+    if template_path is not None:
+        if not template_path.exists():
+            raise ConfigError(f"generation.template: no such file: {template_path}")
+        try:
+            template = load_template(template_path)
+        except (OSError, ValueError) as exc:  # a directory, non-UTF-8, bad header or body
+            raise ConfigError(f"generation.template {template_path}: {exc}") from None
     else:
         template = builtin_template(config.generation.language)
     backend = _make_backend(config)

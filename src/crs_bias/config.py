@@ -175,6 +175,16 @@ def _parse_timeout(value: Any) -> float:
     return timeout
 
 
+def _parse_string(value: Any, name: str, optional: bool) -> str | None:
+    """A non-empty YAML string, or null when ``optional``."""
+    if value is None and optional:
+        return None
+    if type(value) is not str or not value:
+        expected = "null or a non-empty string" if optional else "a non-empty string"
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    return value
+
+
 def _parse_items(value: Any) -> list[str] | None:
     """A non-empty YAML list of distinct item ids, each read by ``corpus.parse_id``."""
     if value is None:
@@ -295,9 +305,11 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
             ),
             concurrency=_parse_int(generation.get("concurrency", 1), "generation.concurrency", 1),
             http=HttpSettings(
-                base_url=http.get("base_url"),
-                model=http.get("model"),
-                token_env=str(http.get("token_env", "CRSBIAS_LLM_TOKEN")),
+                base_url=_parse_string(http.get("base_url"), "generation.http.base_url", True),
+                model=_parse_string(http.get("model"), "generation.http.model", True),
+                token_env=_parse_string(
+                    http.get("token_env", "CRSBIAS_LLM_TOKEN"), "generation.http.token_env", False
+                ),
                 timeout=_parse_timeout(http.get("timeout", 30.0)),
             ),
         ),

@@ -33,10 +33,11 @@ from .augment import SyntheticPool
 
 LANGUAGES = frozenset({"en", "zh"})
 # Version of the pool bytes that (template, items, seed) give with the offline
-# backend, recorded in generation_log.json. Format 2: each row's choices come
+# backend, recorded in generation_log.json. Format 3: attempt seeds come from
+# a splitmix64 key chain over (seed, item index, attempt), each row's choices
 # from splitmix64 over its attempt seed, and ``en`` names are tagged only at
 # word boundaries.
-POOL_FORMAT = 2
+POOL_FORMAT = 3
 PLACEHOLDER = "{item_name}"
 
 _SPEAKER_PREFIXES = {
@@ -100,10 +101,10 @@ def load_template(path: str | Path) -> PromptTemplate:
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines:
-        raise ValueError(f"{path}: empty template file")
+        raise ValueError("empty template file")
     header = lines[0].split()
     if len(header) != 2:
-        raise ValueError(f"{path}: header must be '<template_id> <language>'")
+        raise ValueError(f"header must be '<template_id> <language>', got {lines[0]!r}")
     rest = "\n".join(lines[1:])
     if "\n---\n" in rest or rest.startswith("---\n"):
         preamble, _, body = rest.partition("---")
@@ -266,7 +267,8 @@ class HttpChatBackend:
 
     A batch sends its requests from ``concurrency`` threads, or one after
     another in the calling thread when ``concurrency`` is 1; the texts come
-    back in item order either way.
+    back in item order either way. The row seeds are not sent, so the
+    completions are not reproducible from the seed.
     """
 
     kind = "http_chat"
@@ -501,85 +503,23 @@ class GenerationRecord:
     rejected: dict[str, int]  # rejected rows per reason over all rounds
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_XSHIFT = 16
-_POOL_SIZE = 4
-
-
-def _uint32_words(value: int) -> list[int]:
-    """SeedSequence's entropy words for a non-negative int: little-endian, 0 -> [0]."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _hashmix(init: int, mult: int):
-    """SeedSequence's hash: XOR with a running constant, multiply by the next
-    one, fold the high half down. Applied element-wise to uint32 arrays."""
-    hash_const = init
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * mult) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
-
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return result ^ (result >> _XSHIFT)
-
-
 def derived_seeds(seed: int, indices: np.ndarray, n_attempts: int) -> np.ndarray:
     """Per-(item, attempt) seeds as a ``(len(indices), n_attempts)`` uint64 matrix.
 
-    ``out[r, a]`` equals ``np.random.SeedSequence((seed, indices[r], a))
-    .generate_state(1, np.uint64)[0]``: SeedSequence's ``mix_entropy`` and
-    ``generate_state`` run on whole columns instead of once per item.
+    A splitmix64 key chain: from state 0, each step adds a value to the state
+    and keeps splitmix64's output word. The steps fold in the seed's 64-bit
+    words, most significant first, then ``indices[r]``, then the attempt
+    ``a``, so ``out[r, a]`` depends only on (seed, indices[r], a). With the
+    low word folded last, ``seed`` and ``seed + 2**64`` reach it from
+    different states.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    seed_words = _uint32_words(seed)
-    indices = np.asarray(indices, dtype=np.uint64)
-    attempts = np.arange(n_attempts, dtype=np.uint32)
-    out = np.empty((len(indices), n_attempts), dtype=np.uint64)
-    wide = indices > _MASK32  # an index of two entropy words
-    for rows, n_index_words in ((~wide, 1), (wide, 2)):
-        if not rows.any():
-            continue
-        index = indices[rows, None]
-        entropy = seed_words + [index & _MASK32, index >> 32][:n_index_words] + [attempts[None]]
-        # 2-d words broadcast to (rows, attempts); arrays, not numpy scalars,
-        # wrap mod 2**32 without overflow warnings
-        words = [np.array(w, dtype=np.uint32, ndmin=2) for w in entropy]
-        words += [np.zeros((1, 1), dtype=np.uint32)] * (_POOL_SIZE - len(words))
-        hashmix = _hashmix(_INIT_A, _MULT_A)
-        pool = [hashmix(w) for w in words[:_POOL_SIZE]]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-        for word in words[_POOL_SIZE:]:
-            for dst in range(_POOL_SIZE):
-                pool[dst] = _mix(pool[dst], hashmix(word))
-        # generate_state(1, np.uint64): two uint32 words, little-endian
-        hashmix = _hashmix(_INIT_B, _MULT_B)
-        low, high = (hashmix(word).astype(np.uint64) for word in pool[:2])
-        out[rows] = low | (high << np.uint64(32))
-    return out
+    key = np.zeros(1, dtype=np.uint64)
+    for shift in reversed(range(0, max(seed.bit_length(), 1), 64)):
+        key = _splitmix64(key + _U64((seed >> shift) % 2**64))[1]
+    rows = _splitmix64(key + np.asarray(indices, dtype=np.uint64))[1]
+    return _splitmix64(rows[:, None] + np.arange(n_attempts, dtype=np.uint64))[1]
 
 
 def build_pool(
@@ -596,16 +536,19 @@ def build_pool(
     Round ``a`` sends every item still without an accepted dialogue to
     ``backend.generate_batch`` with its seed ``derived_seeds(seed, ...)[index,
     a]``, which depends only on (seed, item index, attempt), so the pool is
-    reproducible whatever the backend batches or threads. Items rejected in
-    all ``max_attempts`` rounds are skipped with their last reason. The pool
-    keeps item order.
+    reproducible whatever the backend batches or threads. Items with an empty
+    name are skipped as ``item_name_not_found`` before any round, so no
+    backend is sent them; items rejected in all ``max_attempts`` rounds are
+    skipped with their last reason. The pool and the skipped items keep item
+    order.
     """
     seeds = derived_seeds(seed, np.arange(len(items)), max_attempts)
     accepted: list[Dialogue | None] = [None] * len(items)
-    last_reason: dict[int, str] = {}
+    # an empty name can be neither prompted for nor tagged
+    last_reason = {i: "item_name_not_found" for i, (_, name) in enumerate(items) if not name}
     rejected: Counter[str] = Counter()
     attempts = 0
-    pending = list(range(len(items)))
+    pending = [index for index in range(len(items)) if index not in last_reason]
     for attempt in range(max_attempts):
         if not pending:
             break
@@ -631,7 +574,11 @@ def build_pool(
     if output_path is not None:
         save_dialogues(synthetic_pool.dialogues, output_path)
     record = GenerationRecord(
-        skipped=tuple(SkippedItem(items[i][0], last_reason.get(i, "no_attempts")) for i in pending),
+        skipped=tuple(
+            SkippedItem(items[i][0], last_reason.get(i, "no_attempts"))
+            for i, dialogue in enumerate(accepted)
+            if dialogue is None
+        ),
         attempts=attempts,
         rejected=dict(rejected),
     )

@@ -231,3 +231,15 @@ def standard_run(corpus: Corpus, seed: int = 2024) -> RankedRun:
                 ranked, turn.target_item_ids,
             ))
     return RankedRun("standard", tuple(entries), cutoffs=(5, 10, 20))
+
+
+class FakeResponse:
+    """A chat-completion reply as ``requests.post`` would return it."""
+
+    def __init__(self, status_code=200, content="User: hi\nSystem: watch Alien.", headers=None):
+        self.status_code = status_code
+        self._content = content
+        self.headers = headers or {}
+
+    def json(self):
+        return {"choices": [{"message": {"content": self._content}}]}

@@ -10,6 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import requests
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,8 @@ from crs_bias import cli
 from crs_bias.cli import main
 from crs_bias.config import ConfigError, _redact, load_config
 from crs_bias.synthgen import HttpChatBackend, OfflineTemplateBackend, build_pool
+
+from helpers import FakeResponse
 
 DATA = Path(__file__).parent / "data"
 GOOD_TURN = b'{"speaker": "seeker", "text": "hi", "items": [], "targets": []}'
@@ -165,6 +168,14 @@ class TestGenerate:
             ({"metrics": {"log_base": "10"}}, "metrics.log_base"),
             ({"metrics": {"log_base": True}}, "metrics.log_base"),
             ({"metrics": {"log_base": [10]}}, "metrics.log_base"),
+            ({"generation": {"http": {"base_url": 5}}}, "generation.http.base_url"),
+            ({"generation": {"http": {"base_url": ["a"]}}}, "generation.http.base_url"),
+            ({"generation": {"http": {"base_url": ""}}}, "generation.http.base_url"),
+            ({"generation": {"http": {"model": ["x"]}}}, "generation.http.model"),
+            ({"generation": {"http": {"model": 5}}}, "generation.http.model"),
+            ({"generation": {"http": {"token_env": 5}}}, "generation.http.token_env"),
+            ({"generation": {"http": {"token_env": ""}}}, "generation.http.token_env"),
+            ({"generation": {"http": {"token_env": None}}}, "generation.http.token_env"),
         ],
     )
     def test_bad_integer_fields_exit_2(self, tmp_path, capsys, overrides, field):
@@ -189,7 +200,7 @@ class TestGenerate:
         assert len(pool_lines) == 4  # one dialogue per catalog item
         log = json.loads((tmp_path / "out" / "generation_log.json").read_text())
         assert log["n_accepted"] == 4 and log["n_skipped"] == 0
-        assert log["pool_format"] == 2
+        assert log["pool_format"] == 3
         assert log["attempts"] == 4 and log["rejected"] == {}
 
     def test_generation_log_counts_rejected_rows(self, tmp_path, monkeypatch):
@@ -212,7 +223,7 @@ class TestGenerate:
             "n_accepted": 4,
             "n_items": 4,
             "n_skipped": 0,
-            "pool_format": 2,
+            "pool_format": 3,
             "rejected": {"no_speaker_prefixes": 2},
             "skipped": [],
             "template_id": "redial_en",
@@ -252,6 +263,59 @@ class TestGenerate:
         )
         assert main(["generate", "--config", str(config)]) == 3
         assert "backend error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"only_one_word\nRecommend {item_name}.\n", "header must be"),
+            (b"t1 en extra\nRecommend {item_name}.\n", "header must be"),
+            (b"t1 fr\nRecommend {item_name}.\n", "unsupported template language 'fr'"),
+            (b"t1 en\nRecommend something.\n", "exactly one {item_name}"),
+            (b"", "empty template file"),
+            (b"t1 en\nRecommend \xff{item_name}.\n", "can't decode"),
+            (None, "Is a directory"),
+        ],
+    )
+    def test_malformed_template_exits_2(self, tmp_path, capsys, content, message):
+        template = tmp_path / "template.txt"
+        if content is None:
+            template.mkdir()
+        else:
+            template.write_bytes(content)
+        config = write_config(tmp_path / "config.yaml", generation={"template": str(template)})
+        assert main(["generate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: generation.template {template}: ")
+        assert message in err
+        assert not (tmp_path / "out" / "pool.jsonl").exists()
+
+    def test_empty_catalog_name_skipped_with_http_backend(self, tmp_path, monkeypatch):
+        catalog = tmp_path / "catalog.jsonl"
+        catalog.write_text('{"item_id": "m1", "name": "Heat"}\n{"item_id": "m2", "name": ""}\n')
+        sent = []
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            prompt = json["messages"][1]["content"]
+            if "Heat" not in prompt:
+                raise AssertionError("the item with an empty name was sent")
+            sent.append(prompt)
+            return FakeResponse(content="User: hi\nSystem: watch Heat")
+
+        monkeypatch.setenv("CRSBIAS_LLM_TOKEN", "t")
+        monkeypatch.setattr(requests, "post", fake_post)
+        config = write_config(
+            tmp_path / "config.yaml",
+            paths={"catalog": str(catalog)},
+            generation={
+                "backend": "http_chat",
+                "http": {"base_url": "http://127.0.0.1:9", "model": "chat-1"},
+            },
+        )
+        assert main(["generate", "--config", str(config)]) == 0
+        assert len(sent) == 1
+        log = json.loads((tmp_path / "out" / "generation_log.json").read_text())
+        assert log["skipped"] == [{"item_id": "m2", "reason": "item_name_not_found"}]
+        assert log["n_accepted"] == 1 and log["attempts"] == 1
 
     def test_unknown_items_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path / "config.yaml", generation={"items": ["m1", "zz"]})

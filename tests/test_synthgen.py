@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crs_bias import synthgen
@@ -32,6 +32,8 @@ from crs_bias.synthgen import (
     parse_generated,
     render_prompt,
 )
+
+from helpers import FakeResponse
 
 TEMPLATE = PromptTemplate(
     template_id="t-test",
@@ -390,7 +392,7 @@ class TestBuildPool:
             )
             # later items answer sooner, so threads finish out of item order
             time.sleep(0.002 * (len(names) - names.index(name)))
-            return _FakeResponse(content=_answer(name))
+            return FakeResponse(content=_answer(name))
 
         monkeypatch.setattr(requests, "post", fake_post)
         backend = HttpChatBackend("https://llm.example/v1", "chat-1", concurrency=concurrency)
@@ -524,16 +526,17 @@ class TestBuildPool:
             build_pool(Chinese(), TEMPLATE, items, seed=5)
 
     def test_pool_file_is_pinned(self, tmp_path):
-        # pool format 2: every row drawn by splitmix64 from its attempt
-        # seed, en names tagged at word boundaries; the pool must stay
-        # byte-identical until the format changes again
+        # pool format 3: attempt seeds from the splitmix64 key chain, every
+        # row drawn by splitmix64 from its attempt seed, en names tagged at
+        # word boundaries; the pool must stay byte-identical until the format
+        # changes again
         path = tmp_path / "pool.jsonl"
         pool, record = build_pool(
             OfflineTemplateBackend(), builtin_template("en"), PIN_ITEMS, seed=5, output_path=path
         )
         assert len(pool) == len(PIN_ITEMS) and not record.skipped
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "4582434fd62ec22093c0ce73845ffbdc29e8066081d15b4f1719e0dc1dc1644f"
+            "a00f08e7a5f992aeeaf344ed626e3a090f7eaf4785da0d91567ac5ec5b0a041c"
         )
 
     def test_no_seed_sequence_per_item(self, monkeypatch):
@@ -547,40 +550,90 @@ class TestBuildPool:
         offline, _ = build_pool(OfflineTemplateBackend(), TEMPLATE, ITEMS, seed=5)
         monkeypatch.undo()
         assert len(pool) == len(offline) == len(ITEMS)
-        assert backend.calls[0][1] == [
-            int(np.random.SeedSequence((5, index, 0)).generate_state(1, np.uint64)[0])
-            for index in range(len(ITEMS))
-        ]
+        assert backend.calls[0][1] == derived_seeds(5, np.arange(len(ITEMS)), 1)[:, 0].tolist()
+
+    def test_empty_name_skipped_before_any_round(self):
+        items = [("e0", ""), *ITEMS[:3], ("e1", "")]
+        backend = ScriptedBackend(reject=lambda item_id, attempt: item_id == "m1")
+        pool, record = build_pool(backend, TEMPLATE, items, seed=5)
+        assert [d.item_ids() for d in pool.dialogues] == [("m0",), ("m2",)]
+        assert all(name for batch, _ in backend.calls for _, name in batch)
+        assert record == GenerationRecord(
+            skipped=(
+                SkippedItem("e0", "item_name_not_found"),
+                SkippedItem("m1", "no_speaker_prefixes"),
+                SkippedItem("e1", "item_name_not_found"),
+            ),
+            attempts=5,
+            rejected={"no_speaker_prefixes": 3},
+        )
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    seed=st.integers(0, 2**128),
-    indices=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    seed=st.integers(0, 2**192),
+    indices=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8, unique=True),
     n_attempts=st.integers(1, 5),
+    data=st.data(),
 )
-def test_derived_seeds_equal_seed_sequence(seed, indices, n_attempts):
+def test_derived_seed_rows_equal_the_full_matrix_rows(seed, indices, n_attempts, data):
+    index_array = np.array(indices, dtype=np.uint64)
+    full = derived_seeds(seed, index_array, n_attempts)
+    assert full.shape == (len(indices), n_attempts) and full.dtype == np.uint64
+    rows = data.draw(st.lists(st.sampled_from(range(len(indices))), unique=True))
+    subset = derived_seeds(seed, np.array([indices[r] for r in rows], dtype=np.uint64), n_attempts)
+    assert subset.shape == (len(rows), n_attempts) and subset.dtype == np.uint64
+    assert subset.tolist() == full[rows].tolist()
+    # fewer attempts give the leading columns of the same rows
+    assert derived_seeds(seed, index_array, 1).tolist() == full[:, :1].tolist()
+
+
+def _splitmix64_word(state: int) -> int:
+    """splitmix64's output word for ``state``, in Python integers."""
+    z = (state + 0x9E3779B97F4A7C15) % 2**64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    return z ^ z >> 31
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**192),
+    indices=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    n_attempts=st.integers(1, 4),
+)
+def test_derived_seeds_follow_the_splitmix64_key_chain(seed, indices, n_attempts):
+    raw = seed.to_bytes(8 * max(1, -(-seed.bit_length() // 64)), "big")
+    key = 0
+    for start in range(0, len(raw), 8):  # the seed's 64-bit words, most significant first
+        key = _splitmix64_word((key + int.from_bytes(raw[start:start + 8], "big")) % 2**64)
+    expected = [
+        [_splitmix64_word((_splitmix64_word((key + index) % 2**64) + a) % 2**64)
+         for a in range(n_attempts)]
+        for index in indices
+    ]
     seeds = derived_seeds(seed, np.array(indices, dtype=np.uint64), n_attempts)
-    assert seeds.shape == (len(indices), n_attempts) and seeds.dtype == np.uint64
-    for row, index in enumerate(indices):
-        for attempt in range(n_attempts):
-            expected = np.random.SeedSequence((seed, index, attempt)).generate_state(1, np.uint64)
-            assert seeds[row, attempt] == expected[0]
+    assert seeds.tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**192), index=st.integers(0, 2**64 - 1))
+@example(seed=0, index=0)
+@example(seed=2**64 - 1, index=2**64 - 1)
+@example(seed=2**128 - 1, index=1)
+def test_derived_seeds_tell_seed_from_seed_plus_2_64(seed, index):
+    indices = np.array([index], dtype=np.uint64)
+    assert (derived_seeds(seed, indices, 3) != derived_seeds(seed + 2**64, indices, 3)).all()
+
+
+def test_derived_seeds_have_no_repeats_at_tgredial_scale():
+    seeds = derived_seeds(1, np.arange(33_834), 3)
+    assert len(np.unique(seeds)) == seeds.size == 33_834 * 3
 
 
 def test_derived_seeds_reject_negative_seed():
     with pytest.raises(ValueError, match="non-negative"):
         derived_seeds(-1, np.arange(2), 1)
-
-
-class _FakeResponse:
-    def __init__(self, status_code=200, content="User: hi\nSystem: watch Alien.", headers=None):
-        self.status_code = status_code
-        self._content = content
-        self.headers = headers or {}
-
-    def json(self):
-        return {"choices": [{"message": {"content": self._content}}]}
 
 
 class TestHttpBackend:
@@ -606,7 +659,7 @@ class TestHttpBackend:
 
         def fake_post(url, json=None, headers=None, timeout=None):
             seen.update(url=url, payload=json, headers=headers, timeout=timeout)
-            return _FakeResponse()
+            return FakeResponse()
 
         monkeypatch.setattr(requests, "post", fake_post)
         text = self._backend().generate(TEMPLATE, "m1", "Alien", seed=0)
@@ -623,7 +676,7 @@ class TestHttpBackend:
 
         def fake_post(*args, **kwargs):
             calls.append(1)
-            return _FakeResponse(status_code=401)
+            return FakeResponse(status_code=401)
 
         monkeypatch.setattr(requests, "post", fake_post)
         with pytest.raises(BackendAuthError):
@@ -645,7 +698,7 @@ class TestHttpBackend:
 
     def test_server_errors_retried(self, monkeypatch):
         monkeypatch.setenv("CRSBIAS_LLM_TOKEN", "t")
-        responses = [_FakeResponse(status_code=503), _FakeResponse()]
+        responses = [FakeResponse(status_code=503), FakeResponse()]
 
         def fake_post(*args, **kwargs):
             return responses.pop(0)
@@ -657,14 +710,14 @@ class TestHttpBackend:
     def test_empty_completion_is_typed_error(self, monkeypatch):
         monkeypatch.setenv("CRSBIAS_LLM_TOKEN", "t")
         monkeypatch.setattr(
-            requests, "post", lambda *a, **k: _FakeResponse(content="   ")
+            requests, "post", lambda *a, **k: FakeResponse(content="   ")
         )
         with pytest.raises(EmptyCompletionError):
             self._backend().generate(TEMPLATE, "m1", "Alien", seed=0)
 
     def test_client_error_is_typed_error(self, monkeypatch):
         monkeypatch.setenv("CRSBIAS_LLM_TOKEN", "t")
-        monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeResponse(status_code=404))
+        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(status_code=404))
         with pytest.raises(BackendError, match="404"):
             self._backend().generate(TEMPLATE, "m1", "Alien", seed=0)
 
@@ -678,9 +731,9 @@ class TestHttpBackend:
 
     def test_retry_after_seconds_honoured_on_429_and_503(self, monkeypatch):
         sleeps = self._scripted(monkeypatch, [
-            _FakeResponse(status_code=429, headers={"Retry-After": "7"}),
-            _FakeResponse(status_code=503, headers={"Retry-After": "0.5"}),
-            _FakeResponse(),
+            FakeResponse(status_code=429, headers={"Retry-After": "7"}),
+            FakeResponse(status_code=503, headers={"Retry-After": "0.5"}),
+            FakeResponse(),
         ])
         backend = HttpChatBackend("https://llm.example/v1", "chat-1", max_attempts=3)
         assert "Alien" in backend.generate(TEMPLATE, "m1", "Alien", seed=0)
@@ -688,10 +741,10 @@ class TestHttpBackend:
 
     def test_retry_after_ignored_when_not_seconds_or_not_429_503(self, monkeypatch):
         sleeps = self._scripted(monkeypatch, [
-            _FakeResponse(status_code=500, headers={"Retry-After": "30"}),
-            _FakeResponse(status_code=429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
-            _FakeResponse(status_code=503, headers={"Retry-After": "-4"}),
-            _FakeResponse(),
+            FakeResponse(status_code=500, headers={"Retry-After": "30"}),
+            FakeResponse(status_code=429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+            FakeResponse(status_code=503, headers={"Retry-After": "-4"}),
+            FakeResponse(),
         ])
         backend = HttpChatBackend(
             "https://llm.example/v1", "chat-1", max_attempts=4, backoff_base=2.0
@@ -703,7 +756,7 @@ class TestHttpBackend:
             assert 2.0 * 2 ** (n - 1) / 2 <= slept <= 2.0 * 2 ** (n - 1)
 
     def test_backoff_is_jittered(self, monkeypatch):
-        sleeps = self._scripted(monkeypatch, [_FakeResponse(status_code=502)] * 40)
+        sleeps = self._scripted(monkeypatch, [FakeResponse(status_code=502)] * 40)
         backend = HttpChatBackend(
             "https://llm.example/v1", "chat-1", max_attempts=40, backoff_base=1e-9
         )
