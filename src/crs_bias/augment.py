@@ -29,8 +29,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Dialogue, load_dialogues, read_json_lines, write_json_lines
-from .popularity import PopularityTable, item_coverage, train_frequencies
+from .corpus import SYNTHETIC, Corpus, CorpusError, Dialogue, DialogueColumns, ItemIndex
+from .corpus import load_dialogues, read_json_lines, write_json_lines
+from .popularity import PopularityTable, item_coverage, train_counts
 
 # stream tags keep the shuffle RNG disjoint from per-anchor sampling RNGs
 _STREAM_SHUFFLE = 0
@@ -48,33 +49,52 @@ class AuditError(RuntimeError):
     """A generated plan violates the popularity filter invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticPool:
-    """Generated single-item dialogues available as augmentation material."""
+    """Generated single-item dialogues available as augmentation material, in a
+    ``DialogueColumns`` store; dialogue ``d`` recommends item ``item_codes[d]``."""
 
-    dialogues: tuple[Dialogue, ...]
-    item_of: dict[str, str]
+    columns: DialogueColumns
+    item_codes: np.ndarray
 
     @classmethod
-    def from_dialogues(cls, dialogues: Sequence[Dialogue]) -> "SyntheticPool":
-        """Validate that each dialogue recommends exactly one distinct item."""
-        item_of: dict[str, str] = {}
-        for d in dialogues:
-            if d.provenance != "synthetic":
-                raise AugmentError(f"pool dialogue {d.dialogue_id!r} is not synthetic")
-            if d.dialogue_id in item_of:
-                raise AugmentError(f"pool contains duplicate dialogue_id {d.dialogue_id!r}")
-            items = d.item_ids()
-            if len(items) != 1:
-                raise AugmentError(
-                    f"pool dialogue {d.dialogue_id!r} mentions {len(items)} distinct items; "
-                    f"exactly one is required"
-                )
-            item_of[d.dialogue_id] = items[0]
-        return cls(dialogues=tuple(dialogues), item_of=item_of)
+    def from_columns(cls, columns: DialogueColumns) -> "SyntheticPool":
+        """Validate that each dialogue is synthetic and touches exactly one item."""
+        rows, codes = columns.dialogue_items
+        n_items = np.bincount(rows, minlength=len(columns))
+        synthetic = columns.provenance == SYNTHETIC
+        bad = np.flatnonzero(~synthetic | (n_items != 1))
+        if bad.size:
+            row = bad[0]
+            if not synthetic[row]:
+                raise AugmentError(f"pool dialogue {columns.dialogue_ids[row]!r} is not synthetic")
+            raise AugmentError(
+                f"pool dialogue {columns.dialogue_ids[row]!r} mentions {n_items[row]} distinct "
+                f"items; exactly one is required"
+            )
+        return cls(columns=columns, item_codes=codes)
 
-    def by_id(self) -> dict[str, Dialogue]:
-        return {d.dialogue_id: d for d in self.dialogues}
+    @classmethod
+    def from_dialogues(
+        cls, dialogues: Sequence[Dialogue], items: ItemIndex | None = None
+    ) -> "SyntheticPool":
+        """The pool of ``Dialogue`` objects, validated as ``from_columns`` does;
+        item ids are interned into ``items`` (a fresh index when None)."""
+        try:
+            columns = DialogueColumns.from_dialogues(dialogues, items)
+        except CorpusError as exc:  # a repeated dialogue_id
+            raise AugmentError(f"pool contains {exc}") from None
+        return cls.from_columns(columns)
+
+    @cached_property
+    def item_of(self) -> dict[str, str]:
+        """dialogue_id -> the item it recommends."""
+        ids = self.columns.items.ids
+        return dict(zip(self.columns.dialogue_ids, map(ids.__getitem__, self.item_codes.tolist())))
+
+    @property
+    def dialogues(self) -> tuple[Dialogue, ...]:  # built on each access, not kept
+        return tuple(self.columns.iter_dialogues())
 
     @cached_property
     def digest(self) -> str:
@@ -82,11 +102,12 @@ class SyntheticPool:
         return pool_digest(self)
 
     def __len__(self) -> int:
-        return len(self.dialogues)
+        return len(self.columns)
 
 
-def load_pool(path: str | Path) -> SyntheticPool:
-    return SyntheticPool.from_dialogues(load_dialogues(path))
+def load_pool(path: str | Path, items: ItemIndex | None = None) -> SyntheticPool:
+    """Read a pool file; its item ids go into ``items`` (a new index if None)."""
+    return SyntheticPool.from_columns(load_dialogues(path, items))
 
 
 def pool_digest(pool: SyntheticPool) -> str:
@@ -99,7 +120,8 @@ def pool_digest(pool: SyntheticPool) -> str:
 
 def anchor_popularity(dialogue: Dialogue, table: PopularityTable) -> float:
     """Popularity of a training dialogue: the max over its items' scores."""
-    return max((table.pop_of(i) for i in dialogue.item_ids()), default=0.0)
+    columns = DialogueColumns.from_dialogues([dialogue])
+    return float(columns.dialogue_max(table.arrays(columns.items)[0])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -108,18 +130,16 @@ def anchor_popularity(dialogue: Dialogue, table: PopularityTable) -> float:
 
 def once_aug(train: Corpus, pool: SyntheticPool) -> Corpus:
     """Append every pool dialogue to the training split; other splits untouched."""
-    appended = tuple(
-        replace(d, split="train", provenance="synthetic") for d in pool.dialogues
-    )
-    return Corpus(catalog=train.catalog, dialogues=train.dialogues + appended)
+    return train.appended(pool.columns, np.arange(len(pool)), split="train", provenance="synthetic")
 
 
 # ---------------------------------------------------------------------------
 # weighted sampling
 
 
-def _weight_prefix(weights) -> tuple[np.ndarray, np.ndarray]:
-    """Validated int64 weights and their cumulative sums."""
+def _weight_prefix(weights) -> tuple[list[int], list[int]]:
+    """Validated integer weights and their cumulative sums, as lists: a
+    draw's searches are ``bisect`` calls, far cheaper than numpy calls."""
     weights = np.asarray(weights)
     if weights.size and weights.dtype.kind not in "iu":
         raise AugmentError("weights must be integers")
@@ -128,11 +148,11 @@ def _weight_prefix(weights) -> tuple[np.ndarray, np.ndarray]:
     if sum(weights.tolist()) >= 2**53:
         raise AugmentError("total weight must be below 2**53")
     weights = weights.astype(np.int64)
-    return weights, np.cumsum(weights)
+    return weights.tolist(), np.cumsum(weights).tolist()
 
 
 def _draw(
-    prefix: np.ndarray, weights: np.ndarray, cut: int, k: int, rng: np.random.Generator
+    prefix: list[int], weights: list[int], cut: int, k: int, rng: np.random.Generator
 ) -> list[int]:
     """Indices of up to k draws without replacement from ``weights[:cut]``.
 
@@ -145,16 +165,16 @@ def _draw(
     """
     removed: list[int] = []  # drawn indices, sorted
     chosen: list[int] = []
-    total = int(prefix[cut - 1]) if cut else 0
+    total = prefix[cut - 1] if cut else 0
     for _ in range(min(k, cut)):
         if total > 0:
             target = min(int(rng.random() * total), total - 1)
-            index = int(np.searchsorted(prefix, target, side="right"))
+            index = bisect_right(prefix, target)
             for r in removed:
                 if r > index:
                     break
-                target += int(weights[r])
-                index = int(np.searchsorted(prefix, target, side="right"))
+                target += weights[r]
+                index = bisect_right(prefix, target)
         else:
             # live position -> index: step past the removed indices
             index = int(rng.integers(cut - len(removed)))
@@ -164,7 +184,7 @@ def _draw(
                 index += 1
         insort(removed, index)
         chosen.append(index)
-        total -= int(weights[index])
+        total -= weights[index]
     return chosen
 
 
@@ -257,52 +277,38 @@ def pop_nudge(
     if seed < 0:
         raise AugmentError("seed must be a non-negative integer")
 
-    train_dialogues = train.split("train")
+    train_rows = train.split_rows("train")
     order = np.random.default_rng(
         np.random.SeedSequence((seed, _STREAM_SHUFFLE))
-    ).permutation(len(train_dialogues))
-    shuffled = [train_dialogues[i] for i in order]
+    ).permutation(len(train_rows))
+    shuffled = train_rows[order]
 
     # canonical candidate order: by (item frequency, dialogue_id); a sorted
-    # prefix then gives each anchor its candidate set via one bisect. With
+    # prefix then gives each anchor its candidate set via one search. With
     # pop = freq / max_freq this is the popularity order, and frequencies
     # weight the draws exactly as popularities would
-    freq = table.freq
-    ranked_pool = sorted(
-        (freq.get(item, 0), dialogue_id) for dialogue_id, item in pool.item_of.items()
-    )
+    ranked_pool = sorted(zip(
+        table.freq_array(pool.columns.items)[pool.item_codes].tolist(), pool.columns.dialogue_ids
+    ))
     pool_freqs, pool_ids = zip(*ranked_pool)
     weights, prefix = _weight_prefix(pool_freqs)
+    anchor_freqs = train.columns.dialogue_max(table.freq_array(train.columns.items))
+    cuts = np.searchsorted(np.asarray(pool_freqs), anchor_freqs[shuffled], side="right").tolist()
 
     batches: list[PlanBatch] = []
-    n_without = 0
-    n_truncated = 0
-    for batch_index in range(0, len(shuffled), batch_size):
-        batch_dialogues = shuffled[batch_index : batch_index + batch_size]
+    for batch_index, start in enumerate(range(0, len(shuffled), batch_size)):
+        batch = slice(start, start + batch_size)
+        anchor_ids = tuple(map(train.columns.dialogue_ids.__getitem__, shuffled[batch].tolist()))
         samples: dict[str, tuple[str, ...]] = {}
-        for anchor_position, anchor in enumerate(batch_dialogues):
-            anchor_freq = max((freq.get(i, 0) for i in anchor.item_ids()), default=0)
-            cut = bisect_right(pool_freqs, anchor_freq)
+        for anchor_position, (anchor_id, cut) in enumerate(zip(anchor_ids, cuts[batch])):
             if cut == 0:
-                n_without += 1
-                samples[anchor.dialogue_id] = ()
+                samples[anchor_id] = ()
                 continue
-            if cut < k:
-                n_truncated += 1
             rng = np.random.default_rng(
-                np.random.SeedSequence(
-                    (seed, _STREAM_ANCHOR, batch_index // batch_size, anchor_position)
-                )
+                np.random.SeedSequence((seed, _STREAM_ANCHOR, batch_index, anchor_position))
             )
-            drawn = _draw(prefix, weights, cut, k, rng)
-            samples[anchor.dialogue_id] = tuple(pool_ids[i] for i in drawn)
-        batches.append(
-            PlanBatch(
-                index=batch_index // batch_size,
-                anchor_ids=tuple(d.dialogue_id for d in batch_dialogues),
-                samples=samples,
-            )
-        )
+            samples[anchor_id] = tuple(pool_ids[i] for i in _draw(prefix, weights, cut, k, rng))
+        batches.append(PlanBatch(index=batch_index, anchor_ids=anchor_ids, samples=samples))
     return AugmentationPlan(
         seed=seed,
         k=k,
@@ -310,8 +316,8 @@ def pop_nudge(
         strategy="pop_nudge",
         pool_digest=pool.digest,
         batches=tuple(batches),
-        n_anchors_without_candidates=n_without,
-        n_anchors_truncated=n_truncated,
+        n_anchors_without_candidates=cuts.count(0),
+        n_anchors_truncated=sum(0 < cut < k for cut in cuts),
     )
 
 
@@ -329,15 +335,15 @@ class MaterializedBatch:
 def _check_plan_references(plan: AugmentationPlan, train: Corpus, pool: SyntheticPool) -> None:
     """Every anchor is a training dialogue, every sample a pool dialogue,
     and the pool is the one the plan was drawn from."""
-    train_ids = {d.dialogue_id for d in train.split("train")}
-    pool_by_id = pool.by_id()
+    train_ids = set(map(train.columns.dialogue_ids.__getitem__, train.split_rows("train").tolist()))
+    pool_row = pool.columns.row_of
     for batch in plan.batches:
         for anchor_id in batch.anchor_ids:
             if anchor_id not in train_ids:
                 raise AugmentError(f"plan references unknown training dialogue {anchor_id!r}")
         for sampled in batch.samples.values():
             for synthetic_id in sampled:
-                if synthetic_id not in pool_by_id:
+                if synthetic_id not in pool_row:
                     raise AugmentError(f"plan references unknown pool dialogue {synthetic_id!r}")
     if plan.pool_digest != pool.digest:
         raise AugmentError(f"plan was drawn from another pool (pool_digest {plan.pool_digest!r})")
@@ -352,7 +358,7 @@ def iter_batches(
     """
     _check_plan_references(plan, train, pool)
     train_by_id = train.by_id()
-    pool_by_id = pool.by_id()
+    pool_by_id = dict(zip(pool.columns.dialogue_ids, pool.dialogues))
 
     def generate() -> Iterator[MaterializedBatch]:
         for batch in plan.batches:
@@ -371,12 +377,9 @@ def iter_batches(
 def materialize_flat(plan: AugmentationPlan, train: Corpus, pool: SyntheticPool) -> Corpus:
     """Union every appended synthetic dialogue into the training split once."""
     _check_plan_references(plan, train, pool)
-    pool_by_id = pool.by_id()
-    appended = tuple(
-        replace(pool_by_id[s], split="train", provenance="synthetic")
-        for s in plan.appended_ids()
-    )
-    return Corpus(catalog=train.catalog, dialogues=train.dialogues + appended)
+    pool_row = pool.columns.row_of
+    rows = np.array([pool_row[s] for s in plan.appended_ids()], dtype=np.int64)
+    return train.appended(pool.columns, rows, split="train", provenance="synthetic")
 
 
 def audit_plan(
@@ -388,14 +391,16 @@ def audit_plan(
     """Independent filter check: every appended item must be at most as
     popular as its anchor. Returns a list of violations (empty = pass)."""
     violations: list[str] = []
-    train_by_id = train.by_id()
+    anchor_pops = train.columns.dialogue_max(table.arrays(train.columns.items)[0])
+    anchor_pop_of = dict(zip(train.columns.dialogue_ids, anchor_pops.tolist()))
+    item_pops = table.arrays(pool.columns.items)[0][pool.item_codes]
+    item_pop_of = dict(zip(pool.columns.dialogue_ids, item_pops.tolist()))
     for batch in plan.batches:
         for anchor_id, sampled in batch.samples.items():
-            anchor = train_by_id.get(anchor_id)
-            if anchor is None:
+            anchor_pop = anchor_pop_of.get(anchor_id)
+            if anchor_pop is None:
                 violations.append(f"batch {batch.index}: unknown anchor {anchor_id!r}")
                 continue
-            anchor_pop = anchor_popularity(anchor, table)
             if len(set(sampled)) != len(sampled):
                 violations.append(f"batch {batch.index}: anchor {anchor_id!r} has duplicate samples")
             if len(sampled) > plan.k:
@@ -403,17 +408,15 @@ def audit_plan(
                     f"batch {batch.index}: anchor {anchor_id!r} has {len(sampled)} samples > k"
                 )
             for synthetic_id in sampled:
-                item_id = pool.item_of.get(synthetic_id)
-                if item_id is None:
+                item_pop = item_pop_of.get(synthetic_id)
+                if item_pop is None:
                     violations.append(
                         f"batch {batch.index}: sample {synthetic_id!r} is not in the pool"
                     )
-                    continue
-                if table.pop_of(item_id) > anchor_pop:
+                elif item_pop > anchor_pop:
                     violations.append(
                         f"batch {batch.index}: anchor {anchor_id!r} (pop {anchor_pop:.6f}) "
-                        f"was augmented with {synthetic_id!r} "
-                        f"(item pop {table.pop_of(item_id):.6f})"
+                        f"was augmented with {synthetic_id!r} (item pop {item_pop:.6f})"
                     )
     return violations
 
@@ -564,23 +567,18 @@ class LongtailReport:
 def longtail_report(before: Corpus, after: Corpus) -> LongtailReport:
     if set(before.catalog.items) != set(after.catalog.items):
         raise AugmentError("longtail_report requires corpora over the same catalog")
-    freq_before = train_frequencies(before)
-    freq_after = train_frequencies(after)
-    items = list(freq_before)
-    x = [freq_before[i] for i in items]
-    y = [freq_after[i] for i in items]
-    if x == y:
-        rank_correlation = 1.0
-    else:
-        rank_correlation = spearman(x, y)
+    x = train_counts(before)
+    freq_before = dict(zip(before.catalog.items, x.tolist()))
+    freq_after = dict(zip(after.catalog.items, train_counts(after).tolist()))
+    y = np.array(list(map(freq_after.__getitem__, freq_before)), dtype=np.int64)
     return LongtailReport(
         freq_before=freq_before,
         freq_after=freq_after,
-        rank_correlation=rank_correlation,
+        rank_correlation=1.0 if np.array_equal(x, y) else spearman(x, y),
         coverage_before=item_coverage(freq_before),
         coverage_after=item_coverage(freq_after),
-        n_items_gained=sum(1 for i in items if freq_before[i] == 0 and freq_after[i] > 0),
-        max_frequency_drop=max((freq_before[i] - freq_after[i] for i in items), default=0),
-        curve_before=tuple(sorted(x, reverse=True)),
-        curve_after=tuple(sorted(y, reverse=True)),
+        n_items_gained=int(np.count_nonzero((x == 0) & (y > 0))),
+        max_frequency_drop=int((x - y).max()),  # the catalog is never empty
+        curve_before=tuple(np.sort(x)[::-1].tolist()),
+        curve_after=tuple(np.sort(y)[::-1].tolist()),
     )

@@ -162,7 +162,8 @@ def cmd_augment(config: RunConfig) -> int:
     out = _prepare_output_dir(config)
 
     corpus, _ = load_corpus(corpus_path, catalog_path)
-    pool = aug.load_pool(pool_path)
+    # one item index for corpus and pool: catalog order, unknown ids appended
+    pool = aug.load_pool(pool_path, items=corpus.columns.items)
 
     plan = None
     if config.strategy == "once_aug":
@@ -195,7 +196,7 @@ def cmd_augment(config: RunConfig) -> int:
         "rank_correlation": tail.rank_correlation,
         "n_items_gained": tail.n_items_gained,
         "max_frequency_drop": tail.max_frequency_drop,
-        "n_train_dialogues_after": len(augmented.split("train")),
+        "n_train_dialogues_after": len(augmented.split_rows("train")),
         "n_anchors_without_candidates": plan.n_anchors_without_candidates if plan else None,
         "n_anchors_truncated": plan.n_anchors_truncated if plan else None,
     }

@@ -185,6 +185,17 @@ def _parse_string(value: Any, name: str, optional: bool) -> str | None:
     return value
 
 
+def _parse_base_url(value: Any) -> str | None:
+    """Null, or a non-empty string that starts with ``http://`` or ``https://``."""
+    base_url = _parse_string(value, "generation.http.base_url", True)
+    if base_url is not None and not base_url.lower().startswith(("http://", "https://")):
+        raise ConfigError(
+            "generation.http.base_url must be a URL starting with http:// or https://, "
+            f"got {base_url!r}"
+        )
+    return base_url
+
+
 def _parse_items(value: Any) -> list[str] | None:
     """A non-empty YAML list of distinct item ids, each read by ``corpus.parse_id``."""
     if value is None:
@@ -305,7 +316,7 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
             ),
             concurrency=_parse_int(generation.get("concurrency", 1), "generation.concurrency", 1),
             http=HttpSettings(
-                base_url=_parse_string(http.get("base_url"), "generation.http.base_url", True),
+                base_url=_parse_base_url(http.get("base_url")),
                 model=_parse_string(http.get("model"), "generation.http.model", True),
                 token_env=_parse_string(
                     http.get("token_env", "CRSBIAS_LLM_TOKEN"), "generation.http.token_env", False

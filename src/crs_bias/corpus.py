@@ -7,6 +7,13 @@ turn record) and per-turn ground-truth target items. Dialogues can be
 segmented into "episodes": spans that end when a recommendation is accepted,
 i.e. when a turn carries a non-empty target list.
 
+In memory, dialogues live in one ``DialogueColumns`` store: arrays per
+dialogue and per turn, with every item id interned into one ``ItemIndex``.
+Loading fills the store in one validating pass per line, and the per-turn
+work (unknown mentions, segmentation, and the frequency and join passes of
+the other modules) is array work over it. ``Turn`` and ``Dialogue`` objects
+are built only when a caller asks for them.
+
 File formats (UTF-8, one JSON object per line):
 
 * corpus file — ``{"dialogue_id", "split", "turns": [{"speaker", "text",
@@ -24,15 +31,30 @@ from __future__ import annotations
 import gc
 import json
 import os
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter, sub
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-SPEAKERS = frozenset({"seeker", "recommender"})
-SPLITS = frozenset({"train", "valid", "test"})
-PROVENANCES = frozenset({"original", "synthetic"})
+import numpy as np
+
+# a column stores each of these as its position in the tuple
+SPEAKER_NAMES = ("seeker", "recommender")
+SPLIT_NAMES = ("train", "valid", "test")
+PROVENANCE_NAMES = ("original", "synthetic")
+SPEAKERS = frozenset(SPEAKER_NAMES)
+SPLITS = frozenset(SPLIT_NAMES)
 EPISODE_POLICIES = frozenset({"explicit", "accept_boundary"})
+
+_SPEAKER_CODE = {name: code for code, name in enumerate(SPEAKER_NAMES)}
+_SPLIT_CODE = {name: code for code, name in enumerate(SPLIT_NAMES)}
+_PROVENANCE_CODE = {name: code for code, name in enumerate(PROVENANCE_NAMES)}
+TRAIN = _SPLIT_CODE["train"]
+SYNTHETIC = _PROVENANCE_CODE["synthetic"]
 
 
 class CorpusError(ValueError):
@@ -67,6 +89,25 @@ class ItemCatalog:
         return self.items[item_id]
 
 
+class ItemIndex:
+    """Dense integer ids for item ids: catalog items first, in catalog order;
+    ids outside the catalog are appended in the order they are first seen."""
+
+    def __init__(self, catalog_ids: Iterable[str] = ()):
+        self.ids: list[str] = list(catalog_ids)
+        self.code: dict[str, int] = {item_id: n for n, item_id in enumerate(self.ids)}
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def intern(self, item_id: str) -> int:
+        code = self.code.get(item_id)
+        if code is None:
+            code = self.code[item_id] = len(self.ids)
+            self.ids.append(item_id)
+        return code
+
+
 class _TurnFields(NamedTuple):
     speaker: str
     text: str
@@ -77,9 +118,8 @@ class _TurnFields(NamedTuple):
 class Turn(_TurnFields):
     """One utterance: who spoke, the text, and item ids mentioned/accepted.
 
-    An immutable named tuple: a corpus holds one per utterance (about 180k
-    at ReDial scale), and a tuple is the cheapest object to build that
-    keeps the field names.
+    An immutable named tuple, the cheapest object to build that keeps the
+    field names.
     """
 
     __slots__ = ()
@@ -100,6 +140,34 @@ class Turn(_TurnFields):
         return tuple(dict.fromkeys(self.mentioned_item_ids + self.target_item_ids))
 
 
+def _dialogue_codes(dialogue_id: str, n_turns: int, split, provenance, episodes) -> tuple[int, int]:
+    """The split and provenance codes of a dialogue's fields; ``CorpusError``
+    if they break a rule. ``episodes`` is None or a sequence of integers."""
+    if not dialogue_id:
+        raise CorpusError("dialogue_id must be non-empty")
+    if not n_turns:
+        raise CorpusError(f"dialogue {dialogue_id!r} has no turns")
+    split_code = _SPLIT_CODE.get(split) if type(split) is str else None
+    if split_code is None:
+        raise CorpusError(f"dialogue {dialogue_id!r}: unknown split {split!r}")
+    provenance_code = _PROVENANCE_CODE.get(provenance) if type(provenance) is str else None
+    if provenance_code is None:
+        raise CorpusError(f"dialogue {dialogue_id!r}: unknown provenance {provenance!r}")
+    if episodes is not None:
+        if len(episodes) != n_turns:
+            raise CorpusError(
+                f"dialogue {dialogue_id!r}: {len(episodes)} episode indices for {n_turns} turns"
+            )
+        if episodes[0] != 0:
+            raise CorpusError(f"dialogue {dialogue_id!r}: episodes must start at 0")
+        if not {0, 1}.issuperset(map(sub, episodes[1:], episodes)):
+            raise CorpusError(
+                f"dialogue {dialogue_id!r}: episode indices must be "
+                f"non-decreasing with steps of at most 1"
+            )
+    return split_code, provenance_code
+
+
 @dataclass(frozen=True)
 class Dialogue:
     """A multi-turn conversation, optionally segmented into episodes.
@@ -116,31 +184,10 @@ class Dialogue:
     provenance: str = "original"
 
     def __post_init__(self) -> None:
-        if not self.dialogue_id:
-            raise CorpusError("dialogue_id must be non-empty")
-        if not self.turns:
-            raise CorpusError(f"dialogue {self.dialogue_id!r} has no turns")
-        if type(self.split) is not str or self.split not in SPLITS:
-            raise CorpusError(f"dialogue {self.dialogue_id!r}: unknown split {self.split!r}")
-        if type(self.provenance) is not str or self.provenance not in PROVENANCES:
-            raise CorpusError(
-                f"dialogue {self.dialogue_id!r}: unknown provenance {self.provenance!r}"
-            )
-        episodes = self.episode_index_per_turn
-        if episodes is not None:
-            if len(episodes) != len(self.turns):
-                raise CorpusError(
-                    f"dialogue {self.dialogue_id!r}: {len(episodes)} episode indices "
-                    f"for {len(self.turns)} turns"
-                )
-            if episodes[0] != 0:
-                raise CorpusError(f"dialogue {self.dialogue_id!r}: episodes must start at 0")
-            for prev, cur in zip(episodes, episodes[1:]):
-                if cur - prev not in (0, 1):
-                    raise CorpusError(
-                        f"dialogue {self.dialogue_id!r}: episode indices must be "
-                        f"non-decreasing with steps of at most 1"
-                    )
+        _dialogue_codes(
+            self.dialogue_id, len(self.turns), self.split, self.provenance,
+            self.episode_index_per_turn,
+        )
 
     def item_ids(self) -> tuple[str, ...]:
         """Unique item ids across all turns, in first-appearance order."""
@@ -154,27 +201,500 @@ class Dialogue:
         return self.episode_index_per_turn[-1] + 1
 
 
-@dataclass(frozen=True)
+class DialogueRow(NamedTuple):
+    """One dialogue read out of a ``DialogueColumns`` store: a ``Dialogue``'s
+    fields, with each turn a plain ``(speaker, text, items, targets)`` tuple,
+    built without validation."""
+
+    dialogue_id: str
+    split: str
+    provenance: str
+    turns: list[tuple[str, str, tuple[str, ...], tuple[str, ...]]]
+    episode_index_per_turn: list[int] | None
+
+
+# corpus records loaded and checked together
+_RUN_LENGTH = 256
+
+
+def _transpose(rows: list, keys) -> list[list]:
+    """``[[row[key] for row in rows] for key in keys]``, one pass per key."""
+    return [list(map(itemgetter(key), rows)) for key in keys]
+
+
+def _all_of(values, kind: type) -> bool:
+    """Whether every value is exactly of type ``kind`` (so a bool is no int)."""
+    return {kind}.issuperset(map(type, values))
+
+
+def _episode_column(episodes: list, n_turns: list[int]) -> list[int] | None:
+    """The episode indices of a run of records, one per turn and -1 for the
+    turns of a record without them; None if any record's indices break a
+    rule of ``_dialogue_codes``. ``episodes`` holds each record's field."""
+    given = [e for e in episodes if e is not None]
+    if not {list, tuple}.issuperset(map(type, given)):  # tuples come from Dialogue objects
+        return None
+    lengths = list(map(len, given))
+    if lengths != [n for e, n in zip(episodes, n_turns) if e is not None]:
+        return None
+    flat = list(chain.from_iterable(given))
+    if not _all_of(flat, int):
+        return None
+    starts = _offsets(lengths)[:-1]
+    values = np.array(flat, dtype=np.int64)  # OverflowError past int64
+    steps = np.diff(values)
+    steps[starts[1:] - 1] = 0  # from one record to the next
+    if values[starts].any() or ((steps != 0) & (steps != 1)).any():
+        return None
+    if len(given) < len(episodes):
+        parts = iter(given)
+        flat = []
+        for e, n in zip(episodes, n_turns):
+            flat += [-1] * n if e is None else next(parts)
+    return flat
+
+
+def _offsets(lengths) -> np.ndarray:
+    """CSR offsets: 0, then the running total of ``lengths``."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _owners(offsets: np.ndarray) -> np.ndarray:
+    """For each entry of a CSR array, the index of the row that holds it."""
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+
+
+def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, e) for s, e in zip(starts, ends)])``."""
+    lengths = ends - starts
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+
+
+@dataclass(frozen=True, eq=False)
+class DialogueColumns:
+    """Dialogues stored column-wise, every item id interned into ``items``.
+
+    Per dialogue ``d``: ``dialogue_ids[d]``, its ``split`` and
+    ``provenance`` codes (positions in ``SPLIT_NAMES`` and
+    ``PROVENANCE_NAMES``), and its turns ``turn_offsets[d]:turn_offsets[d + 1]``.
+    Per turn ``t``: the ``speaker`` code, ``texts[t]``, ``episodes[t]`` (-1
+    in a dialogue without episode indices), and the record's raw ``items``
+    and ``targets`` lists, in order and with any repeats, as the codes
+    ``mention_codes[mention_offsets[t]:mention_offsets[t + 1]]`` and
+    ``target_codes[target_offsets[t]:target_offsets[t + 1]]``.
+    """
+
+    items: ItemIndex
+    dialogue_ids: list[str]
+    split: np.ndarray
+    provenance: np.ndarray
+    turn_offsets: np.ndarray
+    speaker: np.ndarray
+    texts: list[str]
+    episodes: np.ndarray
+    mention_offsets: np.ndarray
+    mention_codes: np.ndarray
+    target_offsets: np.ndarray
+    target_codes: np.ndarray
+
+    @classmethod
+    def from_dialogues(
+        cls, dialogues: Iterable[Dialogue], items: ItemIndex | None = None
+    ) -> "DialogueColumns":
+        """The store of ``Dialogue`` objects; a repeated dialogue_id raises
+        ``CorpusError``."""
+        builder = _ColumnsBuilder(items if items is not None else ItemIndex())
+        builder.add_dialogues(dialogues)
+        return builder.finish()
+
+    def __len__(self) -> int:
+        return len(self.dialogue_ids)
+
+    @cached_property
+    def row_of(self) -> dict[str, int]:
+        """dialogue_id -> row."""
+        return {dialogue_id: row for row, dialogue_id in enumerate(self.dialogue_ids)}
+
+    @cached_property
+    def turn_dialogue(self) -> np.ndarray:
+        """The row of each turn's dialogue."""
+        return _owners(self.turn_offsets)
+
+    @cached_property
+    def touches(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(turn, code)`` of each distinct item a turn mentions or targets,
+        sorted by turn, then code: a turn touches an item once, however often
+        it names it."""
+        return self._distinct(
+            np.concatenate((_owners(self.mention_offsets), _owners(self.target_offsets)))
+        )
+
+    @cached_property
+    def dialogue_items(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(row, code)`` of each distinct item a dialogue touches, sorted by
+        row, then code."""
+        return self._distinct(np.concatenate((
+            self.turn_dialogue[_owners(self.mention_offsets)],
+            self.turn_dialogue[_owners(self.target_offsets)],
+        )))
+
+    def _distinct(self, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct ``(owner, code)`` pairs, sorted, of every mention and
+        then every target; ``owners`` holds each one's owner in that order."""
+        n_codes = len(self.items)
+        keys = np.sort(owners * n_codes + np.concatenate((self.mention_codes, self.target_codes)))
+        distinct = np.ones(len(keys), dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]  # one sort: np.unique hashes, which is slower here
+        return np.divmod(keys[distinct], n_codes)
+
+    def dialogue_max(self, values: np.ndarray) -> np.ndarray:
+        """Per dialogue, the largest ``values[code]`` over its items, or 0 for
+        a dialogue without items; ``values`` is non-negative."""
+        rows, codes = self.dialogue_items
+        out = np.zeros(len(self), dtype=values.dtype)
+        if codes.size:
+            starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+            out[rows[starts]] = np.maximum.reduceat(values[codes], starts)
+        return out
+
+    def segmented(self, policy: str) -> "DialogueColumns":
+        """These dialogues with episode indices assigned by ``policy`` (see
+        ``segment_corpus``)."""
+        if policy not in EPISODE_POLICIES:
+            raise CorpusError(f"unknown episode policy {policy!r}")
+        starts = self.turn_offsets[:-1]
+        if policy == "explicit":
+            missing = np.flatnonzero(self.episodes[starts] < 0)
+            if missing.size:
+                raise CorpusError(
+                    f"dialogue {self.dialogue_ids[missing[0]]!r}: explicit episode policy "
+                    f"requires episode indices in the input"
+                )
+            return self
+        accepted = np.diff(self.target_offsets) > 0
+        closed = np.cumsum(accepted) - accepted  # accepted turns before each turn
+        segmented = replace(
+            self, episodes=closed - np.repeat(closed[starts], np.diff(self.turn_offsets))
+        )
+        # episodes change no dialogue, turn or item: share what was derived from those
+        for name in ("row_of", "turn_dialogue", "touches", "dialogue_items"):
+            if name in self.__dict__:
+                segmented.__dict__[name] = self.__dict__[name]
+        return segmented
+
+    def rows(self, rows: Iterable[int] | None = None) -> Iterator[DialogueRow]:
+        """A ``DialogueRow`` per dialogue of ``rows`` (all, in order, by default).
+
+        Rows are built as they are asked for, so a streaming caller holds one
+        dialogue's turns at a time.
+        """
+        speakers = list(map(SPEAKER_NAMES.__getitem__, self.speaker.tolist()))
+        texts = self.texts
+        mentions = self._id_lists(self.mention_offsets, self.mention_codes)
+        targets = self._id_lists(self.target_offsets, self.target_codes)
+        episodes = self.episodes.tolist()
+        offsets = self.turn_offsets.tolist()
+        splits = self.split.tolist()
+        provenances = self.provenance.tolist()
+        for row in range(len(self)) if rows is None else rows:
+            first, end = offsets[row], offsets[row + 1]
+            yield DialogueRow(
+                self.dialogue_ids[row],
+                SPLIT_NAMES[splits[row]],
+                PROVENANCE_NAMES[provenances[row]],
+                list(zip(
+                    speakers[first:end], texts[first:end], mentions[first:end], targets[first:end]
+                )),
+                episodes[first:end] if episodes[first] >= 0 else None,
+            )
+
+    def _id_lists(self, offsets: np.ndarray, codes: np.ndarray) -> list[tuple[str, ...]]:
+        """Per turn, the tuple of item ids of a CSR pair. Tuples of strings,
+        unlike lists, drop out of the collector's passes."""
+        ids = tuple(map(self.items.ids.__getitem__, codes.tolist()))
+        lists: list[tuple[str, ...]] = [()] * (len(offsets) - 1)
+        bounds = offsets.tolist()
+        for turn in np.flatnonzero(np.diff(offsets)).tolist():
+            lists[turn] = ids[bounds[turn] : bounds[turn + 1]]
+        return lists
+
+    def iter_dialogues(self, rows: Iterable[int] | None = None) -> Iterator[Dialogue]:
+        """A ``Dialogue`` per dialogue of ``rows`` (all, in order, by default)."""
+        for dialogue_id, split, provenance, turns, episodes in self.rows(rows):
+            yield Dialogue(
+                dialogue_id,
+                tuple(Turn(*turn) for turn in turns),
+                split,
+                None if episodes is None else tuple(episodes),
+                provenance,
+            )
+
+
+class _ColumnsBuilder:
+    """Appends validated dialogues straight into growing columns, interning
+    item ids into ``items`` as it goes."""
+
+    def __init__(self, items: ItemIndex):
+        self.items = items
+        self._seen: set[str] = set()
+        self.dialogue_ids: list[str] = []
+        self.split = array("b")
+        self.provenance = array("b")
+        self.n_turns = array("q")
+        self.speaker = array("b")
+        self.texts: list[str] = []
+        self.episodes = array("q")
+        self.n_mentions = array("q")
+        self.mention_codes = array("i")
+        self.n_targets = array("q")
+        self.target_codes = array("i")
+
+    def add_records(self, records: list[dict]) -> bool:
+        """Append a run of corpus-file records if every one is valid, checking
+        each rule once over the whole run; False, with nothing appended, if
+        any check fails (new item ids may have been interned).
+        ``check_record`` then names the first bad field."""
+        if not records:
+            return True
+        try:
+            ids = [parse_id(record["dialogue_id"], "") for record in records]
+            splits = list(map(_SPLIT_CODE.__getitem__, map(itemgetter("split"), records)))
+            provenances = list(map(_PROVENANCE_CODE.__getitem__, (
+                record.get("provenance", "original") for record in records
+            )))
+            turns = [record["turns"] for record in records]
+            if not (_all_of(turns, list) and all(turns) and all(ids)):
+                return False
+            n_turns = list(map(len, turns))
+            speakers, texts, mentioned, targets = _transpose(
+                list(chain.from_iterable(turns)), ("speaker", "text", "items", "targets")
+            )
+            speakers = list(map(_SPEAKER_CODE.__getitem__, speakers))
+            if not (_all_of(texts, str) and _all_of(mentioned, list) and _all_of(targets, list)):
+                return False
+            episodes = _episode_column([record.get("episodes") for record in records], n_turns)
+            codes = self._item_codes(mentioned, targets)
+        except (KeyError, TypeError, CorpusError, OverflowError):
+            return False
+        if episodes is None or len(set(ids)) != len(ids) or not self._seen.isdisjoint(ids):
+            return False
+        self._append(
+            ids, splits, provenances, n_turns, speakers, texts, episodes, mentioned, targets, *codes
+        )
+        return True
+
+    def add_dialogues(self, dialogues: Iterable[Dialogue]) -> None:
+        """Append ``Dialogue`` objects, which their constructor has validated;
+        a repeated dialogue_id raises ``CorpusError``."""
+        dialogues = list(dialogues)
+        ids = [d.dialogue_id for d in dialogues]
+        if len(set(ids)) != len(ids) or not self._seen.isdisjoint(ids):
+            seen = set(self._seen)
+            for dialogue_id in ids:
+                if dialogue_id in seen:
+                    raise CorpusError(f"duplicate dialogue_id {dialogue_id!r}")
+                seen.add(dialogue_id)
+        n_turns = [len(d.turns) for d in dialogues]
+        speakers, texts, mentioned, targets = _transpose(
+            list(chain.from_iterable(d.turns for d in dialogues)), range(4)
+        )
+        episodes = [d.episode_index_per_turn for d in dialogues]
+        self._append(
+            ids,
+            [_SPLIT_CODE[d.split] for d in dialogues],
+            [_PROVENANCE_CODE[d.provenance] for d in dialogues],
+            n_turns,
+            list(map(_SPEAKER_CODE.__getitem__, speakers)),
+            texts,
+            _episode_column(episodes, n_turns),
+            mentioned,
+            targets,
+            *self._item_codes(mentioned, targets),
+        )
+
+    def _append(
+        self, ids, splits, provenances, n_turns, speakers, texts, episodes,
+        mentioned, targets, mention_codes, target_codes,
+    ) -> None:
+        """Append checked columns: ``mentioned`` and ``targets`` hold each
+        turn's ids, the codes all of them in order."""
+        self._seen.update(ids)
+        self.dialogue_ids += ids
+        self.split.fromlist(splits)
+        self.provenance.fromlist(provenances)
+        self.n_turns.fromlist(n_turns)
+        self.speaker.fromlist(speakers)
+        self.texts += texts
+        self.episodes.fromlist(episodes)
+        self.n_mentions.fromlist(list(map(len, mentioned)))
+        self.mention_codes.fromlist(mention_codes)
+        self.n_targets.fromlist(list(map(len, targets)))
+        self.target_codes.fromlist(target_codes)
+
+    def _item_codes(self, mentioned, targets) -> tuple[list[int], list[int]]:
+        """The codes of all mentions and of all targets of a run of turns. New
+        ids are interned in reading order: a turn's mentions, then its targets."""
+        read = list(chain.from_iterable(chain.from_iterable(zip(mentioned, targets))))
+        codes = list(map(self.items.code.get, read))  # TypeError for an unhashable id
+        if None in codes:  # a new id, or an integer
+            intern = self.items.intern
+            for j in [j for j, code in enumerate(codes) if code is None]:
+                codes[j] = intern(parse_id(read[j], ""))
+        lengths = np.array([list(map(len, mentioned)), list(map(len, targets))], np.int64).T.ravel()
+        is_target = np.repeat(np.tile([False, True], len(mentioned)), lengths)
+        codes = np.array(codes, dtype=np.int32)
+        return codes[~is_target].tolist(), codes[is_target].tolist()
+
+    def check_record(self, record: dict) -> None:
+        """Raise ``CorpusError`` naming the first field of a corpus-file
+        record that breaks a rule, checked in field order; append nothing."""
+        try:
+            dialogue_id = parse_id(record["dialogue_id"], "'dialogue_id'")
+            split = record["split"]
+            turns = record["turns"]
+        except KeyError as exc:
+            raise CorpusError(f"record missing {exc.args[0]!r}") from None
+        if type(turns) is not list or not turns:
+            raise CorpusError("'turns' must be a non-empty array")
+        episodes = record.get("episodes")
+        if episodes is not None and (type(episodes) is not list or not _all_of(episodes, int)):
+            raise CorpusError(f"'episodes' must be an array of integers, got {episodes!r}")
+        for turn in turns:
+            if type(turn) is not dict:
+                raise CorpusError(f"turn is not an object: {turn!r}")
+            try:
+                speaker = turn["speaker"]
+                text = turn["text"]
+                mentioned = turn["items"]
+                targets = turn["targets"]
+            except KeyError as exc:
+                raise CorpusError(f"turn record missing {exc.args[0]!r}") from None
+            if type(text) is not str:
+                raise CorpusError(f"turn 'text' must be a string, got {text!r}")
+            for key, ids in (("items", mentioned), ("targets", targets)):
+                if type(ids) is not list:
+                    raise CorpusError(f"turn {key!r} must be an array of item ids, got {ids!r}")
+                for item_id in ids:
+                    parse_id(item_id, f"turn {key!r} item")
+            if type(speaker) is not str or speaker not in SPEAKERS:
+                raise CorpusError(f"unknown speaker {speaker!r}")
+        provenance = record.get("provenance", "original")
+        _dialogue_codes(dialogue_id, len(turns), split, provenance, episodes)
+        if dialogue_id in self._seen:
+            raise CorpusError(f"duplicate dialogue_id {dialogue_id!r}")
+
+    def finish(self) -> DialogueColumns:
+        return DialogueColumns(
+            items=self.items,
+            dialogue_ids=self.dialogue_ids,
+            split=np.array(self.split, dtype=np.int8),
+            provenance=np.array(self.provenance, dtype=np.int8),
+            turn_offsets=_offsets(self.n_turns),
+            speaker=np.array(self.speaker, dtype=np.int8),
+            texts=self.texts,
+            episodes=np.array(self.episodes, dtype=np.int64),
+            mention_offsets=_offsets(self.n_mentions),
+            mention_codes=np.array(self.mention_codes, dtype=np.int32),
+            target_offsets=_offsets(self.n_targets),
+            target_codes=np.array(self.target_codes, dtype=np.int32),
+        )
+
+
 class Corpus:
-    """An immutable catalog + dialogue collection, safe to share across readers."""
+    """A catalog plus its dialogues, held in one ``DialogueColumns`` store
+    whose ``items`` index starts with the catalog, in catalog order.
 
-    catalog: ItemCatalog
-    dialogues: tuple[Dialogue, ...]
+    ``Corpus(catalog, dialogues)`` fills the store from ``Dialogue``
+    objects; ``dialogues``, ``split`` and ``by_id`` build objects from the
+    store when called. Treat a corpus as immutable: it is safe to share
+    across readers.
+    """
 
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for d in self.dialogues:
-            if d.dialogue_id in seen:
-                raise CorpusError(f"duplicate dialogue_id {d.dialogue_id!r}")
-            seen.add(d.dialogue_id)
+    def __init__(self, catalog: ItemCatalog, dialogues: Iterable[Dialogue] = ()):
+        self.catalog = catalog
+        self.columns = DialogueColumns.from_dialogues(dialogues, ItemIndex(catalog.items))
 
-    def split(self, name: str) -> tuple[Dialogue, ...]:
+    @classmethod
+    def from_columns(cls, catalog: ItemCatalog, columns: DialogueColumns) -> "Corpus":
+        corpus = cls.__new__(cls)
+        corpus.catalog = catalog
+        corpus.columns = columns
+        return corpus
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return self.catalog == other.catalog and self.dialogues == other.dialogues
+
+    __hash__ = None  # type: ignore[assignment]
+
+    @property
+    def dialogues(self) -> tuple[Dialogue, ...]:
+        """The dialogues as objects, built on each access and not kept."""
+        return tuple(self.columns.iter_dialogues())
+
+    def split_rows(self, name: str) -> np.ndarray:
+        """Rows of the dialogues in split ``name``, in corpus order."""
         if name not in SPLITS:
             raise CorpusError(f"unknown split {name!r}")
-        return tuple(d for d in self.dialogues if d.split == name)
+        return np.flatnonzero(self.columns.split == _SPLIT_CODE[name])
+
+    def split(self, name: str) -> tuple[Dialogue, ...]:
+        return tuple(self.columns.iter_dialogues(self.split_rows(name).tolist()))
 
     def by_id(self) -> dict[str, Dialogue]:
-        return {d.dialogue_id: d for d in self.dialogues}
+        return dict(zip(self.columns.dialogue_ids, self.dialogues))
+
+    def appended(
+        self, source: DialogueColumns, rows: np.ndarray, *, split: str, provenance: str
+    ) -> "Corpus":
+        """This corpus plus dialogues ``rows`` of ``source``, in that order,
+        with the given split and provenance; a dialogue_id already in the
+        corpus raises ``CorpusError``."""
+        base = self.columns
+        rows = np.asarray(rows, dtype=np.int64)
+        added_ids = [source.dialogue_ids[row] for row in rows.tolist()]
+        if not base.row_of.keys().isdisjoint(added_ids):
+            clash = next(i for i in added_ids if i in base.row_of)
+            raise CorpusError(f"duplicate dialogue_id {clash!r}")
+        turns = _ranges(source.turn_offsets[rows], source.turn_offsets[rows + 1])
+
+        def take(offsets: np.ndarray, codes: np.ndarray, start) -> tuple[np.ndarray, np.ndarray]:
+            starts, ends = offsets[turns], offsets[turns + 1]
+            return start + _offsets(ends - starts)[1:], codes[_ranges(starts, ends)]
+
+        mention_offsets, mention_codes = take(
+            source.mention_offsets, source.mention_codes, base.mention_offsets[-1]
+        )
+        target_offsets, target_codes = take(
+            source.target_offsets, source.target_codes, base.target_offsets[-1]
+        )
+        if source.items is not base.items:
+            used = np.unique(np.concatenate((mention_codes, target_codes)))
+            remap = np.zeros(len(source.items), dtype=np.int32)
+            remap[used] = [base.items.intern(source.items.ids[c]) for c in used.tolist()]
+            mention_codes, target_codes = remap[mention_codes], remap[target_codes]
+        n_turns = source.turn_offsets[rows + 1] - source.turn_offsets[rows]
+        texts = source.texts
+        columns = DialogueColumns(
+            items=base.items,
+            dialogue_ids=base.dialogue_ids + added_ids,
+            split=np.concatenate((base.split, np.full(len(rows), _SPLIT_CODE[split], np.int8))),
+            provenance=np.concatenate(
+                (base.provenance, np.full(len(rows), _PROVENANCE_CODE[provenance], np.int8))
+            ),
+            turn_offsets=np.concatenate((base.turn_offsets, len(base.texts) + np.cumsum(n_turns))),
+            speaker=np.concatenate((base.speaker, source.speaker[turns])),
+            texts=base.texts + [texts[t] for t in turns.tolist()],
+            episodes=np.concatenate((base.episodes, source.episodes[turns])),
+            mention_offsets=np.concatenate((base.mention_offsets, mention_offsets)),
+            mention_codes=np.concatenate((base.mention_codes, mention_codes)),
+            target_offsets=np.concatenate((base.target_offsets, target_offsets)),
+            target_codes=np.concatenate((base.target_codes, target_codes)),
+        )
+        return Corpus.from_columns(self.catalog, columns)
 
 
 @dataclass
@@ -182,7 +702,8 @@ class LoadSummary:
     """What the loader saw: sizes plus unknown-mention accounting.
 
     Unknown item ids (mentions or targets absent from the catalog) are kept
-    in the loaded dialogues and reported here, never silently dropped.
+    in the loaded dialogues and reported here, never silently dropped. An id
+    counts once per turn that touches it.
     """
 
     n_dialogues: int = 0
@@ -205,6 +726,22 @@ def _has_lone_surrogate(record) -> bool:
     return False
 
 
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decode_line(text: str):
+    """``json.loads(text)``: one scanner call when the value starts the line
+    and only JSON whitespace follows it, else ``json.loads`` itself, which
+    also words every error."""
+    try:
+        value, end = _scan_once(text, 0)
+    except (StopIteration, ValueError):
+        return json.loads(text)
+    if text[end:].strip(" \t\n\r"):
+        return json.loads(text)
+    return value
+
+
 def read_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
     """``(line number, object)`` for each non-blank line. Lines are decoded
     one at a time, so a bad byte, malformed JSON, a lone surrogate escape
@@ -212,10 +749,10 @@ def read_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
     ``path:line``."""
     with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():  # a line read from a file is never empty
                 continue
             try:
-                record = json.loads(line.decode("utf-8"))
+                record = _decode_line(line.decode("utf-8"))
             except ValueError as exc:  # bad UTF-8, bad JSON, or an int too long to convert
                 message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
                 raise CorpusError(f"{path}:{lineno}: malformed record: {message}") from exc
@@ -259,16 +796,6 @@ def parse_id(value, what: str) -> str:
     raise CorpusError(f"{what} must be a string or an integer, got {value!r}")
 
 
-def _item_ids(value, key: str) -> tuple[str, ...]:
-    if type(value) is not list:
-        raise CorpusError(f"turn {key!r} must be an array of item ids, got {value!r}")
-    ids = tuple(value)
-    for item_id in ids:
-        if type(item_id) is not str:
-            return tuple(parse_id(i, f"turn {key!r} item") for i in ids)
-    return ids
-
-
 def load_catalog(path: str | Path) -> ItemCatalog:
     path = Path(path)
     items: dict[str, str] = {}
@@ -292,61 +819,14 @@ def load_catalog(path: str | Path) -> ItemCatalog:
     return ItemCatalog(items)
 
 
-def _turn_from_record(record) -> Turn:
-    if type(record) is not dict:
-        raise CorpusError(f"turn is not an object: {record!r}")
-    try:
-        speaker = record["speaker"]
-        text = record["text"]
-        items = record["items"]
-        targets = record["targets"]
-    except KeyError as exc:
-        raise CorpusError(f"turn record missing {exc.args[0]!r}") from None
-    if type(text) is not str:
-        raise CorpusError(f"turn 'text' must be a string, got {text!r}")
-    return Turn(speaker, text, _item_ids(items, "items"), _item_ids(targets, "targets"))
-
-
-def dialogue_from_record(record: dict, where: str = "<record>") -> Dialogue:
-    """Validate one corpus record; every error names ``where``."""
-    try:
-        try:
-            dialogue_id = parse_id(record["dialogue_id"], "'dialogue_id'")
-            split = record["split"]
-            turns = record["turns"]
-        except KeyError as exc:
-            raise CorpusError(f"record missing {exc.args[0]!r}") from None
-        if type(turns) is not list or not turns:
-            raise CorpusError("'turns' must be a non-empty array")
-        episodes = record.get("episodes")
-        if episodes is not None:
-            if type(episodes) is not list or any(type(e) is not int for e in episodes):
-                raise CorpusError(f"'episodes' must be an array of integers, got {episodes!r}")
-            episodes = tuple(episodes)
-        return Dialogue(
-            dialogue_id=dialogue_id,
-            turns=tuple(map(_turn_from_record, turns)),
-            split=split,
-            episode_index_per_turn=episodes,
-            provenance=record.get("provenance", "original"),
-        )
-    except CorpusError as exc:
-        raise CorpusError(f"{where}: {exc}") from None
-
-
-def dialogue_to_record(dialogue: Dialogue) -> dict:
+def dialogue_to_record(dialogue: Dialogue | DialogueRow) -> dict:
     record: dict = {
         "dialogue_id": dialogue.dialogue_id,
         "split": dialogue.split,
         "provenance": dialogue.provenance,
         "turns": [
-            {
-                "speaker": t.speaker,
-                "text": t.text,
-                "items": list(t.mentioned_item_ids),
-                "targets": list(t.target_item_ids),
-            }
-            for t in dialogue.turns
+            {"speaker": speaker, "text": text, "items": list(mentioned), "targets": list(targets)}
+            for speaker, text, mentioned, targets in dialogue.turns
         ],
     }
     if dialogue.episode_index_per_turn is not None:
@@ -354,62 +834,80 @@ def dialogue_to_record(dialogue: Dialogue) -> dict:
     return record
 
 
-def load_dialogues(path: str | Path) -> list[Dialogue]:
-    """Read a corpus or pool file; a malformed line or a repeated
-    dialogue_id raises ``CorpusError`` naming ``path:line``.
+def load_dialogues(path: str | Path, items: ItemIndex | None = None) -> DialogueColumns:
+    """Read a corpus or pool file into columns, interning its item ids into
+    ``items`` (a fresh index when None); a malformed line or a repeated
+    dialogue_id raises ``CorpusError`` naming ``path:line``, the first such
+    line in the file.
 
-    The cyclic garbage collector is paused while the dialogues are built
-    (and the caller's setting restored after): they hold no reference
-    cycles and are freed by reference counting, so its passes over the
-    growing heap would only walk them again and again.
+    The cyclic garbage collector is paused while lines are read (and the
+    caller's setting restored after): a run of decoded records outlives
+    many young-generation passes, which would only walk it again and again.
+    The columns it leaves behind are a few dozen objects.
     """
     path = Path(path)
+    builder = _ColumnsBuilder(items if items is not None else ItemIndex())
+
+    def add(run: list[tuple[int, dict]]) -> None:
+        if builder.add_records([record for _, record in run]):
+            return
+        for lineno, record in run:
+            try:
+                builder.check_record(record)
+                if not builder.add_records([record]):  # the two checks agree: not reached
+                    raise CorpusError("record fails a whole-run check")
+            except CorpusError as exc:
+                raise CorpusError(f"{path}:{lineno}: {exc}") from None
+
+    # records are checked in runs; a line the reader rejects is reported
+    # after the lines before it have been checked
+    run: list[tuple[int, dict]] = []
     enabled = gc.isenabled()
     gc.disable()
-    dialogues: list[Dialogue] = []
-    seen: set[str] = set()
     try:
-        for lineno, record in read_json_lines(path):
-            dialogue = dialogue_from_record(record, f"{path}:{lineno}")
-            if dialogue.dialogue_id in seen:
-                raise CorpusError(f"{path}:{lineno}: duplicate dialogue_id {dialogue.dialogue_id!r}")
-            seen.add(dialogue.dialogue_id)
-            dialogues.append(dialogue)
+        for numbered in read_json_lines(path):
+            run.append(numbered)
+            if len(run) == _RUN_LENGTH:
+                checked, run = run, []
+                add(checked)
+    except CorpusError:
+        add(run)
+        raise
     finally:
         if enabled:
             gc.enable()
-    return dialogues
+    add(run)
+    return builder.finish()
 
 
 def load_corpus(corpus_path: str | Path, catalog_path: str | Path) -> tuple[Corpus, LoadSummary]:
     """Load and validate a corpus; unknown mentions are counted, not dropped."""
     catalog = load_catalog(catalog_path)
-    dialogues = load_dialogues(corpus_path)
-    corpus = Corpus(catalog=catalog, dialogues=tuple(dialogues))
-
-    known = catalog.items
-    unknown: Counter = Counter()
-    for d in dialogues:
-        for _, _, mentioned, targets in d.turns:
-            if mentioned or targets:
-                for item_id in dict.fromkeys(mentioned + targets):
-                    if item_id not in known:
-                        unknown[item_id] += 1
+    columns = load_dialogues(corpus_path, ItemIndex(catalog.items))
+    n_catalog = len(catalog)
+    _, codes = columns.touches
+    unknown = np.bincount(codes[codes >= n_catalog] - n_catalog)
+    unknown_ids = columns.items.ids[n_catalog:]
+    per_split = np.bincount(columns.split, minlength=len(SPLIT_NAMES)).tolist()
     summary = LoadSummary(
-        n_dialogues=len(dialogues),
-        n_turns=sum(len(d.turns) for d in dialogues),
-        dialogues_per_split=Counter(d.split for d in dialogues),
-        n_unknown_mentions=sum(unknown.values()),
-        unknown_item_ids=unknown,
+        n_dialogues=len(columns),
+        n_turns=len(columns.texts),
+        dialogues_per_split=Counter({s: n for s, n in zip(SPLIT_NAMES, per_split) if n}),
+        n_unknown_mentions=int(unknown.sum()),
+        # codes past the catalog are in first-appearance order
+        unknown_item_ids=Counter(
+            {unknown_ids[c]: n for c, n in enumerate(unknown.tolist()) if n}
+        ),
     )
-    return corpus, summary
+    return Corpus.from_columns(catalog, columns), summary
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    save_dialogues(corpus.dialogues, path)
+    """Write the corpus one record per dialogue, streamed from its columns."""
+    save_dialogues(corpus.columns.rows(), path)
 
 
-def save_dialogues(dialogues: Iterable[Dialogue], path: str | Path) -> None:
+def save_dialogues(dialogues: Iterable[Dialogue | DialogueRow], path: str | Path) -> None:
     write_json_lines(path, map(dialogue_to_record, dialogues))
 
 
@@ -422,34 +920,17 @@ def save_catalog(catalog: ItemCatalog, path: str | Path) -> None:
 
 
 def segment_episodes(dialogue: Dialogue, policy: str = "accept_boundary") -> Dialogue:
-    """Assign episode indices to a dialogue.
-
-    ``explicit`` keeps indices already present on the dialogue (and errors if
-    they are missing). ``accept_boundary`` starts a new episode on the turn
-    following any turn with a non-empty target list: accepting a
-    recommendation closes the episode.
-    """
-    if policy not in EPISODE_POLICIES:
-        raise CorpusError(f"unknown episode policy {policy!r}")
-    if policy == "explicit":
-        if dialogue.episode_index_per_turn is None:
-            raise CorpusError(
-                f"dialogue {dialogue.dialogue_id!r}: explicit episode policy "
-                f"requires episode indices in the input"
-            )
-        return dialogue
-
-    indices: list[int] = []
-    episode = 0
-    for turn in dialogue.turns:
-        indices.append(episode)
-        if turn.target_item_ids:
-            episode += 1
-    return replace(dialogue, episode_index_per_turn=tuple(indices))
+    """Assign episode indices to one dialogue (see ``segment_corpus``)."""
+    (segmented,) = DialogueColumns.from_dialogues([dialogue]).segmented(policy).iter_dialogues()
+    return segmented
 
 
 def segment_corpus(corpus: Corpus, policy: str = "accept_boundary") -> Corpus:
-    return Corpus(
-        catalog=corpus.catalog,
-        dialogues=tuple(segment_episodes(d, policy) for d in corpus.dialogues),
-    )
+    """Assign episode indices to every dialogue.
+
+    ``explicit`` keeps indices already present on the dialogues (and errors
+    if a dialogue has none). ``accept_boundary`` starts a new episode on the
+    turn following any turn with a non-empty target list: accepting a
+    recommendation closes the episode.
+    """
+    return Corpus.from_columns(corpus.catalog, corpus.columns.segmented(policy))

@@ -411,29 +411,28 @@ class BiasReport:
 
 
 def _validate_join(model_name: str, run: RunColumns, corpus: Corpus) -> None:
-    by_id = corpus.by_id()
-    dialogues = [by_id.get(d) for d in run.dialogue_ids]
-    problems: list[str] = []
-    for code, turn_index, episode_index in zip(
-        run.dialogue_codes.tolist(), run.turn_index.tolist(), run.episode_index.tolist()
-    ):
-        dialogue_id = run.dialogue_ids[code]
-        dialogue = dialogues[code]
-        if dialogue is None:
-            problems.append(f"unknown dialogue {dialogue_id!r}")
-            continue
-        if not 0 <= turn_index < len(dialogue.turns):
-            problems.append(f"dialogue {dialogue_id!r}: turn_index {turn_index} out of range")
-            continue
-        episodes = dialogue.episode_index_per_turn
-        if episodes is not None and episodes[turn_index] != episode_index:
-            problems.append(
+    """Each entry names a corpus dialogue and turn, and the turn's episode, if any."""
+    columns = corpus.columns
+    # each entry's corpus row; row -1, an unknown dialogue, reads a trailing 0 turns
+    rows = np.array([columns.row_of.get(d, -1) for d in run.dialogue_ids], dtype=np.int64)
+    rows, turn = rows[run.dialogue_codes], run.turn_index
+    joined = (turn >= 0) & (turn < np.append(np.diff(columns.turn_offsets), 0)[rows])
+    episodes = np.full(len(run), -1, dtype=np.int64)
+    episodes[joined] = columns.episodes[columns.turn_offsets[rows[joined]] + turn[joined]]
+    problems: set[str] = set()
+    for entry in np.flatnonzero(~joined | ((episodes >= 0) & (episodes != run.episode_index))):
+        dialogue_id, turn_index = run.dialogue_ids[run.dialogue_codes[entry]], turn[entry]
+        if rows[entry] < 0:
+            problems.add(f"unknown dialogue {dialogue_id!r}")
+        elif not joined[entry]:
+            problems.add(f"dialogue {dialogue_id!r}: turn_index {turn_index} out of range")
+        else:
+            problems.add(
                 f"dialogue {dialogue_id!r} turn {turn_index}: episode_index "
-                f"{episode_index} does not match corpus segmentation "
-                f"({episodes[turn_index]})"
+                f"{run.episode_index[entry]} does not match corpus segmentation ({episodes[entry]})"
             )
     if problems:
-        shown = "; ".join(sorted(set(problems))[:20])
+        shown = "; ".join(sorted(problems)[:20])
         raise CorpusError(f"run {model_name!r} does not join against corpus: {shown}")
 
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .corpus import Corpus, ItemCatalog, write_json_lines
+from .corpus import TRAIN, Corpus, ItemCatalog, ItemIndex, write_json_lines
 
 
 @dataclass(frozen=True)
@@ -65,43 +66,31 @@ class PopularityTable:
         """Normalized popularity; 0.0 for items never seen in training."""
         return self.pop.get(item_id, 0.0)
 
-    def arrays(self, index: "ItemIndex") -> tuple[np.ndarray, np.ndarray]:
+    def freq_array(self, index: ItemIndex) -> np.ndarray:
+        """Training frequency per interned id; 0 for ids outside the table."""
+        return np.array([self.freq.get(i, 0) for i in index.ids])
+
+    def arrays(self, index: ItemIndex) -> tuple[np.ndarray, np.ndarray]:
         """``pop`` values and the ``is_popular`` mask, one slot per interned id."""
         pop = np.array([self.pop_of(i) for i in index.ids], dtype=np.float64)
         popular = np.array([i in self.popular_set for i in index.ids], dtype=bool)
         return pop, popular
 
 
-class ItemIndex:
-    """Dense integer ids for item ids: catalog items first, in catalog order;
-    ids outside the catalog are appended in the order they are first seen."""
-
-    def __init__(self, catalog_ids: Iterable[str] = ()):
-        self.ids: list[str] = list(catalog_ids)
-        self.code: dict[str, int] = {item_id: n for n, item_id in enumerate(self.ids)}
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def intern(self, item_id: str) -> int:
-        code = self.code.get(item_id)
-        if code is None:
-            code = self.code[item_id] = len(self.ids)
-            self.ids.append(item_id)
-        return code
+def train_counts(corpus: Corpus) -> np.ndarray:
+    """Per-catalog-item interaction counts over the training split, in
+    catalog order: an item counts once per turn that touches it."""
+    columns = corpus.columns
+    turns, codes = columns.touches
+    in_train = (columns.split == TRAIN)[columns.turn_dialogue[turns]]
+    n_catalog = len(corpus.catalog)
+    codes = codes[in_train]
+    return np.bincount(codes[codes < n_catalog], minlength=n_catalog)
 
 
 def train_frequencies(corpus: Corpus) -> dict[str, int]:
-    """Per-catalog-item interaction counts over the training split, in
-    catalog order; an item counts once per turn that touches it."""
-    freq: dict[str, int] = {item_id: 0 for item_id in corpus.catalog.items}
-    for dialogue in corpus.split("train"):
-        for _, _, mentioned, targets in dialogue.turns:
-            if mentioned or targets:
-                for item_id in dict.fromkeys(mentioned + targets):
-                    if item_id in freq:
-                        freq[item_id] += 1
-    return freq
+    """``train_counts`` keyed by item id, in catalog order."""
+    return dict(zip(corpus.catalog.items, train_counts(corpus).tolist()))
 
 
 def item_coverage(freq: Mapping[str, int]) -> float:
@@ -109,17 +98,17 @@ def item_coverage(freq: Mapping[str, int]) -> float:
     return sum(1 for f in freq.values() if f > 0) / len(freq)
 
 
-def _popular_items(freq: dict[str, int], policy: ThresholdPolicy) -> frozenset[str]:
+def _popular_items(
+    item_ids: Iterable[str], counts: np.ndarray, policy: ThresholdPolicy
+) -> frozenset[str]:
     if policy.kind == "count_threshold":
         assert policy.min_count is not None
-        return frozenset(i for i, f in freq.items() if f > policy.min_count)
-    assert policy.top_fraction is not None
-    n = len(freq)
-    if n == 0:
-        return frozenset()
-    n_top = max(1, math.ceil(policy.top_fraction * n - 1e-9))
-    boundary = sorted(freq.values(), reverse=True)[n_top - 1]
-    return frozenset(i for i, f in freq.items() if f >= boundary)
+        popular = counts > policy.min_count
+    else:
+        assert policy.top_fraction is not None
+        n_top = max(1, math.ceil(policy.top_fraction * len(counts) - 1e-9))
+        popular = counts >= np.sort(counts)[len(counts) - n_top]
+    return frozenset(compress(item_ids, popular.tolist()))
 
 
 def build_popularity(corpus: Corpus, policy: ThresholdPolicy) -> PopularityTable:
@@ -129,15 +118,18 @@ def build_popularity(corpus: Corpus, policy: ThresholdPolicy) -> PopularityTable
     concern. An empty training split yields an all-zero table with an empty
     popular set (under a count threshold).
     """
-    freq = train_frequencies(corpus)
-    max_freq = max(freq.values(), default=0)
+    counts = train_counts(corpus)
+    item_ids = corpus.catalog.items
+    freq = dict(zip(item_ids, counts.tolist()))
+    max_freq = int(counts.max(initial=0))
     if max_freq == 0:
         # no training interactions at all: all-zero table, nothing is popular
-        pop = {item_id: 0.0 for item_id in freq}
+        pop = dict.fromkeys(freq, 0.0)
         popular: frozenset[str] = frozenset()
     else:
-        pop = {item_id: f / max_freq for item_id, f in freq.items()}
-        popular = _popular_items(freq, policy)
+        # int64 / int64 divides the exact doubles, as Python's int / int does below 2**53
+        pop = dict(zip(item_ids, (counts / max_freq).tolist()))
+        popular = _popular_items(item_ids, counts, policy)
     return PopularityTable(freq=freq, pop=pop, popular_set=popular, eta_policy=policy)
 
 

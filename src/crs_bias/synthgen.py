@@ -28,7 +28,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Dialogue, Turn, mention_token, save_dialogues
+from .corpus import Dialogue, ItemIndex, Turn, mention_token, save_dialogues
 from .augment import SyntheticPool
 
 LANGUAGES = frozenset({"en", "zh"})
@@ -260,7 +260,9 @@ class HttpChatBackend:
 
     The auth token is read from an environment variable (default
     ``CRSBIAS_LLM_TOKEN``) and never logged. Transient failures (timeouts,
-    connection errors, 429/5xx) are retried up to ``max_attempts`` times.
+    connection errors, 429/5xx) are retried up to ``max_attempts`` times;
+    any other ``requests`` error (a malformed URL, say) is a ``BackendError``
+    at once.
     Before retry ``n`` the client sleeps a random time between half and all
     of ``backoff_base * 2 ** (n - 1)`` seconds, or, after a 429 or 503 that
     carries a ``Retry-After`` header in seconds, exactly that long.
@@ -330,6 +332,8 @@ class HttpChatBackend:
                 response = requests.post(url, json=payload, headers=headers, timeout=self.timeout)
             except (requests.Timeout, requests.ConnectionError) as exc:
                 last_error = BackendTimeoutError(f"request failed: {exc.__class__.__name__}")
+            except requests.RequestException as exc:  # a bad URL or request: retrying cannot help
+                raise BackendError(f"request failed: {exc.__class__.__name__}") from exc
             else:
                 if response.status_code in (401, 403):
                     raise BackendAuthError(f"backend rejected credentials ({response.status_code})")
@@ -443,8 +447,8 @@ def parse_generated(
         # unprefixed leading lines (model preamble chatter) are dropped
     if not turns:
         raise DialogueRejected("no_speaker_prefixes")
-    if not item_name:
-        # an empty name "occurs" everywhere; there is nothing to tag
+    if not item_name.strip():
+        # an empty name "occurs" everywhere and a blank one names nothing
         raise DialogueRejected("item_name_not_found")
 
     token = mention_token(item_id)
@@ -536,16 +540,18 @@ def build_pool(
     Round ``a`` sends every item still without an accepted dialogue to
     ``backend.generate_batch`` with its seed ``derived_seeds(seed, ...)[index,
     a]``, which depends only on (seed, item index, attempt), so the pool is
-    reproducible whatever the backend batches or threads. Items with an empty
-    name are skipped as ``item_name_not_found`` before any round, so no
+    reproducible whatever the backend batches or threads. Items whose name is
+    empty after ``strip()`` are skipped as ``item_name_not_found`` before any round, so no
     backend is sent them; items rejected in all ``max_attempts`` rounds are
     skipped with their last reason. The pool and the skipped items keep item
     order.
     """
     seeds = derived_seeds(seed, np.arange(len(items)), max_attempts)
     accepted: list[Dialogue | None] = [None] * len(items)
-    # an empty name can be neither prompted for nor tagged
-    last_reason = {i: "item_name_not_found" for i, (_, name) in enumerate(items) if not name}
+    # an empty or blank name can be neither prompted for nor tagged
+    last_reason = {
+        i: "item_name_not_found" for i, (_, name) in enumerate(items) if not name.strip()
+    }
     rejected: Counter[str] = Counter()
     attempts = 0
     pending = [index for index in range(len(items)) if index not in last_reason]
@@ -570,9 +576,9 @@ def build_pool(
     dialogues = [dialogue for dialogue in accepted if dialogue is not None]
     if not dialogues:
         raise BackendError("no synthetic dialogues were accepted")
-    synthetic_pool = SyntheticPool.from_dialogues(dialogues)
+    synthetic_pool = SyntheticPool.from_dialogues(dialogues, ItemIndex(i for i, _ in items))
     if output_path is not None:
-        save_dialogues(synthetic_pool.dialogues, output_path)
+        save_dialogues(dialogues, output_path)
     record = GenerationRecord(
         skipped=tuple(
             SkippedItem(items[i][0], last_reason.get(i, "no_attempts"))

@@ -10,6 +10,7 @@ the whole catalog with one single-mention synthetic dialogue per item.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from math import fsum
 
 import numpy as np
@@ -243,3 +244,56 @@ class FakeResponse:
 
     def json(self):
         return {"choices": [{"message": {"content": self._content}}]}
+
+
+# ---------------------------------------------------------------------------
+# per-dialogue reference loops for the columnar passes, over raw corpus
+# records (ids may be integers, read as their decimal strings)
+
+
+def record_touches(turn: dict) -> list[str]:
+    """The distinct item ids a turn record mentions or targets, in order."""
+    return list(dict.fromkeys(str(i) for i in turn["items"] + turn["targets"]))
+
+
+def reference_train_frequencies(catalog_ids, records) -> dict[str, int]:
+    freq = {item_id: 0 for item_id in catalog_ids}
+    for record in records:
+        if record["split"] == "train":
+            for turn in record["turns"]:
+                for item_id in record_touches(turn):
+                    if item_id in freq:
+                        freq[item_id] += 1
+    return freq
+
+
+def reference_unknown(catalog_ids, records) -> Counter:
+    unknown: Counter = Counter()
+    for record in records:
+        for turn in record["turns"]:
+            for item_id in record_touches(turn):
+                if item_id not in catalog_ids:
+                    unknown[item_id] += 1
+    return unknown
+
+
+def reference_accept_boundary(record) -> list[int]:
+    episodes, episode = [], 0
+    for turn in record["turns"]:
+        episodes.append(episode)
+        if turn["targets"]:
+            episode += 1
+    return episodes
+
+
+def reference_dialogue_max(record, values: dict):
+    """The largest ``values.get(item, 0)`` over a dialogue's items, 0 if none."""
+    return max(
+        (values.get(i, 0) for turn in record["turns"] for i in record_touches(turn)), default=0
+    )
+
+
+def reference_pool_item(record) -> str | None:
+    """The one item a pool record recommends, or None if it has not exactly one."""
+    items = dict.fromkeys(i for turn in record["turns"] for i in record_touches(turn))
+    return next(iter(items)) if len(items) == 1 else None

@@ -144,7 +144,7 @@ class TestOnceAug:
     def test_empty_pool_is_identity(self):
         catalog = ItemCatalog({"a": "A"})
         train = Corpus(catalog, (make_dialogue("d1", ["a"]),))
-        augmented = once_aug(train, SyntheticPool(dialogues=(), item_of={}))
+        augmented = once_aug(train, SyntheticPool.from_dialogues([]))
         assert augmented == train
 
     def test_valid_and_test_untouched(self, standard_corpus, standard_pool):
@@ -340,7 +340,7 @@ class TestPopNudge:
         with pytest.raises(AugmentError, match="empty"):
             pop_nudge(
                 standard_corpus,
-                SyntheticPool(dialogues=(), item_of={}),
+                SyntheticPool.from_dialogues([]),
                 standard_table,
                 1,
                 32,

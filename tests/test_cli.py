@@ -171,6 +171,8 @@ class TestGenerate:
             ({"generation": {"http": {"base_url": 5}}}, "generation.http.base_url"),
             ({"generation": {"http": {"base_url": ["a"]}}}, "generation.http.base_url"),
             ({"generation": {"http": {"base_url": ""}}}, "generation.http.base_url"),
+            ({"generation": {"http": {"base_url": "llm.example/v1"}}}, "generation.http.base_url"),
+            ({"generation": {"http": {"base_url": "ftp://llm.example"}}}, "generation.http.base_url"),
             ({"generation": {"http": {"model": ["x"]}}}, "generation.http.model"),
             ({"generation": {"http": {"model": 5}}}, "generation.http.model"),
             ({"generation": {"http": {"token_env": 5}}}, "generation.http.token_env"),
@@ -317,6 +319,22 @@ class TestGenerate:
         assert log["skipped"] == [{"item_id": "m2", "reason": "item_name_not_found"}]
         assert log["n_accepted"] == 1 and log["attempts"] == 1
 
+    def test_invalid_request_exits_3(self, tmp_path, capsys, monkeypatch):
+        def fake_post(*args, **kwargs):
+            raise requests.exceptions.InvalidURL("bad host")
+
+        monkeypatch.setenv("CRSBIAS_LLM_TOKEN", "t")
+        monkeypatch.setattr(requests, "post", fake_post)
+        config = write_config(
+            tmp_path / "config.yaml",
+            generation={
+                "backend": "http_chat",
+                "http": {"base_url": "http://[bad", "model": "chat-1"},
+            },
+        )
+        assert main(["generate", "--config", str(config)]) == 3
+        assert "backend error: request failed: InvalidURL" in capsys.readouterr().err
+
     def test_unknown_items_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path / "config.yaml", generation={"items": ["m1", "zz"]})
         assert main(["generate", "--config", str(config)]) == 2
@@ -443,6 +461,27 @@ class TestAugment:
         assert snapshot(out)["augmented_corpus.jsonl"] == before["augmented_corpus.jsonl"]
         assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
 
+    @pytest.mark.parametrize("strategy, digests", [
+        ("pop_nudge", {
+            "augment_summary.json": "48c46e7b63133da82e118f278389f6ed8f93b60885f59619508c835b24ff41da",
+            "augmented_corpus.jsonl": "5971d9d7666ffa8b94c43732fe934f4d5df18ba1e696980fcfb8257dfcd32609",
+            "plan.jsonl": "a706ffaccd48be587910304768bbeccb4b01f0240a63e016d654715278fb9a55",
+        }),
+        ("once_aug", {
+            "augment_summary.json": "def130cace53c3880e014a35b5a61a5544dfc7d143729015d4765d2049efa087",
+            "augmented_corpus.jsonl": "222a8e029a09ab61f8a9e95abba2b98bd00723d1403b604cb16f66bca4448d63",
+        }),
+    ])
+    def test_augment_outputs_are_pinned(self, workspace_with_pool, strategy, digests):
+        # as written by the per-dialogue loaders the columnar store replaced
+        assert main(["augment", "--config", str(workspace_with_pool), "--strategy", strategy]) == 0
+        out = workspace_with_pool.parent / "out"
+        written = {
+            name: hashlib.sha256(data).hexdigest()
+            for name, data in snapshot(out).items() if name != "config_echo.json"
+        }
+        assert written == digests
+
     def test_failed_audit_exits_4(self, workspace_with_pool, capsys, monkeypatch):
         import crs_bias.cli as cli_module
 
@@ -480,6 +519,22 @@ class TestEvaluate:
         ]
         cep = [r for r in records if r["metric"] == "cep"][0]
         assert cep["skip_reasons"] == {"first_episode": 2}
+
+    def test_evaluate_outputs_are_pinned(self, tmp_path):
+        # as written by the per-dialogue loaders the columnar store replaced
+        second = tmp_path / "model_b.jsonl"
+        shutil.copy(DATA / "run_small.jsonl", second)
+        config = self._config_with_runs(tmp_path, [DATA / "run_small.jsonl", second])
+        assert main(["evaluate", "--config", str(config)]) == 0
+        written = {
+            name: hashlib.sha256(data).hexdigest()
+            for name, data in snapshot(tmp_path / "out").items() if name != "config_echo.json"
+        }
+        assert written == {
+            "model_b.report.jsonl": "39004cd253b37a2283acd0e566be1f452befc6b491652ce9d44ec64d437c3076",
+            "report_table.txt": "214d4e607047830bdb23d652c27357ae88cf0656d216bc01586fa20ecfe48d20",
+            "run_small.report.jsonl": "32a490fc61df98ab5ede57a7d6f0d0cddd480b1837cb3baa4085a2be3db6f8f1",
+        }
 
     def test_unknown_dialogue_exits_2_and_names_id(self, tmp_path, capsys):
         bad = tmp_path / "bad_run.jsonl"

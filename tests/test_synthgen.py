@@ -306,6 +306,12 @@ class TestParsing:
             parse_generated("User: hi\nSystem: watch this", "m1", "")
         assert err.value.reason == "item_name_not_found"
 
+    @pytest.mark.parametrize("name", [" ", "\t\n", "\u3000"])
+    def test_blank_name_rejected(self, name):
+        with pytest.raises(DialogueRejected) as err:
+            parse_generated(f"User: hi\nSystem: You could try {name};", "m1", name)
+        assert err.value.reason == "item_name_not_found"
+
     def test_unknown_language_rejected(self):
         with pytest.raises(ValueError, match="language"):
             parse_generated("User: hi\nSystem: Up", "m4", "Up", language="fr")
@@ -552,6 +558,21 @@ class TestBuildPool:
         assert len(pool) == len(offline) == len(ITEMS)
         assert backend.calls[0][1] == derived_seeds(5, np.arange(len(ITEMS)), 1)[:, 0].tolist()
 
+    def test_blank_name_skipped_before_any_round(self):
+        items = [("m1", " "), ("m2", "Heat")]
+        backend = ScriptedBackend()
+        pool, record = build_pool(backend, TEMPLATE, items, seed=5)
+        assert [d.item_ids() for d in pool.dialogues] == [("m2",)]
+        assert [name for batch, _ in backend.calls for _, name in batch] == ["Heat"]
+        assert record.skipped == (SkippedItem("m1", "item_name_not_found"),)
+
+    def test_blank_name_skipped_by_offline_backend(self):
+        pool, record = build_pool(
+            OfflineTemplateBackend(), builtin_template("en"), [("m1", " "), ("m2", "Heat")], seed=5
+        )
+        assert list(pool.item_of.values()) == ["m2"]
+        assert record.skipped == (SkippedItem("m1", "item_name_not_found"),)
+
     def test_empty_name_skipped_before_any_round(self):
         items = [("e0", ""), *ITEMS[:3], ("e1", "")]
         backend = ScriptedBackend(reject=lambda item_id, attempt: item_id == "m1")
@@ -706,6 +727,24 @@ class TestHttpBackend:
         monkeypatch.setattr(requests, "post", fake_post)
         text = self._backend(max_attempts=2).generate(TEMPLATE, "m1", "Alien", seed=0)
         assert "Alien" in text
+
+    @pytest.mark.parametrize(
+        "error", [requests.exceptions.MissingSchema, requests.exceptions.InvalidURL,
+                  requests.exceptions.InvalidSchema, requests.RequestException],
+    )
+    def test_other_request_errors_are_typed_and_not_retried(self, monkeypatch, error):
+        monkeypatch.setenv("CRSBIAS_LLM_TOKEN", "t")
+        calls = []
+
+        def fake_post(*args, **kwargs):
+            calls.append(1)
+            raise error("bad request")
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        with pytest.raises(BackendError, match=f"request failed: {error.__name__}") as raised:
+            self._backend(max_attempts=3).generate(TEMPLATE, "m1", "Alien", seed=0)
+        assert not isinstance(raised.value, BackendTimeoutError)
+        assert len(calls) == 1
 
     def test_empty_completion_is_typed_error(self, monkeypatch):
         monkeypatch.setenv("CRSBIAS_LLM_TOKEN", "t")
