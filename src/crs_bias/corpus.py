@@ -536,12 +536,17 @@ class _ColumnsBuilder:
     def _item_codes(self, mentioned, targets) -> tuple[list[int], list[int]]:
         """The codes of all mentions and of all targets of a run of turns. New
         ids are interned in reading order: a turn's mentions, then its targets."""
+        code_of = self.items.code.get  # TypeError for an unhashable id
+        mention_codes = list(map(code_of, chain.from_iterable(mentioned)))
+        target_codes = list(map(code_of, chain.from_iterable(targets)))
+        if None not in mention_codes and None not in target_codes:
+            return mention_codes, target_codes
+        # a new id, or an integer
         read = list(chain.from_iterable(chain.from_iterable(zip(mentioned, targets))))
-        codes = list(map(self.items.code.get, read))  # TypeError for an unhashable id
-        if None in codes:  # a new id, or an integer
-            intern = self.items.intern
-            for j in [j for j, code in enumerate(codes) if code is None]:
-                codes[j] = intern(parse_id(read[j], ""))
+        codes = list(map(code_of, read))
+        intern = self.items.intern
+        for j in [j for j, code in enumerate(codes) if code is None]:
+            codes[j] = intern(parse_id(read[j], ""))
         lengths = np.array([list(map(len, mentioned)), list(map(len, targets))], np.int64).T.ravel()
         is_target = np.repeat(np.tile([False, True], len(mentioned)), lengths)
         codes = np.array(codes, dtype=np.int32)
@@ -778,8 +783,9 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
         tmp.unlink(missing_ok=True)
 
 
-# built once: json.dumps with options builds a new encoder per call
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
+# built once: json.dumps with options builds a new encoder per call. Records
+# are trees, so the encoder skips its circular-reference bookkeeping
+_ENCODER = json.JSONEncoder(ensure_ascii=False, check_circular=False)
 
 
 def write_json_lines(path: str | Path, records: Iterable, encoder=_ENCODER) -> None:
