@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crs_bias.augment import AugmentError, load_pool, longtail_report, once_aug
 from crs_bias import corpus as corpus_module
+from crs_bias.augment import AugmentError, load_pool, longtail_report, once_aug
 from crs_bias.corpus import CorpusError, load_corpus, save_corpus, save_dialogues, segment_corpus
 from crs_bias.popularity import train_frequencies
 
