@@ -9,10 +9,12 @@ i.e. when a turn carries a non-empty target list.
 
 In memory, dialogues live in one ``DialogueColumns`` store: arrays per
 dialogue and per turn, with every item id interned into one ``ItemIndex``.
-Loading fills the store in one validating pass per line, and the per-turn
+Every store is filled one way, from corpus-file records checked in runs
+(``_ColumnsBuilder.extend``), and written one way, one JSON line per
+dialogue assembled from column slices (``dialogue_lines``). The per-turn
 work (unknown mentions, segmentation, and the frequency and join passes of
-the other modules) is array work over it. ``Turn`` and ``Dialogue`` objects
-are built only when a caller asks for them.
+the other modules) is array work over the store. ``Turn`` and ``Dialogue``
+objects are built only when a caller asks for them.
 
 File formats (UTF-8, one JSON object per line):
 
@@ -32,13 +34,14 @@ import gc
 import json
 import os
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain, islice
 from operator import itemgetter, sub
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -201,18 +204,6 @@ class Dialogue:
         return self.episode_index_per_turn[-1] + 1
 
 
-class DialogueRow(NamedTuple):
-    """One dialogue read out of a ``DialogueColumns`` store: a ``Dialogue``'s
-    fields, with each turn a plain ``(speaker, text, items, targets)`` tuple,
-    built without validation."""
-
-    dialogue_id: str
-    split: str
-    provenance: str
-    turns: list[tuple[str, str, tuple[str, ...], tuple[str, ...]]]
-    episode_index_per_turn: list[int] | None
-
-
 # corpus records loaded and checked together
 _RUN_LENGTH = 256
 
@@ -232,7 +223,7 @@ def _episode_column(episodes: list, n_turns: list[int]) -> list[int] | None:
     turns of a record without them; None if any record's indices break a
     rule of ``_dialogue_codes``. ``episodes`` holds each record's field."""
     given = [e for e in episodes if e is not None]
-    if not {list, tuple}.issuperset(map(type, given)):  # tuples come from Dialogue objects
+    if not _all_of(given, list):
         return None
     lengths = list(map(len, given))
     if lengths != [n for e, n in zip(episodes, n_turns) if e is not None]:
@@ -300,14 +291,25 @@ class DialogueColumns:
     target_codes: np.ndarray
 
     @classmethod
+    def from_records(
+        cls,
+        numbered: Iterable[tuple[int, dict]],
+        items: ItemIndex | None = None,
+        where: Callable[[int], str] | None = None,
+    ) -> "DialogueColumns":
+        """The store of ``(number, record)`` pairs of corpus-file records, item
+        ids interned into ``items`` (a fresh index when None); see
+        ``_ColumnsBuilder.extend`` for ``where`` and the errors."""
+        builder = _ColumnsBuilder(items if items is not None else ItemIndex())
+        builder.extend(numbered, where)
+        return builder.finish()
+
+    @classmethod
     def from_dialogues(
         cls, dialogues: Iterable[Dialogue], items: ItemIndex | None = None
     ) -> "DialogueColumns":
-        """The store of ``Dialogue`` objects; a repeated dialogue_id raises
-        ``CorpusError``."""
-        builder = _ColumnsBuilder(items if items is not None else ItemIndex())
-        builder.add_dialogues(dialogues)
-        return builder.finish()
+        """The store of ``Dialogue`` objects, filled from their records."""
+        return cls.from_records(enumerate(map(dialogue_to_record, dialogues)), items)
 
     def __len__(self) -> int:
         return len(self.dialogue_ids)
@@ -384,12 +386,9 @@ class DialogueColumns:
                 segmented.__dict__[name] = self.__dict__[name]
         return segmented
 
-    def rows(self, rows: Iterable[int] | None = None) -> Iterator[DialogueRow]:
-        """A ``DialogueRow`` per dialogue of ``rows`` (all, in order, by default).
-
-        Rows are built as they are asked for, so a streaming caller holds one
-        dialogue's turns at a time.
-        """
+    def iter_dialogues(self, rows: Iterable[int] | None = None) -> Iterator[Dialogue]:
+        """A ``Dialogue`` per dialogue of ``rows`` (all, in order, by default),
+        each built as it is asked for."""
         speakers = list(map(SPEAKER_NAMES.__getitem__, self.speaker.tolist()))
         texts = self.texts
         mentions = self._id_lists(self.mention_offsets, self.mention_codes)
@@ -400,14 +399,15 @@ class DialogueColumns:
         provenances = self.provenance.tolist()
         for row in range(len(self)) if rows is None else rows:
             first, end = offsets[row], offsets[row + 1]
-            yield DialogueRow(
+            yield Dialogue(
                 self.dialogue_ids[row],
-                SPLIT_NAMES[splits[row]],
-                PROVENANCE_NAMES[provenances[row]],
-                list(zip(
-                    speakers[first:end], texts[first:end], mentions[first:end], targets[first:end]
+                tuple(map(
+                    Turn, speakers[first:end], texts[first:end], mentions[first:end],
+                    targets[first:end],
                 )),
-                episodes[first:end] if episodes[first] >= 0 else None,
+                SPLIT_NAMES[splits[row]],
+                tuple(episodes[first:end]) if episodes[first] >= 0 else None,
+                PROVENANCE_NAMES[provenances[row]],
             )
 
     def _id_lists(self, offsets: np.ndarray, codes: np.ndarray) -> list[tuple[str, ...]]:
@@ -420,16 +420,31 @@ class DialogueColumns:
             lists[turn] = ids[bounds[turn] : bounds[turn + 1]]
         return lists
 
-    def iter_dialogues(self, rows: Iterable[int] | None = None) -> Iterator[Dialogue]:
-        """A ``Dialogue`` per dialogue of ``rows`` (all, in order, by default)."""
-        for dialogue_id, split, provenance, turns, episodes in self.rows(rows):
-            yield Dialogue(
-                dialogue_id,
-                tuple(Turn(*turn) for turn in turns),
-                split,
-                None if episodes is None else tuple(episodes),
-                provenance,
-            )
+    def take(self, rows) -> "DialogueColumns":
+        """Dialogues ``rows`` of this store, in that order, sharing its ``items``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        turns = _ranges(self.turn_offsets[rows], self.turn_offsets[rows + 1])
+
+        def gather(offsets: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            starts, ends = offsets[turns], offsets[turns + 1]
+            return _offsets(ends - starts), codes[_ranges(starts, ends)]
+
+        mention_offsets, mention_codes = gather(self.mention_offsets, self.mention_codes)
+        target_offsets, target_codes = gather(self.target_offsets, self.target_codes)
+        return DialogueColumns(
+            items=self.items,
+            dialogue_ids=[self.dialogue_ids[row] for row in rows.tolist()],
+            split=self.split[rows],
+            provenance=self.provenance[rows],
+            turn_offsets=_offsets(self.turn_offsets[rows + 1] - self.turn_offsets[rows]),
+            speaker=self.speaker[turns],
+            texts=[self.texts[t] for t in turns.tolist()],
+            episodes=self.episodes[turns],
+            mention_offsets=mention_offsets,
+            mention_codes=mention_codes,
+            target_offsets=target_offsets,
+            target_codes=target_codes,
+        )
 
 
 class _ColumnsBuilder:
@@ -485,34 +500,43 @@ class _ColumnsBuilder:
         )
         return True
 
-    def add_dialogues(self, dialogues: Iterable[Dialogue]) -> None:
-        """Append ``Dialogue`` objects, which their constructor has validated;
-        a repeated dialogue_id raises ``CorpusError``."""
-        dialogues = list(dialogues)
-        ids = [d.dialogue_id for d in dialogues]
-        if len(set(ids)) != len(ids) or not self._seen.isdisjoint(ids):
-            seen = set(self._seen)
-            for dialogue_id in ids:
-                if dialogue_id in seen:
-                    raise CorpusError(f"duplicate dialogue_id {dialogue_id!r}")
-                seen.add(dialogue_id)
-        n_turns = [len(d.turns) for d in dialogues]
-        speakers, texts, mentioned, targets = _transpose(
-            list(chain.from_iterable(d.turns for d in dialogues)), range(4)
-        )
-        episodes = [d.episode_index_per_turn for d in dialogues]
-        self._append(
-            ids,
-            [_SPLIT_CODE[d.split] for d in dialogues],
-            [_PROVENANCE_CODE[d.provenance] for d in dialogues],
-            n_turns,
-            list(map(_SPEAKER_CODE.__getitem__, speakers)),
-            texts,
-            _episode_column(episodes, n_turns),
-            mentioned,
-            targets,
-            *self._item_codes(mentioned, targets),
-        )
+    def extend(
+        self, numbered: Iterable[tuple[int, dict]], where: Callable[[int], str] | None = None
+    ) -> None:
+        """Append ``(number, record)`` pairs, checked in runs of ``_RUN_LENGTH``:
+        the first bad record raises ``CorpusError`` prefixed by ``where(number)``,
+        and an error ``numbered`` raises comes after the records before it are
+        checked. The cyclic collector is paused meanwhile (and the caller's
+        setting restored): young-generation passes would only walk each run
+        of records again and again, and the columns are a few dozen objects."""
+        run: list[tuple[int, dict]] = []
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for pair in numbered:
+                run.append(pair)
+                if len(run) == _RUN_LENGTH:
+                    checked, run = run, []
+                    self._add_run(checked, where)
+        except CorpusError:
+            self._add_run(run, where)
+            raise
+        else:
+            self._add_run(run, where)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _add_run(self, run: list[tuple[int, dict]], where: Callable[[int], str] | None) -> None:
+        if self.add_records([record for _, record in run]):
+            return
+        for number, record in run:
+            try:
+                self.check_record(record)
+                if not self.add_records([record]):  # the two checks agree: not reached
+                    raise CorpusError("record fails a whole-run check")
+            except CorpusError as exc:
+                raise CorpusError(f"{where(number) if where else ''}{exc}") from None
 
     def _append(
         self, ids, splits, provenances, n_turns, speakers, texts, episodes,
@@ -537,20 +561,18 @@ class _ColumnsBuilder:
         """The codes of all mentions and of all targets of a run of turns. New
         ids are interned in reading order: a turn's mentions, then its targets."""
         code_of = self.items.code.get  # TypeError for an unhashable id
-        mention_codes = list(map(code_of, chain.from_iterable(mentioned)))
-        target_codes = list(map(code_of, chain.from_iterable(targets)))
-        if None not in mention_codes and None not in target_codes:
-            return mention_codes, target_codes
-        # a new id, or an integer
-        read = list(chain.from_iterable(chain.from_iterable(zip(mentioned, targets))))
-        codes = list(map(code_of, read))
+        ids = (list(chain.from_iterable(mentioned)), list(chain.from_iterable(targets)))
+        codes = (list(map(code_of, ids[0])), list(map(code_of, ids[1])))
+        missing: list[tuple[int, int, int]] = []  # (turn, kind, position) of a new id or an int
+        for kind, lists in enumerate((mentioned, targets)):
+            if None in codes[kind]:
+                ends = list(accumulate(map(len, lists)))
+                positions = [j for j, code in enumerate(codes[kind]) if code is None]
+                missing += [(bisect_right(ends, j), kind, j) for j in positions]
         intern = self.items.intern
-        for j in [j for j, code in enumerate(codes) if code is None]:
-            codes[j] = intern(parse_id(read[j], ""))
-        lengths = np.array([list(map(len, mentioned)), list(map(len, targets))], np.int64).T.ravel()
-        is_target = np.repeat(np.tile([False, True], len(mentioned)), lengths)
-        codes = np.array(codes, dtype=np.int32)
-        return codes[~is_target].tolist(), codes[is_target].tolist()
+        for _, kind, j in sorted(missing):
+            codes[kind][j] = intern(parse_id(ids[kind][j], ""))
+        return codes
 
     def check_record(self, record: dict) -> None:
         """Raise ``CorpusError`` naming the first field of a corpus-file
@@ -659,44 +681,34 @@ class Corpus:
         with the given split and provenance; a dialogue_id already in the
         corpus raises ``CorpusError``."""
         base = self.columns
-        rows = np.asarray(rows, dtype=np.int64)
-        added_ids = [source.dialogue_ids[row] for row in rows.tolist()]
-        if not base.row_of.keys().isdisjoint(added_ids):
-            clash = next(i for i in added_ids if i in base.row_of)
+        added = source.take(rows)
+        if not base.row_of.keys().isdisjoint(added.dialogue_ids):
+            clash = next(i for i in added.dialogue_ids if i in base.row_of)
             raise CorpusError(f"duplicate dialogue_id {clash!r}")
-        turns = _ranges(source.turn_offsets[rows], source.turn_offsets[rows + 1])
-
-        def take(offsets: np.ndarray, codes: np.ndarray, start) -> tuple[np.ndarray, np.ndarray]:
-            starts, ends = offsets[turns], offsets[turns + 1]
-            return start + _offsets(ends - starts)[1:], codes[_ranges(starts, ends)]
-
-        mention_offsets, mention_codes = take(
-            source.mention_offsets, source.mention_codes, base.mention_offsets[-1]
-        )
-        target_offsets, target_codes = take(
-            source.target_offsets, source.target_codes, base.target_offsets[-1]
-        )
+        mention_codes, target_codes = added.mention_codes, added.target_codes
         if source.items is not base.items:
             used = np.unique(np.concatenate((mention_codes, target_codes)))
             remap = np.zeros(len(source.items), dtype=np.int32)
             remap[used] = [base.items.intern(source.items.ids[c]) for c in used.tolist()]
             mention_codes, target_codes = remap[mention_codes], remap[target_codes]
-        n_turns = source.turn_offsets[rows + 1] - source.turn_offsets[rows]
-        texts = source.texts
+
+        def joined(offsets: np.ndarray, more: np.ndarray) -> np.ndarray:
+            return np.concatenate((offsets, offsets[-1] + more[1:]))
+
         columns = DialogueColumns(
             items=base.items,
-            dialogue_ids=base.dialogue_ids + added_ids,
-            split=np.concatenate((base.split, np.full(len(rows), _SPLIT_CODE[split], np.int8))),
+            dialogue_ids=base.dialogue_ids + added.dialogue_ids,
+            split=np.concatenate((base.split, np.full(len(added), _SPLIT_CODE[split], np.int8))),
             provenance=np.concatenate(
-                (base.provenance, np.full(len(rows), _PROVENANCE_CODE[provenance], np.int8))
+                (base.provenance, np.full(len(added), _PROVENANCE_CODE[provenance], np.int8))
             ),
-            turn_offsets=np.concatenate((base.turn_offsets, len(base.texts) + np.cumsum(n_turns))),
-            speaker=np.concatenate((base.speaker, source.speaker[turns])),
-            texts=base.texts + [texts[t] for t in turns.tolist()],
-            episodes=np.concatenate((base.episodes, source.episodes[turns])),
-            mention_offsets=np.concatenate((base.mention_offsets, mention_offsets)),
+            turn_offsets=joined(base.turn_offsets, added.turn_offsets),
+            speaker=np.concatenate((base.speaker, added.speaker)),
+            texts=base.texts + added.texts,
+            episodes=np.concatenate((base.episodes, added.episodes)),
+            mention_offsets=joined(base.mention_offsets, added.mention_offsets),
             mention_codes=np.concatenate((base.mention_codes, mention_codes)),
-            target_offsets=np.concatenate((base.target_offsets, target_offsets)),
+            target_offsets=joined(base.target_offsets, added.target_offsets),
             target_codes=np.concatenate((base.target_codes, target_codes)),
         )
         return Corpus.from_columns(self.catalog, columns)
@@ -769,6 +781,14 @@ def read_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
+def record_line(path: str | Path, row: int) -> int:
+    """The line number of record ``row`` (counted from 0) of a file that
+    ``read_json_lines`` has read without error."""
+    with Path(path).open("rb") as fh:
+        lines = (lineno for lineno, line in enumerate(fh, start=1) if not line.isspace())
+        return next(islice(lines, row, None))
+
+
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write each string plus a newline to ``.<name>.<pid>.tmp`` beside
     ``path``, then rename it over ``path``: an error or an interrupt while
@@ -825,7 +845,7 @@ def load_catalog(path: str | Path) -> ItemCatalog:
     return ItemCatalog(items)
 
 
-def dialogue_to_record(dialogue: Dialogue | DialogueRow) -> dict:
+def dialogue_to_record(dialogue: Dialogue) -> dict:
     record: dict = {
         "dialogue_id": dialogue.dialogue_id,
         "split": dialogue.split,
@@ -844,46 +864,9 @@ def load_dialogues(path: str | Path, items: ItemIndex | None = None) -> Dialogue
     """Read a corpus or pool file into columns, interning its item ids into
     ``items`` (a fresh index when None); a malformed line or a repeated
     dialogue_id raises ``CorpusError`` naming ``path:line``, the first such
-    line in the file.
-
-    The cyclic garbage collector is paused while lines are read (and the
-    caller's setting restored after): a run of decoded records outlives
-    many young-generation passes, which would only walk it again and again.
-    The columns it leaves behind are a few dozen objects.
-    """
+    line in the file."""
     path = Path(path)
-    builder = _ColumnsBuilder(items if items is not None else ItemIndex())
-
-    def add(run: list[tuple[int, dict]]) -> None:
-        if builder.add_records([record for _, record in run]):
-            return
-        for lineno, record in run:
-            try:
-                builder.check_record(record)
-                if not builder.add_records([record]):  # the two checks agree: not reached
-                    raise CorpusError("record fails a whole-run check")
-            except CorpusError as exc:
-                raise CorpusError(f"{path}:{lineno}: {exc}") from None
-
-    # records are checked in runs; a line the reader rejects is reported
-    # after the lines before it have been checked
-    run: list[tuple[int, dict]] = []
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for numbered in read_json_lines(path):
-            run.append(numbered)
-            if len(run) == _RUN_LENGTH:
-                checked, run = run, []
-                add(checked)
-    except CorpusError:
-        add(run)
-        raise
-    finally:
-        if enabled:
-            gc.enable()
-    add(run)
-    return builder.finish()
+    return DialogueColumns.from_records(read_json_lines(path), items, lambda n: f"{path}:{n}: ")
 
 
 def load_corpus(corpus_path: str | Path, catalog_path: str | Path) -> tuple[Corpus, LoadSummary]:
@@ -909,12 +892,73 @@ def load_corpus(corpus_path: str | Path, catalog_path: str | Path) -> tuple[Corp
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus one record per dialogue, streamed from its columns."""
-    save_dialogues(corpus.columns.rows(), path)
+    """Write the corpus one record per dialogue, straight from its columns."""
+    write_lines(path, dialogue_lines(corpus.columns))
 
 
-def save_dialogues(dialogues: Iterable[Dialogue | DialogueRow], path: str | Path) -> None:
-    write_json_lines(path, map(dialogue_to_record, dialogues))
+def save_dialogues(dialogues: Iterable[Dialogue], path: str | Path) -> None:
+    write_lines(path, dialogue_lines(DialogueColumns.from_dialogues(dialogues)))
+
+
+# what the C encoder escapes strings with when ensure_ascii is off, as in _ENCODER
+_encode = json.encoder.encode_basestring
+
+
+def dialogue_lines(columns: DialogueColumns) -> Iterator[str]:
+    """Per dialogue, the text of ``_ENCODER.encode(dialogue_to_record(row))``,
+    assembled from column slices a run of dialogues at a time: each text and
+    each item id (once per code) is escaped as the encoder escapes it."""
+    ids = list(map(_encode, columns.items.ids))
+    alone = np.array([f"[{i}]" for i in ids] + ["[]"], dtype=object)  # code -1: none
+    speakers = [f'{{"speaker": {_encode(name)}, "text": ' for name in SPEAKER_NAMES]
+    fields = [  # split code * len(PROVENANCE_NAMES) + provenance code
+        f', "split": {_encode(split)}, "provenance": {_encode(provenance)}, "turns": ['
+        for split in SPLIT_NAMES for provenance in PROVENANCE_NAMES
+    ]
+    kinds = (columns.split.astype(np.int64) * len(PROVENANCE_NAMES) + columns.provenance).tolist()
+    offsets = columns.turn_offsets.tolist()
+    for start in range(0, len(columns), _RUN_LENGTH):
+        stop = min(start + _RUN_LENGTH, len(columns))
+        lo, hi = offsets[start], offsets[stop]
+        turns = [
+            f'{speaker}{text}, "items": {mentions}, "targets": {targets}}}'
+            for speaker, text, mentions, targets in zip(
+                map(speakers.__getitem__, columns.speaker[lo:hi].tolist()),
+                map(_encode, columns.texts[lo:hi]),
+                _json_arrays(columns.mention_offsets[lo : hi + 1], columns.mention_codes, ids, alone),
+                _json_arrays(columns.target_offsets[lo : hi + 1], columns.target_codes, ids, alone),
+            )
+        ]
+        episodes = columns.episodes[lo:hi].tolist()
+        numbers = list(map(str, episodes))
+        dialogue_ids = map(_encode, columns.dialogue_ids[start:stop])
+        for row, dialogue_id in enumerate(dialogue_ids, start):
+            first, end = offsets[row] - lo, offsets[row + 1] - lo
+            yield _dialogue_line(
+                dialogue_id, fields[kinds[row]], turns[first:end],
+                numbers[first:end] if episodes[first] >= 0 else None,
+            )
+
+
+def _json_arrays(offsets: np.ndarray, codes: np.ndarray, ids: list[str], alone) -> list[str]:
+    """Per turn of a slice of CSR ``offsets``, the JSON array of its item ids:
+    ``ids[c]`` is the JSON string of code ``c``, ``alone[c]`` the array of it
+    alone and ``alone[-1]`` the empty array."""
+    counts = np.diff(offsets)
+    first = np.full(len(counts), -1, dtype=np.int64)
+    some = counts > 0
+    first[some] = codes[offsets[:-1][some]]
+    arrays = alone[first]
+    for turn in np.flatnonzero(counts > 1).tolist():
+        many = codes[offsets[turn] : offsets[turn + 1]].tolist()
+        arrays[turn] = "[" + ", ".join(map(ids.__getitem__, many)) + "]"
+    return arrays.tolist()
+
+
+def _dialogue_line(dialogue_id: str, fields: str, turns: list[str], episodes: list[str] | None) -> str:
+    """One dialogue's JSON line from its JSON parts."""
+    line = '{"dialogue_id": ' + dialogue_id + fields + ", ".join(turns) + "]"
+    return line + "}" if episodes is None else line + ', "episodes": [' + ", ".join(episodes) + "]}"
 
 
 def save_catalog(catalog: ItemCatalog, path: str | Path) -> None:

@@ -1,9 +1,11 @@
 """Synthetic recommendation dialogue generation and reformatting.
 
 A prompt template plus an item name goes to a text-generation backend; the
-raw completion is parsed back into the corpus schema (speaker-prefixed lines,
-item-name matches replaced with ``@<item_id>`` mention tokens, the final
-recommender mention tagged as the accepted target).
+raw completion is parsed back into a corpus-file record (speaker-prefixed
+lines, item-name matches replaced with ``@<item_id>`` mention tokens, the
+final recommender mention tagged as the accepted target). ``build_pool``
+streams the records into the pool's column store, checked as a pool file's
+lines are, and writes the pool file from the store.
 
 Backends take whole batches (``generate_batch``). Two exist: an HTTP
 chat-completion client (configurable endpoint/model, token from an
@@ -24,12 +26,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Dialogue, ItemIndex, Turn, mention_token, save_dialogues
-from .augment import SyntheticPool
+from .corpus import CorpusError, Dialogue, DialogueColumns, ItemIndex, _ColumnsBuilder
+from .corpus import dialogue_lines, mention_token, write_lines
+from .augment import AugmentError, SyntheticPool
 
 LANGUAGES = frozenset({"en", "zh"})
 # Version of the pool bytes that (template, items, seed) give with the offline
@@ -408,15 +411,16 @@ def _tag_substrings(text: str, name: str, token: str) -> str | None:
 _TAGGERS = {"en": _tag_words, "zh": _tag_substrings}
 
 
-def parse_generated(
+def parse_generated_record(
     raw: str,
     item_id: str,
     item_name: str,
     dialogue_id: str | None = None,
     *,
     language: str = "en",
-) -> Dialogue:
-    """Reformat raw generated text into a corpus-schema dialogue.
+) -> dict:
+    """Reformat raw generated text into a corpus-file record (a synthetic
+    ``train`` dialogue, ``dialogue_id`` or ``syn-<item_id>``).
 
     Lines starting with "User:"/"Seeker:" become seeker turns and
     "System:"/"Recommender:" recommender turns; unprefixed lines continue the
@@ -452,40 +456,43 @@ def parse_generated(
         raise DialogueRejected("item_name_not_found")
 
     token = mention_token(item_id)
-    mention = (item_id,)
-    resolved: list[tuple[str, str, tuple[str, ...]]] = []
+    resolved: list[dict] = []
     named = False
     target: int | None = None  # the last recommender turn naming the item
     for index, (speaker, pieces) in enumerate(turns):
         text = " ".join(pieces)
-        mentions: tuple[str, ...] = ()
+        mentions: list[str] = []
         tagged = tag(text, item_name, token)
         if tagged is not None:
             text = tagged
-            mentions = mention
+            mentions = [item_id]
             named = True
             if speaker == "recommender":
                 target = index
-        resolved.append((speaker, text, mentions))
+        resolved.append({"speaker": speaker, "text": text, "items": mentions, "targets": []})
 
     if not named:
         raise DialogueRejected("item_name_not_found")
     if target is None:
         raise DialogueRejected("item_not_recommended")
-
-    built = tuple([
-        Turn(speaker, text, mentions, mention if index == target else ())
-        for index, (speaker, text, mentions) in enumerate(resolved)
-    ])
+    resolved[target]["targets"] = [item_id]
     # the accept_boundary segmentation: the target turn closes episode 0
-    episodes = (0,) * (target + 1) + (1,) * (len(built) - target - 1)
-    return Dialogue(
-        dialogue_id=dialogue_id or f"syn-{item_id}",
-        turns=built,
-        split="train",
-        episode_index_per_turn=episodes,
-        provenance="synthetic",
-    )
+    return {
+        "dialogue_id": dialogue_id or f"syn-{item_id}",
+        "split": "train",
+        "provenance": "synthetic",
+        "turns": resolved,
+        "episodes": [0] * (target + 1) + [1] * (len(resolved) - target - 1),
+    }
+
+
+def parse_generated(
+    raw: str, item_id: str, item_name: str, dialogue_id: str | None = None, *, language: str = "en"
+) -> Dialogue:
+    """``parse_generated_record`` as a ``Dialogue``."""
+    record = parse_generated_record(raw, item_id, item_name, dialogue_id, language=language)
+    (dialogue,) = DialogueColumns.from_records([(0, record)]).iter_dialogues()
+    return dialogue
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +552,14 @@ def build_pool(
     backend is sent them; items rejected in all ``max_attempts`` rounds are
     skipped with their last reason. The pool and the skipped items keep item
     order.
+
+    Each round's records stream into the pool's column store in checked runs
+    and are dropped once filled; the pool file is written from the store. A
+    repeated item id raises ``AugmentError``.
     """
     seeds = derived_seeds(seed, np.arange(len(items)), max_attempts)
-    accepted: list[Dialogue | None] = [None] * len(items)
+    builder = _ColumnsBuilder(ItemIndex(i for i, _ in items))
+    stored: list[int] = []  # the item index of each row of the store
     # an empty or blank name can be neither prompted for nor tagged
     last_reason = {
         i: "item_name_not_found" for i, (_, name) in enumerate(items) if not name.strip()
@@ -555,35 +567,45 @@ def build_pool(
     rejected: Counter[str] = Counter()
     attempts = 0
     pending = [index for index in range(len(items)) if index not in last_reason]
-    for attempt in range(max_attempts):
-        if not pending:
-            break
-        batch = [items[index] for index in pending]
-        texts = backend.generate_batch(template, batch, seeds[pending, attempt])
-        attempts += len(batch)
-        still_rejected = []
-        for index, (item_id, item_name), raw in zip(pending, batch, texts, strict=True):
+
+    def parsed(indices: list[int], texts: list[str]) -> Iterator[tuple[int, dict]]:
+        for index, raw in zip(indices, texts, strict=True):
             try:
-                accepted[index] = parse_generated(
-                    raw, item_id, item_name, language=template.language
-                )
+                record = parse_generated_record(raw, *items[index], language=template.language)
             except DialogueRejected as exc:
                 last_reason[index] = exc.reason
                 rejected[exc.reason] += 1
-                still_rejected.append(index)
-        pending = still_rejected
+                continue
+            stored.append(index)
+            yield index, record
 
-    dialogues = [dialogue for dialogue in accepted if dialogue is not None]
-    if not dialogues:
+    for attempt in range(max_attempts):
+        if not pending:
+            break
+        texts = backend.generate_batch(template, [items[i] for i in pending], seeds[pending, attempt])
+        attempts += len(pending)
+        n_stored = len(stored)
+        try:
+            builder.extend(parsed(pending, texts))
+        except CorpusError as exc:  # a repeated dialogue_id
+            raise AugmentError(f"pool contains {exc}") from None
+        accepted = set(stored[n_stored:])
+        pending = [index for index in pending if index not in accepted]
+
+    if not stored:
         raise BackendError("no synthetic dialogues were accepted")
-    synthetic_pool = SyntheticPool.from_dialogues(dialogues, ItemIndex(i for i, _ in items))
+    columns = builder.finish()
+    if stored != sorted(stored):  # rows accepted on a retry go back into item order
+        columns = columns.take(np.argsort(stored))
+    synthetic_pool = SyntheticPool.from_columns(columns)
     if output_path is not None:
-        save_dialogues(dialogues, output_path)
+        write_lines(output_path, dialogue_lines(columns))
+    accepted = set(stored)
     record = GenerationRecord(
         skipped=tuple(
-            SkippedItem(items[i][0], last_reason.get(i, "no_attempts"))
-            for i, dialogue in enumerate(accepted)
-            if dialogue is None
+            SkippedItem(item_id, last_reason.get(i, "no_attempts"))
+            for i, (item_id, _) in enumerate(items)
+            if i not in accepted
         ),
         attempts=attempts,
         rejected=dict(rejected),

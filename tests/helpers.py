@@ -297,3 +297,25 @@ def reference_pool_item(record) -> str | None:
     """The one item a pool record recommends, or None if it has not exactly one."""
     items = dict.fromkeys(i for turn in record["turns"] for i in record_touches(turn))
     return next(iter(items)) if len(items) == 1 else None
+
+
+def reference_item_codes(catalog_ids, mentioned, targets):
+    """Per turn, intern its mentions and then its targets, one id at a time:
+    ``((mention codes, target codes), index ids)``."""
+    ids = list(catalog_ids)
+    code = {item: n for n, item in enumerate(ids)}
+
+    def intern(item) -> int:
+        item = str(item)
+        if item not in code:
+            code[item] = len(ids)
+            ids.append(item)
+        return code[item]
+
+    mention_codes: list[int] = []
+    target_codes: list[int] = []
+    for turn_mentions, turn_targets in zip(mentioned, targets):
+        mention_codes += [intern(i) for i in turn_mentions]
+        target_codes += [intern(i) for i in turn_targets]
+    return (mention_codes, target_codes), ids
+

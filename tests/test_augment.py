@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import math
 import re
 import warnings
@@ -22,6 +23,7 @@ from crs_bias.augment import (
     audit_plan,
     iter_batches,
     load_plan,
+    load_pool,
     longtail_report,
     materialize_flat,
     once_aug,
@@ -122,6 +124,24 @@ class TestPool:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(AugmentError, match="duplicate"):
             SyntheticPool.from_dialogues([_synthetic("s", "a"), _synthetic("s", "b")])
+
+    @pytest.mark.parametrize("second, message", [
+        ({"provenance": "original"}, "pool.jsonl:3: pool dialogue 's2' is not synthetic"),
+        ({"items": ["a", "b"]},
+         "pool.jsonl:3: pool dialogue 's2' mentions 2 distinct items; exactly one is required"),
+    ])
+    def test_pool_rule_errors_name_path_and_line(self, tmp_path, second, message):
+        def line(dialogue_id: str, items=("a",), provenance="synthetic") -> str:
+            turn = {"speaker": "recommender", "text": "try it", "items": list(items), "targets": []}
+            return json.dumps({"dialogue_id": dialogue_id, "split": "train",
+                               "provenance": provenance, "turns": [turn]})
+
+        path = tmp_path / "pool.jsonl"
+        # line 2 is blank: the error names the file line, not the record number
+        path.write_text(line("s1") + "\n\n" + line("s2", **second) + "\n" + line("s3", ["b", "c"]))
+        with pytest.raises(AugmentError) as error:
+            load_pool(path)
+        assert str(error.value) == f"{tmp_path}/{message}"
 
     def test_digest_is_order_independent(self):
         one = _pool({"s1": "a", "s2": "b"})

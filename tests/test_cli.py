@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import inspect
+import io
 import json
 import math
 import shutil
@@ -417,6 +419,15 @@ class TestAugment:
         assert main(["augment", "--config", str(workspace_with_pool)]) == 2
         assert "bad_corpus.jsonl:4: malformed record: lone surrogate" in capsys.readouterr().err
 
+    def test_pool_rule_error_exits_2_with_path_line(self, workspace_with_pool, capsys):
+        pool = Path(yaml.safe_load(workspace_with_pool.read_text())["paths"]["pool"])
+        lines = pool.read_text().splitlines()
+        lines[1] = lines[1].replace('"provenance": "synthetic"', '"provenance": "original"')
+        pool.write_text("\n".join(lines) + "\n")
+        assert main(["augment", "--config", str(workspace_with_pool)]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {pool}:2: pool dialogue " in err and "is not synthetic" in err
+
     def test_plan_from_another_pool_exits_2(self, workspace_with_pool, capsys, monkeypatch):
         import crs_bias.cli as cli_module
 
@@ -446,16 +457,16 @@ class TestAugment:
         out = workspace_with_pool.parent / "out"
         assert main(["augment", "--config", str(workspace_with_pool)]) == 0
         before = snapshot(out)
-        to_record = corpus_module.dialogue_to_record
+        dialogue_line = corpus_module._dialogue_line
         written = []
 
-        def failing_to_record(dialogue):
-            written.append(dialogue)
+        def failing_line(*parts):
+            written.append(parts)
             if len(written) == 3:
                 raise RuntimeError("disk full")
-            return to_record(dialogue)
+            return dialogue_line(*parts)
 
-        monkeypatch.setattr(corpus_module, "dialogue_to_record", failing_to_record)
+        monkeypatch.setattr(corpus_module, "_dialogue_line", failing_line)
         with pytest.raises(RuntimeError, match="disk full"):
             main(["augment", "--config", str(workspace_with_pool), "--k", "3"])
         assert snapshot(out)["augmented_corpus.jsonl"] == before["augmented_corpus.jsonl"]
@@ -789,6 +800,44 @@ def test_augment_on_arbitrary_pool_lines_exits_0_or_2(strategy, records):
             augment={"k": 2, "batch_size": 2},
         )
         assert main(["augment", "--config", str(config), "--strategy", strategy]) in (0, 2)
+
+
+@st.composite
+def catalog_lines(draw):
+    """A catalog record, named with any text or with text that meets the
+    offline completions (speaker prefixes, a blank, a word inside another),
+    one with a field replaced or dropped, or any JSON value."""
+    record = {
+        "item_id": draw(st.sampled_from(("m1", "m2", "m3", "m4", "m5", 7, ""))),
+        "name": draw(st.text(max_size=8) | st.sampled_from(("Up", " ", "User: hi", "a\nb", "!"))),
+    }
+    damage = draw(st.sampled_from(("none", "none", "none", "replace", "drop", "line")))
+    key = draw(st.sampled_from(sorted(record)))
+    if damage == "replace":
+        record[key] = draw(JSON_VALUES)
+    elif damage == "drop":
+        del record[key]
+    elif damage == "line":
+        return draw(JSON_VALUES)
+    return record
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(records=st.lists(catalog_lines(), min_size=1, max_size=3))
+def test_generate_on_arbitrary_catalog_lines_exits_0_2_or_3(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        catalog = root / "catalog.jsonl"
+        catalog.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        config = write_config(
+            root / "config.yaml", paths={"catalog": str(catalog), "output_dir": str(root / "out")}
+        )
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["generate", "--config", str(config)])
+        assert code in (0, 2, 3)
+        if code == 3:  # every item rejected: the only backend error offline generation has
+            assert "backend error: no synthetic dialogues were accepted" in err.getvalue()
 
 
 # integers past the float range as well as floats, for mean and std

@@ -15,12 +15,23 @@ from hypothesis import strategies as st
 
 from crs_bias import corpus as corpus_module
 from crs_bias.augment import AugmentError, load_pool, longtail_report, once_aug
-from crs_bias.corpus import CorpusError, load_corpus, save_corpus, save_dialogues, segment_corpus
+from crs_bias.corpus import (
+    _ENCODER,
+    CorpusError,
+    ItemIndex,
+    dialogue_lines,
+    dialogue_to_record,
+    load_corpus,
+    save_corpus,
+    save_dialogues,
+    segment_corpus,
+)
 from crs_bias.popularity import train_frequencies
 
 from helpers import (
     reference_accept_boundary,
     reference_dialogue_max,
+    reference_item_codes,
     reference_pool_item,
     reference_train_frequencies,
     reference_unknown,
@@ -186,7 +197,74 @@ def test_runs_report_what_records_one_by_one_report(records, data, monkeypatch_m
             monkeypatch_module.setattr(corpus_module, "_RUN_LENGTH", run_length)
             try:
                 columns = corpus_module.load_dialogues(path)
-                outcomes.append([tuple(row) for row in columns.rows()] + [columns.items.ids])
+                outcomes.append(list(columns.iter_dialogues()) + [columns.items.ids])
             except CorpusError as exc:
                 outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=corpus_records(), data=st.data())
+def test_item_codes_match_a_per_record_loop(records, data):
+    """New ids, integer ids and repeats, in mentions and targets, get the
+    codes and the index order of interning each turn's mentions, then its
+    targets, over runs that share one index."""
+    turns = [turn for record in records for turn in record["turns"]]
+    mentioned = [turn["items"] for turn in turns]
+    targets = [turn["targets"] for turn in turns]
+    cut = data.draw(st.integers(0, len(turns)))
+    builder = corpus_module._ColumnsBuilder(ItemIndex(CATALOG_IDS))
+    first = builder._item_codes(mentioned[:cut], targets[:cut])
+    second = builder._item_codes(mentioned[cut:], targets[cut:])
+    codes, ids = reference_item_codes(CATALOG_IDS, mentioned, targets)
+    assert (list(first[0]) + list(second[0]), list(first[1]) + list(second[1])) == codes
+    assert builder.items.ids == ids
+
+
+# quotes, backslashes, control characters, line separators and non-BMP text;
+# lone surrogates cannot be written as UTF-8, by either writer
+WRITER_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",)) | st.sampled_from('"\\\x00\x1f\x7f\u2028\U0001F600'),
+    max_size=6,
+)
+WRITER_IDS = st.sampled_from(["m1", "7", 7, 12, 'q"', "b\\s", "\u2028", "\U0001F600", "é", ""])
+
+
+@st.composite
+def writer_records(draw):
+    records = []
+    for n in range(draw(st.integers(0, 5))):
+        turns = draw(st.lists(st.fixed_dictionaries({
+            "speaker": st.sampled_from(["seeker", "recommender"]),
+            "text": WRITER_TEXT,
+            "items": st.lists(WRITER_IDS, max_size=3),
+            "targets": st.lists(WRITER_IDS, max_size=2),
+        }), min_size=1, max_size=4))
+        record = {
+            "dialogue_id": draw(WRITER_TEXT) + str(n),  # the digit keeps ids distinct
+            "split": draw(st.sampled_from(["train", "valid", "test"])),
+            "turns": turns,
+        }
+        if draw(st.booleans()):
+            record["provenance"] = draw(st.sampled_from(["original", "synthetic"]))
+        if draw(st.booleans()):
+            steps = draw(st.lists(st.integers(0, 1), min_size=len(turns) - 1, max_size=len(turns) - 1))
+            record["episodes"] = [sum(steps[:t]) for t in range(len(turns))]
+        records.append(record)
+    return records
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=writer_records(), data=st.data())
+def test_dialogue_lines_equal_the_json_encoder(records, data):
+    columns = corpus_module.DialogueColumns.from_records(enumerate(records), ItemIndex(["m1", "7"]))
+    order = data.draw(st.permutations(range(len(columns))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus_module, "_RUN_LENGTH", data.draw(st.sampled_from([1, 2, 256])))
+        for store in (columns, columns.take(order)):
+            written = "".join(line + "\n" for line in dialogue_lines(store)).encode("utf-8")
+            expected = "".join(
+                _ENCODER.encode(dialogue_to_record(row)) + "\n" for row in store.iter_dialogues()
+            ).encode("utf-8")
+            assert written == expected
+
