@@ -235,8 +235,10 @@ def cmd_evaluate(config: RunConfig) -> int:
     items = pop.ItemIndex(corpus.catalog.items)
     reports = []
     for run_path in config.runs:
+        # a run's columns are dropped once scored, before the next file loads
         run = met.load_run(run_path, cutoffs=config.cutoffs, items=items)
         report = met.evaluate_run(run, corpus, table, log_base=config.log_base)
+        del run
         met.save_report(report, out / f"{report.model_name}.report.jsonl")
         reports.append(report)
 

@@ -10,11 +10,12 @@ i.e. when a turn carries a non-empty target list.
 In memory, dialogues live in one ``DialogueColumns`` store: arrays per
 dialogue and per turn, with every item id interned into one ``ItemIndex``.
 Every store is filled one way, from corpus-file records checked in runs
-(``_ColumnsBuilder.extend``), and written one way, one JSON line per
-dialogue assembled from column slices (``dialogue_lines``). The per-turn
-work (unknown mentions, segmentation, and the frequency and join passes of
-the other modules) is array work over the store. ``Turn`` and ``Dialogue``
-objects are built only when a caller asks for them.
+(``fill_checked``, which fills run files' columns too), and written one
+way, one JSON line per dialogue assembled from column slices
+(``dialogue_lines``). The per-turn work (unknown mentions, segmentation,
+and the frequency and join passes of the other modules) is array work over
+the store. ``Turn`` and ``Dialogue`` objects are built only when a caller
+asks for them.
 
 File formats (UTF-8, one JSON object per line):
 
@@ -109,6 +110,25 @@ class ItemIndex:
             code = self.code[item_id] = len(self.ids)
             self.ids.append(item_id)
         return code
+
+    def intern_lists(self, firsts: list[list], seconds: list[list]) -> tuple[list[int], list[int]]:
+        """The codes of all ids of ``firsts`` and of all ids of ``seconds``,
+        two lists of id lists over the same entries. New ids are interned in
+        reading order: an entry's ``firsts`` ids, then its ``seconds`` ids.
+        An integer id reads as its decimal string; any other non-string
+        raises ``CorpusError``, or ``TypeError`` if it is unhashable."""
+        code_of = self.code.get
+        ids = (list(chain.from_iterable(firsts)), list(chain.from_iterable(seconds)))
+        codes = (list(map(code_of, ids[0])), list(map(code_of, ids[1])))
+        missing: list[tuple[int, int, int]] = []  # (entry, kind, position) of a new id or an int
+        for kind, lists in enumerate((firsts, seconds)):
+            if None in codes[kind]:
+                ends = list(accumulate(map(len, lists)))
+                positions = [j for j, code in enumerate(codes[kind]) if code is None]
+                missing += [(bisect_right(ends, j), kind, j) for j in positions]
+        for _, kind, j in sorted(missing):
+            codes[kind][j] = self.intern(parse_id(ids[kind][j], ""))
+        return codes
 
 
 class _TurnFields(NamedTuple):
@@ -299,9 +319,9 @@ class DialogueColumns:
     ) -> "DialogueColumns":
         """The store of ``(number, record)`` pairs of corpus-file records, item
         ids interned into ``items`` (a fresh index when None); see
-        ``_ColumnsBuilder.extend`` for ``where`` and the errors."""
+        ``fill_checked`` for ``where`` and the errors."""
         builder = _ColumnsBuilder(items if items is not None else ItemIndex())
-        builder.extend(numbered, where)
+        fill_checked(builder, numbered, where)
         return builder.finish()
 
     @classmethod
@@ -447,6 +467,53 @@ class DialogueColumns:
         )
 
 
+def fill_checked(
+    builder, numbered: Iterable[tuple[int, dict]], where: Callable[[int], str] | None = None
+) -> None:
+    """Append ``(number, record)`` pairs to ``builder`` in checked runs of
+    ``_RUN_LENGTH``.
+
+    ``builder.add_records(run)`` appends a whole run of pairs if every record
+    is valid, checking each rule once over the run, and returns False,
+    appending nothing, otherwise. A failed run is checked again record by
+    record with ``builder.check_record``, and the first bad record raises
+    ``CorpusError`` prefixed by ``where(number)``. An error that ``numbered``
+    itself raises comes after the records before it are checked. The cyclic
+    collector is paused meanwhile (and the caller's setting restored):
+    young-generation passes would only walk each run of records again and
+    again, and the columns are a few dozen objects.
+    """
+    run: list[tuple[int, dict]] = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for pair in numbered:
+            run.append(pair)
+            if len(run) == _RUN_LENGTH:
+                checked, run = run, []
+                _add_run(builder, checked, where)
+    except CorpusError:
+        _add_run(builder, run, where)
+        raise
+    else:
+        _add_run(builder, run, where)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _add_run(builder, run: list[tuple[int, dict]], where: Callable[[int], str] | None) -> None:
+    if builder.add_records(run):
+        return
+    for number, record in run:
+        try:
+            builder.check_record(record)
+            if not builder.add_records([(number, record)]):  # the two checks agree: not reached
+                raise CorpusError("record fails a whole-run check")
+        except CorpusError as exc:
+            raise CorpusError(f"{where(number) if where else ''}{exc}") from None
+
+
 class _ColumnsBuilder:
     """Appends validated dialogues straight into growing columns, interning
     item ids into ``items`` as it goes."""
@@ -466,11 +533,12 @@ class _ColumnsBuilder:
         self.n_targets = array("q")
         self.target_codes = array("i")
 
-    def add_records(self, records: list[dict]) -> bool:
-        """Append a run of corpus-file records if every one is valid, checking
-        each rule once over the whole run; False, with nothing appended, if
-        any check fails (new item ids may have been interned).
+    def add_records(self, run: list[tuple[int, dict]]) -> bool:
+        """Append a run of numbered corpus-file records if every one is valid,
+        checking each rule once over the whole run; False, with nothing
+        appended, if any check fails (new item ids may have been interned).
         ``check_record`` then names the first bad field."""
+        records = [record for _, record in run]
         if not records:
             return True
         try:
@@ -490,7 +558,7 @@ class _ColumnsBuilder:
             if not (_all_of(texts, str) and _all_of(mentioned, list) and _all_of(targets, list)):
                 return False
             episodes = _episode_column([record.get("episodes") for record in records], n_turns)
-            codes = self._item_codes(mentioned, targets)
+            codes = self.items.intern_lists(mentioned, targets)
         except (KeyError, TypeError, CorpusError, OverflowError):
             return False
         if episodes is None or len(set(ids)) != len(ids) or not self._seen.isdisjoint(ids):
@@ -499,44 +567,6 @@ class _ColumnsBuilder:
             ids, splits, provenances, n_turns, speakers, texts, episodes, mentioned, targets, *codes
         )
         return True
-
-    def extend(
-        self, numbered: Iterable[tuple[int, dict]], where: Callable[[int], str] | None = None
-    ) -> None:
-        """Append ``(number, record)`` pairs, checked in runs of ``_RUN_LENGTH``:
-        the first bad record raises ``CorpusError`` prefixed by ``where(number)``,
-        and an error ``numbered`` raises comes after the records before it are
-        checked. The cyclic collector is paused meanwhile (and the caller's
-        setting restored): young-generation passes would only walk each run
-        of records again and again, and the columns are a few dozen objects."""
-        run: list[tuple[int, dict]] = []
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for pair in numbered:
-                run.append(pair)
-                if len(run) == _RUN_LENGTH:
-                    checked, run = run, []
-                    self._add_run(checked, where)
-        except CorpusError:
-            self._add_run(run, where)
-            raise
-        else:
-            self._add_run(run, where)
-        finally:
-            if enabled:
-                gc.enable()
-
-    def _add_run(self, run: list[tuple[int, dict]], where: Callable[[int], str] | None) -> None:
-        if self.add_records([record for _, record in run]):
-            return
-        for number, record in run:
-            try:
-                self.check_record(record)
-                if not self.add_records([record]):  # the two checks agree: not reached
-                    raise CorpusError("record fails a whole-run check")
-            except CorpusError as exc:
-                raise CorpusError(f"{where(number) if where else ''}{exc}") from None
 
     def _append(
         self, ids, splits, provenances, n_turns, speakers, texts, episodes,
@@ -556,23 +586,6 @@ class _ColumnsBuilder:
         self.mention_codes.fromlist(mention_codes)
         self.n_targets.fromlist(list(map(len, targets)))
         self.target_codes.fromlist(target_codes)
-
-    def _item_codes(self, mentioned, targets) -> tuple[list[int], list[int]]:
-        """The codes of all mentions and of all targets of a run of turns. New
-        ids are interned in reading order: a turn's mentions, then its targets."""
-        code_of = self.items.code.get  # TypeError for an unhashable id
-        ids = (list(chain.from_iterable(mentioned)), list(chain.from_iterable(targets)))
-        codes = (list(map(code_of, ids[0])), list(map(code_of, ids[1])))
-        missing: list[tuple[int, int, int]] = []  # (turn, kind, position) of a new id or an int
-        for kind, lists in enumerate((mentioned, targets)):
-            if None in codes[kind]:
-                ends = list(accumulate(map(len, lists)))
-                positions = [j for j, code in enumerate(codes[kind]) if code is None]
-                missing += [(bisect_right(ends, j), kind, j) for j in positions]
-        intern = self.items.intern
-        for _, kind, j in sorted(missing):
-            codes[kind][j] = intern(parse_id(ids[kind][j], ""))
-        return codes
 
     def check_record(self, record: dict) -> None:
         """Raise ``CorpusError`` naming the first field of a corpus-file

@@ -17,9 +17,15 @@ Entries that a metric cannot score (no targets, first episode, empty list,
 ...) are skipped and the skip reasons are disclosed in the report; means and
 standard deviations cover the scored entries only.
 
-The per-entry functions are the reference definitions. ``evaluate_run``
-scores a whole run column-wise over interned item codes and reproduces them
-bit for bit.
+The per-entry functions are the reference definitions. ``load_run`` fills a
+run's columns through the loader harness the corpus store uses
+(``corpus.fill_checked``): records are checked a run of 256 at a time, one
+pass per rule, and a run that breaks a rule is checked again record by
+record, so the error names the first bad line. ``evaluate_run`` scores a
+whole run column-wise over interned item codes and reproduces the reference
+functions bit for bit: row sums are exact as two fixed-point limbs (``fsum``
+where the terms do not fit), and CEP's per-row Pearson statistics are
+computed once per distinct (row, overlap), however many entries share it.
 """
 
 from __future__ import annotations
@@ -28,13 +34,15 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from math import fsum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, CorpusError, parse_id, read_json_lines, write_json_lines
+from .corpus import Corpus, CorpusError, fill_checked, parse_id, read_json_lines, write_json_lines
+from .corpus import _all_of, _offsets, _transpose
 from .popularity import ItemIndex, PopularityTable, item_coverage, train_frequencies
 
 DEFAULT_CUTOFFS = (10, 50)
@@ -74,6 +82,8 @@ class RunColumns(Sequence[RunEntry]):
     ``ranks`` is an (entries x longest list, at least 1) int32 matrix of
     item codes, padded with -1 past each row's ``lengths``. Entry ``i``'s
     targets are ``target_codes[target_offsets[i]:target_offsets[i + 1]]``.
+    ``lines[i]`` is the entry's line in the run file ``path``, or its
+    position in the tuple it was built from when ``path`` is None.
     Indexing builds the ``RunEntry`` on demand.
     """
 
@@ -86,6 +96,8 @@ class RunColumns(Sequence[RunEntry]):
     lengths: np.ndarray
     target_codes: np.ndarray
     target_offsets: np.ndarray
+    lines: np.ndarray
+    path: Path | None = None
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -103,74 +115,124 @@ class RunColumns(Sequence[RunEntry]):
         )
 
 
+_RUN_FIELDS = ("dialogue_id", "turn_index", "episode_index", "ranked", "targets")
+
+
 class _RunBuilder:
-    """Appends entries straight into compact columns, interning ids as it goes."""
+    """Appends run-file records straight into compact columns, a checked run
+    of records at a time (see ``corpus.fill_checked``), interning ids as it
+    goes."""
 
     def __init__(self, items: ItemIndex):
         self.items = items
-        self.dialogue_ids: list[str] = []
         self._dialogue_code: dict[str, int] = {}
         self._keys: set[tuple[int, int]] = set()
+        self.lines = array("q")
         self.dialogue_codes = array("q")
         self.turn_index = array("q")
         self.episode_index = array("q")
         self.lengths = array("q")
-        self.ranked = array("i")
+        self.ranked = [np.zeros(0, dtype=np.int32)]  # one array per run
+        self.n_targets = array("q")
         self.targets = array("i")
-        self.target_offsets = array("q", [0])
 
-    def _codes(self, item_ids: Sequence[str], what: str) -> list[int]:
+    def add_records(self, run: list[tuple[int, dict]]) -> bool:
+        """Append a run of numbered run-file records if every one is valid,
+        checking each rule once over the whole run; False, with nothing
+        appended, if any check fails (new ids may have been interned)."""
+        if not run:
+            return True
         try:
-            return list(map(self.items.code.__getitem__, item_ids))
-        except (KeyError, TypeError):  # an id seen for the first time, or not a string
-            return [self.items.intern(parse_id(i, what)) for i in item_ids]
+            lines, records = zip(*run)
+            ids, turns, episodes, ranked, targets = _transpose(records, _RUN_FIELDS)
+            if not _all_of(ids, str):
+                ids = [parse_id(i, "") for i in ids]
+            if not (_all_of(turns, int) and _all_of(episodes, int)
+                    and _all_of(ranked, list) and _all_of(targets, list)):
+                return False
+            if (np.array((turns, episodes), dtype=np.int64) < 0).any():  # OverflowError past int64
+                return False
+            code = self._dialogue_code
+            dialogues = [code.setdefault(d, len(code)) for d in ids]
+            keys = set(zip(dialogues, turns))
+            if len(keys) != len(records) or not self._keys.isdisjoint(keys):
+                return False
+            ranked_codes, target_codes = self.items.intern_lists(ranked, targets)
+            ranked_codes = np.array(ranked_codes, dtype=np.int32)
+            lengths = list(map(len, ranked))
+            # one sort finds every ranked list that names an item twice
+            owned = np.repeat(np.arange(len(records), dtype=np.int64) * len(self.items), lengths)
+            owned = np.sort(owned + ranked_codes)
+            if (owned[1:] == owned[:-1]).any():
+                return False
+        except (KeyError, TypeError, CorpusError, OverflowError):
+            return False
+        self._keys |= keys
+        self.lines.fromlist(list(lines))
+        self.dialogue_codes.fromlist(dialogues)
+        self.turn_index.fromlist(turns)
+        self.episode_index.fromlist(episodes)
+        self.lengths.fromlist(lengths)
+        self.ranked.append(ranked_codes)
+        self.n_targets.fromlist(list(map(len, targets)))
+        self.targets.fromlist(target_codes)
+        return True
 
-    def add(
-        self,
-        dialogue_id: str,
-        turn_index: int,
-        episode_index: int,
-        ranked: Sequence[str],
-        targets: Sequence[str],
-    ) -> None:
-        dialogue = self._dialogue_code.get(dialogue_id)
-        if dialogue is None:
-            dialogue = self._dialogue_code[dialogue_id] = len(self.dialogue_ids)
-            self.dialogue_ids.append(dialogue_id)
-        key = (dialogue, turn_index)
-        if key in self._keys:
+    def check_record(self, record: dict) -> None:
+        """Raise ``CorpusError`` naming the first field of a run-file record
+        that breaks a rule, checked in field order; append nothing."""
+        try:
+            dialogue_id = parse_id(record["dialogue_id"], "'dialogue_id'")
+            for key in ("turn_index", "episode_index"):
+                value = record[key]
+                if type(value) is not int or not 0 <= value < _INDEX_LIMIT:
+                    raise CorpusError(
+                        f"{key!r} must be a non-negative 64-bit integer, got {value!r}"
+                    )
+            for key in ("ranked", "targets"):
+                if type(record[key]) is not list:
+                    raise CorpusError(f"{key!r} must be an array of item ids, got {record[key]!r}")
+        except KeyError as exc:
+            raise CorpusError(f"run record missing {exc.args[0]!r}") from None
+        turn_index = record["turn_index"]
+        if (self._dialogue_code.get(dialogue_id), turn_index) in self._keys:
             raise CorpusError(f"duplicate run entry ({dialogue_id!r}, turn {turn_index})")
-        ranked_codes = self._codes(ranked, "'ranked' item")
-        if len(set(ranked_codes)) != len(ranked_codes):
+        ranked = [parse_id(item_id, "'ranked' item") for item_id in record["ranked"]]
+        if len(set(ranked)) != len(ranked):
             raise CorpusError(
                 f"run entry ({dialogue_id!r}, turn {turn_index}): "
                 f"ranked list contains duplicate item ids"
             )
-        self.targets.fromlist(self._codes(targets, "'targets' item"))
-        self._keys.add(key)
-        self.dialogue_codes.append(dialogue)
-        self.turn_index.append(turn_index)
-        self.episode_index.append(episode_index)
-        self.lengths.append(len(ranked_codes))
-        self.ranked.fromlist(ranked_codes)
-        self.target_offsets.append(len(self.targets))
+        for item_id in record["targets"]:
+            parse_id(item_id, "'targets' item")
 
-    def finish(self) -> RunColumns:
+    def finish(self, path: Path | None) -> RunColumns:
         lengths = np.array(self.lengths, dtype=np.int64)
         width = int(lengths.max(initial=1))  # at least one (padding) column
         ranks = np.full((len(lengths), width), -1, dtype=np.int32)
-        ranks[np.arange(width) < lengths[:, None]] = np.array(self.ranked, dtype=np.int32)
+        ranks[np.arange(width) < lengths[:, None]] = np.concatenate(self.ranked)
         return RunColumns(
             items=self.items,
-            dialogue_ids=self.dialogue_ids,
+            dialogue_ids=list(self._dialogue_code),
             dialogue_codes=np.array(self.dialogue_codes, dtype=np.int64),
             turn_index=np.array(self.turn_index, dtype=np.int64),
             episode_index=np.array(self.episode_index, dtype=np.int64),
             ranks=ranks,
             lengths=lengths,
             target_codes=np.array(self.targets, dtype=np.int32),
-            target_offsets=np.array(self.target_offsets, dtype=np.int64),
+            target_offsets=_offsets(self.n_targets),
+            lines=np.array(self.lines, dtype=np.int64),
+            path=path,
         )
+
+
+def _load_columns(
+    numbered: Iterable[tuple[int, dict]], items: ItemIndex, where: Callable[[int], str],
+    path: Path | None = None,
+) -> RunColumns:
+    builder = _RunBuilder(items)
+    fill_checked(builder, numbered, where)
+    return builder.finish(path)
 
 
 @dataclass(frozen=True)
@@ -186,18 +248,6 @@ class RankedRun:
     cutoffs: tuple[int, ...] = DEFAULT_CUTOFFS
 
 
-def _array(value, key: str) -> list:
-    if type(value) is not list:
-        raise CorpusError(f"{key!r} must be an array of item ids, got {value!r}")
-    return value
-
-
-def _index(value, key: str) -> int:
-    if type(value) is not int or not 0 <= value < _INDEX_LIMIT:
-        raise CorpusError(f"{key!r} must be a non-negative 64-bit integer, got {value!r}")
-    return value
-
-
 def load_run(
     path: str | Path,
     model_name: str | None = None,
@@ -207,31 +257,17 @@ def load_run(
     """Read a run file: one record per line with dialogue_id, turn_index,
     episode_index, ranked, targets.
 
-    Each line is interned into ``items`` (a fresh index when None) and
-    appended to the run's columns as it is read. Any malformed line, and a
-    second entry for the same (dialogue_id, turn_index), raises
-    ``CorpusError`` naming ``path:line``.
+    Lines are checked and appended to the run's columns a run of records at
+    a time, their ids interned into ``items`` (a fresh index when None) in
+    reading order. Any malformed line, and a second entry for the same
+    (dialogue_id, turn_index), raises ``CorpusError`` naming ``path:line``.
     """
     path = Path(path)
-    builder = _RunBuilder(items if items is not None else ItemIndex())
-    for lineno, record in read_json_lines(path):
-        try:
-            builder.add(
-                parse_id(record["dialogue_id"], "'dialogue_id'"),
-                _index(record["turn_index"], "turn_index"),
-                _index(record["episode_index"], "episode_index"),
-                _array(record["ranked"], "ranked"),
-                _array(record["targets"], "targets"),
-            )
-        except KeyError as exc:
-            raise CorpusError(f"{path}:{lineno}: run record missing {exc.args[0]!r}") from exc
-        except CorpusError as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-    return RankedRun(
-        model_name=model_name or path.stem,
-        entries=builder.finish(),
-        cutoffs=tuple(cutoffs),
+    columns = _load_columns(
+        read_json_lines(path), items if items is not None else ItemIndex(),
+        lambda n: f"{path}:{n}: ", path,
     )
+    return RankedRun(model_name=model_name or path.stem, entries=columns, cutoffs=tuple(cutoffs))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +447,8 @@ class BiasReport:
 
 
 def _validate_join(model_name: str, run: RunColumns, corpus: Corpus) -> None:
-    """Each entry names a corpus dialogue and turn, and the turn's episode, if any."""
+    """Each entry names a corpus dialogue and turn, and the turn's episode, if
+    any; the error for a run file names the line of its first such entry."""
     columns = corpus.columns
     # each entry's corpus row; row -1, an unknown dialogue, reads a trailing 0 turns
     rows = np.array([columns.row_of.get(d, -1) for d in run.dialogue_ids], dtype=np.int64)
@@ -420,7 +457,8 @@ def _validate_join(model_name: str, run: RunColumns, corpus: Corpus) -> None:
     episodes = np.full(len(run), -1, dtype=np.int64)
     episodes[joined] = columns.episodes[columns.turn_offsets[rows[joined]] + turn[joined]]
     problems: set[str] = set()
-    for entry in np.flatnonzero(~joined | ((episodes >= 0) & (episodes != run.episode_index))):
+    bad = np.flatnonzero(~joined | ((episodes >= 0) & (episodes != run.episode_index)))
+    for entry in bad:
         dialogue_id, turn_index = run.dialogue_ids[run.dialogue_codes[entry]], turn[entry]
         if rows[entry] < 0:
             problems.add(f"unknown dialogue {dialogue_id!r}")
@@ -433,49 +471,91 @@ def _validate_join(model_name: str, run: RunColumns, corpus: Corpus) -> None:
             )
     if problems:
         shown = "; ".join(sorted(problems)[:20])
-        raise CorpusError(f"run {model_name!r} does not join against corpus: {shown}")
+        where = "" if run.path is None else f"{run.path}:{run.lines[bad[0]]}: "
+        raise CorpusError(f"{where}run {model_name!r} does not join against corpus: {shown}")
 
 
 def _run_columns(run: RankedRun, corpus: Corpus) -> RunColumns:
     if isinstance(run.entries, RunColumns):
         return run.entries
-    builder = _RunBuilder(ItemIndex(corpus.catalog.items))
-    for entry in run.entries:
-        try:
-            builder.add(
-                entry.dialogue_id,
-                entry.turn_index,
-                entry.episode_index,
-                entry.ranked_item_ids,
-                entry.target_item_ids,
-            )
-        except CorpusError as exc:
-            raise CorpusError(f"run {run.model_name!r}: {exc}") from exc
-    return builder.finish()
-
-
-def _exact_row_sums(mask: np.ndarray, terms: Sequence[float]) -> np.ndarray:
-    """``fsum(terms[j] for j if mask[row, j])`` for every row, bit for bit.
-
-    Finite doubles are integer multiples of ``2**-scale`` for a scale taken
-    from their exponents. When those integers' total fits int64, each row
-    sum is an exact integer sum, and one correctly rounded int-to-float
-    conversion gives the correctly rounded result that ``fsum`` returns.
-    Otherwise every row is summed with ``fsum``.
-    """
-    terms = list(terms[: mask.shape[1]])
-    exponents = [math.frexp(t)[1] for t in terms if t != 0.0]
-    if exponents and all(map(math.isfinite, terms)) and min(exponents) > -900:
-        scale = 53 - min(exponents)
-        if max(exponents) + scale <= 62:
-            scaled = [int(math.ldexp(t, scale)) for t in terms]
-            if sum(map(abs, scaled)) < 2**63:
-                sums = (mask * np.array(scaled, dtype=np.int64)).sum(axis=1)
-                return np.ldexp(sums.astype(np.float64), -scale)
-    return np.array(
-        [fsum(t for t, used in zip(terms, row) if used) for row in mask.tolist()],
-        dtype=np.float64,
+    records = (
+        (n, {
+            "dialogue_id": e.dialogue_id, "turn_index": e.turn_index,
+            "episode_index": e.episode_index, "ranked": list(e.ranked_item_ids),
+            "targets": list(e.target_item_ids),
+        })
+        for n, e in enumerate(run.entries)
     )
+    where = f"run {run.model_name!r}: "
+    return _load_columns(records, ItemIndex(corpus.catalog.items), lambda n: where)
+
+
+# rows summed, and Pearson rows scored, per block
+_ROW_BLOCK = 512
+# bits in the low limb of a fixed-point term
+_LIMB = 31
+
+
+def _fixed_point(terms: np.ndarray, width: int) -> tuple[np.ndarray, int] | None:
+    """``(limbs, scale)``: per term, integer-valued doubles ``(high, low)``
+    with ``term == (high * 2**31 + low) * 2**-scale`` and ``0 <= low <
+    2**31``, when the high limbs, and the low limbs, of any ``width`` terms
+    sum below ``2**53`` in magnitude, so every partial sum of them is an
+    exact double; else None.
+
+    A finite double is an integer multiple of ``2**(exponent - 53)``, so
+    ``scale`` from the smallest exponent makes every term an integer.
+    """
+    if not np.isfinite(terms).all():
+        return None
+    exponents = np.frexp(terms[terms != 0.0])[1].tolist() or [0]
+    low_exponent, high_exponent = min(exponents), max(exponents)
+    scale = 53 - low_exponent
+    # |term| < 2**high_exponent, so |high| <= 2**(high_exponent + scale - _LIMB)
+    # and a sum of width terms stays below 2**(high_exponent + bits), finite
+    bits = width.bit_length()
+    if (low_exponent <= -900 or high_exponent + bits > 1023
+            or max(high_exponent + scale - _LIMB, _LIMB) + bits > 53):
+        return None
+    scaled = np.ldexp(terms, scale)  # exact integers
+    high = np.floor(np.ldexp(scaled, -_LIMB))
+    return np.stack((high, scaled - np.ldexp(high, _LIMB)), axis=1), scale
+
+
+def _exact_row_sums(
+    mask: np.ndarray, terms: Sequence[float], codes: np.ndarray | None = None
+) -> np.ndarray:
+    """Per row, ``fsum`` of ``terms[j]`` for every ``j`` with ``mask[row, j]``,
+    or of ``terms[codes[row, j]]`` when ``codes`` is given, bit for bit.
+
+    Terms are summed as two fixed-point limbs (``_fixed_point``), whose
+    partial sums are exact in any order, so a matrix product sums them; then
+    adding the high sum times ``2**31`` to the low sum rounds once, to the
+    correctly rounded sum that ``fsum`` returns. Terms out of the limbs'
+    range are summed with ``fsum``, row by row. Rows go in blocks of
+    ``_ROW_BLOCK``.
+    """
+    width = mask.shape[1]
+    terms = np.asarray(terms, dtype=np.float64)
+    if codes is None:
+        terms = terms[:width]
+    fixed = _fixed_point(terms, width)
+    sums = np.empty(len(mask))
+    for start in range(0, len(mask), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        used = mask[rows]
+        if fixed is None:
+            values = np.broadcast_to(terms, used.shape) if codes is None else terms[codes[rows]]
+            pairs = zip(values.tolist(), used.tolist())
+            sums[rows] = [fsum(compress(row, row_used)) for row, row_used in pairs]
+            continue
+        limbs, scale = fixed
+        if codes is None:
+            high, low = (used @ limbs).T
+        else:
+            high, low = (np.einsum("rj,rj->r", limb[codes[rows]], used) for limb in limbs.T)
+        sums[rows] = np.ldexp(np.ldexp(high, _LIMB) + low, -scale)
+    return sums
 
 
 # skip-reason codes; 0 means scored
@@ -488,7 +568,6 @@ _REASONS = (
     "insufficient_overlap",
 )
 _FIRST_EPISODE, _NO_PREVIOUS, _NO_TARGETS, _EMPTY, _OVERLAP = range(1, 6)
-_PEARSON_BLOCK = 512
 
 
 def _previous_rows(run: RunColumns) -> np.ndarray:
@@ -510,33 +589,51 @@ def _previous_rows(run: RunColumns) -> np.ndarray:
     return np.where(found, last_row[before], -1)
 
 
-def _pearson_rows(x: np.ndarray, y: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """``pearson(x[i, :length[i]], y[i, :length[i]])`` for every row, bit for bit.
+def _pearson_rows(
+    pop: np.ndarray, ranks: np.ndarray, x_rows: np.ndarray, y_rows: np.ndarray, length: np.ndarray
+) -> np.ndarray:
+    """``pearson(pop[ranks[x, :k]], pop[ranks[y, :k]])`` for every ``(x, y, k)``
+    of ``x_rows``, ``y_rows`` and ``length``, bit for bit.
 
-    Deviations and products are elementwise (IEEE, as on Python floats);
-    sums stay per-row ``fsum`` over zero-padded rows (exact zeros leave
-    ``fsum`` unchanged), and squares use Python's ``** 2``, which calls libm
-    ``pow`` and is not always ``d * d``. Rows go in blocks so the Python
-    lists stay short-lived.
+    The statistics of one side depend only on its (row, k), so each distinct
+    (row, k) of either side gets them once: its mean, from exact row sums,
+    and the ``fsum`` of its squared deviations, zero-padded to the width of
+    ``ranks`` (exact zeros leave ``fsum`` unchanged) and squared with
+    Python's ``** 2``, which calls libm ``pow`` and is not always ``d * d``.
+    Only the ``fsum`` of the products is per pair. Deviations and products
+    are elementwise (IEEE, as on Python floats); rows go in blocks so the
+    Python lists stay short-lived.
     """
-    inside = np.arange(x.shape[1]) < length[:, None]
-    rho = np.zeros(len(length))
-    for start in range(0, len(length), _PEARSON_BLOCK):
-        rows = slice(start, start + _PEARSON_BLOCK)
-        mask, n = inside[rows], length[rows]
-        x_rows, y_rows = np.where(mask, x[rows], 0.0), np.where(mask, y[rows], 0.0)
-        mean_x = np.array([fsum(row) for row in x_rows.tolist()]) / n
-        mean_y = np.array([fsum(row) for row in y_rows.tolist()]) / n
-        dx = np.where(mask, x_rows - mean_x[:, None], 0.0)
-        dy = np.where(mask, y_rows - mean_y[:, None], 0.0)
-        sxy = np.array([fsum(row) for row in (dx * dy).tolist()])
-        sxx = np.array([fsum([d ** 2 for d in row]) for row in dx.tolist()])
-        syy = np.array([fsum([d ** 2 for d in row]) for row in dy.tolist()])
-        varied = (sxx != 0.0) & (syy != 0.0)
-        if (varied & (sxx * syy == 0.0)).any():
-            raise ZeroDivisionError("float division by zero")  # as pearson, on an underflowed product
-        block = rho[rows]
-        block[varied] = np.clip(sxy[varied] / np.sqrt(sxx[varied] * syy[varied]), -1.0, 1.0)
+    n, width = len(length), ranks.shape[1]
+    columns = np.arange(width)
+
+    def deviations(codes: np.ndarray, k: np.ndarray, mean: np.ndarray) -> np.ndarray:
+        return np.where(columns < k[:, None], pop[codes] - mean[:, None], 0.0)
+
+    keys = np.concatenate((x_rows, y_rows)) * (width + 1) + np.concatenate((length, length))
+    distinct, side = np.unique(keys, return_inverse=True)
+    rows, k = np.divmod(distinct, width + 1)
+    codes = ranks[rows]
+    mean = _exact_row_sums(columns < k[:, None], pop, codes) / k
+    squares = np.empty(len(distinct))
+    for start in range(0, len(distinct), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        dev = deviations(codes[block], k[block], mean[block])
+        squares[block] = [fsum(map(pow, row, repeat(2))) for row in dev.tolist()]
+
+    x, y = side[:n], side[n:]
+    sxx, syy = squares[x], squares[y]
+    sxy = np.empty(n)
+    for start in range(0, n, _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        dx = deviations(ranks[x_rows[block]], length[block], mean[x[block]])
+        dy = deviations(ranks[y_rows[block]], length[block], mean[y[block]])
+        sxy[block] = [fsum(row) for row in (dx * dy).tolist()]
+    rho = np.zeros(n)
+    varied = (sxx != 0.0) & (syy != 0.0)
+    if (varied & (sxx * syy == 0.0)).any():
+        raise ZeroDivisionError("float division by zero")  # as pearson, on an underflowed product
+    rho[varied] = np.clip(sxy[varied] / np.sqrt(sxx[varied] * syy[varied]), -1.0, 1.0)
     return rho
 
 
@@ -578,7 +675,7 @@ def _score_columns(
     )
     scored = np.flatnonzero(cep_reason == 0)
     cep = np.zeros(n)
-    rho = _pearson_rows(pop[ranks[scored]], pop[ranks[previous[scored]]], overlap[scored])
+    rho = _pearson_rows(pop, ranks, scored, previous[scored], overlap[scored])
     cep[scored] = bias[scored] * np.abs(rho)
     scores["cep"] = (cep, cep_reason)
 

@@ -31,7 +31,7 @@ from typing import Iterator, Protocol, Sequence
 import numpy as np
 
 from .corpus import CorpusError, Dialogue, DialogueColumns, ItemIndex, _ColumnsBuilder
-from .corpus import dialogue_lines, mention_token, write_lines
+from .corpus import dialogue_lines, fill_checked, mention_token, write_lines
 from .augment import AugmentError, SyntheticPool
 
 LANGUAGES = frozenset({"en", "zh"})
@@ -438,7 +438,9 @@ def parse_generated_record(
     if not raw.strip():
         raise DialogueRejected("empty_text")
     turns: list[tuple[str, list[str]]] = []
-    for line in raw.splitlines():
+    # only \r\n, \r and \n end a line: str.splitlines also splits at form
+    # feeds, U+0085 and U+2028, which an item name may hold
+    for line in raw.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
         line = line.strip()
         if not line:
             continue
@@ -586,7 +588,7 @@ def build_pool(
         attempts += len(pending)
         n_stored = len(stored)
         try:
-            builder.extend(parsed(pending, texts))
+            fill_checked(builder, parsed(pending, texts))
         except CorpusError as exc:  # a repeated dialogue_id
             raise AugmentError(f"pool contains {exc}") from None
         accepted = set(stored[n_stored:])

@@ -3,12 +3,17 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from crs_bias.popularity import ThresholdPolicy, build_popularity
 
 from helpers import build_standard_corpus, freq_fixture_corpus, single_mention_pool
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# `pytest --hypothesis-profile ci` draws the same examples on every run, so a
+# failure in a CI log reproduces locally; plain runs keep random draws
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,9 @@ from math import fsum
 import numpy as np
 
 from crs_bias.augment import SyntheticPool
-from crs_bias.corpus import Corpus, Dialogue, ItemCatalog, Turn, mention_token, segment_episodes
+from crs_bias.corpus import (
+    Corpus, CorpusError, Dialogue, ItemCatalog, Turn, mention_token, parse_id, segment_episodes,
+)
 from crs_bias.metrics import (
     BiasReport,
     MetricSummary,
@@ -319,3 +321,77 @@ def reference_item_codes(catalog_ids, mentioned, targets):
         target_codes += [intern(i) for i in turn_targets]
     return (mention_codes, target_codes), ids
 
+
+
+# ---------------------------------------------------------------------------
+# per-record reference for run loading: one record at a time, each id interned
+# as it is read, the first rule a record breaks raising ``CorpusError``
+
+
+def reference_run_columns(numbered, items, where) -> dict:
+    """The columns of ``(number, record)`` run-file pairs, as plain lists;
+    ``items`` is the ``ItemIndex`` ids are interned into and ``where(number)``
+    prefixes an error."""
+    dialogue_ids: list[str] = []
+    dialogue_code: dict[str, int] = {}
+    keys: set[tuple[int, int]] = set()
+    out: dict[str, list] = {name: [] for name in (
+        "lines", "dialogue_codes", "turn_index", "episode_index", "ranked", "targets"
+    )}
+
+    def index(value, key: str) -> int:
+        if type(value) is not int or not 0 <= value < 2**63:
+            raise CorpusError(f"{key!r} must be a non-negative 64-bit integer, got {value!r}")
+        return value
+
+    def array_of_ids(value, key: str) -> list:
+        if type(value) is not list:
+            raise CorpusError(f"{key!r} must be an array of item ids, got {value!r}")
+        return value
+
+    for number, record in numbered:
+        try:
+            try:
+                dialogue_id = parse_id(record["dialogue_id"], "'dialogue_id'")
+                turn_index = index(record["turn_index"], "turn_index")
+                episode_index = index(record["episode_index"], "episode_index")
+                ranked = array_of_ids(record["ranked"], "ranked")
+                targets = array_of_ids(record["targets"], "targets")
+            except KeyError as exc:
+                raise CorpusError(f"run record missing {exc.args[0]!r}") from None
+            if dialogue_id not in dialogue_code:
+                dialogue_code[dialogue_id] = len(dialogue_ids)
+                dialogue_ids.append(dialogue_id)
+            key = (dialogue_code[dialogue_id], turn_index)
+            if key in keys:
+                raise CorpusError(f"duplicate run entry ({dialogue_id!r}, turn {turn_index})")
+            ranked_codes = [items.intern(parse_id(i, "'ranked' item")) for i in ranked]
+            if len(set(ranked_codes)) != len(ranked_codes):
+                raise CorpusError(
+                    f"run entry ({dialogue_id!r}, turn {turn_index}): "
+                    f"ranked list contains duplicate item ids"
+                )
+            target_codes = [items.intern(parse_id(i, "'targets' item")) for i in targets]
+        except CorpusError as exc:
+            raise CorpusError(f"{where(number)}{exc}") from None
+        keys.add(key)
+        for name, value in zip(out, (number, key[0], turn_index, episode_index,
+                                     ranked_codes, target_codes)):
+            out[name].append(value)
+    return dict(out, dialogue_ids=dialogue_ids, item_ids=list(items.ids))
+
+
+def run_columns_lists(columns) -> dict:
+    """A ``RunColumns`` as the plain lists of ``reference_run_columns``."""
+    offsets = columns.target_offsets.tolist()
+    targets = columns.target_codes.tolist()
+    return {
+        "lines": columns.lines.tolist(),
+        "dialogue_codes": columns.dialogue_codes.tolist(),
+        "turn_index": columns.turn_index.tolist(),
+        "episode_index": columns.episode_index.tolist(),
+        "ranked": [row[:n] for row, n in zip(columns.ranks.tolist(), columns.lengths.tolist())],
+        "targets": [targets[a:b] for a, b in zip(offsets, offsets[1:])],
+        "dialogue_ids": list(columns.dialogue_ids),
+        "item_ids": list(columns.items.ids),
+    }

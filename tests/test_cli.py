@@ -557,6 +557,16 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(config)]) == 2
         assert "ghost" in capsys.readouterr().err
 
+    def test_join_error_names_the_first_unjoined_line(self, tmp_path, capsys):
+        bad = tmp_path / "ghost_run.jsonl"
+        lines = (DATA / "run_small.jsonl").read_text().splitlines()
+        ghost = '{"dialogue_id": "ghost", "turn_index": 0, "episode_index": 0, "ranked": [], "targets": []}'
+        bad.write_text("\n".join(lines[:2] + [ghost] + lines[2:]) + "\n")
+        config = self._config_with_runs(tmp_path, [bad])
+        assert main(["evaluate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:3: run 'ghost_run' does not join against corpus: unknown dialogue 'ghost'" in err
+
     def test_no_runs_configured(self, tmp_path, capsys):
         config = self._config_with_runs(tmp_path, [])
         assert main(["evaluate", "--config", str(config)]) == 2

@@ -213,12 +213,12 @@ def test_item_codes_match_a_per_record_loop(records, data):
     mentioned = [turn["items"] for turn in turns]
     targets = [turn["targets"] for turn in turns]
     cut = data.draw(st.integers(0, len(turns)))
-    builder = corpus_module._ColumnsBuilder(ItemIndex(CATALOG_IDS))
-    first = builder._item_codes(mentioned[:cut], targets[:cut])
-    second = builder._item_codes(mentioned[cut:], targets[cut:])
+    items = ItemIndex(CATALOG_IDS)
+    first = items.intern_lists(mentioned[:cut], targets[:cut])
+    second = items.intern_lists(mentioned[cut:], targets[cut:])
     codes, ids = reference_item_codes(CATALOG_IDS, mentioned, targets)
     assert (list(first[0]) + list(second[0]), list(first[1]) + list(second[1])) == codes
-    assert builder.items.ids == ids
+    assert items.ids == ids
 
 
 # quotes, backslashes, control characters, line separators and non-BMP text;

@@ -3,14 +3,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import tempfile
 from math import fsum
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crs_bias.corpus import Corpus, CorpusError, Dialogue, ItemCatalog, Turn, load_corpus
+from crs_bias.corpus import (
+    Corpus, CorpusError, Dialogue, ItemCatalog, Turn, load_corpus, read_json_lines,
+)
 from crs_bias.metrics import (
     RankedRun,
     RunColumns,
@@ -32,7 +36,15 @@ from crs_bias.metrics import (
 )
 from crs_bias.popularity import ItemIndex, PopularityTable, ThresholdPolicy, build_popularity
 
-from helpers import build_standard_corpus, scalar_report, standard_run
+from crs_bias import metrics as metrics_module
+
+from helpers import (
+    build_standard_corpus,
+    reference_run_columns,
+    run_columns_lists,
+    scalar_report,
+    standard_run,
+)
 
 # hand-derived reference values (natural log, 1-based ranks)
 PI_ABC = 1.0 + 1.0 / (math.log(3) + 1.0)          # [a,b,c] with popular {a,c}
@@ -361,6 +373,113 @@ class TestRunLoading:
             run.entries[4]
 
 
+# run-file lines for the loader/reference comparison: valid records, and
+# records that break one rule each
+LOADER_CATALOG = ["i0", "i1", "i2"]
+LOADER_IDS = st.sampled_from(["i0", "i1", "i2", "n0", "n1", 12, "12", 7])
+LOADER_FAULTS = st.one_of(
+    st.tuples(st.sampled_from(["turn_index", "episode_index"]),
+              st.sampled_from([-1, "x", 1.7, True, None, 2**63, 2**64, -2**70])),
+    st.tuples(st.just("dialogue_id"), st.sampled_from([None, 1.5, False, ["d0"]])),
+    st.tuples(st.sampled_from(["ranked", "targets"]), st.sampled_from(["ab", None, 3, {"i0": 1}])),
+    st.tuples(st.sampled_from(["ranked+", "targets+"]), st.sampled_from([None, 1.5, True, [2], {}])),
+    st.tuples(st.sampled_from(["ranked", "targets", "dialogue_id", "turn_index"]), st.just("missing")),
+    st.tuples(st.just("line"), st.sampled_from(['{"dialogue_id": "d0",', "[1, 2]", '"text"'])),
+)
+
+
+@st.composite
+def loader_lines(draw) -> list[str]:
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        record = {
+            "dialogue_id": draw(st.sampled_from(["d0", "d1", 7, "7"])),
+            "turn_index": draw(st.integers(0, 12)),
+            "episode_index": draw(st.integers(0, 3)),
+            "ranked": draw(st.lists(LOADER_IDS, max_size=5, unique=True)),
+            "targets": draw(st.lists(LOADER_IDS, max_size=3)),
+        }
+        line = None
+        if draw(st.integers(0, 7)) == 0:
+            key, value = draw(LOADER_FAULTS)
+            if key == "line":
+                line = value
+            elif value == "missing":
+                del record[key]
+            elif key.endswith("+"):
+                ids = record[key[:-1]]
+                ids.insert(draw(st.integers(0, len(ids))), value)
+            else:
+                record[key] = value
+        lines.append(json.dumps(record) if line is None else line)
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("   ")
+    return lines
+
+
+def _load_outcome(load, path: Path, items: ItemIndex):
+    try:
+        return load(path, items)
+    except CorpusError as exc:
+        return str(exc)
+
+
+def _load_file(path: Path, items: ItemIndex):
+    return run_columns_lists(load_run(path, items=items).entries)
+
+
+def _reference_file(path: Path, items: ItemIndex):
+    return reference_run_columns(read_json_lines(path), items, lambda n: f"{path}:{n}: ")
+
+
+def _run_line(dialogue_id="d0", turn_index=1, ranked=("i0",), targets=()) -> str:
+    return json.dumps({"dialogue_id": dialogue_id, "turn_index": turn_index,
+                       "episode_index": 0, "ranked": list(ranked), "targets": list(targets)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=loader_lines(), bulk=st.sampled_from([0, 0, 300]), cut=st.integers(0, 12))
+@example(  # a repeated key is named before a bad ranked id
+    lines=[_run_line(), _run_line(ranked=("n0", None))], bulk=300, cut=2
+)
+@example(  # a ranked duplicate is named before a bad target
+    lines=[_run_line(ranked=("n1", 12, "12"), targets=(1.5,))], bulk=0, cut=1
+)
+def test_run_loader_matches_a_per_record_reference(lines, bulk, cut):
+    """The same columns, interning order and first error as loading one
+    record at a time: behind ``bulk`` valid records, the drawn lines fall in
+    the second run of 256; a second file shares the first one's index."""
+    head = [
+        json.dumps({"dialogue_id": "bulk", "turn_index": n, "episode_index": 0,
+                    "ranked": [f"b{n % 7}", "i1"], "targets": [f"b{n % 5}"]})
+        for n in range(bulk)
+    ]
+    cut = min(cut, len(lines))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.jsonl", Path(tmp) / "second.jsonl"
+        first.write_text("".join(line + "\n" for line in head + lines[:cut]))
+        second.write_text("".join(line + "\n" for line in lines[cut:]))
+        outcomes = []
+        for load in (_load_file, _reference_file):
+            items = ItemIndex(LOADER_CATALOG)
+            outcome = [_load_outcome(load, first, items)]
+            if not isinstance(outcome[0], str):
+                outcome.append(_load_outcome(load, second, items))
+            outcomes.append(outcome)
+        assert outcomes[0] == outcomes[1]
+
+        if not isinstance(outcomes[0][0], str):  # the same entries as a tuple
+            loaded = load_run(first, items=ItemIndex(LOADER_CATALOG))
+            corpus = Corpus(ItemCatalog({i: i for i in LOADER_CATALOG}), ())
+            built = run_columns_lists(
+                metrics_module._run_columns(RankedRun("m", tuple(loaded.entries)), corpus)
+            )
+            from_file = run_columns_lists(loaded.entries)
+            assert built.pop("lines") == list(range(len(loaded.entries)))
+            from_file.pop("lines")
+            assert built == from_file
+
+
 # item ids for the columnar/scalar comparison: u0 is outside the catalog but
 # in the popularity table, u1 is in neither
 CATALOG_IDS = [f"i{n}" for n in range(7)]
@@ -454,47 +573,83 @@ class TestEvaluateRun:
         cutoffs=(1, 16),
         log_base=math.e,
     )
+    @example(  # four entries of episode 1 share one previous row, two of them one overlap
+        entries=[("d0", 0, 0, ("i0", "i1", "i2", "i3"), ()), ("d0", 2, 0, ("i4", "i2", "i0", "u0"), ()),
+                 ("d0", 3, 1, ("i1", "i0", "i5"), ("i1",)), ("d0", 4, 1, ("i3", "i6", "i2"), ()),
+                 ("d0", 5, 1, ("i0", "i5", "i1", "i2", "u1"), ()), ("d0", 6, 1, ("i6", "i0"), ())],
+        pops=[0.9, 0.3, 0.6, 0.05, 0.1, 0.0, 0.2, 0.5, 0.7],
+        popular=[True, False, True, False, False, False, False, True, True],
+        cutoffs=(3,),
+        log_base=math.e,
+    )
+    @example(  # row d1/1 is the current list with overlap 3 and the previous one with 4 and 3
+        entries=[("d1", 0, 0, ("i0", "i1", "i2"), ()), ("d1", 1, 1, ("i2", "i0", "i4", "i3", "i5"), ()),
+                 ("d1", 2, 2, ("i3", "i4", "i0", "i1"), ("i0",)), ("d0", 1, 1, ("i5", "i1"), ()),
+                 ("d0", 0, 0, ("i2", "i0", "i4", "i3", "i5"), ()), ("d1", 3, 2, ("i6", "i1", "i0"), ())],
+        pops=[0.9, 0.3, 0.6, 0.05, 0.1, 0.0, 0.2, 0.5, 0.7],
+        popular=[True, False, True, False, False, False, False, True, True],
+        cutoffs=(2, 5),
+        log_base=2.0,
+    )
     def test_columnar_matches_scalar(self, entries, pops, popular, cutoffs, log_base):
-        catalog = ItemCatalog({i: i.upper() for i in CATALOG_IDS})
-        turns = tuple(Turn("recommender", f"t{t}") for t in range(RAGGED_TURNS))
-        corpus = Corpus(catalog, (Dialogue("d0", turns), Dialogue("d1", turns)))
-        table = PopularityTable(
-            freq={i: 0 for i in TABLE_IDS},
-            pop=dict(zip(TABLE_IDS, pops)),
-            popular_set=frozenset(i for i, p in zip(TABLE_IDS, popular) if p),
-            eta_policy=ThresholdPolicy.count_threshold(5),
-        )
-        run = RankedRun("m", tuple(RunEntry(*e) for e in entries), cutoffs)
+        _assert_columnar_matches_scalar(entries, pops, popular, cutoffs, log_base)
 
-        def outcome(evaluate):
-            try:
-                return evaluate(run, table, log_base=log_base)
-            except ZeroDivisionError:  # pearson on an underflowed variance product
-                return ZeroDivisionError
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.sampled_from(("d0", "d1")),
+                st.integers(0, RAGGED_TURNS - 1),
+                st.integers(0, 3),
+                st.lists(st.sampled_from(RUN_IDS), max_size=12, unique=True).map(tuple),
+                st.lists(st.sampled_from(RUN_IDS), max_size=4).map(tuple),
+            ),
+            max_size=30,
+            unique_by=lambda e: (e[0], e[1]),
+        ),
+        freqs=st.lists(st.integers(0, 5_000), min_size=len(TABLE_IDS), max_size=len(TABLE_IDS)),
+        popular=st.lists(st.booleans(), min_size=len(TABLE_IDS), max_size=len(TABLE_IDS)),
+    )
+    def test_columnar_matches_scalar_on_count_ratios(self, entries, freqs, popular):
+        # popularity as build_popularity makes it: the exact row sums take the CEP means
+        top = max(freqs)
+        pops = [f / top if top else 0.0 for f in freqs]
+        assert metrics_module._fixed_point(np.array(pops + [0.0]), 12) is not None
+        _assert_columnar_matches_scalar(entries, pops, popular, (5,), math.e)
 
-        columnar = outcome(lambda *a, **kw: evaluate_run(a[0], corpus, *a[1:], **kw))
-        assert columnar == outcome(scalar_report)
+    def test_cep_means_outside_the_limbs_fall_back_to_fsum(self):
+        pops = [1.0, 2.0**-40, 0.3, 0.7, 2.0**-45, 0.0, 0.55, 1e-12, 0.125]
+        assert metrics_module._fixed_point(np.array(pops + [0.0]), 4) is None
+        entries = [("d0", 0, 0, ("i0", "i1", "i2", "i3"), ()), ("d0", 1, 1, ("i4", "i1", "u0", "i6"), ()),
+                   ("d0", 2, 1, ("i3", "i4", "i0"), ("i1",)), ("d0", 3, 2, ("i2", "i4", "i6", "i1"), ())]
+        _assert_columnar_matches_scalar(entries, pops, [True] * len(TABLE_IDS), (2,), math.e)
 
     def test_long_lists_fall_back_to_fsum_exactly(self):
-        # 1,200-item lists overflow the int64 fixed-point discount sums
+        # over 1,200-item lists, discounts with a log base just above 1 and
+        # popularities spread over ~100 binary orders of magnitude are out of
+        # the two-limb fixed-point range, so utility and CEP means use fsum
         ids = [f"i{n}" for n in range(1_300)]
         catalog = ItemCatalog({i: i for i in ids})
         turns = tuple(Turn("recommender", f"t{t}") for t in range(4))
         corpus = Corpus(catalog, (Dialogue("d", turns),))
         rng = np.random.default_rng(5)
-        pop = {i: float(rng.random()) for i in ids}
+        pop = {i: float(rng.random()) ** 8 for i in ids}
         table = PopularityTable(
             freq={i: 0 for i in ids}, pop=pop,
-            popular_set=frozenset(i for i in ids if pop[i] > 0.4),
+            popular_set=frozenset(i for i in ids if pop[i] > 0.4 ** 8),
             eta_policy=ThresholdPolicy.count_threshold(5),
         )
+        log_base = 1.0 + 2.0**-30
+        discounts = [1.0 / (math.log(r) / math.log(log_base) + 1.0) for r in range(1, 1_201)]
+        for terms in (discounts, list(pop.values())):
+            assert metrics_module._fixed_point(np.array(terms), 1_200) is None
         entries = tuple(
             RunEntry("d", t, t // 2, tuple(rng.choice(ids, size=1_200, replace=False)),
                      tuple(rng.choice(ids, size=1_100, replace=False)))
             for t in range(4)
         )
         run = RankedRun("long", entries, cutoffs=(10, 1_200))
-        assert evaluate_run(run, corpus, table) == scalar_report(run, table)
+        assert evaluate_run(run, corpus, table, log_base=log_base) == scalar_report(run, table, log_base)
 
     def test_loaded_run_matches_entry_tuple(self, data_dir):
         corpus, _ = load_corpus(data_dir / "corpus_small.jsonl", data_dir / "catalog_small.jsonl")
@@ -607,6 +762,85 @@ class TestReportIO:
         header, separator, *rows = text.splitlines()
         assert header.split() == ["model", "metric", "mean", "std", "n", "skipped"]
         assert set(separator) == {"-"}
+
+
+def _assert_columnar_matches_scalar(entries, pops, popular, cutoffs, log_base) -> None:
+    """``evaluate_run`` over a two-dialogue corpus equals ``scalar_report``,
+    or both raise ``ZeroDivisionError``."""
+    catalog = ItemCatalog({i: i.upper() for i in CATALOG_IDS})
+    turns = tuple(Turn("recommender", f"t{t}") for t in range(RAGGED_TURNS))
+    corpus = Corpus(catalog, (Dialogue("d0", turns), Dialogue("d1", turns)))
+    table = PopularityTable(
+        freq={i: 0 for i in TABLE_IDS},
+        pop=dict(zip(TABLE_IDS, pops)),
+        popular_set=frozenset(i for i, p in zip(TABLE_IDS, popular) if p),
+        eta_policy=ThresholdPolicy.count_threshold(5),
+    )
+    run = RankedRun("m", tuple(RunEntry(*e) for e in entries), cutoffs)
+
+    def outcome(evaluate):
+        try:
+            return evaluate(run, table, log_base=log_base)
+        except ZeroDivisionError:  # pearson on an underflowed variance product
+            return ZeroDivisionError
+
+    columnar = outcome(lambda *a, **kw: evaluate_run(a[0], corpus, *a[1:], **kw))
+    assert columnar == outcome(scalar_report)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    width=st.integers(1, 9),
+    terms=st.one_of(
+        # count ratios, the popularity build_popularity makes: the limbs hold them
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=12).map(
+            lambda fs: [f / max(fs) if max(fs) else 0.0 for f in fs]
+        ),
+        # full 53-bit mantissas over 0-60 binary orders of magnitude: either side of the range
+        st.lists(
+            st.builds(math.ldexp, st.integers(-2**53 + 1, 2**53 - 1), st.integers(-60, 0)),
+            min_size=1, max_size=12,
+        ),
+        # any finite doubles: mostly out of the limbs' range
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
+    ),
+)
+def test_exact_row_sums_equal_fsum(data, width, terms):
+    rows = data.draw(st.integers(0, 5))
+    mask = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=width, max_size=width), min_size=rows, max_size=rows
+    )), dtype=bool).reshape(rows, width)
+    codes = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, len(terms) - 1), min_size=width, max_size=width),
+        min_size=rows, max_size=rows,
+    )), dtype=np.int64).reshape(rows, width)
+
+    def outcome(sums):  # == takes -0.0 for 0.0: fsum's sign of a zero sum varies by Python version
+        try:
+            return list(sums())
+        except OverflowError:  # fsum of finite terms past the float range
+            return OverflowError
+
+    by_code = outcome(lambda: metrics_module._exact_row_sums(mask, terms, codes))
+    assert by_code == outcome(lambda: [
+        fsum(terms[c] for c, used in zip(row, used_row) if used)
+        for row, used_row in zip(codes.tolist(), mask.tolist())
+    ])
+    if width <= len(terms):
+        by_column = outcome(lambda: metrics_module._exact_row_sums(mask, terms))
+        assert by_column == outcome(lambda: [
+            fsum(t for t, used in zip(terms, used_row) if used) for used_row in mask.tolist()
+        ])
+
+
+def test_exact_row_sums_round_once_at_the_limb_bound():
+    # exact sum 2**88 + m lies just above a rounding midpoint; a high limb past
+    # 2**53 would round to even first, then drop the low limb's 1
+    m = (1 << 52) | (1 << 35) | 1
+    terms = [1.0, math.ldexp(m, -88)]
+    sums = metrics_module._exact_row_sums(np.ones((1, 2), dtype=bool), terms)
+    assert sums.tolist() == [fsum(terms)] == [math.ldexp((1 << 52) + (1 << 16) + 1, -52)]
 
 
 # ---------------------------------------------------------------------------

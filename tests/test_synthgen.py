@@ -376,6 +376,14 @@ class TestBuildPool:
         assert record == GenerationRecord(skipped=(), attempts=6, rejected={})
         assert sorted(pool.item_of.values()) == sorted(i for i, _ in ITEMS)
 
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\x0c"])
+    def test_names_holding_other_line_breaks_are_found(self, separator):
+        # completions end lines at \r\n, \r and \n only
+        items = [("m1", "Foo Bar"), ("m2", "Heat"), ("m3", f"A{separator}B")]
+        pool, record = build_pool(OfflineTemplateBackend(), TEMPLATE, items, seed=5)
+        assert record == GenerationRecord(skipped=(), attempts=3, rejected={})
+        assert sorted(pool.item_of.values()) == ["m1", "m2", "m3"]
+
     def test_pool_roundtrips_through_corpus_schema(self, tmp_path):
         path = tmp_path / "pool.jsonl"
         pool, _ = build_pool(OfflineTemplateBackend(), TEMPLATE, ITEMS, seed=5, output_path=path)
