@@ -137,7 +137,7 @@ def anchor_popularity(dialogue: Dialogue, table: PopularityTable) -> float:
 
 def once_aug(train: Corpus, pool: SyntheticPool) -> Corpus:
     """Append every pool dialogue to the training split; other splits untouched."""
-    return train.appended(pool.columns, np.arange(len(pool)), split="train", provenance="synthetic")
+    return train.appended(pool.columns, np.arange(len(pool)))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +386,7 @@ def materialize_flat(plan: AugmentationPlan, train: Corpus, pool: SyntheticPool)
     _check_plan_references(plan, train, pool)
     pool_row = pool.columns.row_of
     rows = np.array([pool_row[s] for s in plan.appended_ids()], dtype=np.int64)
-    return train.appended(pool.columns, rows, split="train", provenance="synthetic")
+    return train.appended(pool.columns, rows)
 
 
 def audit_plan(
@@ -432,30 +432,6 @@ def audit_plan(
 # plan files
 
 
-def save_plan(plan: AugmentationPlan, path: str | Path) -> None:
-    header = {
-        "record": "header",
-        "seed": plan.seed,
-        "k": plan.k,
-        "batch_size": plan.batch_size,
-        "strategy": plan.strategy,
-        "pool_digest": plan.pool_digest,
-        "format_version": plan.format_version,
-        "n_anchors_without_candidates": plan.n_anchors_without_candidates,
-        "n_anchors_truncated": plan.n_anchors_truncated,
-    }
-    batches = [
-        {
-            "record": "batch",
-            "index": batch.index,
-            "anchors": list(batch.anchor_ids),
-            "samples": {a: list(s) for a, s in batch.samples.items()},
-        }
-        for batch in plan.batches
-    ]
-    write_json_lines(path, [header, *batches], json.JSONEncoder(sort_keys=True))
-
-
 # header field -> (type, default); a field without a default is required
 _PLAN_HEADER = {
     "seed": (int, None),
@@ -467,6 +443,20 @@ _PLAN_HEADER = {
     "n_anchors_truncated": (int, 0),
     "format_version": (int, 1),
 }
+
+
+def save_plan(plan: AugmentationPlan, path: str | Path) -> None:
+    header = {"record": "header", **{key: getattr(plan, key) for key in _PLAN_HEADER}}
+    batches = [
+        {
+            "record": "batch",
+            "index": batch.index,
+            "anchors": list(batch.anchor_ids),
+            "samples": {a: list(s) for a, s in batch.samples.items()},
+        }
+        for batch in plan.batches
+    ]
+    write_json_lines(path, [header, *batches], json.JSONEncoder(sort_keys=True))
 
 
 def _plan_field(record: dict, key: str, kind: type, default=None):

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import augment as aug
 from . import metrics as met
 from . import popularity as pop
-from .config import ConfigError, RunConfig, load_config
+from .config import STRATEGIES, ConfigError, RunConfig, load_config
 from .corpus import CorpusError, load_catalog, load_corpus, save_corpus, segment_corpus, write_lines
 from .synthgen import (
     POOL_FORMAT,
@@ -221,7 +221,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     if not config.runs:
         raise ConfigError("paths.runs must list at least one run file")
     for run_path in config.runs:
-        if not run_path.exists():
+        if not run_path.is_file():
             raise ConfigError(f"paths.runs: no such file: {run_path}")
     out = _prepare_output_dir(config)
 
@@ -292,27 +292,19 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to the run config file")
-        cmd.add_argument("--seed", type=int, default=None, help="override config seed")
-        cmd.add_argument("--k", type=int, default=None, help="override augmentation k")
-        cmd.add_argument("--batch-size", type=int, default=None, help="override batch size")
-        cmd.add_argument(
-            "--strategy", choices=("once_aug", "pop_nudge"), default=None,
-            help="override augmentation strategy",
-        )
-        cmd.add_argument("--output-dir", default=None, help="override output directory")
+        cmd.add_argument("--seed", type=int, help="override config seed")
+        cmd.add_argument("--k", type=int, help="override augmentation k")
+        cmd.add_argument("--batch-size", type=int, help="override batch size")
+        cmd.add_argument("--strategy", choices=STRATEGIES, help="override augmentation strategy")
+        cmd.add_argument("--output-dir", help="override output directory")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, overrides={
-            "seed": args.seed,
-            "k": args.k,
-            "batch_size": args.batch_size,
-            "strategy": args.strategy,
-            "output_dir": args.output_dir,
-        })
+        # the override flags' destinations are the names of the fields they set
+        config = load_config(args.config, overrides=vars(args))
         return _COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -277,6 +277,16 @@ def _owners(offsets: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
 
 
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, sorted. One sort and an adjacent
+    difference: plain ``np.unique`` hashes, which is slower here, and imports
+    ``numpy.ma`` on first use."""
+    keys = np.sort(keys)
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    return keys[distinct]
+
+
 def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """``concatenate([arange(s, e) for s, e in zip(starts, ends)])``."""
     lengths = ends - starts
@@ -366,10 +376,8 @@ class DialogueColumns:
         """The distinct ``(owner, code)`` pairs, sorted, of every mention and
         then every target; ``owners`` holds each one's owner in that order."""
         n_codes = len(self.items)
-        keys = np.sort(owners * n_codes + np.concatenate((self.mention_codes, self.target_codes)))
-        distinct = np.ones(len(keys), dtype=bool)
-        distinct[1:] = keys[1:] != keys[:-1]  # one sort: np.unique hashes, which is slower here
-        return np.divmod(keys[distinct], n_codes)
+        codes = np.concatenate((self.mention_codes, self.target_codes))
+        return np.divmod(_sorted_distinct(owners * n_codes + codes), n_codes)
 
     def dialogue_max(self, values: np.ndarray) -> np.ndarray:
         """Per dialogue, the largest ``values[code]`` over its items, or 0 for
@@ -687,12 +695,10 @@ class Corpus:
     def by_id(self) -> dict[str, Dialogue]:
         return dict(zip(self.columns.dialogue_ids, self.dialogues))
 
-    def appended(
-        self, source: DialogueColumns, rows: np.ndarray, *, split: str, provenance: str
-    ) -> "Corpus":
+    def appended(self, source: DialogueColumns, rows: np.ndarray) -> "Corpus":
         """This corpus plus dialogues ``rows`` of ``source``, in that order,
-        with the given split and provenance; a dialogue_id already in the
-        corpus raises ``CorpusError``."""
+        as synthetic training dialogues; a dialogue_id already in the corpus
+        raises ``CorpusError``."""
         base = self.columns
         added = source.take(rows)
         if not base.row_of.keys().isdisjoint(added.dialogue_ids):
@@ -700,7 +706,7 @@ class Corpus:
             raise CorpusError(f"duplicate dialogue_id {clash!r}")
         mention_codes, target_codes = added.mention_codes, added.target_codes
         if source.items is not base.items:
-            used = np.unique(np.concatenate((mention_codes, target_codes)))
+            used = _sorted_distinct(np.concatenate((mention_codes, target_codes)))
             remap = np.zeros(len(source.items), dtype=np.int32)
             remap[used] = [base.items.intern(source.items.ids[c]) for c in used.tolist()]
             mention_codes, target_codes = remap[mention_codes], remap[target_codes]
@@ -711,10 +717,8 @@ class Corpus:
         columns = DialogueColumns(
             items=base.items,
             dialogue_ids=base.dialogue_ids + added.dialogue_ids,
-            split=np.concatenate((base.split, np.full(len(added), _SPLIT_CODE[split], np.int8))),
-            provenance=np.concatenate(
-                (base.provenance, np.full(len(added), _PROVENANCE_CODE[provenance], np.int8))
-            ),
+            split=np.concatenate((base.split, np.full(len(added), TRAIN, np.int8))),
+            provenance=np.concatenate((base.provenance, np.full(len(added), SYNTHETIC, np.int8))),
             turn_offsets=joined(base.turn_offsets, added.turn_offsets),
             speaker=np.concatenate((base.speaker, added.speaker)),
             texts=base.texts + added.texts,

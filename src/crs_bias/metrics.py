@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus, CorpusError, fill_checked, parse_id, read_json_lines, write_json_lines
-from .corpus import _all_of, _offsets, _transpose
+from .corpus import _all_of, _offsets, _sorted_distinct, _transpose
 from .popularity import ItemIndex, PopularityTable, item_coverage, train_frequencies
 
 DEFAULT_CUTOFFS = (10, 50)
@@ -162,8 +162,7 @@ class _RunBuilder:
             lengths = list(map(len, ranked))
             # one sort finds every ranked list that names an item twice
             owned = np.repeat(np.arange(len(records), dtype=np.int64) * len(self.items), lengths)
-            owned = np.sort(owned + ranked_codes)
-            if (owned[1:] == owned[:-1]).any():
+            if len(_sorted_distinct(owned + ranked_codes)) < len(ranked_codes):
                 return False
         except (KeyError, TypeError, CorpusError, OverflowError):
             return False
@@ -692,7 +691,7 @@ def _score_columns(
     scores["uiop"] = (uiop, np.select([no_targets, empty], [_NO_TARGETS, _EMPTY], 0))
 
     # rank metrics over the distinct targets
-    pairs = np.unique(target_row * len(pop) + run.target_codes)
+    pairs = _sorted_distinct(target_row * len(pop) + run.target_codes)
     pair_row, pair_code = np.divmod(pairs, len(pop))
     match = ranks[pair_row] == pair_code[:, None]
     found = match.any(axis=1)

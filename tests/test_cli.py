@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from crs_bias import cli
 from crs_bias.cli import main
-from crs_bias.config import ConfigError, _redact, load_config
+from crs_bias.config import ConfigError, RunConfig, _redact, load_config
 from crs_bias.synthgen import HttpChatBackend, OfflineTemplateBackend, build_pool
 
 from helpers import FakeResponse
@@ -891,7 +891,89 @@ def test_report_on_arbitrary_report_lines_exits_0_or_2(records):
         assert main(["report", "--config", str(config)]) in (0, 2)
 
 
+def layout_keys(layout: dict, prefix: tuple = ()):
+    """The key path of every section and key in a config echo."""
+    for key, value in layout.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from layout_keys(value, (*prefix, key))
+
+
+# an output directory drawn at random could name any directory on the machine
+CONFIG_KEYS = sorted(set(layout_keys(RunConfig().echo_dict())) - {("paths", "output_dir")})
+
+
+@st.composite
+def config_edits(draw):
+    """A declared section or key, or an extra key beside one, and any JSON value."""
+    path = draw(st.sampled_from(CONFIG_KEYS))
+    if draw(st.booleans()):
+        path = (*path[:-1], draw(st.text(max_size=4)))
+    return path, draw(JSON_VALUES)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(edits=st.lists(config_edits(), max_size=3))
+def test_stats_on_arbitrary_config_files_exits_0_or_2(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        config = yaml.safe_load(write_config(root / "config.yaml").read_text())
+        for path, value in edits:
+            node = config
+            for key in path[:-1]:
+                if not isinstance(node.get(key), dict):
+                    node[key] = {}
+                node = node[key]
+            node[path[-1]] = value
+        (root / "config.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["stats", "--config", str(root / "config.yaml")]) in (0, 2)
+
+
 class TestConfig:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"augment": 5}, "augment must be a mapping or null, got 5"),
+            ({"generation": [1]}, "generation must be a mapping or null, got [1]"),
+            ({"generation": {"http": "x"}}, "generation.http must be a mapping or null"),
+            ({"popularity": {"eta": 5}}, "popularity.eta must be a mapping or null, got 5"),
+            ({"popularity": {"eta": {"min_cout": 2}}},
+             "unknown config key 'popularity.eta.min_cout'"),
+            ({"paths": {"runs": 5}}, "paths.runs must be a list of paths, got 5"),
+            ({"paths": {"runs": "a.jsonl"}}, "paths.runs must be a list of paths"),
+            ({"paths": {"runs": ["a.jsonl", 5]}}, "paths.runs must be a non-empty string, got 5"),
+            ({"paths": {"corpus": [1, 2]}}, "paths.corpus must be null or a non-empty string"),
+            ({"paths": {"corpus": ""}}, "paths.corpus must be null or a non-empty string"),
+            ({"paths": {"output_dir": ["x"]}}, "paths.output_dir must be a non-empty string"),
+            ({"paths": {"output_dir": None}}, "paths.output_dir must be a non-empty string"),
+            ({"paths": {"output_dir": "out\0"}}, "paths.output_dir must be a path"),
+            ({"paths": {"catalog": "\ud800"}}, "paths.catalog must be a path"),
+            ({"augment": {"batchsize": 64}}, "unknown config key 'augment.batchsize'\n"),
+            ({"seeds": 1}, "unknown config key 'seeds'"),
+        ],
+    )
+    def test_malformed_sections_and_keys_exit_2(self, tmp_path, capsys, overrides, message):
+        config = write_config(tmp_path / "config.yaml", **overrides)
+        assert main(["stats", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+
+    @pytest.mark.parametrize("content", [None, b"seed: \xff\n"])  # None: a directory
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, content):
+        config = tmp_path / "config.yaml"
+        if content is None:
+            config.mkdir()
+        else:
+            config.write_bytes(content)
+        assert main(["stats", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_directory_as_input_file_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "config.yaml", paths={"corpus": str(tmp_path)})
+        assert main(["stats", "--config", str(config)]) == 2
+        assert "paths.corpus: no such file" in capsys.readouterr().err
+
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         shutil.copy(DATA / "corpus_small.jsonl", tmp_path / "corpus.jsonl")
         shutil.copy(DATA / "catalog_small.jsonl", tmp_path / "catalog.jsonl")
