@@ -25,12 +25,12 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .corpus import SYNTHETIC, Corpus, CorpusError, Dialogue, DialogueColumns, ItemIndex
-from .corpus import load_dialogues, read_json_lines, record_line, write_json_lines
+from .corpus import load_dialogues, read_json_lines, write_json_lines
 from .popularity import PopularityTable, item_coverage, train_counts
 
 # stream tags keep the shuffle RNG disjoint from per-anchor sampling RNGs
@@ -58,19 +58,19 @@ class SyntheticPool:
     item_codes: np.ndarray
 
     @classmethod
-    def from_columns(
-        cls, columns: DialogueColumns, where: Callable[[int], str] | None = None
-    ) -> "SyntheticPool":
+    def from_columns(cls, columns: DialogueColumns, path: Path | None = None) -> "SyntheticPool":
         """Validate that each dialogue is synthetic and touches exactly one
-        item; the error for the first that does not is prefixed by
-        ``where(row)``."""
+        item; the error for the first that does not is prefixed by its
+        ``path:line`` when ``path``, the file the store was read from, is
+        given."""
         rows, codes = columns.dialogue_items
         n_items = np.bincount(rows, minlength=len(columns))
         synthetic = columns.provenance == SYNTHETIC
         bad = np.flatnonzero(~synthetic | (n_items != 1))
         if bad.size:
             row = int(bad[0])
-            dialogue = f"{where(row) if where else ''}pool dialogue {columns.dialogue_ids[row]!r}"
+            where = "" if path is None else f"{path}:{columns.lines[row]}: "
+            dialogue = f"{where}pool dialogue {columns.dialogue_ids[row]!r}"
             if not synthetic[row]:
                 raise AugmentError(f"{dialogue} is not synthetic")
             raise AugmentError(
@@ -112,9 +112,8 @@ class SyntheticPool:
 def load_pool(path: str | Path, items: ItemIndex | None = None) -> SyntheticPool:
     """Read a pool file; its item ids go into ``items`` (a new index if None).
     A dialogue that breaks a pool rule is named with its ``path:line``."""
-    return SyntheticPool.from_columns(
-        load_dialogues(path, items), lambda row: f"{path}:{record_line(path, row)}: "
-    )
+    path = Path(path)
+    return SyntheticPool.from_columns(load_dialogues(path, items), path)
 
 
 def pool_digest(pool: SyntheticPool) -> str:

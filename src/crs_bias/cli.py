@@ -5,8 +5,8 @@ flag overrides, writes its outputs plus a redacted config echo into the
 configured output directory, and is reproducible from config + seed alone
 (except ``generate`` with the ``http_chat`` backend, which sends no seed).
 
-Exit codes: 0 success, 2 config/input error, 3 generation-backend error,
-4 internal invariant violation.
+Exit codes: 0 success, 2 config/input error (a file-system error too),
+3 generation-backend error, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 EXIT_INVARIANT = 4
 
+# evaluate writes <model>.report.jsonl per run; report reads every such file
+REPORT_SUFFIX = ".report.jsonl"
+
 
 def _write_json(path: Path, payload: dict) -> None:
     write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
@@ -43,7 +46,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _prepare_output_dir(config: RunConfig) -> Path:
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError(f"paths.output_dir: cannot create {out}: {exc.strerror}") from None
     _write_json(out / "config_echo.json", config.echo_dict())
     return out
 
@@ -103,10 +109,7 @@ def _make_backend(config: RunConfig):
 
 def cmd_generate(config: RunConfig) -> int:
     seed = config.require_seed()
-    catalog_path = config.require_path("catalog")
-    out = _prepare_output_dir(config)
-
-    catalog = load_catalog(catalog_path)
+    catalog = load_catalog(config.require_path("catalog"))
     if config.generation.items is None:
         items = list(catalog.items.items())
     else:
@@ -126,8 +129,12 @@ def cmd_generate(config: RunConfig) -> int:
     else:
         template = builtin_template(config.generation.language)
     backend = _make_backend(config)
+    pool_path = config.pool if config.pool is not None else config.output_dir / "pool.jsonl"
+    # the output directory is made below; any other must exist before generation starts
+    if pool_path.parent != config.output_dir and not pool_path.parent.is_dir():
+        raise ConfigError(f"paths.pool: no such directory: {pool_path.parent}")
+    out = _prepare_output_dir(config)
 
-    pool_path = config.pool if config.pool is not None else out / "pool.jsonl"
     synthetic_pool, record = build_pool(
         backend,
         template,
@@ -220,9 +227,17 @@ def cmd_evaluate(config: RunConfig) -> int:
     catalog_path = config.require_path("catalog")
     if not config.runs:
         raise ConfigError("paths.runs must list at least one run file")
+    # a run's report is named for its model, the run file's stem
+    by_model: dict[str, Path] = {}
     for run_path in config.runs:
         if not run_path.is_file():
             raise ConfigError(f"paths.runs: no such file: {run_path}")
+        other = by_model.setdefault(run_path.stem, run_path)
+        if other is not run_path:
+            raise ConfigError(
+                f"paths.runs: {other} and {run_path} would both write "
+                f"{run_path.stem}{REPORT_SUFFIX}"
+            )
     out = _prepare_output_dir(config)
 
     corpus, _ = load_corpus(corpus_path, catalog_path)
@@ -236,10 +251,12 @@ def cmd_evaluate(config: RunConfig) -> int:
     reports = []
     for run_path in config.runs:
         # a run's columns are dropped once scored, before the next file loads
-        run = met.load_run(run_path, cutoffs=config.cutoffs, items=items)
-        report = met.evaluate_run(run, corpus, table, log_base=config.log_base)
+        run = met.load_run(run_path, items=items)
+        report = met.evaluate_run(
+            run, corpus, table, cutoffs=config.cutoffs, log_base=config.log_base
+        )
         del run
-        met.save_report(report, out / f"{report.model_name}.report.jsonl")
+        met.save_report(report, out / f"{report.model_name}{REPORT_SUFFIX}")
         reports.append(report)
 
     table_text = met.format_report_table(reports)
@@ -250,9 +267,9 @@ def cmd_evaluate(config: RunConfig) -> int:
 
 def cmd_report(config: RunConfig) -> int:
     out = config.output_dir
-    report_files = sorted(out.glob("*.report.jsonl"))
+    report_files = sorted(out.glob(f"*{REPORT_SUFFIX}"))
     if not report_files:
-        raise ConfigError(f"no *.report.jsonl files found in {out}")
+        raise ConfigError(f"no *{REPORT_SUFFIX} files found in {out}")
     reports = []
     for path in report_files:
         records = met.load_report_records(path)
@@ -309,7 +326,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CorpusError, aug.AugmentError, FileNotFoundError) as exc:
+    # OSError: an input that cannot be read, or an output that cannot be written
+    except (CorpusError, aug.AugmentError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BackendError as exc:

@@ -21,7 +21,7 @@ import yaml
 
 from .corpus import EPISODE_POLICIES, CorpusError, parse_id
 from .metrics import DEFAULT_CUTOFFS
-from .popularity import ThresholdPolicy
+from .popularity import DEFAULT_MIN_COUNT, ThresholdPolicy
 from .synthgen import LANGUAGES, HttpChatBackend, OfflineTemplateBackend
 
 
@@ -149,7 +149,7 @@ def _parse_eta(value: Any, name: str) -> ThresholdPolicy:
     section = _read(value, (name,), keys)
     kind = section.get("kind", "count_threshold")
     if kind == "count_threshold":
-        min_count = _parse_int(section.get("min_count", 5), f"{name}.min_count", 1)
+        min_count = _parse_int(section.get("min_count", DEFAULT_MIN_COUNT), f"{name}.min_count", 1)
         return ThresholdPolicy.count_threshold(min_count)
     if kind == "quantile":
         if "top_fraction" not in section:

@@ -39,10 +39,10 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from operator import itemgetter, sub
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -304,7 +304,9 @@ class DialogueColumns:
     in a dialogue without episode indices), and the record's raw ``items``
     and ``targets`` lists, in order and with any repeats, as the codes
     ``mention_codes[mention_offsets[t]:mention_offsets[t + 1]]`` and
-    ``target_codes[target_offsets[t]:target_offsets[t + 1]]``.
+    ``target_codes[target_offsets[t]:target_offsets[t + 1]]``. ``lines[d]``
+    is the number dialogue ``d``'s record was filled with (``fill_checked``):
+    in a store read from a file, its line there.
     """
 
     items: ItemIndex
@@ -319,19 +321,20 @@ class DialogueColumns:
     mention_codes: np.ndarray
     target_offsets: np.ndarray
     target_codes: np.ndarray
+    lines: np.ndarray
 
     @classmethod
     def from_records(
         cls,
         numbered: Iterable[tuple[int, dict]],
         items: ItemIndex | None = None,
-        where: Callable[[int], str] | None = None,
+        path: Path | None = None,
     ) -> "DialogueColumns":
         """The store of ``(number, record)`` pairs of corpus-file records, item
         ids interned into ``items`` (a fresh index when None); see
-        ``fill_checked`` for ``where`` and the errors."""
+        ``fill_checked`` for ``path`` and the errors."""
         builder = _ColumnsBuilder(items if items is not None else ItemIndex())
-        fill_checked(builder, numbered, where)
+        fill_checked(builder, numbered, path)
         return builder.finish()
 
     @classmethod
@@ -472,12 +475,11 @@ class DialogueColumns:
             mention_codes=mention_codes,
             target_offsets=target_offsets,
             target_codes=target_codes,
+            lines=self.lines[rows],
         )
 
 
-def fill_checked(
-    builder, numbered: Iterable[tuple[int, dict]], where: Callable[[int], str] | None = None
-) -> None:
+def fill_checked(builder, numbered: Iterable[tuple[int, dict]], path: Path | None = None) -> None:
     """Append ``(number, record)`` pairs to ``builder`` in checked runs of
     ``_RUN_LENGTH``.
 
@@ -485,8 +487,9 @@ def fill_checked(
     is valid, checking each rule once over the run, and returns False,
     appending nothing, otherwise. A failed run is checked again record by
     record with ``builder.check_record``, and the first bad record raises
-    ``CorpusError`` prefixed by ``where(number)``. An error that ``numbered``
-    itself raises comes after the records before it are checked. The cyclic
+    ``CorpusError``, prefixed by ``path:number`` when ``path``, the file
+    the numbers are lines of, is given. An error that ``numbered`` itself
+    raises comes after the records before it are checked. The cyclic
     collector is paused meanwhile (and the caller's setting restored):
     young-generation passes would only walk each run of records again and
     again, and the columns are a few dozen objects.
@@ -499,18 +502,18 @@ def fill_checked(
             run.append(pair)
             if len(run) == _RUN_LENGTH:
                 checked, run = run, []
-                _add_run(builder, checked, where)
+                _add_run(builder, checked, path)
     except CorpusError:
-        _add_run(builder, run, where)
+        _add_run(builder, run, path)
         raise
     else:
-        _add_run(builder, run, where)
+        _add_run(builder, run, path)
     finally:
         if enabled:
             gc.enable()
 
 
-def _add_run(builder, run: list[tuple[int, dict]], where: Callable[[int], str] | None) -> None:
+def _add_run(builder, run: list[tuple[int, dict]], path: Path | None) -> None:
     if builder.add_records(run):
         return
     for number, record in run:
@@ -519,7 +522,8 @@ def _add_run(builder, run: list[tuple[int, dict]], where: Callable[[int], str] |
             if not builder.add_records([(number, record)]):  # the two checks agree: not reached
                 raise CorpusError("record fails a whole-run check")
         except CorpusError as exc:
-            raise CorpusError(f"{where(number) if where else ''}{exc}") from None
+            where = "" if path is None else f"{path}:{number}: "
+            raise CorpusError(f"{where}{exc}") from None
 
 
 class _ColumnsBuilder:
@@ -529,6 +533,7 @@ class _ColumnsBuilder:
     def __init__(self, items: ItemIndex):
         self.items = items
         self._seen: set[str] = set()
+        self.lines = array("q")
         self.dialogue_ids: list[str] = []
         self.split = array("b")
         self.provenance = array("b")
@@ -571,6 +576,7 @@ class _ColumnsBuilder:
             return False
         if episodes is None or len(set(ids)) != len(ids) or not self._seen.isdisjoint(ids):
             return False
+        self.lines.fromlist([number for number, _ in run])
         self._append(
             ids, splits, provenances, n_turns, speakers, texts, episodes, mentioned, targets, *codes
         )
@@ -647,6 +653,7 @@ class _ColumnsBuilder:
             mention_codes=np.array(self.mention_codes, dtype=np.int32),
             target_offsets=_offsets(self.n_targets),
             target_codes=np.array(self.target_codes, dtype=np.int32),
+            lines=np.array(self.lines, dtype=np.int64),
         )
 
 
@@ -727,6 +734,7 @@ class Corpus:
             mention_codes=np.concatenate((base.mention_codes, mention_codes)),
             target_offsets=joined(base.target_offsets, added.target_offsets),
             target_codes=np.concatenate((base.target_codes, target_codes)),
+            lines=np.concatenate((base.lines, added.lines)),
         )
         return Corpus.from_columns(self.catalog, columns)
 
@@ -798,22 +806,19 @@ def read_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
-def record_line(path: str | Path, row: int) -> int:
-    """The line number of record ``row`` (counted from 0) of a file that
-    ``read_json_lines`` has read without error."""
-    with Path(path).open("rb") as fh:
-        lines = (lineno for lineno, line in enumerate(fh, start=1) if not line.isspace())
-        return next(islice(lines, row, None))
-
-
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write each string plus a newline to ``.<name>.<pid>.tmp`` beside
     ``path``, then rename it over ``path``: an error or an interrupt while
-    writing leaves the old file (or none) and no temp file behind."""
+    writing leaves the old file (or none) and no temp file behind. An
+    ``OSError`` creating the temp file names ``path``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
+        fh = tmp.open("w", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
             fh.writelines(line + "\n" for line in lines)
         os.replace(tmp, path)
     finally:
@@ -883,7 +888,7 @@ def load_dialogues(path: str | Path, items: ItemIndex | None = None) -> Dialogue
     dialogue_id raises ``CorpusError`` naming ``path:line``, the first such
     line in the file."""
     path = Path(path)
-    return DialogueColumns.from_records(read_json_lines(path), items, lambda n: f"{path}:{n}: ")
+    return DialogueColumns.from_records(read_json_lines(path), items, path)
 
 
 def load_corpus(corpus_path: str | Path, catalog_path: str | Path) -> tuple[Corpus, LoadSummary]:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from itertools import compress, repeat
 from math import fsum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -226,11 +226,10 @@ class _RunBuilder:
 
 
 def _load_columns(
-    numbered: Iterable[tuple[int, dict]], items: ItemIndex, where: Callable[[int], str],
-    path: Path | None = None,
+    numbered: Iterable[tuple[int, dict]], items: ItemIndex, path: Path | None = None
 ) -> RunColumns:
     builder = _RunBuilder(items)
-    fill_checked(builder, numbered, where)
+    fill_checked(builder, numbered, path)
     return builder.finish(path)
 
 
@@ -244,17 +243,11 @@ class RankedRun:
 
     model_name: str
     entries: Sequence[RunEntry]
-    cutoffs: tuple[int, ...] = DEFAULT_CUTOFFS
 
 
-def load_run(
-    path: str | Path,
-    model_name: str | None = None,
-    cutoffs: Sequence[int] = DEFAULT_CUTOFFS,
-    items: ItemIndex | None = None,
-) -> RankedRun:
-    """Read a run file: one record per line with dialogue_id, turn_index,
-    episode_index, ranked, targets.
+def load_run(path: str | Path, items: ItemIndex | None = None) -> RankedRun:
+    """Read a run file, named for the model by its stem: one record per line
+    with dialogue_id, turn_index, episode_index, ranked, targets.
 
     Lines are checked and appended to the run's columns a run of records at
     a time, their ids interned into ``items`` (a fresh index when None) in
@@ -262,11 +255,8 @@ def load_run(
     (dialogue_id, turn_index), raises ``CorpusError`` naming ``path:line``.
     """
     path = Path(path)
-    columns = _load_columns(
-        read_json_lines(path), items if items is not None else ItemIndex(),
-        lambda n: f"{path}:{n}: ", path,
-    )
-    return RankedRun(model_name=model_name or path.stem, entries=columns, cutoffs=tuple(cutoffs))
+    items = items if items is not None else ItemIndex()
+    return RankedRun(path.stem, _load_columns(read_json_lines(path), items, path))
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +475,10 @@ def _run_columns(run: RankedRun, corpus: Corpus) -> RunColumns:
         })
         for n, e in enumerate(run.entries)
     )
-    where = f"run {run.model_name!r}: "
-    return _load_columns(records, ItemIndex(corpus.catalog.items), lambda n: where)
+    try:
+        return _load_columns(records, ItemIndex(corpus.catalog.items))
+    except CorpusError as exc:
+        raise CorpusError(f"run {run.model_name!r}: {exc}") from None
 
 
 # rows summed, and Pearson rows scored, per block
@@ -639,7 +631,7 @@ def _pearson_rows(
 def _score_columns(
     run: RunColumns,
     table: PopularityTable,
-    cutoffs: tuple[int, ...],
+    cutoffs: Sequence[int],
     log_base: float,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Every metric for every entry: ``name -> (values, skip-reason codes)``.
@@ -713,7 +705,7 @@ def _score_columns(
     return scores
 
 
-def _metric_order(cutoffs: tuple[int, ...]) -> list[str]:
+def _metric_order(cutoffs: Sequence[int]) -> list[str]:
     order = ["pop_bias", "cep", "uiop"]
     for prefix in ("hit", "ndcg", "mrr"):
         order.extend(f"{prefix}@{k}" for k in cutoffs)
@@ -725,9 +717,11 @@ def evaluate_run(
     corpus: Corpus,
     table: PopularityTable,
     *,
+    cutoffs: Sequence[int] = DEFAULT_CUTOFFS,
     log_base: float = math.e,
 ) -> BiasReport:
-    """Score every entry and aggregate mean/std per metric.
+    """Score every entry and aggregate mean/std per metric, with Hit, NDCG
+    and MRR at each of ``cutoffs``.
 
     Scoring is column-wise over the run's interned item codes and equals the
     per-entry functions above bit for bit; aggregation runs in entry order
@@ -736,10 +730,10 @@ def evaluate_run(
     """
     columns = _run_columns(run, corpus)
     _validate_join(run.model_name, columns, corpus)
-    scores = _score_columns(columns, table, run.cutoffs, log_base)
+    scores = _score_columns(columns, table, cutoffs, log_base)
 
     metrics: dict[str, MetricSummary] = {}
-    for name in _metric_order(run.cutoffs):
+    for name in _metric_order(cutoffs):
         column, reasons = scores[name]
         values = column[reasons == 0].tolist()
         if not values:

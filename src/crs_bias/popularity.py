@@ -19,6 +19,8 @@ import numpy as np
 
 from .corpus import TRAIN, Corpus, ItemCatalog, ItemIndex, write_json_lines
 
+DEFAULT_MIN_COUNT = 5
+
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
@@ -45,7 +47,7 @@ class ThresholdPolicy:
             raise ValueError(f"unknown threshold policy kind {self.kind!r}")
 
     @classmethod
-    def count_threshold(cls, min_count: int = 5) -> "ThresholdPolicy":
+    def count_threshold(cls, min_count: int = DEFAULT_MIN_COUNT) -> "ThresholdPolicy":
         return cls(kind="count_threshold", min_count=min_count)
 
     @classmethod

@@ -20,6 +20,7 @@ from crs_bias.corpus import (
     Corpus, CorpusError, Dialogue, ItemCatalog, Turn, mention_token, parse_id, segment_episodes,
 )
 from crs_bias.metrics import (
+    DEFAULT_CUTOFFS,
     BiasReport,
     MetricSummary,
     RankedRun,
@@ -181,14 +182,16 @@ def freq_fixture_corpus() -> Corpus:
     return Corpus(catalog=catalog, dialogues=tuple(dialogues))
 
 
-def scalar_report(run: RankedRun, table: PopularityTable, log_base: float = math.e) -> BiasReport:
+def scalar_report(
+    run: RankedRun, table: PopularityTable, log_base: float = math.e, *, cutoffs=DEFAULT_CUTOFFS
+) -> BiasReport:
     """``evaluate_run``'s report computed entry by entry from the reference
     metric functions, aggregated in entry order with ``fsum``."""
     previous_by_key: dict[tuple[str, int], list] = {}
     for entry in run.entries:
         previous_by_key.setdefault((entry.dialogue_id, entry.episode_index), []).append(entry)
     names = ["pop_bias", "cep", "uiop"]
-    names += [f"{prefix}@{k}" for prefix in ("hit", "ndcg", "mrr") for k in run.cutoffs]
+    names += [f"{prefix}@{k}" for prefix in ("hit", "ndcg", "mrr") for k in cutoffs]
     per_entry = []
     for entry in run.entries:
         ranked = entry.ranked_item_ids
@@ -199,7 +202,7 @@ def scalar_report(run: RankedRun, table: PopularityTable, log_base: float = math
             "cep": cross_episode_popularity(entry, previous, table, log_base),
             "uiop": intent_oriented_popularity(entry, table, log_base),
         }
-        accuracy = rank_metrics(entry, run.cutoffs)
+        accuracy = rank_metrics(entry, cutoffs)
         for name in names[3:]:
             scores[name] = accuracy if isinstance(accuracy, Skipped) else accuracy[name]
         per_entry.append(scores)
@@ -219,7 +222,7 @@ def scalar_report(run: RankedRun, table: PopularityTable, log_base: float = math
 
 def standard_run(corpus: Corpus, seed: int = 2024) -> RankedRun:
     """A seeded run over every recommender turn of ``corpus``: ragged lists of
-    0-15 items (some outside the catalog), the turn's targets, cutoffs 5/10/20."""
+    0-15 items (some outside the catalog) and the turn's targets."""
     rng = np.random.default_rng(seed)
     items = list(corpus.catalog.items) + [f"x{n}" for n in range(5)]
     entries = []
@@ -233,7 +236,7 @@ def standard_run(corpus: Corpus, seed: int = 2024) -> RankedRun:
                 dialogue.dialogue_id, turn_index, dialogue.episode_index_per_turn[turn_index],
                 ranked, turn.target_item_ids,
             ))
-    return RankedRun("standard", tuple(entries), cutoffs=(5, 10, 20))
+    return RankedRun("standard", tuple(entries))
 
 
 class FakeResponse:

@@ -125,20 +125,25 @@ class TestPool:
         with pytest.raises(AugmentError, match="duplicate"):
             SyntheticPool.from_dialogues([_synthetic("s", "a"), _synthetic("s", "b")])
 
-    @pytest.mark.parametrize("second, message", [
-        ({"provenance": "original"}, "pool.jsonl:3: pool dialogue 's2' is not synthetic"),
-        ({"items": ["a", "b"]},
+    @pytest.mark.parametrize("lead, second, message", [
+        (0, {"provenance": "original"}, "pool.jsonl:3: pool dialogue 's2' is not synthetic"),
+        (0, {"items": ["a", "b"]},
          "pool.jsonl:3: pool dialogue 's2' mentions 2 distinct items; exactly one is required"),
+        # behind 300 good dialogues, s2's line comes from the second checked run of 256
+        (300, {"provenance": "original"}, "pool.jsonl:303: pool dialogue 's2' is not synthetic"),
     ])
-    def test_pool_rule_errors_name_path_and_line(self, tmp_path, second, message):
+    def test_pool_rule_errors_name_path_and_line(self, tmp_path, lead, second, message):
         def line(dialogue_id: str, items=("a",), provenance="synthetic") -> str:
             turn = {"speaker": "recommender", "text": "try it", "items": list(items), "targets": []}
             return json.dumps({"dialogue_id": dialogue_id, "split": "train",
                                "provenance": provenance, "turns": [turn]})
 
         path = tmp_path / "pool.jsonl"
-        # line 2 is blank: the error names the file line, not the record number
-        path.write_text(line("s1") + "\n\n" + line("s2", **second) + "\n" + line("s3", ["b", "c"]))
+        # a blank line before s2: the error names the file line, not the record number
+        head = "".join(line(f"lead{n}") + "\n" for n in range(lead))
+        path.write_text(
+            head + line("s1") + "\n\n" + line("s2", **second) + "\n" + line("s3", ["b", "c"])
+        )
         with pytest.raises(AugmentError) as error:
             load_pool(path)
         assert str(error.value) == f"{tmp_path}/{message}"

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import inspect
 import io
 import json
 import math
+import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 from crs_bias import cli
 from crs_bias.cli import main
 from crs_bias.config import ConfigError, RunConfig, _redact, load_config
+from crs_bias.popularity import ThresholdPolicy
 from crs_bias.synthgen import HttpChatBackend, OfflineTemplateBackend, build_pool
 
 from helpers import FakeResponse
@@ -342,6 +346,63 @@ class TestGenerate:
         assert main(["generate", "--config", str(config)]) == 2
         assert "zz" in capsys.readouterr().err
 
+    @pytest.fixture()
+    def backend_calls(self, monkeypatch) -> list:
+        """The rounds sent to any backend; a call also fails the command."""
+        calls = []
+
+        def generate_batch(self, template, items, seeds):
+            calls.append(items)
+            raise AssertionError("the backend was called")
+
+        for backend in (OfflineTemplateBackend, HttpChatBackend):
+            monkeypatch.setattr(backend, "generate_batch", generate_batch)
+        return calls
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"generation": {"items": ["m1", "zz"]}}, "generation.items: unknown item ids ['zz']"),
+        ({"generation": {"template": "missing.txt"}}, "generation.template: no such file: "),
+        ({"generation": {"backend": "http_chat"}},
+         "generation.http.base_url and generation.http.model are required"),
+        ({"paths": {"pool": "missing/pool.jsonl"}}, "paths.pool: no such directory: "),
+    ])
+    def test_config_errors_come_before_output_and_generation(
+        self, tmp_path, capsys, backend_calls, overrides, message
+    ):
+        config = write_config(tmp_path / "config.yaml", **overrides)
+        assert main(["generate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists()
+        assert backend_calls == []
+
+    def test_pool_directory_checked_against_the_output_dir_flag(
+        self, tmp_path, capsys, backend_calls
+    ):
+        # the pool goes into out/, which only exists as the output directory
+        config = write_config(tmp_path / "config.yaml", paths={"pool": "out/pool.jsonl"})
+        elsewhere = tmp_path / "elsewhere"
+        assert main(["generate", "--config", str(config), "--output-dir", str(elsewhere)]) == 2
+        missing = tmp_path / "out"
+        assert capsys.readouterr().err == f"config error: paths.pool: no such directory: {missing}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
+        assert backend_calls == []
+
+    def test_pool_in_an_existing_directory(self, tmp_path):
+        (tmp_path / "pools").mkdir()
+        config = write_config(tmp_path / "config.yaml", paths={"pool": "pools/pool.jsonl"})
+        assert main(["generate", "--config", str(config)]) == 0
+        assert (tmp_path / "pools" / "pool.jsonl").is_file()
+        assert not (tmp_path / "out" / "pool.jsonl").exists()
+
+    def test_unwritable_pool_names_the_pool_not_its_temp_file(self, tmp_path, capsys):
+        # the pool's name fits in a directory entry; its longer temp file name does not
+        pool = tmp_path / ("p" * 245 + ".jsonl")
+        config = write_config(tmp_path / "config.yaml", paths={"pool": str(pool)})
+        assert main(["generate", "--config", str(config)]) == 2
+        too_long = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
+        assert capsys.readouterr().err == f"input error: {too_long}: '{pool}'\n"
+        assert not pool.exists()
+
 
 @pytest.fixture()
 def workspace_with_pool(tmp_path) -> Path:
@@ -566,6 +627,18 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert f"{bad}:3: run 'ghost_run' does not join against corpus: unknown dialogue 'ghost'" in err
+
+    def test_runs_sharing_a_stem_exit_2_before_any_output(self, tmp_path, capsys):
+        first, second = tmp_path / "a" / "model.jsonl", tmp_path / "b" / "model.jsonl"
+        for path in (first, second):
+            path.parent.mkdir()
+            shutil.copy(DATA / "run_small.jsonl", path)
+        config = self._config_with_runs(tmp_path, [first, second])
+        assert main(["evaluate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: paths.runs: {first} and {second} would both write model.report.jsonl\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_no_runs_configured(self, tmp_path, capsys):
         config = self._config_with_runs(tmp_path, [])
@@ -951,6 +1024,9 @@ class TestConfig:
             ({"paths": {"catalog": "\ud800"}}, "paths.catalog must be a path"),
             ({"augment": {"batchsize": 64}}, "unknown config key 'augment.batchsize'\n"),
             ({"seeds": 1}, "unknown config key 'seeds'"),
+            # relative to the config file's directory: under a regular file, then one
+            ({"paths": {"output_dir": "config.yaml/out"}}, "paths.output_dir: cannot create "),
+            ({"paths": {"output_dir": "config.yaml"}}, "paths.output_dir: cannot create "),
         ],
     )
     def test_malformed_sections_and_keys_exit_2(self, tmp_path, capsys, overrides, message):
@@ -973,6 +1049,13 @@ class TestConfig:
         config = write_config(tmp_path / "config.yaml", paths={"corpus": str(tmp_path)})
         assert main(["stats", "--config", str(config)]) == 2
         assert "paths.corpus: no such file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "popularity", [None, {"eta": None}, {"eta": {"kind": "count_threshold"}}]
+    )
+    def test_eta_without_min_count_is_the_policy_default(self, tmp_path, popularity):
+        config = write_config(tmp_path / "config.yaml", popularity=popularity)
+        assert load_config(config).eta_policy == ThresholdPolicy.count_threshold()
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         shutil.copy(DATA / "corpus_small.jsonl", tmp_path / "corpus.jsonl")
@@ -1048,3 +1131,26 @@ class TestConfig:
         echo = json.loads((tmp_path / "out" / "config_echo.json").read_text())
         assert echo["seed"] == 1234
         assert echo["paths"]["catalog"].endswith("catalog_small.jsonl")
+
+
+def test_readme_quick_start(tmp_path, capsys):
+    """The README quick start, its config block verbatim, on the bundled data:
+    every command exits 0 and the sample outputs the README shows are printed."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", quick_start, re.S | re.M)  # (language, text)
+    (config,) = [text for language, text in blocks if language == "yaml"]
+    (tmp_path / "config.yaml").write_text(config)
+    for source, name in [("corpus_small", "corpus"), ("catalog_small", "catalog"),
+                         ("run_small", "model_a")]:
+        shutil.copy(DATA / f"{source}.jsonl", tmp_path / f"{name}.jsonl")
+    commands = re.findall(r"^crs-bias (\w+) +--config config\.yaml", quick_start, re.M)
+    assert commands == list(cli._COMMANDS)
+    printed = {}
+    for command in commands:
+        assert main([command, "--config", str(tmp_path / "config.yaml")]) == 0, command
+        printed[command] = capsys.readouterr().out.splitlines()
+    augment_sample, table_sample = [text for language, text in blocks if not language]
+    assert printed["augment"][: len(augment_sample.splitlines())] == augment_sample.splitlines()
+    shown = [line for line in table_sample.splitlines() if line != "..."]
+    assert printed["evaluate"][: len(shown)] == shown

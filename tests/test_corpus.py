@@ -389,6 +389,13 @@ class TestWriters:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
 
+    def test_temp_file_error_names_the_destination(self, tmp_path):
+        path = tmp_path / "missing" / "out.txt"
+        with pytest.raises(FileNotFoundError) as error:
+            write_lines(path, ["x"])
+        assert error.value.filename == str(path)
+        assert ".tmp" not in str(error.value)
+
     def test_failed_first_write_leaves_nothing(self, tmp_path):
         with pytest.raises(TypeError):
             write_json_lines(tmp_path / "out.jsonl", [{"n": object()}])

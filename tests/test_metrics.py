@@ -648,8 +648,10 @@ class TestEvaluateRun:
                      tuple(rng.choice(ids, size=1_100, replace=False)))
             for t in range(4)
         )
-        run = RankedRun("long", entries, cutoffs=(10, 1_200))
-        assert evaluate_run(run, corpus, table, log_base=log_base) == scalar_report(run, table, log_base)
+        run = RankedRun("long", entries)
+        assert evaluate_run(run, corpus, table, cutoffs=(10, 1_200), log_base=log_base) == (
+            scalar_report(run, table, log_base, cutoffs=(10, 1_200))
+        )
 
     def test_loaded_run_matches_entry_tuple(self, data_dir):
         corpus, _ = load_corpus(data_dir / "corpus_small.jsonl", data_dir / "catalog_small.jsonl")
@@ -659,8 +661,22 @@ class TestEvaluateRun:
         assert evaluate_run(loaded, corpus, table) == evaluate_run(direct, corpus, table)
         assert evaluate_run(loaded, corpus, table) == scalar_report(direct, table)
 
+    def test_one_loaded_run_scored_at_two_cutoff_sets(self, data_dir):
+        corpus, _ = load_corpus(data_dir / "corpus_small.jsonl", data_dir / "catalog_small.jsonl")
+        table = build_popularity(corpus, ThresholdPolicy.count_threshold(1))
+        loaded = load_run(data_dir / "run_small.jsonl")
+        direct = RankedRun(loaded.model_name, tuple(loaded.entries))
+        for cutoffs in ((1, 2), (3, 50)):
+            report = evaluate_run(loaded, corpus, table, cutoffs=cutoffs)
+            assert report == scalar_report(direct, table, cutoffs=cutoffs)
+            assert [name for name in report.metrics if name.startswith("hit@")] == [
+                f"hit@{k}" for k in cutoffs
+            ]
+
     def test_report_bytes_pinned(self, tmp_path, standard_corpus, standard_table):
-        report = evaluate_run(standard_run(standard_corpus), standard_corpus, standard_table)
+        report = evaluate_run(
+            standard_run(standard_corpus), standard_corpus, standard_table, cutoffs=(5, 10, 20)
+        )
         path = tmp_path / "standard.report.jsonl"
         save_report(report, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == _STANDARD_REPORT_SHA256
@@ -776,11 +792,11 @@ def _assert_columnar_matches_scalar(entries, pops, popular, cutoffs, log_base) -
         popular_set=frozenset(i for i, p in zip(TABLE_IDS, popular) if p),
         eta_policy=ThresholdPolicy.count_threshold(5),
     )
-    run = RankedRun("m", tuple(RunEntry(*e) for e in entries), cutoffs)
+    run = RankedRun("m", tuple(RunEntry(*e) for e in entries))
 
     def outcome(evaluate):
         try:
-            return evaluate(run, table, log_base=log_base)
+            return evaluate(run, table, cutoffs=cutoffs, log_base=log_base)
         except ZeroDivisionError:  # pearson on an underflowed variance product
             return ZeroDivisionError
 
