@@ -61,7 +61,6 @@ def _percent(value: float) -> str:
 def cmd_stats(config: RunConfig) -> int:
     corpus_path = config.require_path("corpus")
     catalog_path = config.require_path("catalog")
-    out = _prepare_output_dir(config)
 
     corpus, summary = load_corpus(corpus_path, catalog_path)
     table = pop.build_popularity(corpus, config.eta_policy)
@@ -76,6 +75,7 @@ def cmd_stats(config: RunConfig) -> int:
         "popular_item_ratio": pop.popular_item_ratio(table, corpus.catalog),
         "n_unknown_mentions": summary.n_unknown_mentions,
     }
+    out = _prepare_output_dir(config)
     _write_json(out / "stats.json", stats)
     pop.save_table(table, out / "popularity.jsonl")
 
@@ -166,16 +166,15 @@ def cmd_augment(config: RunConfig) -> int:
     corpus_path = config.require_path("corpus")
     catalog_path = config.require_path("catalog")
     pool_path = config.require_path("pool")
-    out = _prepare_output_dir(config)
 
     corpus, _ = load_corpus(corpus_path, catalog_path)
     # one item index for corpus and pool: catalog order, unknown ids appended
     pool = aug.load_pool(pool_path, items=corpus.columns.items)
 
-    plan = None
+    plan = plan_path = None
     if config.strategy == "once_aug":
         augmented = aug.once_aug(corpus, pool)
-        plan_path = None
+        out = _prepare_output_dir(config)
     else:
         table = pop.build_popularity(corpus, config.eta_policy)
         plan = aug.pop_nudge(corpus, pool, table, config.k, config.batch_size, seed)
@@ -185,6 +184,7 @@ def cmd_augment(config: RunConfig) -> int:
                 f"plan failed popularity-filter audit ({len(violations)} violations); "
                 f"first: {violations[0]}"
             )
+        out = _prepare_output_dir(config)
         plan_path = out / "plan.jsonl"
         aug.save_plan(plan, plan_path)
         augmented = aug.materialize_flat(plan, corpus, pool)
@@ -238,27 +238,39 @@ def cmd_evaluate(config: RunConfig) -> int:
                 f"paths.runs: {other} and {run_path} would both write "
                 f"{run_path.stem}{REPORT_SUFFIX}"
             )
+    # run files load in one forked process, one file ahead of scoring, while
+    # this one loads the corpus; each run interns its ids into its own index.
+    # Errors surface in the sequential order: the corpus's, then run by run
+    # its load's and its join's; nothing is written before every run scored
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    sys.stdout.flush()  # or a forked child could print buffered output again
+    sys.stderr.flush()
+    with ProcessPoolExecutor(max_workers=1, mp_context=get_context("fork")) as loader:
+        try:
+            loading = loader.submit(met.load_run, config.runs[0])
+            corpus, _ = load_corpus(corpus_path, catalog_path)
+            # explicit policy validates that the files carry episode indices;
+            # accept_boundary (re)derives them from the accepted-target rule
+            corpus = segment_corpus(corpus, config.episode_policy)
+            table = pop.build_popularity(corpus, config.eta_policy)
+            reports = []
+            for next_path in [*config.runs[1:], None]:
+                run = loading.result()
+                if next_path is not None:
+                    loading = loader.submit(met.load_run, next_path)
+                reports.append(met.evaluate_run(
+                    run, corpus, table, cutoffs=config.cutoffs, log_base=config.log_base
+                ))
+                del run  # scored: at most this run and the next one are held
+        except BaseException:
+            loader.shutdown(cancel_futures=True)
+            raise
+
     out = _prepare_output_dir(config)
-
-    corpus, _ = load_corpus(corpus_path, catalog_path)
-    # explicit policy validates that the files carry episode indices;
-    # accept_boundary (re)derives them from the accepted-target rule
-    corpus = segment_corpus(corpus, config.episode_policy)
-    table = pop.build_popularity(corpus, config.eta_policy)
-
-    # one item index for every run: catalog order, unknown ids appended
-    items = pop.ItemIndex(corpus.catalog.items)
-    reports = []
-    for run_path in config.runs:
-        # a run's columns are dropped once scored, before the next file loads
-        run = met.load_run(run_path, items=items)
-        report = met.evaluate_run(
-            run, corpus, table, cutoffs=config.cutoffs, log_base=config.log_base
-        )
-        del run
+    for report in reports:
         met.save_report(report, out / f"{report.model_name}{REPORT_SUFFIX}")
-        reports.append(report)
-
     table_text = met.format_report_table(reports)
     write_lines(out / "report_table.txt", [table_text])
     print(table_text)

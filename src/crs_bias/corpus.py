@@ -810,7 +810,7 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write each string plus a newline to ``.<name>.<pid>.tmp`` beside
     ``path``, then rename it over ``path``: an error or an interrupt while
     writing leaves the old file (or none) and no temp file behind. An
-    ``OSError`` creating the temp file names ``path``."""
+    ``OSError`` creating the temp file or renaming it names ``path``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -820,7 +820,10 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     try:
         with fh:
             fh.writelines(line + "\n" for line in lines)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     finally:
         tmp.unlink(missing_ok=True)
 

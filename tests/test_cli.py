@@ -8,9 +8,12 @@ import inspect
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -23,7 +26,9 @@ from hypothesis import strategies as st
 from crs_bias import cli
 from crs_bias.cli import main
 from crs_bias.config import ConfigError, RunConfig, _redact, load_config
-from crs_bias.popularity import ThresholdPolicy
+from crs_bias.corpus import load_corpus, segment_corpus, write_lines
+from crs_bias.metrics import evaluate_run, format_report_table, load_run, save_report
+from crs_bias.popularity import ItemIndex, ThresholdPolicy, build_popularity
 from crs_bias.synthgen import HttpChatBackend, OfflineTemplateBackend, build_pool
 
 from helpers import FakeResponse
@@ -120,6 +125,16 @@ class TestStats:
         config = write_config(tmp_path / "config.yaml", paths={"corpus": str(corpus)})
         assert main(["stats", "--config", str(config)]) == 2
         assert "bad_corpus.jsonl:4: " in capsys.readouterr().err
+
+    def test_output_in_the_way_names_the_destination(self, tmp_path, capsys):
+        config = write_config(tmp_path / "config.yaml")
+        (tmp_path / "out" / "stats.json").mkdir(parents=True)
+        assert main(["stats", "--config", str(config)]) == 2
+        destination = tmp_path / "out" / "stats.json"
+        assert capsys.readouterr().err == (
+            f"input error: [Errno {errno.EISDIR}] Is a directory: '{destination}'\n"
+        )
+        assert not [p for p in (tmp_path / "out").iterdir() if p.name.endswith(".tmp")]
 
     def test_catalog_ids_equal_after_normalizing_exit_2(self, tmp_path, capsys):
         catalog = tmp_path / "bad_catalog.jsonl"
@@ -424,6 +439,19 @@ def workspace_with_pool(tmp_path) -> Path:
     return tmp_path / "config.yaml"
 
 
+@pytest.mark.parametrize("command", ["stats", "augment", "evaluate"])
+def test_input_error_leaves_no_output(workspace_with_pool, capsys, command):
+    root = workspace_with_pool.parent
+    corpus = root / "bad_corpus.jsonl"
+    corpus.write_text('{"dialogue_id": "x"}\n')
+    config = yaml.safe_load(workspace_with_pool.read_text())
+    config["paths"].update(corpus=str(corpus), runs=[str(DATA / "run_small.jsonl")])
+    workspace_with_pool.write_text(yaml.safe_dump(config))
+    assert main([command, "--config", str(workspace_with_pool)]) == 2
+    assert capsys.readouterr().err == f"input error: {corpus}:1: record missing 'split'\n"
+    assert not (root / "out").exists()
+
+
 class TestAugment:
     def test_once_aug_full_coverage(self, workspace_with_pool, capsys):
         assert main(["augment", "--config", str(workspace_with_pool), "--strategy", "once_aug"]) == 0
@@ -607,6 +635,102 @@ class TestEvaluate:
             "report_table.txt": "214d4e607047830bdb23d652c27357ae88cf0656d216bc01586fa20ecfe48d20",
             "run_small.report.jsonl": "32a490fc61df98ab5ede57a7d6f0d0cddd480b1837cb3baa4085a2be3db6f8f1",
         }
+
+    def _write_run(self, path: Path, records: list[tuple]) -> Path:
+        path.write_text("".join(
+            json.dumps({"dialogue_id": d, "turn_index": t, "episode_index": e,
+                        "ranked": ranked, "targets": targets}) + "\n"
+            for d, t, e, ranked, targets in records
+        ))
+        return path
+
+    def test_three_runs_equal_in_process_scoring_over_one_index(self, tmp_path):
+        # each run loads in the loader process with an index of its own; ids
+        # outside the catalog ("zz", "yy") come first there, last in the shared one
+        runs = [
+            DATA / "run_small.jsonl",
+            self._write_run(tmp_path / "model_b.jsonl", [
+                ("d1", 1, 0, ["zz", "m4", "m1", "m2"], ["yy", "m1"]),
+                ("d1", 3, 1, ["m2", "zz", "m3"], ["m2"]),
+                ("d3", 1, 0, ["m4", "m3"], ["m4", "m4"]),
+            ]),
+            self._write_run(tmp_path / "model_c.jsonl", [
+                ("d2", 1, 0, ["yy", "m3"], []),
+                ("d1", 3, 1, ["m3", "m1", "yy", "m2"], ["m3"]),
+                ("d1", 1, 0, ["m1", "m3", "m4", "yy"], ["zz"]),
+                ("d1", 2, 1, [], ["m1"]),
+            ]),
+        ]
+        config = self._config_with_runs(tmp_path, runs)
+        assert main(["evaluate", "--config", str(config)]) == 0
+        assert multiprocessing.active_children() == []
+
+        run_config = load_config(config)
+        corpus, _ = load_corpus(run_config.corpus, run_config.catalog)
+        corpus = segment_corpus(corpus, run_config.episode_policy)
+        table = build_popularity(corpus, run_config.eta_policy)
+        items = ItemIndex(corpus.catalog.items)
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        reports = []
+        for path in runs:
+            report = evaluate_run(load_run(path, items=items), corpus, table,
+                                  cutoffs=run_config.cutoffs, log_base=run_config.log_base)
+            save_report(report, expected / f"{report.model_name}.report.jsonl")
+            reports.append(report)
+        write_lines(expected / "report_table.txt", [format_report_table(reports)])
+        written = snapshot(tmp_path / "out")
+        del written["config_echo.json"]
+        assert written == snapshot(expected)
+
+    def test_corpus_error_comes_before_a_run_error(self, tmp_path, capsys):
+        corpus = tmp_path / "bad_corpus.jsonl"
+        corpus.write_bytes((DATA / "corpus_small.jsonl").read_bytes() + b'{"dialogue_id": "x"}\n')
+        bad_run = tmp_path / "bad_run.jsonl"
+        bad_run.write_text('{"dialogue_id": "d1"\n')
+        config = self._config_with_runs(tmp_path, [bad_run])
+        raw = yaml.safe_load(config.read_text())
+        raw["paths"]["corpus"] = str(corpus)
+        config.write_text(yaml.safe_dump(raw))
+        assert main(["evaluate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"input error: {corpus}:4: record missing 'split'\n"
+        assert not (tmp_path / "out").exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("second, third", [("load", "join"), ("join", "load")])
+    def test_run_errors_come_in_run_order(self, tmp_path, capsys, second, third):
+        broken = {
+            # line 2 is malformed
+            "load": '{"dialogue_id": "d1", "turn_index": 1, "episode_index": 0, "ranked": [], '
+                    '"targets": []}\n{"dialogue_id": "d1", "turn_index": 3\n',
+            # line 2 names a turn past the end of d2
+            "join": '{"dialogue_id": "d1", "turn_index": 1, "episode_index": 0, "ranked": [], '
+                    '"targets": []}\n{"dialogue_id": "d2", "turn_index": 5, "episode_index": 0, '
+                    '"ranked": [], "targets": []}\n',
+        }
+        runs = [DATA / "run_small.jsonl"]
+        for name in (second, third):
+            runs.append(tmp_path / f"{name}_run.jsonl")
+            runs[-1].write_text(broken[name])
+        config = self._config_with_runs(tmp_path, runs)
+        assert main(["evaluate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {runs[1]}:2: ")
+        if second == "join":
+            assert "run 'join_run' does not join against corpus: dialogue 'd2': " in err
+        else:
+            assert "malformed record" in err
+        assert not (tmp_path / "out").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_importing_the_cli_does_not_import_multiprocessing(self):
+        # the loader process is started inside evaluate, so the other commands
+        # (and every command's start-up) do not pay for the import
+        code = "import sys, crs_bias.cli; print('multiprocessing' in sys.modules)"
+        path = filter(None, (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.stdout == "False\n", result.stderr
 
     def test_unknown_dialogue_exits_2_and_names_id(self, tmp_path, capsys):
         bad = tmp_path / "bad_run.jsonl"
