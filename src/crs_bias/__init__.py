@@ -10,7 +10,6 @@ from .corpus import (
     load_corpus,
     save_corpus,
     segment_corpus,
-    segment_episodes,
 )
 from .popularity import PopularityTable, ThresholdPolicy, build_popularity, popular_item_ratio
 from .metrics import (
@@ -41,7 +40,7 @@ from .synthgen import (
     OfflineTemplateBackend,
     PromptTemplate,
     build_pool,
-    parse_generated,
+    parse_generated_record,
     render_prompt,
 )
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right, insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -97,7 +97,9 @@ class SyntheticPool:
         return dict(zip(self.columns.dialogue_ids, map(ids.__getitem__, self.item_codes.tolist())))
 
     @property
-    def dialogues(self) -> tuple[Dialogue, ...]:  # built on each access, not kept
+    def dialogues(self) -> tuple[Dialogue, ...]:
+        """The dialogues as objects, built on each access and not kept; kept
+        for the benchmark's counters."""
         return tuple(self.columns.iter_dialogues())
 
     @cached_property
@@ -122,12 +124,6 @@ def pool_digest(pool: SyntheticPool) -> str:
     for dialogue_id in sorted(pool.item_of):
         digest.update(f"{dialogue_id}\t{pool.item_of[dialogue_id]}\n".encode("utf-8"))
     return digest.hexdigest()
-
-
-def anchor_popularity(dialogue: Dialogue, table: PopularityTable) -> float:
-    """Popularity of a training dialogue: the max over its items' scores."""
-    columns = DialogueColumns.from_dialogues([dialogue])
-    return float(columns.dialogue_max(table.arrays(columns.items)[0])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +223,7 @@ class PlanBatch:
 
     def appended_ids(self) -> tuple[str, ...]:
         """Batch-level appendage: per-anchor samples deduplicated in order."""
-        seen: dict[str, None] = {}
-        for anchor_id in self.anchor_ids:
-            for synthetic_id in self.samples.get(anchor_id, ()):
-                seen.setdefault(synthetic_id, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(s for a in self.anchor_ids for s in self.samples.get(a, ())))
 
 
 @dataclass(frozen=True)
@@ -249,11 +241,7 @@ class AugmentationPlan:
 
     def appended_ids(self) -> tuple[str, ...]:
         """All synthetic ids the plan appends, deduplicated across batches."""
-        seen: dict[str, None] = {}
-        for batch in self.batches:
-            for synthetic_id in batch.appended_ids():
-                seen.setdefault(synthetic_id, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(s for batch in self.batches for s in batch.appended_ids()))
 
 
 def pop_nudge(
@@ -333,9 +321,13 @@ def pop_nudge(
 
 @dataclass(frozen=True)
 class MaterializedBatch:
+    """One replayed batch: its anchor dialogues, a ``take`` of the training
+    corpus, and the pool dialogues it appends, as synthetic training
+    dialogues."""
+
     index: int
-    anchors: tuple[Dialogue, ...]
-    appended: tuple[Dialogue, ...]
+    anchors: DialogueColumns
+    appended: DialogueColumns
 
 
 def _check_plan_references(plan: AugmentationPlan, train: Corpus, pool: SyntheticPool) -> None:
@@ -363,18 +355,15 @@ def iter_batches(
     References are validated up front, before the first batch is yielded.
     """
     _check_plan_references(plan, train, pool)
-    train_by_id = train.by_id()
-    pool_by_id = dict(zip(pool.columns.dialogue_ids, pool.dialogues))
+    train_row, pool_row = train.columns.row_of, pool.columns.row_of
 
     def generate() -> Iterator[MaterializedBatch]:
         for batch in plan.batches:
+            appended = pool.columns.take([pool_row[s] for s in batch.appended_ids()])
             yield MaterializedBatch(
                 index=batch.index,
-                anchors=tuple(train_by_id[a] for a in batch.anchor_ids),
-                appended=tuple(
-                    replace(pool_by_id[s], split="train", provenance="synthetic")
-                    for s in batch.appended_ids()
-                ),
+                anchors=train.columns.take([train_row[a] for a in batch.anchor_ids]),
+                appended=appended.as_synthetic_training(),
             )
 
     return generate()

@@ -14,8 +14,9 @@ Every store is filled one way, from corpus-file records checked in runs
 way, one JSON line per dialogue assembled from column slices
 (``dialogue_lines``). The per-turn work (unknown mentions, segmentation,
 and the frequency and join passes of the other modules) is array work over
-the store. ``Turn`` and ``Dialogue`` objects are built only when a caller
-asks for them.
+the store. ``Turn`` and ``Dialogue`` objects are an input type: a store
+can be filled from them, and the few accessors that build them back
+(``Corpus.dialogues`` and ``by_id``) are kept for the benchmark's counters.
 
 File formats (UTF-8, one JSON object per line):
 
@@ -158,10 +159,6 @@ class Turn(_TurnFields):
             raise CorpusError(f"unknown speaker {speaker!r}")
         return tuple.__new__(cls, (speaker, text, mentioned_item_ids, target_item_ids))
 
-    def item_ids(self) -> tuple[str, ...]:
-        """Unique item ids touched by this turn (mentions first, then targets)."""
-        return tuple(dict.fromkeys(self.mentioned_item_ids + self.target_item_ids))
-
 
 def _dialogue_codes(dialogue_id: str, n_turns: int, split, provenance, episodes) -> tuple[int, int]:
     """The split and provenance codes of a dialogue's fields; ``CorpusError``
@@ -195,9 +192,8 @@ def _dialogue_codes(dialogue_id: str, n_turns: int, split, provenance, episodes)
 class Dialogue:
     """A multi-turn conversation, optionally segmented into episodes.
 
-    ``episode_index_per_turn`` is None until segmentation assigns indices
-    (or the source file provides them). When present it must start at 0 and
-    only ever step by +1.
+    ``episode_index_per_turn`` is None for a dialogue without episode
+    indices. When present it must start at 0 and only ever step by +1.
     """
 
     dialogue_id: str
@@ -217,11 +213,6 @@ class Dialogue:
         return tuple(dict.fromkeys(
             [i for t in self.turns for i in t.mentioned_item_ids + t.target_item_ids]
         ))
-
-    def n_episodes(self) -> int:
-        if self.episode_index_per_turn is None:
-            raise CorpusError(f"dialogue {self.dialogue_id!r} has no episode indices")
-        return self.episode_index_per_turn[-1] + 1
 
 
 # corpus records loaded and checked together
@@ -417,9 +408,8 @@ class DialogueColumns:
                 segmented.__dict__[name] = self.__dict__[name]
         return segmented
 
-    def iter_dialogues(self, rows: Iterable[int] | None = None) -> Iterator[Dialogue]:
-        """A ``Dialogue`` per dialogue of ``rows`` (all, in order, by default),
-        each built as it is asked for."""
+    def iter_dialogues(self) -> Iterator[Dialogue]:
+        """A ``Dialogue`` per dialogue, in order, each built as it is asked for."""
         speakers = list(map(SPEAKER_NAMES.__getitem__, self.speaker.tolist()))
         texts = self.texts
         mentions = self._id_lists(self.mention_offsets, self.mention_codes)
@@ -428,7 +418,7 @@ class DialogueColumns:
         offsets = self.turn_offsets.tolist()
         splits = self.split.tolist()
         provenances = self.provenance.tolist()
-        for row in range(len(self)) if rows is None else rows:
+        for row in range(len(self)):
             first, end = offsets[row], offsets[row + 1]
             yield Dialogue(
                 self.dialogue_ids[row],
@@ -477,6 +467,12 @@ class DialogueColumns:
             target_codes=target_codes,
             lines=self.lines[rows],
         )
+
+    def as_synthetic_training(self) -> "DialogueColumns":
+        """These dialogues relabelled as synthetic training dialogues."""
+        n = len(self)
+        split, provenance = np.full(n, TRAIN, np.int8), np.full(n, SYNTHETIC, np.int8)
+        return replace(self, split=split, provenance=provenance)
 
 
 def fill_checked(builder, numbered: Iterable[tuple[int, dict]], path: Path | None = None) -> None:
@@ -571,23 +567,12 @@ class _ColumnsBuilder:
             if not (_all_of(texts, str) and _all_of(mentioned, list) and _all_of(targets, list)):
                 return False
             episodes = _episode_column([record.get("episodes") for record in records], n_turns)
-            codes = self.items.intern_lists(mentioned, targets)
+            mention_codes, target_codes = self.items.intern_lists(mentioned, targets)
         except (KeyError, TypeError, CorpusError, OverflowError):
             return False
         if episodes is None or len(set(ids)) != len(ids) or not self._seen.isdisjoint(ids):
             return False
         self.lines.fromlist([number for number, _ in run])
-        self._append(
-            ids, splits, provenances, n_turns, speakers, texts, episodes, mentioned, targets, *codes
-        )
-        return True
-
-    def _append(
-        self, ids, splits, provenances, n_turns, speakers, texts, episodes,
-        mentioned, targets, mention_codes, target_codes,
-    ) -> None:
-        """Append checked columns: ``mentioned`` and ``targets`` hold each
-        turn's ids, the codes all of them in order."""
         self._seen.update(ids)
         self.dialogue_ids += ids
         self.split.fromlist(splits)
@@ -600,6 +585,7 @@ class _ColumnsBuilder:
         self.mention_codes.fromlist(mention_codes)
         self.n_targets.fromlist(list(map(len, targets)))
         self.target_codes.fromlist(target_codes)
+        return True
 
     def check_record(self, record: dict) -> None:
         """Raise ``CorpusError`` naming the first field of a corpus-file
@@ -662,9 +648,8 @@ class Corpus:
     whose ``items`` index starts with the catalog, in catalog order.
 
     ``Corpus(catalog, dialogues)`` fills the store from ``Dialogue``
-    objects; ``dialogues``, ``split`` and ``by_id`` build objects from the
-    store when called. Treat a corpus as immutable: it is safe to share
-    across readers.
+    objects; ``dialogues`` and ``by_id`` build objects from the store when
+    called. Treat a corpus as immutable: it is safe to share across readers.
     """
 
     def __init__(self, catalog: ItemCatalog, dialogues: Iterable[Dialogue] = ()):
@@ -679,15 +664,19 @@ class Corpus:
         return corpus
 
     def __eq__(self, other: object) -> bool:
+        """The same catalog, and the same dialogues as written to a file."""
         if not isinstance(other, Corpus):
             return NotImplemented
-        return self.catalog == other.catalog and self.dialogues == other.dialogues
+        if self.catalog != other.catalog:
+            return False
+        return list(dialogue_lines(self.columns)) == list(dialogue_lines(other.columns))
 
     __hash__ = None  # type: ignore[assignment]
 
     @property
     def dialogues(self) -> tuple[Dialogue, ...]:
-        """The dialogues as objects, built on each access and not kept."""
+        """The dialogues as objects, built on each access and not kept; kept
+        for the benchmark's counters, as is ``by_id``."""
         return tuple(self.columns.iter_dialogues())
 
     def split_rows(self, name: str) -> np.ndarray:
@@ -695,9 +684,6 @@ class Corpus:
         if name not in SPLITS:
             raise CorpusError(f"unknown split {name!r}")
         return np.flatnonzero(self.columns.split == _SPLIT_CODE[name])
-
-    def split(self, name: str) -> tuple[Dialogue, ...]:
-        return tuple(self.columns.iter_dialogues(self.split_rows(name).tolist()))
 
     def by_id(self) -> dict[str, Dialogue]:
         return dict(zip(self.columns.dialogue_ids, self.dialogues))
@@ -707,7 +693,7 @@ class Corpus:
         as synthetic training dialogues; a dialogue_id already in the corpus
         raises ``CorpusError``."""
         base = self.columns
-        added = source.take(rows)
+        added = source.take(rows).as_synthetic_training()
         if not base.row_of.keys().isdisjoint(added.dialogue_ids):
             clash = next(i for i in added.dialogue_ids if i in base.row_of)
             raise CorpusError(f"duplicate dialogue_id {clash!r}")
@@ -724,8 +710,8 @@ class Corpus:
         columns = DialogueColumns(
             items=base.items,
             dialogue_ids=base.dialogue_ids + added.dialogue_ids,
-            split=np.concatenate((base.split, np.full(len(added), TRAIN, np.int8))),
-            provenance=np.concatenate((base.provenance, np.full(len(added), SYNTHETIC, np.int8))),
+            split=np.concatenate((base.split, added.split)),
+            provenance=np.concatenate((base.provenance, added.provenance)),
             turn_offsets=joined(base.turn_offsets, added.turn_offsets),
             speaker=np.concatenate((base.speaker, added.speaker)),
             texts=base.texts + added.texts,
@@ -921,10 +907,6 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     write_lines(path, dialogue_lines(corpus.columns))
 
 
-def save_dialogues(dialogues: Iterable[Dialogue], path: str | Path) -> None:
-    write_lines(path, dialogue_lines(DialogueColumns.from_dialogues(dialogues)))
-
-
 # what the C encoder escapes strings with when ensure_ascii is off, as in _ENCODER
 _encode = json.encoder.encode_basestring
 
@@ -992,12 +974,6 @@ def save_catalog(catalog: ItemCatalog, path: str | Path) -> None:
 
 # ---------------------------------------------------------------------------
 # episode segmentation
-
-
-def segment_episodes(dialogue: Dialogue, policy: str = "accept_boundary") -> Dialogue:
-    """Assign episode indices to one dialogue (see ``segment_corpus``)."""
-    (segmented,) = DialogueColumns.from_dialogues([dialogue]).segmented(policy).iter_dialogues()
-    return segmented
 
 
 def segment_corpus(corpus: Corpus, policy: str = "accept_boundary") -> Corpus:

@@ -76,15 +76,14 @@ class RunEntry:
 
 
 @dataclass(frozen=True, eq=False)
-class RunColumns(Sequence[RunEntry]):
+class RunColumns:
     """A run stored column-wise over interned item ids.
 
     ``ranks`` is an (entries x longest list, at least 1) int32 matrix of
     item codes, padded with -1 past each row's ``lengths``. Entry ``i``'s
     targets are ``target_codes[target_offsets[i]:target_offsets[i + 1]]``.
     ``lines[i]`` is the entry's line in the run file ``path``, or its
-    position in the tuple it was built from when ``path`` is None.
-    Indexing builds the ``RunEntry`` on demand.
+    position among the entries it was built from when ``path`` is None.
     """
 
     items: ItemIndex
@@ -101,18 +100,6 @@ class RunColumns(Sequence[RunEntry]):
 
     def __len__(self) -> int:
         return len(self.lengths)
-
-    def __getitem__(self, i: int) -> RunEntry:  # type: ignore[override]
-        i = range(len(self))[i]
-        ids = self.items.ids
-        targets = self.target_codes[self.target_offsets[i] : self.target_offsets[i + 1]]
-        return RunEntry(
-            dialogue_id=self.dialogue_ids[self.dialogue_codes[i]],
-            turn_index=int(self.turn_index[i]),
-            episode_index=int(self.episode_index[i]),
-            ranked_item_ids=tuple(ids[c] for c in self.ranks[i, : self.lengths[i]].tolist()),
-            target_item_ids=tuple(ids[c] for c in targets.tolist()),
-        )
 
 
 _RUN_FIELDS = ("dialogue_id", "turn_index", "episode_index", "ranked", "targets")
@@ -235,14 +222,31 @@ def _load_columns(
 
 @dataclass(frozen=True)
 class RankedRun:
-    """A model's ranked lists for a set of recommendation turns.
-
-    ``entries`` is a sequence of ``RunEntry``: a tuple, or the
-    ``RunColumns`` that ``load_run`` builds.
-    """
+    """A model's ranked lists for a set of recommendation turns, in the
+    ``RunColumns`` that ``load_run`` or ``from_entries`` builds."""
 
     model_name: str
-    entries: Sequence[RunEntry]
+    entries: RunColumns
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.entries, RunColumns):
+            raise TypeError(f"run {self.model_name!r}: entries must be RunColumns, not "
+                            f"{type(self.entries).__name__}; see RankedRun.from_entries")
+
+    @classmethod
+    def from_entries(cls, model_name: str, entries: Iterable[RunEntry]) -> "RankedRun":
+        """The run of ``RunEntry`` objects, checked as a run file's records
+        are and interned into a fresh ``ItemIndex``; an error names the run."""
+        records = enumerate(
+            {"dialogue_id": e.dialogue_id, "turn_index": e.turn_index,
+             "episode_index": e.episode_index, "ranked": list(e.ranked_item_ids),
+             "targets": list(e.target_item_ids)}
+            for e in entries
+        )
+        try:
+            return cls(model_name, _load_columns(records, ItemIndex()))
+        except CorpusError as exc:
+            raise CorpusError(f"run {model_name!r}: {exc}") from None
 
 
 def load_run(path: str | Path, items: ItemIndex | None = None) -> RankedRun:
@@ -272,6 +276,17 @@ def initial_item_coverage(corpus: Corpus) -> float:
 # popularity-oriented scores (per ranked list)
 
 
+def _check_scoring(cutoffs: Sequence[int] = (), log_base: float = math.e) -> None:
+    """Raise ``ValueError`` naming a cutoff below 1 or a ``log_base`` outside
+    (1, inf), where the rank discount log_b(r) + 1 would drop below 1. Every
+    scoring entry point calls it."""
+    for k in cutoffs:
+        if k < 1:
+            raise ValueError(f"cutoff must be >= 1, got {k!r}")
+    if not 1 < log_base < math.inf:
+        raise ValueError(f"log_base must be greater than 1, got {log_base!r}")
+
+
 def _rank_discount(rank: int, log_base: float) -> float:
     # rank is 1-based; the top item always contributes 1/(log(1)+1) = 1.
     return math.log(rank) / math.log(log_base) + 1.0
@@ -283,6 +298,7 @@ def ranking_utility(
     log_base: float = math.e,
 ) -> float:
     """Position-discounted count of popular items: sum of 1/(log(rank)+1)."""
+    _check_scoring(log_base=log_base)
     return fsum(
         1.0 / _rank_discount(rank, log_base)
         for rank, item_id in enumerate(ranked, start=1)
@@ -338,6 +354,7 @@ def cross_episode_popularity(
     recommendation turn. First-episode entries and truncations shorter than
     2 are skipped; zero-variance profiles correlate as 0.
     """
+    _check_scoring(log_base=log_base)
     if current.episode_index == 0:
         return Skipped("first_episode")
     if not previous_episode_entries:
@@ -361,6 +378,7 @@ def intent_oriented_popularity(
 ) -> float | Skipped:
     """Gap between target popularity and the list's popularity bias,
     |pop(target) - pi*P|, averaged when a turn has several targets."""
+    _check_scoring(log_base=log_base)
     if not entry.target_item_ids:
         return Skipped("no_targets")
     if not entry.ranked_item_ids:
@@ -384,6 +402,7 @@ def rank_metrics(
     untruncated), so the normalizer does not change with the cutoff and all
     three metrics are monotone non-decreasing in k.
     """
+    _check_scoring(cutoffs)
     targets = set(entry.target_item_ids)
     if not targets:
         return Skipped("no_targets")
@@ -462,23 +481,6 @@ def _validate_join(model_name: str, run: RunColumns, corpus: Corpus) -> None:
         shown = "; ".join(sorted(problems)[:20])
         where = "" if run.path is None else f"{run.path}:{run.lines[bad[0]]}: "
         raise CorpusError(f"{where}run {model_name!r} does not join against corpus: {shown}")
-
-
-def _run_columns(run: RankedRun, corpus: Corpus) -> RunColumns:
-    if isinstance(run.entries, RunColumns):
-        return run.entries
-    records = (
-        (n, {
-            "dialogue_id": e.dialogue_id, "turn_index": e.turn_index,
-            "episode_index": e.episode_index, "ranked": list(e.ranked_item_ids),
-            "targets": list(e.target_item_ids),
-        })
-        for n, e in enumerate(run.entries)
-    )
-    try:
-        return _load_columns(records, ItemIndex(corpus.catalog.items))
-    except CorpusError as exc:
-        raise CorpusError(f"run {run.model_name!r}: {exc}") from None
 
 
 # rows summed, and Pearson rows scored, per block
@@ -726,9 +728,11 @@ def evaluate_run(
     Scoring is column-wise over the run's interned item codes and equals the
     per-entry functions above bit for bit; aggregation runs in entry order
     with exact (fsum) summation. Metrics with zero scored entries are omitted
-    from the report rather than reported as 0.
+    from the report rather than reported as 0. A cutoff below 1 or a
+    ``log_base`` outside (1, inf) raises ``ValueError``.
     """
-    columns = _run_columns(run, corpus)
+    _check_scoring(cutoffs, log_base)
+    columns = run.entries
     _validate_join(run.model_name, columns, corpus)
     scores = _score_columns(columns, table, cutoffs, log_base)
 

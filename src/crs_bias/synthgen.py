@@ -30,7 +30,7 @@ from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, Dialogue, DialogueColumns, ItemIndex, _ColumnsBuilder
+from .corpus import CorpusError, ItemIndex, _ColumnsBuilder
 from .corpus import dialogue_lines, fill_checked, mention_token, write_lines
 from .augment import AugmentError, SyntheticPool
 
@@ -255,6 +255,7 @@ class OfflineTemplateBackend:
         return texts
 
     def generate(self, template: PromptTemplate, item_id: str, item_name: str, seed: int) -> str:
+        """One row of ``generate_batch``; the benchmark's tracer wraps it."""
         return self.generate_batch(template, [(item_id, item_name)], [seed])[0]
 
 
@@ -486,15 +487,6 @@ def parse_generated_record(
         "turns": resolved,
         "episodes": [0] * (target + 1) + [1] * (len(resolved) - target - 1),
     }
-
-
-def parse_generated(
-    raw: str, item_id: str, item_name: str, dialogue_id: str | None = None, *, language: str = "en"
-) -> Dialogue:
-    """``parse_generated_record`` as a ``Dialogue``."""
-    record = parse_generated_record(raw, item_id, item_name, dialogue_id, language=language)
-    (dialogue,) = DialogueColumns.from_records([(0, record)]).iter_dialogues()
-    return dialogue
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ the whole catalog with one single-mention synthetic dialogue per item.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from math import fsum
@@ -17,7 +18,8 @@ import numpy as np
 
 from crs_bias.augment import SyntheticPool
 from crs_bias.corpus import (
-    Corpus, CorpusError, Dialogue, ItemCatalog, Turn, mention_token, parse_id, segment_episodes,
+    Corpus, CorpusError, Dialogue, ItemCatalog, Turn, dialogue_lines, mention_token, parse_id,
+    read_json_lines,
 )
 from crs_bias.metrics import (
     DEFAULT_CUTOFFS,
@@ -52,6 +54,21 @@ def standard_catalog() -> ItemCatalog:
     return ItemCatalog({item_id(i): f"Movie {i:03d}" for i in range(CATALOG_SIZE)})
 
 
+def store_records(columns) -> list[dict]:
+    """A ``DialogueColumns`` store as the records of the file it writes."""
+    return [json.loads(line) for line in dialogue_lines(columns)]
+
+
+def segmented_dialogue(dialogue_id: str, turns, split: str = "train") -> Dialogue:
+    """A dialogue with the ``accept_boundary`` episode indices: a turn with
+    targets closes its episode."""
+    episodes, episode = [], 0
+    for turn in turns:
+        episodes.append(episode)
+        episode += bool(turn.target_item_ids)
+    return Dialogue(dialogue_id, tuple(turns), split=split, episode_index_per_turn=tuple(episodes))
+
+
 def make_dialogue(
     dialogue_id: str,
     items: list[str],
@@ -78,7 +95,7 @@ def make_dialogue(
                 target_item_ids=(items[-1],),
             ),
         ]
-    return segment_episodes(Dialogue(dialogue_id, tuple(turns), split=split), "accept_boundary")
+    return segmented_dialogue(dialogue_id, turns, split=split)
 
 
 def build_standard_corpus(seed: int = FIXTURE_SEED) -> Corpus:
@@ -103,19 +120,13 @@ def build_standard_corpus(seed: int = FIXTURE_SEED) -> Corpus:
         items = [item_id(int(i)) for i in picks]
         dialogues.append(make_dialogue(f"niche-{n:04d}", items, split="train"))
     for n in range(N_TRAIN_CHAT):
-        dialogues.append(
-            segment_episodes(
-                Dialogue(
-                    f"chat-{n:04d}",
-                    (
-                        Turn("seeker", "Watched anything fun lately?"),
-                        Turn("recommender", "Plenty! What mood are you in?"),
-                    ),
-                    split="train",
-                ),
-                "accept_boundary",
-            )
-        )
+        dialogues.append(segmented_dialogue(
+            f"chat-{n:04d}",
+            (
+                Turn("seeker", "Watched anything fun lately?"),
+                Turn("recommender", "Plenty! What mood are you in?"),
+            ),
+        ))
     for n in range(N_VALID):
         dialogues.append(natural(f"valid-{n:04d}", "valid"))
     for n in range(N_TEST):
@@ -183,17 +194,19 @@ def freq_fixture_corpus() -> Corpus:
 
 
 def scalar_report(
-    run: RankedRun, table: PopularityTable, log_base: float = math.e, *, cutoffs=DEFAULT_CUTOFFS
+    model_name: str, entries, table: PopularityTable, log_base: float = math.e, *,
+    cutoffs=DEFAULT_CUTOFFS,
 ) -> BiasReport:
-    """``evaluate_run``'s report computed entry by entry from the reference
-    metric functions, aggregated in entry order with ``fsum``."""
+    """``evaluate_run``'s report on the run of ``RunEntry`` objects
+    ``entries``, computed entry by entry from the reference metric functions
+    and aggregated in entry order with ``fsum``."""
     previous_by_key: dict[tuple[str, int], list] = {}
-    for entry in run.entries:
+    for entry in entries:
         previous_by_key.setdefault((entry.dialogue_id, entry.episode_index), []).append(entry)
     names = ["pop_bias", "cep", "uiop"]
     names += [f"{prefix}@{k}" for prefix in ("hit", "ndcg", "mrr") for k in cutoffs]
     per_entry = []
-    for entry in run.entries:
+    for entry in entries:
         ranked = entry.ranked_item_ids
         previous = previous_by_key.get((entry.dialogue_id, entry.episode_index - 1), [])
         scores = {
@@ -217,26 +230,36 @@ def scalar_report(
             mean = fsum(values) / len(values)
             std = math.sqrt(fsum((v - mean) ** 2 for v in values) / len(values))
             metrics[name] = MetricSummary(mean, std, len(values), sum(reasons.values()), reasons)
-    return BiasReport(model_name=run.model_name, n_entries=len(run.entries), metrics=metrics)
+    return BiasReport(model_name=model_name, n_entries=len(entries), metrics=metrics)
 
 
 def standard_run(corpus: Corpus, seed: int = 2024) -> RankedRun:
     """A seeded run over every recommender turn of ``corpus``: ragged lists of
-    0-15 items (some outside the catalog) and the turn's targets."""
+    0-15 items (some outside the catalog) and the turn's targets, built from
+    ``RunEntry`` objects."""
     rng = np.random.default_rng(seed)
     items = list(corpus.catalog.items) + [f"x{n}" for n in range(5)]
     entries = []
-    for dialogue in corpus.dialogues:
-        for turn_index, turn in enumerate(dialogue.turns):
-            if turn.speaker != "recommender":
+    for record in store_records(corpus.columns):
+        for turn_index, turn in enumerate(record["turns"]):
+            if turn["speaker"] != "recommender":
                 continue
             size = int(rng.integers(0, 16))
             ranked = tuple(str(i) for i in rng.choice(items, size=size, replace=False))
             entries.append(RunEntry(
-                dialogue.dialogue_id, turn_index, dialogue.episode_index_per_turn[turn_index],
-                ranked, turn.target_item_ids,
+                record["dialogue_id"], turn_index, record["episodes"][turn_index],
+                ranked, tuple(turn["targets"]),
             ))
-    return RankedRun("standard", tuple(entries))
+    return RankedRun.from_entries("standard", entries)
+
+
+def file_entries(path) -> list[RunEntry]:
+    """The ``RunEntry`` of each record of a run file, ids read as strings."""
+    return [
+        RunEntry(str(r["dialogue_id"]), r["turn_index"], r["episode_index"],
+                 tuple(map(str, r["ranked"])), tuple(map(str, r["targets"])))
+        for _, r in read_json_lines(path)
+    ]
 
 
 class FakeResponse:
@@ -289,6 +312,21 @@ def reference_accept_boundary(record) -> list[int]:
         if turn["targets"]:
             episode += 1
     return episodes
+
+
+def written_record(record) -> dict:
+    """A corpus-file record as a store writes it back: ids as strings, the
+    default provenance filled in, fields in the writer's order."""
+    turns = [
+        {"speaker": t["speaker"], "text": t["text"], "items": [str(i) for i in t["items"]],
+         "targets": [str(i) for i in t["targets"]]}
+        for t in record["turns"]
+    ]
+    written = {"dialogue_id": str(record["dialogue_id"]), "split": record["split"],
+               "provenance": record.get("provenance", "original"), "turns": turns}
+    if record.get("episodes") is not None:
+        written["episodes"] = list(record["episodes"])
+    return written
 
 
 def reference_dialogue_max(record, values: dict):
@@ -382,6 +420,20 @@ def reference_run_columns(numbered, items, where) -> dict:
                                      ranked_codes, target_codes)):
             out[name].append(value)
     return dict(out, dialogue_ids=dialogue_ids, item_ids=list(items.ids))
+
+
+def run_records(columns) -> list[dict]:
+    """A ``RunColumns`` as run-file records, each id read back through its index."""
+    lists = run_columns_lists(columns)
+    ids, dialogue_ids = lists["item_ids"], lists["dialogue_ids"]
+    return [
+        {"dialogue_id": dialogue_ids[d], "turn_index": t, "episode_index": e,
+         "ranked": [ids[c] for c in ranked], "targets": [ids[c] for c in targets]}
+        for d, t, e, ranked, targets in zip(
+            lists["dialogue_codes"], lists["turn_index"], lists["episode_index"],
+            lists["ranked"], lists["targets"],
+        )
+    ]
 
 
 def run_columns_lists(columns) -> dict:

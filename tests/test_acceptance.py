@@ -30,7 +30,7 @@ from crs_bias.augment import (
     weighted_sample_without_replacement,
 )
 from crs_bias.cli import main
-from crs_bias.corpus import load_corpus, save_catalog, save_corpus, save_dialogues
+from crs_bias.corpus import dialogue_lines, load_corpus, save_catalog, save_corpus, write_lines
 from crs_bias.metrics import (
     RankedRun,
     RunEntry,
@@ -45,7 +45,7 @@ from crs_bias.metrics import (
 )
 from crs_bias.popularity import PopularityTable, ThresholdPolicy, build_popularity
 
-from helpers import build_standard_corpus, scalar_report, single_mention_pool
+from helpers import build_standard_corpus, scalar_report, single_mention_pool, store_records
 
 DATA = Path(__file__).parent / "data"
 REAL_DATA_ENV = "CRS_BIAS_DATA_DIR"
@@ -361,7 +361,7 @@ def _write_standard_workspace(tmp_path: Path) -> Path:
     pool = single_mention_pool(corpus.catalog)
     save_corpus(corpus, tmp_path / "corpus.jsonl")
     save_catalog(corpus.catalog, tmp_path / "catalog.jsonl")
-    save_dialogues(pool.dialogues, tmp_path / "pool.jsonl")
+    write_lines(tmp_path / "pool.jsonl", dialogue_lines(pool.columns))
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump({
         "paths": {
@@ -417,19 +417,19 @@ def test_c08_columnar_evaluation_equals_scalar(standard_corpus, standard_table):
     rng = np.random.default_rng(321)
     items = list(standard_corpus.catalog.items)
     entries = []
-    for dialogue in standard_corpus.dialogues:
-        episodes = dialogue.episode_index_per_turn
-        for turn_index, turn in enumerate(dialogue.turns):
-            if turn.speaker != "recommender":
+    for record in store_records(standard_corpus.columns):
+        episodes = record["episodes"]
+        for turn_index, turn in enumerate(record["turns"]):
+            if turn["speaker"] != "recommender":
                 continue
-            ranked = tuple(rng.choice(items, size=10, replace=False))
+            ranked = tuple(map(str, rng.choice(items, size=10, replace=False)))
             entries.append(RunEntry(
-                dialogue.dialogue_id, turn_index, episodes[turn_index],
-                ranked, turn.target_item_ids,
+                record["dialogue_id"], turn_index, episodes[turn_index],
+                ranked, tuple(turn["targets"]),
             ))
-    run = RankedRun("det-check", tuple(entries))
+    run = RankedRun.from_entries("det-check", entries)
     columnar = evaluate_run(run, standard_corpus, standard_table)
-    assert columnar == scalar_report(run, standard_table)
+    assert columnar == scalar_report("det-check", entries, standard_table)
     assert columnar == evaluate_run(run, standard_corpus, standard_table)
 
 
@@ -439,7 +439,7 @@ def test_c08_columnar_evaluation_equals_scalar(standard_corpus, standard_table):
 def test_c09_every_appended_dialogue_respects_the_filter(
     standard_corpus, standard_pool, standard_table
 ):
-    train_by_id = {d.dialogue_id: d for d in standard_corpus.dialogues}
+    train_by_id = {d["dialogue_id"]: d for d in store_records(standard_corpus.columns)}
     audited = 0
     for k in (1, 5, 10, 50):
         plan = pop_nudge(standard_corpus, standard_pool, standard_table, k, 32, seed=1234)
@@ -448,8 +448,8 @@ def test_c09_every_appended_dialogue_respects_the_filter(
             for anchor_id, sampled in batch.samples.items():
                 anchor = train_by_id[anchor_id]
                 anchor_pop = 0.0
-                for turn in anchor.turns:
-                    for iid in turn.mentioned_item_ids + turn.target_item_ids:
+                for turn in anchor["turns"]:
+                    for iid in turn["items"] + turn["targets"]:
                         anchor_pop = max(anchor_pop, standard_table.pop.get(iid, 0.0))
                 for synthetic_id in sampled:
                     item = standard_pool.item_of[synthetic_id]
@@ -470,11 +470,11 @@ def test_c10_longtail_rank_correlation_and_no_frequency_loss(
 ):
     def frequencies(corpus) -> dict[str, int]:
         freq = {i: 0 for i in corpus.catalog.items}
-        for dialogue in corpus.dialogues:
-            if dialogue.split != "train":
+        for dialogue in store_records(corpus.columns):
+            if dialogue["split"] != "train":
                 continue
-            for turn in dialogue.turns:
-                for iid in dict.fromkeys(turn.mentioned_item_ids + turn.target_item_ids):
+            for turn in dialogue["turns"]:
+                for iid in dict.fromkeys(turn["items"] + turn["targets"]):
                     if iid in freq:
                         freq[iid] += 1
         return freq

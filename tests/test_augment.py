@@ -19,7 +19,6 @@ from crs_bias.augment import (
     AugmentationPlan,
     PlanBatch,
     SyntheticPool,
-    anchor_popularity,
     audit_plan,
     iter_batches,
     load_plan,
@@ -37,19 +36,23 @@ from crs_bias.corpus import Corpus, CorpusError, Dialogue, ItemCatalog, Turn
 from crs_bias.metrics import initial_item_coverage
 from crs_bias.popularity import PopularityTable, ThresholdPolicy, train_frequencies
 
-from helpers import make_dialogue, reference_sample
+from helpers import make_dialogue, reference_dialogue_max, reference_sample, store_records
 
 
-def _synthetic(dialogue_id: str, item: str) -> Dialogue:
+def _synthetic(dialogue_id: str, item: str, split: str = "train") -> Dialogue:
     return Dialogue(
         dialogue_id,
         (
             Turn("seeker", "any ideas?"),
             Turn("recommender", f"take @{item}", (item,), (item,)),
         ),
-        split="train",
+        split=split,
         provenance="synthetic",
     )
+
+
+def _split_records(corpus: Corpus, name: str) -> list[dict]:
+    return store_records(corpus.columns.take(corpus.split_rows(name)))
 
 
 def _pool(items: dict[str, str]) -> SyntheticPool:
@@ -160,7 +163,7 @@ class TestOnceAug:
         train = Corpus(catalog, tuple(make_dialogue(f"d{i}", ["a"]) for i in range(10)))
         pool = _pool({f"s{i}": c for i, c in enumerate("abcdef")})
         augmented = once_aug(train, pool)
-        assert len(augmented.split("train")) == 16
+        assert len(augmented.split_rows("train")) == 16
 
     def test_covering_pool_reaches_full_coverage(self, standard_corpus, standard_pool):
         augmented = once_aug(standard_corpus, standard_pool)
@@ -174,8 +177,8 @@ class TestOnceAug:
 
     def test_valid_and_test_untouched(self, standard_corpus, standard_pool):
         augmented = once_aug(standard_corpus, standard_pool)
-        assert augmented.split("valid") == standard_corpus.split("valid")
-        assert augmented.split("test") == standard_corpus.split("test")
+        assert _split_records(augmented, "valid") == _split_records(standard_corpus, "valid")
+        assert _split_records(augmented, "test") == _split_records(standard_corpus, "test")
 
     def test_id_collision_rejected(self):
         catalog = ItemCatalog({"a": "A"})
@@ -385,7 +388,8 @@ class TestPopNudge:
     ):
         plan = pop_nudge(standard_corpus, standard_pool, standard_table, 1, 32, seed=0)
         anchors = [a for batch in plan.batches for a in batch.anchor_ids]
-        assert sorted(anchors) == sorted(d.dialogue_id for d in standard_corpus.split("train"))
+        train_ids = [d["dialogue_id"] for d in _split_records(standard_corpus, "train")]
+        assert sorted(anchors) == sorted(train_ids)
         assert all(len(b.anchor_ids) <= 32 for b in plan.batches)
 
     def test_draw_weights_proportional_to_item_popularity(self):
@@ -446,10 +450,10 @@ class TestPopNudge:
         assert by_freq == by_pop
         freqs = [freq[standard_pool.item_of[s]] for s in by_freq]
         popularities = [pops(standard_pool.item_of[s]) for s in by_pop]
-        for anchor in standard_corpus.split("train"):
-            anchor_freq = max((freq[i] for i in anchor.item_ids()), default=0)
+        for anchor in _split_records(standard_corpus, "train"):
+            anchor_freq = reference_dialogue_max(anchor, freq)
             assert bisect_right(freqs, anchor_freq) == bisect_right(
-                popularities, anchor_popularity(anchor, standard_table)
+                popularities, reference_dialogue_max(anchor, standard_table.pop)
             )
 
     def test_standard_plan_file_is_pinned(
@@ -465,11 +469,10 @@ class TestPopNudge:
     ):
         plan = pop_nudge(standard_corpus, standard_pool, standard_table, 5, 32, seed=8)
         augmented = materialize_flat(plan, standard_corpus, standard_pool)
-        by_id = augmented.by_id()
-        for dialogue in standard_corpus.dialogues:
-            assert by_id[dialogue.dialogue_id] == dialogue
-        assert augmented.split("valid") == standard_corpus.split("valid")
-        assert augmented.split("test") == standard_corpus.split("test")
+        originals = store_records(standard_corpus.columns)
+        assert store_records(augmented.columns)[: len(originals)] == originals
+        assert _split_records(augmented, "valid") == _split_records(standard_corpus, "valid")
+        assert _split_records(augmented, "test") == _split_records(standard_corpus, "test")
 
 
 class TestMaterialize:
@@ -477,18 +480,30 @@ class TestMaterialize:
         train, pool, table = TestPopNudge()._small()
         plan = pop_nudge(train, pool, table, k=3, batch_size=1, seed=2)
         flat = materialize_flat(plan, train, pool)
-        train_ids = [d.dialogue_id for d in flat.split("train")]
+        train_ids = [d["dialogue_id"] for d in _split_records(flat, "train")]
         assert len(train_ids) == len(set(train_ids))
         assert set(plan.appended_ids()) <= set(train_ids)
 
     def test_batch_stream_replays_plan(self):
-        train, pool, table = TestPopNudge()._small()
+        train, _, table = TestPopNudge()._small()
+        # pool rows whose file says valid come out as synthetic training rows
+        items = {"s-hot": "c", "s-warm": "d", "s-cold": "e"}
+        pool = SyntheticPool.from_dialogues([_synthetic(d, i, "valid") for d, i in items.items()])
         plan = pop_nudge(train, pool, table, k=2, batch_size=1, seed=2)
         batches = list(iter_batches(plan, train, pool))
         assert [b.index for b in batches] == [b.index for b in plan.batches]
+        train_records = dict(zip(train.columns.dialogue_ids, store_records(train.columns)))
+        pool_records = dict(zip(pool.columns.dialogue_ids, store_records(pool.columns)))
         for materialized, planned in zip(batches, plan.batches):
-            assert tuple(d.dialogue_id for d in materialized.anchors) == planned.anchor_ids
-            assert tuple(d.dialogue_id for d in materialized.appended) == planned.appended_ids()
+            assert tuple(materialized.anchors.dialogue_ids) == planned.anchor_ids
+            assert tuple(materialized.appended.dialogue_ids) == planned.appended_ids()
+            assert store_records(materialized.anchors) == [
+                train_records[a] for a in planned.anchor_ids
+            ]
+            assert store_records(materialized.appended) == [
+                dict(pool_records[s], split="train") for s in planned.appended_ids()
+            ]
+        assert sum(len(b.appended) for b in batches) > 0
 
     def test_empty_plan_is_identity(self):
         train, pool, _ = TestPopNudge()._small()
@@ -648,7 +663,9 @@ class TestLongtail:
             split="train",
             provenance="synthetic",
         )
-        after = Corpus(catalog, before.dialogues + (extra,))
+        after = Corpus(catalog, (
+            make_dialogue("d1", ["a"]), make_dialogue("d2", ["a"]), make_dialogue("d3", ["b"]), extra,
+        ))
         report = longtail_report(before, after)
         assert report.freq_before == {"a": 2, "b": 1, "c": 0}
         assert report.freq_after == {"a": 2, "b": 2, "c": 0}
@@ -695,11 +712,18 @@ class TestLongtail:
 
 
 class TestAnchorPopularity:
+    @staticmethod
+    def _anchor_popularity(dialogue: Dialogue, table: PopularityTable) -> list[float]:
+        """The anchor popularity pop_nudge's audit reads: the max over a
+        dialogue's items' popularity."""
+        corpus = Corpus(ItemCatalog({i: i.upper() for i in "abc"}), (dialogue,))
+        return corpus.columns.dialogue_max(table.arrays(corpus.columns.items)[0]).tolist()
+
     def test_max_over_items(self):
         table = _pop_table({"a": 3, "b": 9, "c": 10})
-        assert anchor_popularity(make_dialogue("d", ["a", "b"]), table) == 0.9
+        assert self._anchor_popularity(make_dialogue("d", ["a", "b"]), table) == [0.9]
 
     def test_no_items_is_zero(self):
         table = _pop_table({"a": 3})
         chat = Dialogue("d", (Turn("seeker", "hello"),))
-        assert anchor_popularity(chat, table) == 0.0
+        assert self._anchor_popularity(chat, table) == [0.0]

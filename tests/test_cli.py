@@ -26,8 +26,11 @@ from hypothesis import strategies as st
 from crs_bias import cli
 from crs_bias.cli import main
 from crs_bias.config import ConfigError, RunConfig, _redact, load_config
+from crs_bias.augment import MaterializedBatch
+from crs_bias.corpus import Dialogue, DialogueColumns, Turn
 from crs_bias.corpus import load_corpus, segment_corpus, write_lines
-from crs_bias.metrics import evaluate_run, format_report_table, load_run, save_report
+from crs_bias.metrics import BiasReport, RunEntry, evaluate_run, format_report_table, load_run
+from crs_bias.metrics import save_report
 from crs_bias.popularity import ItemIndex, ThresholdPolicy, build_popularity
 from crs_bias.synthgen import HttpChatBackend, OfflineTemplateBackend, build_pool
 
@@ -1278,3 +1281,56 @@ def test_readme_quick_start(tmp_path, capsys):
     assert printed["augment"][: len(augment_sample.splitlines())] == augment_sample.splitlines()
     shown = [line for line in table_sample.splitlines() if line != "..."]
     assert printed["evaluate"][: len(shown)] == shown
+
+
+def test_readme_library_usage(tmp_path, monkeypatch, capsys):
+    """The README's library example, its Python block verbatim, on the bundled
+    data with a pool from ``generate``."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library usage", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"^```python\n(.*?)^```$", section, re.S | re.M)
+    for source, name in [("corpus_small", "corpus"), ("catalog_small", "catalog"),
+                         ("run_small", "model_a")]:
+        shutil.copy(DATA / f"{source}.jsonl", tmp_path / f"{name}.jsonl")
+    config = write_config(tmp_path / "config.yaml", paths={"pool": "pool.jsonl"})
+    assert main(["generate", "--config", str(config)]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    names: dict = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert capsys.readouterr().out == "0.75\n"
+    assert isinstance(names["batch"], MaterializedBatch)
+    assert isinstance(names["anchors"], DialogueColumns)
+    assert isinstance(names["appended"], DialogueColumns)
+    assert isinstance(names["report"], BiasReport) and names["report"].model_name == "model_b"
+
+
+def test_commands_build_no_objects(tmp_path, monkeypatch, capsys):
+    """Every command runs on the bundled data, with a run that ranks ids
+    outside the catalog, while building a Turn, a Dialogue or a RunEntry
+    raises: the commands work on column stores only."""
+    run = tmp_path / "model_a.jsonl"
+    run.write_text((DATA / "run_small.jsonl").read_text().replace('"m4"', '"x-unknown"'))
+    assert "x-unknown" in run.read_text()
+    config = write_config(
+        tmp_path / "config.yaml",
+        paths={"pool": str(tmp_path / "pool.jsonl"), "runs": [str(run)]},
+    )
+
+    def built(*args, **kwargs):
+        raise AssertionError("a command built an object")
+
+    monkeypatch.setattr(Turn, "__new__", built)
+    monkeypatch.setattr(Dialogue, "__post_init__", built)
+    monkeypatch.setattr(RunEntry, "__post_init__", built)
+    for make in (lambda: Turn("seeker", "hi"), lambda: Dialogue("d1", ()),
+                 lambda: RunEntry("d1", 1, 0, ("m1",))):
+        with pytest.raises(AssertionError, match="built an object"):
+            make()
+    commands = [
+        ["generate"], ["stats"], ["augment", "--strategy", "once_aug"],
+        ["augment", "--strategy", "pop_nudge"], ["evaluate"], ["report"],
+    ]
+    for command in commands:
+        assert main([*command, "--config", str(config)]) == 0, command
+    assert "model_a" in capsys.readouterr().out

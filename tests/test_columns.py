@@ -20,10 +20,8 @@ from crs_bias.corpus import (
     CorpusError,
     ItemIndex,
     dialogue_lines,
-    dialogue_to_record,
     load_corpus,
     save_corpus,
-    save_dialogues,
     segment_corpus,
 )
 from crs_bias.popularity import train_frequencies
@@ -35,6 +33,7 @@ from helpers import (
     reference_pool_item,
     reference_train_frequencies,
     reference_unknown,
+    written_record,
 )
 
 # "7" is in the catalog and may be written as the integer 7; 12, "zz" and "x9" are not
@@ -98,8 +97,8 @@ def test_accept_boundary_episodes_match_loop(records):
     with tempfile.TemporaryDirectory() as tmp:
         corpus, _ = _load(Path(tmp), records)
     segmented = segment_corpus(corpus, "accept_boundary")
-    assert [list(d.episode_index_per_turn) for d in segmented.dialogues] == [
-        reference_accept_boundary(r) for r in records
+    assert segmented.columns.episodes.tolist() == [
+        episode for r in records for episode in reference_accept_boundary(r)
     ]
 
 
@@ -148,19 +147,25 @@ def test_pool_one_item_rule_matches_loop(pool_records):
 
 @settings(max_examples=100, deadline=None)
 @given(records=corpus_records(), pool_records=corpus_records(prefix="s"))
-def test_streamed_save_equals_saving_the_objects(records, pool_records):
+def test_streamed_save_equals_the_encoded_records(records, pool_records):
     pool_records = [r for r in pool_records if reference_pool_item(r) is not None]
     for record in pool_records:
         record["provenance"] = "synthetic"
+    segmented = [dict(r, episodes=reference_accept_boundary(r)) for r in records]
+    appended = [dict(r, split="train") for r in pool_records]
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         corpus, _ = _load(root, records)
         pool = load_pool(_write(root / "pool.jsonl", pool_records))
-        for n, saved in enumerate((corpus, segment_corpus(corpus), once_aug(corpus, pool))):
-            save_corpus(saved, root / f"streamed{n}.jsonl")
-            save_dialogues(saved.dialogues, root / f"objects{n}.jsonl")
-            streamed = (root / f"streamed{n}.jsonl").read_bytes()
-            assert streamed == (root / f"objects{n}.jsonl").read_bytes()
+        for saved, expected in (
+            (corpus, records),
+            (segment_corpus(corpus), segmented),
+            (once_aug(corpus, pool), records + appended),
+        ):
+            save_corpus(saved, root / "streamed.jsonl")
+            assert (root / "streamed.jsonl").read_bytes() == "".join(
+                _ENCODER.encode(written_record(r)) + "\n" for r in expected
+            ).encode("utf-8")
 
 
 BAD_FIELDS = st.sampled_from([
@@ -197,7 +202,9 @@ def test_runs_report_what_records_one_by_one_report(records, data, monkeypatch_m
             monkeypatch_module.setattr(corpus_module, "_RUN_LENGTH", run_length)
             try:
                 columns = corpus_module.load_dialogues(path)
-                outcomes.append(list(columns.iter_dialogues()) + [columns.items.ids])
+                outcomes.append(
+                    list(dialogue_lines(columns)) + [columns.items.ids, columns.lines.tolist()]
+                )
             except CorpusError as exc:
                 outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1] == outcomes[2]
@@ -261,10 +268,10 @@ def test_dialogue_lines_equal_the_json_encoder(records, data):
     order = data.draw(st.permutations(range(len(columns))))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(corpus_module, "_RUN_LENGTH", data.draw(st.sampled_from([1, 2, 256])))
-        for store in (columns, columns.take(order)):
+        for store, rows in ((columns, range(len(records))), (columns.take(order), order)):
             written = "".join(line + "\n" for line in dialogue_lines(store)).encode("utf-8")
             expected = "".join(
-                _ENCODER.encode(dialogue_to_record(row)) + "\n" for row in store.iter_dialogues()
+                _ENCODER.encode(written_record(records[row])) + "\n" for row in rows
             ).encode("utf-8")
             assert written == expected
 

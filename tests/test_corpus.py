@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crs_bias.augment import SyntheticPool
 from crs_bias.corpus import (
     Corpus,
     CorpusError,
@@ -24,12 +26,13 @@ from crs_bias.corpus import (
     save_catalog,
     save_corpus,
     segment_corpus,
-    segment_episodes,
     write_json_lines,
     write_lines,
 )
 
-from helpers import make_dialogue
+from helpers import store_records, make_dialogue, segmented_dialogue
+
+CATALOG = ItemCatalog({"m1": "One"})
 
 
 def _dialogue(targets_on: set[int], n_turns: int) -> Dialogue:
@@ -44,10 +47,15 @@ def _dialogue(targets_on: set[int], n_turns: int) -> Dialogue:
     return Dialogue("d", turns)
 
 
+def _segmented(dialogue: Dialogue, policy: str = "accept_boundary") -> list[int]:
+    """The episode column of one dialogue segmented by ``policy``."""
+    return segment_corpus(Corpus(CATALOG, (dialogue,)), policy).columns.episodes.tolist()
+
+
 class TestLoading:
     def test_small_fixture_loads_clean(self, data_dir):
         corpus, summary = load_corpus(data_dir / "corpus_small.jsonl", data_dir / "catalog_small.jsonl")
-        assert len(corpus.dialogues) == 3
+        assert len(corpus.columns) == 3
         assert summary.n_dialogues == 3
         assert summary.n_unknown_mentions == 0
         assert summary.dialogues_per_split == {"train": 2, "test": 1}
@@ -57,8 +65,8 @@ class TestLoading:
         assert summary.n_unknown_mentions == 1
         assert summary.unknown_item_ids == {"m999": 1}
         # the mention stays on the turn
-        d1 = corpus.by_id()["d1"]
-        assert "m999" in d1.turns[1].mentioned_item_ids
+        d1 = store_records(corpus.columns)[corpus.columns.row_of["d1"]]
+        assert "m999" in d1["turns"][1]["items"]
 
     def test_truncated_record_names_line_number(self, data_dir):
         with pytest.raises(CorpusError, match=r"corpus_truncated\.jsonl:2"):
@@ -121,12 +129,11 @@ class TestLoading:
                 )
                 for _ in range(data.draw(st.integers(1, 4)))
             )
-            dialogue = Dialogue(
-                f"d{n}", turns, split=data.draw(st.sampled_from(["train", "valid", "test"]))
-            )
+            split = data.draw(st.sampled_from(["train", "valid", "test"]))
             if data.draw(st.booleans()):
-                dialogue = segment_episodes(dialogue, "accept_boundary")
-            dialogues.append(dialogue)
+                dialogues.append(segmented_dialogue(f"d{n}", turns, split=split))
+            else:
+                dialogues.append(Dialogue(f"d{n}", turns, split=split))
         corpus = Corpus(ItemCatalog({i: i.upper() for i in item_ids}), tuple(dialogues))
 
         tmp = tmp_path_factory.mktemp("roundtrip")
@@ -196,9 +203,11 @@ class TestInputBoundary:
             '"text": "@7", "items": ["m1", 7], "targets": [7]}], "episodes": [0]}\n'
         )
         corpus, summary = load_corpus(path, data_dir / "catalog_small.jsonl")
-        (dialogue,) = corpus.dialogues
-        assert dialogue.dialogue_id == "12"
-        assert dialogue.turns[0] == Turn("recommender", "@7", ("m1", "7"), ("7",))
+        (record,) = store_records(corpus.columns)
+        assert record["dialogue_id"] == "12"
+        assert record["turns"][0] == {
+            "speaker": "recommender", "text": "@7", "items": ["m1", "7"], "targets": ["7"]
+        }
         assert summary.unknown_item_ids == {"7": 1}
 
     @pytest.mark.parametrize(
@@ -259,7 +268,8 @@ class TestTurn:
         assert Turn("seeker", "hi").mentioned_item_ids == ()
 
     def test_item_ids_unique_in_first_appearance_order(self):
-        assert Turn("recommender", "", ("b", "a", "b"), ("c", "a")).item_ids() == ("b", "a", "c")
+        turn = Turn("recommender", "", ("b", "a", "b"), ("c", "a"))
+        assert Dialogue("d", (turn,)).item_ids() == ("b", "a", "c")
         assert Dialogue(
             "d", (Turn("seeker", "", ("b",)), Turn("recommender", "", ("a", "b"), ("c",)))
         ).item_ids() == ("b", "a", "c")
@@ -301,38 +311,36 @@ class TestInvariants:
 
 class TestSegmentation:
     def test_single_boundary(self):
-        d = segment_episodes(_dialogue({1}, 4), "accept_boundary")
-        assert d.episode_index_per_turn == (0, 0, 1, 1)
+        assert _segmented(_dialogue({1}, 4)) == [0, 0, 1, 1]
 
     def test_no_targets_single_episode(self):
-        d = segment_episodes(_dialogue(set(), 4), "accept_boundary")
-        assert d.episode_index_per_turn == (0, 0, 0, 0)
+        assert _segmented(_dialogue(set(), 4)) == [0, 0, 0, 0]
 
     def test_two_boundaries_in_five_turns(self):
-        d = segment_episodes(_dialogue({1, 3}, 5), "accept_boundary")
-        assert d.episode_index_per_turn == (0, 0, 1, 1, 2)
+        assert _segmented(_dialogue({1, 3}, 5)) == [0, 0, 1, 1, 2]
 
     def test_explicit_preserves_input(self):
         # indices that accept_boundary would NOT produce must survive untouched
-        original = Dialogue(
+        original = Corpus(CATALOG, (Dialogue(
             "d",
             (Turn("seeker", "a"), Turn("recommender", "b")),
             episode_index_per_turn=(0, 1),
-        )
-        assert segment_episodes(original, "explicit") == original
+        ),))
+        assert segment_corpus(original, "explicit") == original
+        assert segment_corpus(original, "explicit").columns.episodes.tolist() == [0, 1]
 
     def test_explicit_requires_indices(self):
         with pytest.raises(CorpusError, match="explicit"):
-            segment_episodes(_dialogue(set(), 3), "explicit")
+            _segmented(_dialogue(set(), 3), "explicit")
 
     def test_explicit_is_idempotent_after_accept_boundary(self):
-        first = segment_episodes(_dialogue({0, 2}, 5), "accept_boundary")
-        assert segment_episodes(first, "explicit") == first
-        assert segment_episodes(first, "accept_boundary") == first
+        first = segment_corpus(Corpus(CATALOG, (_dialogue({0, 2}, 5),)), "accept_boundary")
+        assert segment_corpus(first, "explicit") == first
+        assert segment_corpus(first, "accept_boundary") == first
 
     def test_unknown_policy(self):
         with pytest.raises(CorpusError, match="policy"):
-            segment_episodes(_dialogue(set(), 2), "majority_vote")
+            _segmented(_dialogue(set(), 2), "majority_vote")
 
     @settings(max_examples=200)
     @given(
@@ -341,16 +349,49 @@ class TestSegmentation:
     )
     def test_episode_count_matches_boundaries_before_last_turn(self, n_turns, targets):
         targets = {t for t in targets if t < n_turns}
-        d = segment_episodes(_dialogue(targets, n_turns), "accept_boundary")
+        episodes = _segmented(_dialogue(targets, n_turns))
         expected = 1 + sum(1 for t in targets if t < n_turns - 1)
-        assert d.n_episodes() == expected
+        assert episodes[-1] + 1 == expected
 
     def test_segment_corpus_applies_to_all(self, data_dir):
         corpus, _ = load_corpus(data_dir / "corpus_small.jsonl", data_dir / "catalog_small.jsonl")
         segmented = segment_corpus(corpus, "accept_boundary")
-        assert all(d.episode_index_per_turn is not None for d in segmented.dialogues)
+        assert (segmented.columns.episodes >= 0).all()
         # the fixture's explicit indices already follow the boundary rule
         assert segmented == corpus
+
+
+class TestEquality:
+    def test_equal_when_catalog_and_written_lines_are(self):
+        turns = (Turn("seeker", "hi"), Turn("recommender", "@m1", ("m1",), ("m1",)))
+        base = Dialogue("d1", turns, episode_index_per_turn=(0, 0))
+        corpus = Corpus(CATALOG, (base,))
+        assert corpus == Corpus(CATALOG, (Dialogue("d1", turns, episode_index_per_turn=(0, 0)),))
+        assert corpus != Corpus(ItemCatalog({"m1": "Other"}), (base,))
+        other_turn = Turn("recommender", "@m1", ("m1",), ())
+        for changed in (
+            dataclasses.replace(base, dialogue_id="d2"),
+            dataclasses.replace(base, split="test"),
+            dataclasses.replace(base, provenance="synthetic"),
+            dataclasses.replace(base, episode_index_per_turn=None),
+            dataclasses.replace(base, episode_index_per_turn=(0, 1)),
+            dataclasses.replace(base, turns=(turns[0], other_turn)),
+            dataclasses.replace(base, turns=(Turn("seeker", "hello"), turns[1])),
+        ):
+            assert corpus != Corpus(CATALOG, (changed,)), changed
+        assert corpus != Corpus(CATALOG, (base, dataclasses.replace(base, dialogue_id="d2")))
+
+
+class TestObjectAccessors:
+    def test_accessors_the_benchmark_reads_return_what_went_in(self):
+        # Corpus.dialogues, Corpus.by_id and SyntheticPool.dialogues remain only
+        # for the benchmark's counters
+        dialogues = (make_dialogue("d1", ["m1"]), Dialogue("d2", (Turn("seeker", "hi"),)))
+        corpus = Corpus(CATALOG, dialogues)
+        assert corpus.dialogues == dialogues
+        assert corpus.by_id() == {"d1": dialogues[0], "d2": dialogues[1]}
+        synthetic = dataclasses.replace(dialogues[0], dialogue_id="s1", provenance="synthetic")
+        assert SyntheticPool.from_dialogues([synthetic]).dialogues == (synthetic,)
 
 
 class TestRecords:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import tempfile
 from math import fsum
 from pathlib import Path
@@ -40,8 +41,10 @@ from crs_bias import metrics as metrics_module
 
 from helpers import (
     build_standard_corpus,
+    file_entries,
     reference_run_columns,
     run_columns_lists,
+    run_records,
     scalar_report,
     standard_run,
 )
@@ -268,7 +271,7 @@ class TestRunLoading:
         run = load_run(data_dir / "run_small.jsonl")
         assert run.model_name == "run_small"
         assert len(run.entries) == 3
-        assert run.entries[0].ranked_item_ids == ("m2", "m1", "m4")
+        assert run_records(run.entries)[0]["ranked"] == ["m2", "m1", "m4"]
 
     def test_duplicate_ranked_items_rejected(self, tmp_path):
         path = tmp_path / "bad_run.jsonl"
@@ -346,10 +349,12 @@ class TestRunLoading:
             '{"dialogue_id": 7, "turn_index": 1, "episode_index": 0, '
             '"ranked": [12, "m1"], "targets": [12]}\n'
         )
-        entry = load_run(path).entries[0]
-        assert entry == RunEntry("7", 1, 0, ("12", "m1"), ("12",))
+        assert run_records(load_run(path).entries) == [
+            {"dialogue_id": "7", "turn_index": 1, "episode_index": 0, "ranked": ["12", "m1"],
+             "targets": ["12"]}
+        ]
 
-    def test_columns_intern_catalog_first_and_rebuild_entries(self, data_dir, tmp_path):
+    def test_columns_intern_catalog_first(self, data_dir, tmp_path):
         items = ItemIndex(["m1", "m2", "m3", "m4"])
         path = tmp_path / "extra.jsonl"
         path.write_text(
@@ -363,14 +368,13 @@ class TestRunLoading:
         assert len(run.entries) == 4
         assert run.entries.ranks.shape == (4, 3)
         assert run.entries.ranks[2].tolist() == [2, 1, -1]
-        assert run.entries[-1] == RunEntry("d2", 0, 0, (), ("zz", "m4", "zz"))
-        assert list(run.entries)[:3] == [
-            RunEntry("d1", 1, 0, ("m2", "m1", "m4"), ("m1",)),
-            RunEntry("d1", 3, 1, ("m1", "m3", "m2"), ("m2",)),
-            RunEntry("d2", 1, 0, ("m3", "m2"), ("m3",)),
+        assert run_records(run.entries) == [
+            json.loads(line) for line in path.read_text().splitlines()
         ]
-        with pytest.raises(IndexError):
-            run.entries[4]
+        assert run_records(run.entries)[-1] == {
+            "dialogue_id": "d2", "turn_index": 0, "episode_index": 0, "ranked": [],
+            "targets": ["zz", "m4", "zz"],
+        }
 
 
 # run-file lines for the loader/reference comparison: valid records, and
@@ -468,16 +472,11 @@ def test_run_loader_matches_a_per_record_reference(lines, bulk, cut):
             outcomes.append(outcome)
         assert outcomes[0] == outcomes[1]
 
-        if not isinstance(outcomes[0][0], str):  # the same entries as a tuple
+        if not isinstance(outcomes[0][0], str):  # the same entries as RunEntry objects
             loaded = load_run(first, items=ItemIndex(LOADER_CATALOG))
-            corpus = Corpus(ItemCatalog({i: i for i in LOADER_CATALOG}), ())
-            built = run_columns_lists(
-                metrics_module._run_columns(RankedRun("m", tuple(loaded.entries)), corpus)
-            )
-            from_file = run_columns_lists(loaded.entries)
-            assert built.pop("lines") == list(range(len(loaded.entries)))
-            from_file.pop("lines")
-            assert built == from_file
+            built = RankedRun.from_entries("m", file_entries(first)).entries
+            assert built.lines.tolist() == list(range(len(loaded.entries)))
+            assert run_records(built) == run_records(loaded.entries)
 
 
 # item ids for the columnar/scalar comparison: u0 is outside the catalog but
@@ -505,7 +504,7 @@ class TestEvaluateRun:
 
     def test_mean_of_two_entries(self):
         corpus, table = self._mini()
-        run = RankedRun(
+        run = RankedRun.from_entries(
             "m",
             (
                 RunEntry("d", 1, 0, ("a", "b", "c")),
@@ -519,7 +518,7 @@ class TestEvaluateRun:
 
     def test_metrics_absent_when_never_scored(self):
         corpus, table = self._mini()
-        run = RankedRun("m", (RunEntry("d", 1, 0, ("a", "b")),))
+        run = RankedRun.from_entries("m", (RunEntry("d", 1, 0, ("a", "b")),))
         report = evaluate_run(run, corpus, table)
         assert "pop_bias" in report.metrics
         assert "hit@10" not in report.metrics
@@ -528,7 +527,7 @@ class TestEvaluateRun:
 
     def test_skip_accounting(self):
         corpus, table = self._mini()
-        run = RankedRun(
+        run = RankedRun.from_entries(
             "m",
             (
                 RunEntry("d", 1, 0, ("a", "b"), ("a",)),
@@ -543,7 +542,7 @@ class TestEvaluateRun:
 
     def test_deterministic(self):
         corpus, table = self._mini()
-        run = RankedRun("m", (RunEntry("d", 1, 0, ("a", "c"), ("a",)),))
+        run = RankedRun.from_entries("m", (RunEntry("d", 1, 0, ("a", "c"), ("a",)),))
         assert evaluate_run(run, corpus, table) == evaluate_run(run, corpus, table)
 
     @settings(max_examples=300, deadline=None)
@@ -562,7 +561,7 @@ class TestEvaluateRun:
         pops=st.lists(st.floats(0.0, 1.0), min_size=len(TABLE_IDS), max_size=len(TABLE_IDS)),
         popular=st.lists(st.booleans(), min_size=len(TABLE_IDS), max_size=len(TABLE_IDS)),
         cutoffs=st.lists(st.integers(1, 16), min_size=1, max_size=3).map(tuple),
-        log_base=st.sampled_from((math.e, 2.0, 10.0, 0.3)),
+        log_base=st.sampled_from((math.e, 2.0, 10.0, 1.5)),
     )
     @example(  # one dialogue, several entries per episode, a missing episode 1
         entries=[("d0", 0, 0, ("i0", "i1"), ("i0", "i0")), ("d0", 2, 0, ("i2", "i1", "u1"), ()),
@@ -644,31 +643,32 @@ class TestEvaluateRun:
         for terms in (discounts, list(pop.values())):
             assert metrics_module._fixed_point(np.array(terms), 1_200) is None
         entries = tuple(
-            RunEntry("d", t, t // 2, tuple(rng.choice(ids, size=1_200, replace=False)),
-                     tuple(rng.choice(ids, size=1_100, replace=False)))
+            RunEntry("d", t, t // 2, tuple(map(str, rng.choice(ids, size=1_200, replace=False))),
+                     tuple(map(str, rng.choice(ids, size=1_100, replace=False))))
             for t in range(4)
         )
-        run = RankedRun("long", entries)
+        run = RankedRun.from_entries("long", entries)
         assert evaluate_run(run, corpus, table, cutoffs=(10, 1_200), log_base=log_base) == (
-            scalar_report(run, table, log_base, cutoffs=(10, 1_200))
+            scalar_report("long", entries, table, log_base, cutoffs=(10, 1_200))
         )
 
-    def test_loaded_run_matches_entry_tuple(self, data_dir):
+    def test_loaded_run_matches_entry_objects(self, data_dir):
         corpus, _ = load_corpus(data_dir / "corpus_small.jsonl", data_dir / "catalog_small.jsonl")
         table = build_popularity(corpus, ThresholdPolicy.count_threshold(1))
         loaded = load_run(data_dir / "run_small.jsonl")
-        direct = RankedRun(loaded.model_name, tuple(loaded.entries))
+        entries = file_entries(data_dir / "run_small.jsonl")
+        direct = RankedRun.from_entries(loaded.model_name, entries)
         assert evaluate_run(loaded, corpus, table) == evaluate_run(direct, corpus, table)
-        assert evaluate_run(loaded, corpus, table) == scalar_report(direct, table)
+        assert evaluate_run(loaded, corpus, table) == scalar_report("run_small", entries, table)
 
     def test_one_loaded_run_scored_at_two_cutoff_sets(self, data_dir):
         corpus, _ = load_corpus(data_dir / "corpus_small.jsonl", data_dir / "catalog_small.jsonl")
         table = build_popularity(corpus, ThresholdPolicy.count_threshold(1))
         loaded = load_run(data_dir / "run_small.jsonl")
-        direct = RankedRun(loaded.model_name, tuple(loaded.entries))
+        entries = file_entries(data_dir / "run_small.jsonl")
         for cutoffs in ((1, 2), (3, 50)):
             report = evaluate_run(loaded, corpus, table, cutoffs=cutoffs)
-            assert report == scalar_report(direct, table, cutoffs=cutoffs)
+            assert report == scalar_report(loaded.model_name, entries, table, cutoffs=cutoffs)
             assert [name for name in report.metrics if name.startswith("hit@")] == [
                 f"hit@{k}" for k in cutoffs
             ]
@@ -690,31 +690,31 @@ class TestEvaluateRun:
         corpus = Corpus(ItemCatalog({i: i.upper() for i in freq}), (Dialogue("d", turns),))
         previous = RunEntry("d", 0, 0, ("e", "f", "g", "h"))
         current = RunEntry("d", 1, 1, ("a", "b", "c", "d"))
-        report = evaluate_run(RankedRun("m", (previous, current)), corpus, table)
+        report = evaluate_run(RankedRun.from_entries("m", (previous, current)), corpus, table)
         assert report.metrics["cep"].mean == cross_episode_popularity(current, [previous], table)
 
     def test_duplicate_entries_rejected(self):
         corpus, table = self._mini()
-        run = RankedRun("m", (RunEntry("d", 1, 0, ("a",)), RunEntry("d", 1, 0, ("b",))))
-        with pytest.raises(CorpusError, match=r"duplicate run entry \('d', turn 1\)"):
-            evaluate_run(run, corpus, table)
+        entries = (RunEntry("d", 1, 0, ("a",)), RunEntry("d", 1, 0, ("b",)))
+        with pytest.raises(CorpusError, match=r"run 'm': duplicate run entry \('d', turn 1\)"):
+            RankedRun.from_entries("m", entries)
 
     def test_unknown_dialogue_listed(self):
         corpus, table = self._mini()
-        run = RankedRun("m", (RunEntry("ghost", 0, 0, ("a",)),))
+        run = RankedRun.from_entries("m", (RunEntry("ghost", 0, 0, ("a",)),))
         with pytest.raises(CorpusError, match="ghost"):
             evaluate_run(run, corpus, table)
 
     def test_turn_index_out_of_range(self):
         corpus, table = self._mini()
-        run = RankedRun("m", (RunEntry("d", 99, 0, ("a",)),))
+        run = RankedRun.from_entries("m", (RunEntry("d", 99, 0, ("a",)),))
         with pytest.raises(CorpusError, match="out of range"):
             evaluate_run(run, corpus, table)
 
     def test_episode_mismatch_against_segmentation(self, data_dir):
         corpus, _ = load_corpus(data_dir / "corpus_small.jsonl", data_dir / "catalog_small.jsonl")
         table = build_popularity(corpus, ThresholdPolicy.count_threshold(1))
-        run = RankedRun("m", (RunEntry("d1", 3, 0, ("m1",)),))  # corpus says episode 1
+        run = RankedRun.from_entries("m", (RunEntry("d1", 3, 0, ("m1",)),))  # corpus says episode 1
         with pytest.raises(CorpusError, match="does not match"):
             evaluate_run(run, corpus, table)
 
@@ -730,6 +730,81 @@ class TestEvaluateRun:
         prev = [table.pop_of(i) for i in ("m2", "m1", "m4")]
         expected = popularity_bias(("m1", "m3", "m2"), table.popular_set) * abs(pearson(cur, prev))
         assert report.metrics["cep"].mean == pytest.approx(expected, abs=1e-12)
+
+
+class TestRunBuilding:
+    def test_run_of_entry_objects_is_built_by_from_entries(self):
+        entries = (RunEntry("d", 1, 0, ("a",)),)
+        with pytest.raises(TypeError, match=r"run 'm': .*RankedRun\.from_entries"):
+            RankedRun("m", entries)
+        run = RankedRun.from_entries("m", entries)
+        assert isinstance(run.entries, RunColumns)
+        assert run_records(run.entries) == [
+            {"dialogue_id": "d", "turn_index": 1, "episode_index": 0, "ranked": ["a"],
+             "targets": []}
+        ]
+
+    def test_from_entries_errors_name_the_run(self):
+        with pytest.raises(CorpusError, match=r"^run 'm': 'ranked' item must be a string"):
+            RankedRun.from_entries("m", (RunEntry("d", 1, 0, ("a", 1.5)),))
+
+
+class TestScoringSettings:
+    """A cutoff below 1 or a log base outside (1, inf) is refused, naming the
+    value, by the column path and by every reference function alike."""
+
+    ENTRY = RunEntry("d0", 1, 0, ("a", "b"), ("a",))
+
+    def _two_dialogues(self):
+        catalog = ItemCatalog({"a": "A", "b": "B"})
+        turns = (Turn("seeker", "hi"), Turn("recommender", "@a", ("a",), ("a",)))
+        corpus = Corpus(catalog, (Dialogue("d0", turns), Dialogue("d1", turns)))
+        table = build_popularity(corpus, ThresholdPolicy.count_threshold(1))
+        entries = (self.ENTRY, RunEntry("d1", 1, 0, ("b", "a"), ("a",)))
+        return corpus, table, entries
+
+    @pytest.mark.parametrize("cutoffs, bad", [((-1,), -1), ((0,), 0), ((10, 0), 0)])
+    def test_cutoff_below_one_rejected(self, cutoffs, bad):
+        corpus, table, entries = self._two_dialogues()
+        run = RankedRun.from_entries("m", entries)
+        message = f"cutoff must be >= 1, got {bad}"
+        with pytest.raises(ValueError, match=message):
+            evaluate_run(run, corpus, table, cutoffs=cutoffs)
+        with pytest.raises(ValueError, match=message):
+            rank_metrics(self.ENTRY, cutoffs=cutoffs)
+
+    # each scorer as (run, corpus, table, entry, log_base) -> score
+    SCORERS = {
+        "evaluate_run": lambda run, corpus, table, entry, b: evaluate_run(
+            run, corpus, table, log_base=b
+        ),
+        "ranking_utility": lambda run, corpus, table, entry, b: ranking_utility(
+            entry.ranked_item_ids, table.popular_set, b
+        ),
+        "popularity_bias": lambda run, corpus, table, entry, b: popularity_bias(
+            entry.ranked_item_ids, table.popular_set, b
+        ),
+        # a first-episode entry, which CEP skips, is refused too
+        "cep": lambda run, corpus, table, entry, b: cross_episode_popularity(entry, [], table, b),
+        "uiop": lambda run, corpus, table, entry, b: intent_oriented_popularity(entry, table, b),
+    }
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    @pytest.mark.parametrize("log_base", [1.0, 0.3, 0.0, -2.0, math.inf, math.nan])
+    def test_log_base_outside_one_to_infinity_rejected(self, scorer, log_base):
+        corpus, table, entries = self._two_dialogues()
+        run = RankedRun.from_entries("m", entries)
+        message = re.escape(f"log_base must be greater than 1, got {log_base!r}")
+        with pytest.raises(ValueError, match=message):
+            self.SCORERS[scorer](run, corpus, table, self.ENTRY, log_base)
+
+    def test_settings_at_the_bounds_are_scored(self):
+        corpus, table, entries = self._two_dialogues()
+        run = RankedRun.from_entries("m", entries)
+        log_base = 1.0 + 2.0**-20
+        report = evaluate_run(run, corpus, table, cutoffs=(1,), log_base=log_base)
+        assert report == scalar_report("m", entries, table, log_base, cutoffs=(1,))
+        assert report.metrics["hit@1"].mean == 0.5
 
 
 class TestReportIO:
@@ -792,16 +867,19 @@ def _assert_columnar_matches_scalar(entries, pops, popular, cutoffs, log_base) -
         popular_set=frozenset(i for i, p in zip(TABLE_IDS, popular) if p),
         eta_policy=ThresholdPolicy.count_threshold(5),
     )
-    run = RankedRun("m", tuple(RunEntry(*e) for e in entries))
+    entries = [RunEntry(*e) for e in entries]
 
     def outcome(evaluate):
         try:
-            return evaluate(run, table, cutoffs=cutoffs, log_base=log_base)
+            return evaluate()
         except ZeroDivisionError:  # pearson on an underflowed variance product
             return ZeroDivisionError
 
-    columnar = outcome(lambda *a, **kw: evaluate_run(a[0], corpus, *a[1:], **kw))
-    assert columnar == outcome(scalar_report)
+    run = RankedRun.from_entries("m", entries)
+    columnar = outcome(lambda: evaluate_run(run, corpus, table, cutoffs=cutoffs, log_base=log_base))
+    assert columnar == outcome(
+        lambda: scalar_report("m", entries, table, log_base, cutoffs=cutoffs)
+    )
 
 
 @settings(max_examples=300, deadline=None)

@@ -82,7 +82,8 @@ class TestBuild:
 
     def test_order_independent(self, freq_corpus):
         table = build_popularity(freq_corpus, ThresholdPolicy.count_threshold(5))
-        reversed_corpus = Corpus(freq_corpus.catalog, tuple(reversed(freq_corpus.dialogues)))
+        rows = list(reversed(range(len(freq_corpus.columns))))
+        reversed_corpus = Corpus.from_columns(freq_corpus.catalog, freq_corpus.columns.take(rows))
         assert build_popularity(reversed_corpus, ThresholdPolicy.count_threshold(5)) == table
 
     def test_pop_of_unknown_is_zero(self, freq_corpus):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from crs_bias import synthgen
 from crs_bias.augment import load_pool
-from crs_bias.corpus import segment_episodes
 from crs_bias.synthgen import (
     BackendAuthError,
     BackendError,
@@ -29,11 +28,16 @@ from crs_bias.synthgen import (
     builtin_template,
     derived_seeds,
     load_template,
-    parse_generated,
+    parse_generated_record,
     render_prompt,
 )
 
-from helpers import FakeResponse
+from helpers import FakeResponse, reference_accept_boundary, reference_pool_item, store_records
+
+
+def _items(pool) -> list[str]:
+    """The one item of each pool dialogue, in pool order, read from its record."""
+    return [reference_pool_item(record) for record in store_records(pool.columns)]
 
 TEMPLATE = PromptTemplate(
     template_id="t-test",
@@ -168,8 +172,8 @@ class TestOfflineBackend:
     def test_every_offline_text_is_accepted(self, name, seed):
         raw = OfflineTemplateBackend().generate(TEMPLATE, "m1", name, seed)
         assert any(line.startswith("System: ") and name in line for line in raw.splitlines())
-        dialogue = parse_generated(raw, "m1", name)
-        assert [t for turn in dialogue.turns for t in turn.target_item_ids] == ["m1"]
+        record = parse_generated_record(raw, "m1", name)
+        assert [t for turn in record["turns"] for t in turn["targets"]] == ["m1"]
 
     def test_every_bank_line_is_drawn(self):
         texts = OfflineTemplateBackend().generate_batch(
@@ -195,14 +199,17 @@ class TestOfflineBackend:
 class TestParsing:
     def test_two_line_example(self):
         raw = "User: something to watch?\nSystem: you would love Inception."
-        dialogue = parse_generated(raw, "m7", "Inception")
-        assert len(dialogue.turns) == 2
-        assert dialogue.turns[0].speaker == "seeker"
-        assert dialogue.turns[1].speaker == "recommender"
-        assert dialogue.turns[1].mentioned_item_ids == ("m7",)
-        assert dialogue.turns[1].target_item_ids == ("m7",)
-        assert "@m7" in dialogue.turns[1].text
-        assert dialogue.provenance == "synthetic"
+        record = parse_generated_record(raw, "m7", "Inception")
+        turns = record["turns"]
+        assert len(turns) == 2
+        assert turns[0]["speaker"] == "seeker"
+        assert turns[1]["speaker"] == "recommender"
+        assert turns[1]["items"] == ["m7"]
+        assert turns[1]["targets"] == ["m7"]
+        assert "@m7" in turns[1]["text"]
+        assert (record["dialogue_id"], record["split"], record["provenance"]) == (
+            "syn-m7", "train", "synthetic"
+        )
 
     def test_alternating_six_lines(self):
         raw = "\n".join(
@@ -215,8 +222,8 @@ class TestParsing:
                 "System: enjoy Heat",
             ]
         )
-        dialogue = parse_generated(raw, "m2", "Heat")
-        assert [t.speaker for t in dialogue.turns] == [
+        record = parse_generated_record(raw, "m2", "Heat")
+        assert [t["speaker"] for t in record["turns"]] == [
             "seeker", "recommender", "seeker", "recommender", "seeker", "recommender",
         ]
 
@@ -229,51 +236,51 @@ class TestParsing:
                 "User: fine",
             ]
         )
-        dialogue = parse_generated(raw, "m9", "Alien")
-        assert dialogue.turns[0].target_item_ids == ("m9",)
-        assert dialogue.turns[1].target_item_ids == ()
+        record = parse_generated_record(raw, "m9", "Alien")
+        assert record["turns"][0]["targets"] == ["m9"]
+        assert record["turns"][1]["targets"] == []
 
     def test_seeker_recommender_prefixes(self):
         raw = "Seeker: anything good?\nRecommender: watch Her tonight."
-        dialogue = parse_generated(raw, "m5", "Her")
-        assert dialogue.turns[0].speaker == "seeker"
-        assert dialogue.turns[1].speaker == "recommender"
+        record = parse_generated_record(raw, "m5", "Her")
+        assert record["turns"][0]["speaker"] == "seeker"
+        assert record["turns"][1]["speaker"] == "recommender"
 
     def test_continuation_lines_join_previous_turn(self):
         raw = "User: hi\nSystem: watch Jaws,\nit is a classic."
-        dialogue = parse_generated(raw, "m3", "Jaws")
-        assert len(dialogue.turns) == 2
-        assert "classic" in dialogue.turns[1].text
+        record = parse_generated_record(raw, "m3", "Jaws")
+        assert len(record["turns"]) == 2
+        assert "classic" in record["turns"][1]["text"]
 
     def test_leading_chatter_dropped(self):
         raw = "Sure! Here is a conversation:\nUser: hi\nSystem: try Up."
-        dialogue = parse_generated(raw, "m4", "Up")
-        assert len(dialogue.turns) == 2
+        record = parse_generated_record(raw, "m4", "Up")
+        assert len(record["turns"]) == 2
 
     def test_item_name_missing_rejected(self):
         with pytest.raises(DialogueRejected) as err:
-            parse_generated("User: hi\nSystem: watch something", "m1", "Inception")
+            parse_generated_record("User: hi\nSystem: watch something", "m1", "Inception")
         assert err.value.reason == "item_name_not_found"
 
     def test_no_speaker_prefixes_rejected(self):
         with pytest.raises(DialogueRejected) as err:
-            parse_generated("a story about Inception with no speakers", "m1", "Inception")
+            parse_generated_record("a story about Inception with no speakers", "m1", "Inception")
         assert err.value.reason == "no_speaker_prefixes"
 
     def test_item_only_mentioned_by_seeker_rejected(self):
         raw = "User: I loved Alien\nSystem: noted."
         with pytest.raises(DialogueRejected) as err:
-            parse_generated(raw, "m9", "Alien")
+            parse_generated_record(raw, "m9", "Alien")
         assert err.value.reason == "item_not_recommended"
 
     def test_empty_text_rejected(self):
         with pytest.raises(DialogueRejected):
-            parse_generated("   \n  ", "m1", "Inception")
+            parse_generated_record("   \n  ", "m1", "Inception")
 
     @pytest.mark.parametrize("word", ["Upon", "Up_", "Up2", "CheckUp", "_Up", "2Up", "Upé"])
     def test_en_name_inside_a_word_not_tagged(self, word):
         with pytest.raises(DialogueRejected) as err:
-            parse_generated(f"User: hi\nSystem: watch {word} tonight", "m4", "Up")
+            parse_generated_record(f"User: hi\nSystem: watch {word} tonight", "m4", "Up")
         assert err.value.reason == "item_name_not_found"
 
     @pytest.mark.parametrize("line, tagged", [
@@ -284,37 +291,37 @@ class TestParsing:
         ("System: Up, Up! not Upon or Up2; Up", "@m4, @m4! not Upon or Up2; @m4"),
     ])
     def test_en_name_tagged_at_word_boundaries(self, line, tagged):
-        dialogue = parse_generated("User: hi\n" + line, "m4", "Up")
-        assert dialogue.turns[1].text == tagged
-        assert dialogue.turns[1].target_item_ids == ("m4",)
+        record = parse_generated_record("User: hi\n" + line, "m4", "Up")
+        assert record["turns"][1]["text"] == tagged
+        assert record["turns"][1]["targets"] == ["m4"]
 
     @pytest.mark.parametrize("name", ["(500) Days", "Up!", "...And Justice", "Léon: The Pro"])
     def test_en_name_with_edge_punctuation_tagged(self, name):
-        dialogue = parse_generated(f"User: hi\nSystem: try {name} now", "m4", name)
-        assert dialogue.turns[1].text == "try @m4 now"
+        record = parse_generated_record(f"User: hi\nSystem: try {name} now", "m4", name)
+        assert record["turns"][1]["text"] == "try @m4 now"
 
     def test_zh_name_tagged_inside_running_text(self):
         raw = "User: 有什么推荐吗\nSystem: 我推荐千与千寻给你"
-        dialogue = parse_generated(raw, "m8", "千与千寻", language="zh")
-        assert dialogue.turns[1].text == "我推荐@m8给你"
+        record = parse_generated_record(raw, "m8", "千与千寻", language="zh")
+        assert record["turns"][1]["text"] == "我推荐@m8给你"
         # the en rule sees Chinese characters as word characters
         with pytest.raises(DialogueRejected):
-            parse_generated(raw, "m8", "千与千寻", language="en")
+            parse_generated_record(raw, "m8", "千与千寻", language="en")
 
     def test_empty_name_rejected(self):
         with pytest.raises(DialogueRejected) as err:
-            parse_generated("User: hi\nSystem: watch this", "m1", "")
+            parse_generated_record("User: hi\nSystem: watch this", "m1", "")
         assert err.value.reason == "item_name_not_found"
 
     @pytest.mark.parametrize("name", [" ", "\t\n", "\u3000"])
     def test_blank_name_rejected(self, name):
         with pytest.raises(DialogueRejected) as err:
-            parse_generated(f"User: hi\nSystem: You could try {name};", "m1", name)
+            parse_generated_record(f"User: hi\nSystem: You could try {name};", "m1", name)
         assert err.value.reason == "item_name_not_found"
 
     def test_unknown_language_rejected(self):
         with pytest.raises(ValueError, match="language"):
-            parse_generated("User: hi\nSystem: Up", "m4", "Up", language="fr")
+            parse_generated_record("User: hi\nSystem: Up", "m4", "Up", language="fr")
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -338,12 +345,10 @@ class TestParsing:
     def test_episodes_equal_accept_boundary_segmentation(self, lines):
         raw = "\n".join(prefix + text for prefix, text in lines)
         try:
-            dialogue = parse_generated(raw, "m4", "Up")
+            record = parse_generated_record(raw, "m4", "Up")
         except DialogueRejected:
             return
-        assert dialogue.episode_index_per_turn == (
-            segment_episodes(dialogue, "accept_boundary").episode_index_per_turn
-        )
+        assert record["episodes"] == reference_accept_boundary(record)
 
 
 def _answer(item_name: str) -> str:
@@ -388,13 +393,13 @@ class TestBuildPool:
         path = tmp_path / "pool.jsonl"
         pool, _ = build_pool(OfflineTemplateBackend(), TEMPLATE, ITEMS, seed=5, output_path=path)
         reloaded = load_pool(path)
-        assert reloaded.dialogues == pool.dialogues
+        assert store_records(reloaded.columns) == store_records(pool.columns)
         assert reloaded.item_of == pool.item_of
 
     def test_pure_function_of_inputs(self):
         first, _ = build_pool(OfflineTemplateBackend(), TEMPLATE, ITEMS, seed=5)
         second, _ = build_pool(OfflineTemplateBackend(), TEMPLATE, ITEMS, seed=5)
-        assert first.dialogues == second.dialogues
+        assert store_records(first.columns) == store_records(second.columns)
 
     def _http_pool(self, monkeypatch, concurrency):
         monkeypatch.setenv("CRSBIAS_LLM_TOKEN", "t")
@@ -415,8 +420,8 @@ class TestBuildPool:
     def test_concurrency_does_not_change_output(self, monkeypatch):
         serial, serial_record = self._http_pool(monkeypatch, concurrency=1)
         parallel, parallel_record = self._http_pool(monkeypatch, concurrency=4)
-        assert serial.dialogues == parallel.dialogues
-        assert [d.item_ids() for d in serial.dialogues] == [(i,) for i, _ in ITEMS]
+        assert store_records(serial.columns) == store_records(parallel.columns)
+        assert _items(serial) == [i for i, _ in ITEMS]
         assert serial_record == parallel_record
 
     def test_serial_build_constructs_no_executor(self, monkeypatch):
@@ -432,7 +437,7 @@ class TestBuildPool:
         assert constructed == []
         parallel, _ = self._http_pool(monkeypatch, concurrency=4)
         assert constructed == [4]
-        assert serial.dialogues == parallel.dialogues
+        assert store_records(serial.columns) == store_records(parallel.columns)
 
     def test_offline_backend_constructs_no_executor(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -493,8 +498,8 @@ class TestBuildPool:
                 build_pool(backend, TEMPLATE, items, seed=5)
         else:
             pool, record = build_pool(backend, TEMPLATE, items, seed=5)
-            assert [d.item_ids() for d in pool.dialogues] == [
-                (item_id,) for index, (item_id, _) in enumerate(items) if index not in pending
+            assert _items(pool) == [
+                item_id for index, (item_id, _) in enumerate(items) if index not in pending
             ]
             assert record.skipped == tuple(
                 SkippedItem(items[i][0], "no_speaker_prefixes") for i in pending
@@ -535,7 +540,7 @@ class TestBuildPool:
         items = [("z1", "千与千寻")]
         zh = PromptTemplate("t-zh", "zh", "推荐 {item_name}。")
         pool, _ = build_pool(Chinese(), zh, items, seed=5)
-        assert pool.dialogues[0].turns[1].text == "我推荐@z1给你"
+        assert store_records(pool.columns)[0]["turns"][1]["text"] == "我推荐@z1给你"
         with pytest.raises(BackendError, match="no synthetic dialogues"):
             build_pool(Chinese(), TEMPLATE, items, seed=5)
 
@@ -570,7 +575,7 @@ class TestBuildPool:
         items = [("m1", " "), ("m2", "Heat")]
         backend = ScriptedBackend()
         pool, record = build_pool(backend, TEMPLATE, items, seed=5)
-        assert [d.item_ids() for d in pool.dialogues] == [("m2",)]
+        assert _items(pool) == ["m2"]
         assert [name for batch, _ in backend.calls for _, name in batch] == ["Heat"]
         assert record.skipped == (SkippedItem("m1", "item_name_not_found"),)
 
@@ -585,7 +590,7 @@ class TestBuildPool:
         items = [("e0", ""), *ITEMS[:3], ("e1", "")]
         backend = ScriptedBackend(reject=lambda item_id, attempt: item_id == "m1")
         pool, record = build_pool(backend, TEMPLATE, items, seed=5)
-        assert [d.item_ids() for d in pool.dialogues] == [("m0",), ("m2",)]
+        assert _items(pool) == ["m0", "m2"]
         assert all(name for batch, _ in backend.calls for _, name in batch)
         assert record == GenerationRecord(
             skipped=(
@@ -818,8 +823,8 @@ class TestHttpBackend:
 class TestOfflineEndToEnd:
     def test_offline_pool_parses_and_validates(self):
         pool, _ = build_pool(OfflineTemplateBackend(), TEMPLATE, ITEMS, seed=11)
-        for dialogue in pool.dialogues:
-            assert dialogue.provenance == "synthetic"
-            assert dialogue.episode_index_per_turn is not None
-            targets = [t for turn in dialogue.turns for t in turn.target_item_ids]
+        for record in store_records(pool.columns):
+            assert record["provenance"] == "synthetic"
+            assert "episodes" in record
+            targets = [t for turn in record["turns"] for t in turn["targets"]]
             assert len(targets) == 1
