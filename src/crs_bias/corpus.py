@@ -825,10 +825,11 @@ def write_json_lines(path: str | Path, records: Iterable, encoder=_ENCODER) -> N
 
 
 def parse_id(value, what: str) -> str:
-    """An id field: a string, or an integer read as its decimal string."""
+    """An id field: a string (a ``str`` subclass, such as ``numpy.str_``, as
+    its plain ``str`` value), or an integer read as its decimal string."""
     if type(value) is str:
         return value
-    if type(value) is int:
+    if type(value) is int or isinstance(value, str):
         return str(value)
     raise CorpusError(f"{what} must be a string or an integer, got {value!r}")
 

@@ -23,9 +23,9 @@ run's columns through the loader harness the corpus store uses
 pass per rule, and a run that breaks a rule is checked again record by
 record, so the error names the first bad line. ``evaluate_run`` scores a
 whole run column-wise over interned item codes and reproduces the reference
-functions bit for bit: row sums are exact as two fixed-point limbs (``fsum``
-where the terms do not fit), and CEP's per-row Pearson statistics are
-computed once per distinct (row, overlap), however many entries share it.
+functions bit for bit: discount row sums are exact as two fixed-point limbs
+(``fsum`` where they do not fit), and CEP's Pearson sums, over the items'
+integer training frequencies, are exact integers.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress
 from math import fsum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -46,6 +46,8 @@ from .corpus import _all_of, _offsets, _sorted_distinct, _transpose
 from .popularity import ItemIndex, PopularityTable, item_coverage, train_frequencies
 
 DEFAULT_CUTOFFS = (10, 50)
+# on every report record; format 1 (no field) took CEP's rho over float popularities
+REPORT_FORMAT = 2
 # run-file turn and episode indices are stored as int64
 _INDEX_LIMIT = 2**63
 
@@ -322,22 +324,23 @@ def popularity_bias(
     return ranking_utility(ranked, popular_set, log_base) * popularity_coverage(ranked, popular_set)
 
 
-def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Pearson correlation, defined as 0.0 when either side has zero variance."""
-    n = len(x)
-    if n != len(y):
+def pearson(x: Sequence[int], y: Sequence[int]) -> float:
+    """Pearson correlation of two integer sequences, 0.0 when either side
+    has zero variance. Its sums are exact integers; only the last steps,
+    ``float(n) / sqrt(float(dx) * float(dy))``, round."""
+    k = len(x)
+    if k != len(y):
         raise ValueError("pearson requires sequences of equal length")
-    if n < 2:
+    if k < 2:
         raise ValueError("pearson requires at least 2 points")
-    mean_x = fsum(x) / n
-    mean_y = fsum(y) / n
-    sxy = fsum((a - mean_x) * (b - mean_y) for a, b in zip(x, y))
-    sxx = fsum((a - mean_x) ** 2 for a in x)
-    syy = fsum((b - mean_y) ** 2 for b in y)
-    if sxx == 0.0 or syy == 0.0:
+    sum_x, sum_y = sum(x), sum(y)
+    n = k * sum(a * b for a, b in zip(x, y)) - sum_x * sum_y
+    dx = k * sum(a * a for a in x) - sum_x * sum_x
+    dy = k * sum(b * b for b in y) - sum_y * sum_y
+    if dx == 0 or dy == 0:
         return 0.0
     # clamp rounding spill so |rho| <= 1 holds exactly
-    return max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
+    return max(-1.0, min(1.0, float(n) / math.sqrt(float(dx) * float(dy))))
 
 
 def cross_episode_popularity(
@@ -349,10 +352,11 @@ def cross_episode_popularity(
     """Popularity bias of the current list, scaled by |Pearson| between its
     popularity profile and the previous episode's final recommendations.
 
-    Popularity vectors are aligned by rank position and truncated to the
-    shorter list; the comparator is the previous episode's last
-    recommendation turn. First-episode entries and truncations shorter than
-    2 are skipped; zero-variance profiles correlate as 0.
+    Profiles are the items' training frequencies, which Pearson cannot tell
+    from their max-normalized popularities, aligned by rank position and
+    truncated to the shorter list; the comparator is the previous episode's
+    last recommendation turn. First-episode entries and truncations shorter
+    than 2 are skipped; zero-variance profiles correlate as 0.
     """
     _check_scoring(log_base=log_base)
     if current.episode_index == 0:
@@ -365,9 +369,9 @@ def cross_episode_popularity(
     length = min(len(current.ranked_item_ids), len(previous.ranked_item_ids))
     if length < 2:
         return Skipped("insufficient_overlap")
-    cur_pops = [table.pop_of(i) for i in current.ranked_item_ids[:length]]
-    prev_pops = [table.pop_of(i) for i in previous.ranked_item_ids[:length]]
-    rho = pearson(cur_pops, prev_pops)
+    cur_freqs = [table.freq.get(i, 0) for i in current.ranked_item_ids[:length]]
+    prev_freqs = [table.freq.get(i, 0) for i in previous.ranked_item_ids[:length]]
+    rho = pearson(cur_freqs, prev_freqs)
     return popularity_bias(current.ranked_item_ids, table.popular_set, log_base) * abs(rho)
 
 
@@ -449,6 +453,7 @@ class BiasReport:
                 "n": summary.n,
                 "n_skipped": summary.n_skipped,
                 "skip_reasons": summary.skip_reasons,
+                "report_format": REPORT_FORMAT,
             }
             for name, summary in self.metrics.items()
         ]
@@ -515,11 +520,9 @@ def _fixed_point(terms: np.ndarray, width: int) -> tuple[np.ndarray, int] | None
     return np.stack((high, scaled - np.ldexp(high, _LIMB)), axis=1), scale
 
 
-def _exact_row_sums(
-    mask: np.ndarray, terms: Sequence[float], codes: np.ndarray | None = None
-) -> np.ndarray:
+def _exact_row_sums(mask: np.ndarray, terms: Sequence[float]) -> np.ndarray:
     """Per row, ``fsum`` of ``terms[j]`` for every ``j`` with ``mask[row, j]``,
-    or of ``terms[codes[row, j]]`` when ``codes`` is given, bit for bit.
+    bit for bit.
 
     Terms are summed as two fixed-point limbs (``_fixed_point``), whose
     partial sums are exact in any order, so a matrix product sums them; then
@@ -529,24 +532,17 @@ def _exact_row_sums(
     ``_ROW_BLOCK``.
     """
     width = mask.shape[1]
-    terms = np.asarray(terms, dtype=np.float64)
-    if codes is None:
-        terms = terms[:width]
+    terms = np.asarray(terms, dtype=np.float64)[:width]
     fixed = _fixed_point(terms, width)
     sums = np.empty(len(mask))
     for start in range(0, len(mask), _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         used = mask[rows]
         if fixed is None:
-            values = np.broadcast_to(terms, used.shape) if codes is None else terms[codes[rows]]
-            pairs = zip(values.tolist(), used.tolist())
-            sums[rows] = [fsum(compress(row, row_used)) for row, row_used in pairs]
+            sums[rows] = [fsum(compress(terms.tolist(), row_used)) for row_used in used.tolist()]
             continue
         limbs, scale = fixed
-        if codes is None:
-            high, low = (used @ limbs).T
-        else:
-            high, low = (np.einsum("rj,rj->r", limb[codes[rows]], used) for limb in limbs.T)
+        high, low = (used @ limbs).T
         sums[rows] = np.ldexp(np.ldexp(high, _LIMB) + low, -scale)
     return sums
 
@@ -583,50 +579,30 @@ def _previous_rows(run: RunColumns) -> np.ndarray:
 
 
 def _pearson_rows(
-    pop: np.ndarray, ranks: np.ndarray, x_rows: np.ndarray, y_rows: np.ndarray, length: np.ndarray
+    freq: np.ndarray, ranks: np.ndarray, x_rows: np.ndarray, y_rows: np.ndarray, length: np.ndarray
 ) -> np.ndarray:
-    """``pearson(pop[ranks[x, :k]], pop[ranks[y, :k]])`` for every ``(x, y, k)``
+    """``pearson(freq[ranks[x, :k]], freq[ranks[y, :k]])`` for every ``(x, y, k)``
     of ``x_rows``, ``y_rows`` and ``length``, bit for bit.
 
-    The statistics of one side depend only on its (row, k), so each distinct
-    (row, k) of either side gets them once: its mean, from exact row sums,
-    and the ``fsum`` of its squared deviations, zero-padded to the width of
-    ``ranks`` (exact zeros leave ``fsum`` unchanged) and squared with
-    Python's ``** 2``, which calls libm ``pow`` and is not always ``d * d``.
-    Only the ``fsum`` of the products is per pair. Deviations and products
-    are elementwise (IEEE, as on Python floats); rows go in blocks so the
-    Python lists stay short-lived.
-    """
-    n, width = len(length), ranks.shape[1]
-    columns = np.arange(width)
-
-    def deviations(codes: np.ndarray, k: np.ndarray, mean: np.ndarray) -> np.ndarray:
-        return np.where(columns < k[:, None], pop[codes] - mean[:, None], 0.0)
-
-    keys = np.concatenate((x_rows, y_rows)) * (width + 1) + np.concatenate((length, length))
-    distinct, side = np.unique(keys, return_inverse=True)
-    rows, k = np.divmod(distinct, width + 1)
-    codes = ranks[rows]
-    mean = _exact_row_sums(columns < k[:, None], pop, codes) / k
-    squares = np.empty(len(distinct))
-    for start in range(0, len(distinct), _ROW_BLOCK):
+    The same exact integer sums, in int64 while ``width**2 * max(freq)**2 <
+    2**63`` bounds them (frequencies are counts, never negative), else in
+    Python ints, then the same float steps; rows go in blocks."""
+    width = ranks.shape[1]
+    dtype = np.int64 if width**2 * int(freq.max(initial=0)) ** 2 < 2**63 else object
+    freq, columns = freq.astype(dtype), np.arange(width)
+    rho = np.zeros(len(length))
+    for start in range(0, len(length), _ROW_BLOCK):
         block = slice(start, start + _ROW_BLOCK)
-        dev = deviations(codes[block], k[block], mean[block])
-        squares[block] = [fsum(map(pow, row, repeat(2))) for row in dev.tolist()]
-
-    x, y = side[:n], side[n:]
-    sxx, syy = squares[x], squares[y]
-    sxy = np.empty(n)
-    for start in range(0, n, _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        dx = deviations(ranks[x_rows[block]], length[block], mean[x[block]])
-        dy = deviations(ranks[y_rows[block]], length[block], mean[y[block]])
-        sxy[block] = [fsum(row) for row in (dx * dy).tolist()]
-    rho = np.zeros(n)
-    varied = (sxx != 0.0) & (syy != 0.0)
-    if (varied & (sxx * syy == 0.0)).any():
-        raise ZeroDivisionError("float division by zero")  # as pearson, on an underflowed product
-    rho[varied] = np.clip(sxy[varied] / np.sqrt(sxx[varied] * syy[varied]), -1.0, 1.0)
+        k = length[block].astype(dtype)
+        used = columns < k[:, None]
+        x = np.where(used, freq[ranks[x_rows[block]]], 0)
+        y = np.where(used, freq[ranks[y_rows[block]]], 0)
+        sum_x, sum_y = x.sum(axis=1), y.sum(axis=1)
+        n = (k * (x * y).sum(axis=1) - sum_x * sum_y).astype(np.float64)
+        dx = (k * (x * x).sum(axis=1) - sum_x * sum_x).astype(np.float64)
+        dy = (k * (y * y).sum(axis=1) - sum_y * sum_y).astype(np.float64)
+        varied = (dx != 0.0) & (dy != 0.0)
+        rho[block][varied] = np.clip(n[varied] / np.sqrt(dx[varied] * dy[varied]), -1.0, 1.0)
     return rho
 
 
@@ -639,11 +615,12 @@ def _score_columns(
     """Every metric for every entry: ``name -> (values, skip-reason codes)``.
 
     Each column equals the per-entry oracle functions above bit for bit.
-    Padding slots (code -1) read the last slot of ``pop``/``popular``, an
-    extra unpopular item with popularity 0.
+    Padding slots (code -1) read the last slot of ``pop``/``popular``/``freq``,
+    an extra unpopular item with popularity and frequency 0.
     """
     pop, popular = table.arrays(run.items)
     pop, popular = np.append(pop, 0.0), np.append(popular, False)
+    freq = np.append(table.freq_array(run.items), 0)
     ranks, lengths = run.ranks, run.lengths
     n, width = ranks.shape
     rows = np.arange(n)
@@ -668,7 +645,7 @@ def _score_columns(
     )
     scored = np.flatnonzero(cep_reason == 0)
     cep = np.zeros(n)
-    rho = _pearson_rows(pop, ranks, scored, previous[scored], overlap[scored])
+    rho = _pearson_rows(freq, ranks, scored, previous[scored], overlap[scored])
     cep[scored] = bias[scored] * np.abs(rho)
     scores["cep"] = (cep, cep_reason)
 
@@ -780,12 +757,15 @@ _REPORT_FIELDS = (
 
 
 def load_report_records(path: str | Path) -> list[dict]:
-    """Read a ``save_report`` file; a malformed line, a record missing a
-    field (or holding the wrong type) or a ``mean`` or ``std`` that does not
-    convert to a float raises ``CorpusError`` with path:line."""
+    """Read a ``save_report`` file; a malformed line, a record missing a field
+    (or holding the wrong type), a ``mean`` or ``std`` past the float range or
+    a ``report_format`` but 1 (none) and 2 raises ``CorpusError`` with path:line."""
     path = Path(path)
     records: list[dict] = []
     for lineno, record in read_json_lines(path):
+        version = record.get("report_format", 1)
+        if type(version) is not int or version not in (1, REPORT_FORMAT):
+            raise CorpusError(f"{path}:{lineno}: unknown report_format {version!r}")
         for key, types in _REPORT_FIELDS:
             if key not in record:
                 raise CorpusError(f"{path}:{lineno}: report record missing {key!r}")

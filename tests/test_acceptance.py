@@ -195,7 +195,7 @@ def test_c05_cep_uiop_bounds_and_skip_routing():
     items = [f"i{n}" for n in range(50)]
     pop = {i: float(rng.random()) for i in items}
     table = PopularityTable(
-        freq={i: 0 for i in items},
+        freq={i: int(rng.integers(0, 10_000)) for i in items},  # drawn apart from pop
         pop=pop,
         popular_set=frozenset(i for i in items if pop[i] > 0.6),
         eta_policy=ThresholdPolicy.count_threshold(5),
@@ -251,8 +251,8 @@ def test_c05_cep_uiop_bounds_and_skip_routing():
             last = max(previous, key=lambda e: e.turn_index)
             overlap = min(len(ranked), len(last.ranked_item_ids))
             rho = pearson(
-                [table.pop_of(i) for i in ranked[:overlap]],
-                [table.pop_of(i) for i in last.ranked_item_ids[:overlap]],
+                [table.freq[i] for i in ranked[:overlap]],
+                [table.freq[i] for i in last.ranked_item_ids[:overlap]],
             )
             assert result == bias * abs(rho)
 
@@ -270,7 +270,7 @@ def test_c05_cep_uiop_bounds_and_skip_routing():
     # zero-variance popularity profiles correlate as zero by definition,
     # no matter which side is flat
     flat_table = PopularityTable(
-        freq={i: 0 for i in ("f1", "f2", "f3", "v1", "v2", "v3")},
+        freq={"f1": 5, "f2": 5, "f3": 5, "v1": 9, "v2": 3, "v3": 1},
         pop={"f1": 0.5, "f2": 0.5, "f3": 0.5, "v1": 0.9, "v2": 0.3, "v3": 0.1},
         popular_set=frozenset({"f1", "v1"}),
         eta_policy=ThresholdPolicy.count_threshold(5),

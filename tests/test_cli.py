@@ -624,7 +624,9 @@ class TestEvaluate:
         assert cep["skip_reasons"] == {"first_episode": 2}
 
     def test_evaluate_outputs_are_pinned(self, tmp_path):
-        # as written by the per-dialogue loaders the columnar store replaced
+        # as written by the per-dialogue loaders the columnar store replaced;
+        # less report_format 2, the report records equal format 1's
+        # (model_b 39004cd2…, run_small 32a490fc…)
         second = tmp_path / "model_b.jsonl"
         shutil.copy(DATA / "run_small.jsonl", second)
         config = self._config_with_runs(tmp_path, [DATA / "run_small.jsonl", second])
@@ -634,9 +636,9 @@ class TestEvaluate:
             for name, data in snapshot(tmp_path / "out").items() if name != "config_echo.json"
         }
         assert written == {
-            "model_b.report.jsonl": "39004cd253b37a2283acd0e566be1f452befc6b491652ce9d44ec64d437c3076",
+            "model_b.report.jsonl": "f2babea57cef949c7fbf0f873f57b64d9156d090991825023a686919cc23fb5d",
             "report_table.txt": "214d4e607047830bdb23d652c27357ae88cf0656d216bc01586fa20ecfe48d20",
-            "run_small.report.jsonl": "32a490fc61df98ab5ede57a7d6f0d0cddd480b1837cb3baa4085a2be3db6f8f1",
+            "run_small.report.jsonl": "dc9d1f4fd270d17aaea5334cb5d9b6aa6b3cf6cbb7ae6ae098988cc0c70fbf32",
         }
 
     def _write_run(self, path: Path, records: list[tuple]) -> Path:
@@ -804,6 +806,19 @@ class TestEvaluate:
         table = capsys.readouterr().out
         assert "pop_bias" in table and "run_small" in table
 
+    def test_format_1_report_renders_as_format_2(self, tmp_path, capsys):
+        # a report saved before report_format existed (CEP over float
+        # popularities) renders to the table evaluate writes today
+        config = self._config_with_runs(tmp_path, [DATA / "run_small.jsonl"])
+        assert main(["evaluate", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        assert {json.loads(line)["report_format"]
+                for line in (out / "run_small.report.jsonl").read_text().splitlines()} == {2}
+        shutil.copy(DATA / "run_small.report.format1.jsonl", out / "run_small.report.jsonl")
+        capsys.readouterr()
+        assert main(["report", "--config", str(config)]) == 0
+        assert capsys.readouterr().out == (out / "report_table.txt").read_text()
+
     @pytest.mark.parametrize(
         "ranked, turn_index",
         [('"ab"', "1"), ("null", "1"), ('["m1"]', '"x"'), ('["m1"]', "1.7"), ('["m1"]', "true")],
@@ -839,6 +854,10 @@ class TestEvaluate:
             pytest.param(
                 '{"model": "run_small", "metric": "cep", "mean": 0, "std": -1%s, "n": 1, '
                 '"n_skipped": 0}' % ("0" * 399), id="std-past-float-range",
+            ),
+            pytest.param(
+                '{"model": "run_small", "metric": "cep", "mean": 0, "std": 0, "n": 1, '
+                '"n_skipped": 0, "report_format": 3}', id="unknown-report-format",
             ),
         ],
     )

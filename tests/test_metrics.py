@@ -52,12 +52,13 @@ from helpers import (
 # hand-derived reference values (natural log, 1-based ranks)
 PI_ABC = 1.0 + 1.0 / (math.log(3) + 1.0)          # [a,b,c] with popular {a,c}
 BIAS_ABC = PI_ABC * (2.0 / 3.0)
-RHO_EXAMPLE = math.sqrt(3.0) / 2.0                 # pops [.8,.2,.4] vs [.6,.1,.5]
+RHO_EXAMPLE = math.sqrt(3.0) / 2.0                 # freqs [8,2,4] vs [6,1,5]
 
 
 def _table(pop: dict[str, float], popular: set[str]) -> PopularityTable:
+    # the hand examples' popularities are tenths: frequencies proportional to them
     return PopularityTable(
-        freq={i: 0 for i in pop},
+        freq={i: round(10 * p) for i, p in pop.items()},
         pop=pop,
         popular_set=frozenset(popular),
         eta_policy=ThresholdPolicy.count_threshold(5),
@@ -134,11 +135,11 @@ class TestPearson:
         assert pearson([1, 2, 3], [2, 4, 6]) == 1.0
 
     def test_zero_variance_defined_as_zero(self):
-        assert pearson([0.5, 0.5, 0.5], [1.0, 0.2, 0.3]) == 0.0
-        assert pearson([1.0, 0.2, 0.3], [0.5, 0.5, 0.5]) == 0.0
+        assert pearson([5, 5, 5], [10, 2, 3]) == 0.0
+        assert pearson([10, 2, 3], [5, 5, 5]) == 0.0
 
     def test_hand_example(self):
-        assert pearson([0.8, 0.2, 0.4], [0.6, 0.1, 0.5]) == pytest.approx(RHO_EXAMPLE, abs=1e-12)
+        assert pearson([8, 2, 4], [6, 1, 5]) == pytest.approx(RHO_EXAMPLE, abs=1e-12)
 
     def test_requires_two_points(self):
         with pytest.raises(ValueError):
@@ -197,7 +198,7 @@ class TestCrossEpisodePopularity:
         table, current, _ = self._setup()
         previous = RunEntry("d", 1, 0, ("x", "y"))
         value = cross_episode_popularity(current, [previous], table)
-        rho = pearson([0.8, 0.2], [0.6, 0.1])
+        rho = pearson([8, 2], [6, 1])
         expected = popularity_bias(("a", "b", "c"), table.popular_set) * abs(rho)
         assert value == pytest.approx(expected, abs=1e-12)
 
@@ -485,10 +486,27 @@ CATALOG_IDS = [f"i{n}" for n in range(7)]
 TABLE_IDS = CATALOG_IDS + ["u0", "zz"]
 RUN_IDS = CATALOG_IDS + ["u0", "u1"]
 RAGGED_TURNS = 10
+RUN_ENTRIES = st.lists(
+    st.tuples(
+        st.sampled_from(("d0", "d1")),
+        st.integers(0, RAGGED_TURNS - 1),
+        st.integers(0, 3),
+        st.lists(st.sampled_from(RUN_IDS), max_size=12, unique=True).map(tuple),
+        st.lists(st.sampled_from(RUN_IDS), max_size=4).map(tuple),
+    ),
+    max_size=30,
+    unique_by=lambda e: (e[0], e[1]),
+)
+# training frequencies up to 2**40, drawn apart from the popularities: CEP's
+# integer sums over 12-item lists leave int64 once the largest passes 2**28
+TABLE_FREQS = st.integers(0, 2**40).flatmap(
+    lambda top: st.lists(st.integers(0, top), min_size=len(TABLE_IDS), max_size=len(TABLE_IDS))
+)
 
 # sha256 of save_report(evaluate_run(standard_run(standard fixture))), computed
-# with the per-entry scorer this columnar one replaced
-_STANDARD_REPORT_SHA256 = "daa70d4e21a354317e560b48625fa598e6abb69b484f2a7871a68a55bcdc57fd"
+# with the per-entry scorer this columnar one replaced; its records, less
+# report_format, equal those of format 1 (sha256 daa70d4e…bcdc57fd)
+_STANDARD_REPORT_SHA256 = "9287ac9d067cb0fc5214f791214a8ec00a48b8a9e368880c590ae62643b12d7b"
 
 
 class TestEvaluateRun:
@@ -547,17 +565,8 @@ class TestEvaluateRun:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        entries=st.lists(
-            st.tuples(
-                st.sampled_from(("d0", "d1")),
-                st.integers(0, RAGGED_TURNS - 1),
-                st.integers(0, 3),
-                st.lists(st.sampled_from(RUN_IDS), max_size=12, unique=True).map(tuple),
-                st.lists(st.sampled_from(RUN_IDS), max_size=4).map(tuple),
-            ),
-            max_size=30,
-            unique_by=lambda e: (e[0], e[1]),
-        ),
+        entries=RUN_ENTRIES,
+        freqs=TABLE_FREQS,
         pops=st.lists(st.floats(0.0, 1.0), min_size=len(TABLE_IDS), max_size=len(TABLE_IDS)),
         popular=st.lists(st.booleans(), min_size=len(TABLE_IDS), max_size=len(TABLE_IDS)),
         cutoffs=st.lists(st.integers(1, 16), min_size=1, max_size=3).map(tuple),
@@ -567,6 +576,7 @@ class TestEvaluateRun:
         entries=[("d0", 0, 0, ("i0", "i1"), ("i0", "i0")), ("d0", 2, 0, ("i2", "i1", "u1"), ()),
                  ("d0", 5, 2, ("i1", "i2", "i3"), ("u1",)), ("d0", 6, 1, (), ("i2",)),
                  ("d0", 7, 3, ("i0", "i3"), ("i3", "u0"))],
+        freqs=[2, 9, 9, 0, 4, 0, 1, 3, 6],
         pops=[0.9, 0.3, 0.3, 0.0, 0.1, 0.0, 0.2, 0.5, 0.7],
         popular=[True, False, True, False, False, False, False, True, True],
         cutoffs=(1, 16),
@@ -576,6 +586,7 @@ class TestEvaluateRun:
         entries=[("d0", 0, 0, ("i0", "i1", "i2", "i3"), ()), ("d0", 2, 0, ("i4", "i2", "i0", "u0"), ()),
                  ("d0", 3, 1, ("i1", "i0", "i5"), ("i1",)), ("d0", 4, 1, ("i3", "i6", "i2"), ()),
                  ("d0", 5, 1, ("i0", "i5", "i1", "i2", "u1"), ()), ("d0", 6, 1, ("i6", "i0"), ())],
+        freqs=[2**40, 7, 2**33, 0, 5, 1, 2**39 + 3, 12, 4],
         pops=[0.9, 0.3, 0.6, 0.05, 0.1, 0.0, 0.2, 0.5, 0.7],
         popular=[True, False, True, False, False, False, False, True, True],
         cutoffs=(3,),
@@ -585,48 +596,32 @@ class TestEvaluateRun:
         entries=[("d1", 0, 0, ("i0", "i1", "i2"), ()), ("d1", 1, 1, ("i2", "i0", "i4", "i3", "i5"), ()),
                  ("d1", 2, 2, ("i3", "i4", "i0", "i1"), ("i0",)), ("d0", 1, 1, ("i5", "i1"), ()),
                  ("d0", 0, 0, ("i2", "i0", "i4", "i3", "i5"), ()), ("d1", 3, 2, ("i6", "i1", "i0"), ())],
+        freqs=[30, 1, 17, 17, 2, 0, 8, 5, 11],
         pops=[0.9, 0.3, 0.6, 0.05, 0.1, 0.0, 0.2, 0.5, 0.7],
         popular=[True, False, True, False, False, False, False, True, True],
         cutoffs=(2, 5),
         log_base=2.0,
     )
-    def test_columnar_matches_scalar(self, entries, pops, popular, cutoffs, log_base):
-        _assert_columnar_matches_scalar(entries, pops, popular, cutoffs, log_base)
+    def test_columnar_matches_scalar(self, entries, freqs, pops, popular, cutoffs, log_base):
+        _assert_columnar_matches_scalar(entries, freqs, pops, popular, cutoffs, log_base)
 
     @settings(max_examples=200, deadline=None)
     @given(
-        entries=st.lists(
-            st.tuples(
-                st.sampled_from(("d0", "d1")),
-                st.integers(0, RAGGED_TURNS - 1),
-                st.integers(0, 3),
-                st.lists(st.sampled_from(RUN_IDS), max_size=12, unique=True).map(tuple),
-                st.lists(st.sampled_from(RUN_IDS), max_size=4).map(tuple),
-            ),
-            max_size=30,
-            unique_by=lambda e: (e[0], e[1]),
-        ),
+        entries=RUN_ENTRIES,
         freqs=st.lists(st.integers(0, 5_000), min_size=len(TABLE_IDS), max_size=len(TABLE_IDS)),
         popular=st.lists(st.booleans(), min_size=len(TABLE_IDS), max_size=len(TABLE_IDS)),
     )
     def test_columnar_matches_scalar_on_count_ratios(self, entries, freqs, popular):
-        # popularity as build_popularity makes it: the exact row sums take the CEP means
+        # frequencies and popularities as build_popularity makes them
         top = max(freqs)
         pops = [f / top if top else 0.0 for f in freqs]
         assert metrics_module._fixed_point(np.array(pops + [0.0]), 12) is not None
-        _assert_columnar_matches_scalar(entries, pops, popular, (5,), math.e)
-
-    def test_cep_means_outside_the_limbs_fall_back_to_fsum(self):
-        pops = [1.0, 2.0**-40, 0.3, 0.7, 2.0**-45, 0.0, 0.55, 1e-12, 0.125]
-        assert metrics_module._fixed_point(np.array(pops + [0.0]), 4) is None
-        entries = [("d0", 0, 0, ("i0", "i1", "i2", "i3"), ()), ("d0", 1, 1, ("i4", "i1", "u0", "i6"), ()),
-                   ("d0", 2, 1, ("i3", "i4", "i0"), ("i1",)), ("d0", 3, 2, ("i2", "i4", "i6", "i1"), ())]
-        _assert_columnar_matches_scalar(entries, pops, [True] * len(TABLE_IDS), (2,), math.e)
+        _assert_columnar_matches_scalar(entries, freqs, pops, popular, (5,), math.e)
 
     def test_long_lists_fall_back_to_fsum_exactly(self):
-        # over 1,200-item lists, discounts with a log base just above 1 and
-        # popularities spread over ~100 binary orders of magnitude are out of
-        # the two-limb fixed-point range, so utility and CEP means use fsum
+        # over 1,200-item lists, discounts with a log base just above 1 (and
+        # popularities spread over ~100 binary orders of magnitude) are out of
+        # the two-limb fixed-point range, so utility sums use fsum
         ids = [f"i{n}" for n in range(1_300)]
         catalog = ItemCatalog({i: i for i in ids})
         turns = tuple(Turn("recommender", f"t{t}") for t in range(4))
@@ -634,7 +629,7 @@ class TestEvaluateRun:
         rng = np.random.default_rng(5)
         pop = {i: float(rng.random()) ** 8 for i in ids}
         table = PopularityTable(
-            freq={i: 0 for i in ids}, pop=pop,
+            freq={i: int(rng.integers(1, 10**6)) for i in ids}, pop=pop,
             popular_set=frozenset(i for i in ids if pop[i] > 0.4 ** 8),
             eta_policy=ThresholdPolicy.count_threshold(5),
         )
@@ -648,9 +643,9 @@ class TestEvaluateRun:
             for t in range(4)
         )
         run = RankedRun.from_entries("long", entries)
-        assert evaluate_run(run, corpus, table, cutoffs=(10, 1_200), log_base=log_base) == (
-            scalar_report("long", entries, table, log_base, cutoffs=(10, 1_200))
-        )
+        report = evaluate_run(run, corpus, table, cutoffs=(10, 1_200), log_base=log_base)
+        assert report == scalar_report("long", entries, table, log_base, cutoffs=(10, 1_200))
+        assert report.metrics["cep"].mean > 0.0
 
     def test_loaded_run_matches_entry_objects(self, data_dir):
         corpus, _ = load_corpus(data_dir / "corpus_small.jsonl", data_dir / "catalog_small.jsonl")
@@ -680,18 +675,6 @@ class TestEvaluateRun:
         path = tmp_path / "standard.report.jsonl"
         save_report(report, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == _STANDARD_REPORT_SHA256
-
-    def test_cep_squares_with_python_pow(self):
-        # with glibc's libm, squaring these deviations as d * d instead of
-        # Python's ** 2 (libm pow) changes pearson in the last bit
-        freq = dict(zip("abcdefgh", (1, 2, 27, 30, 34, 11, 7, 27)))
-        table = _table({i: f / 34 for i, f in freq.items()}, popular={"c", "d", "e"})
-        turns = (Turn("recommender", "t0"), Turn("recommender", "t1"))
-        corpus = Corpus(ItemCatalog({i: i.upper() for i in freq}), (Dialogue("d", turns),))
-        previous = RunEntry("d", 0, 0, ("e", "f", "g", "h"))
-        current = RunEntry("d", 1, 1, ("a", "b", "c", "d"))
-        report = evaluate_run(RankedRun.from_entries("m", (previous, current)), corpus, table)
-        assert report.metrics["cep"].mean == cross_episode_popularity(current, [previous], table)
 
     def test_duplicate_entries_rejected(self):
         corpus, table = self._mini()
@@ -747,6 +730,19 @@ class TestRunBuilding:
     def test_from_entries_errors_name_the_run(self):
         with pytest.raises(CorpusError, match=r"^run 'm': 'ranked' item must be a string"):
             RankedRun.from_entries("m", (RunEntry("d", 1, 0, ("a", 1.5)),))
+
+    def test_numpy_str_ids_read_as_str(self):
+        # ids drawn with rng.choice are numpy.str_; they read as their str
+        ids = np.array(["d", "a", "b", "c"])
+        as_numpy = (RunEntry(ids[0], 1, 0, (ids[1], ids[2]), (ids[3], ids[1])),)
+        as_str = (RunEntry("d", 1, 0, ("a", "b"), ("c", "a")),)
+        run = RankedRun.from_entries("m", as_numpy).entries
+        assert run_records(run) == run_records(RankedRun.from_entries("m", as_str).entries)
+        assert {type(i) for i in run.items.ids} == {type(i) for i in run.dialogue_ids} == {str}
+        # checked record by record (a later entry breaks a rule), they pass too
+        bad = as_numpy + (RunEntry(ids[0], 2, 0, (ids[1], True)),)
+        with pytest.raises(CorpusError, match=r"^run 'm': 'ranked' item must .*, got True$"):
+            RankedRun.from_entries("m", bad)
 
 
 class TestScoringSettings:
@@ -818,6 +814,12 @@ class TestReportIO:
         assert {r["metric"] for r in records} == set(report.metrics)
         by_metric = {r["metric"]: r for r in records}
         assert by_metric["pop_bias"]["mean"] == report.metrics["pop_bias"].mean
+        assert {r["report_format"] for r in records} == {metrics_module.REPORT_FORMAT} == {2}
+
+    def test_format_1_records_load(self, data_dir):
+        records = load_report_records(data_dir / "run_small.report.format1.jsonl")
+        assert [r["metric"] for r in records][:3] == ["pop_bias", "cep", "uiop"]
+        assert all("report_format" not in r for r in records)
 
     @pytest.mark.parametrize(
         "line, message",
@@ -834,6 +836,12 @@ class TestReportIO:
              '"n_skipped": 0}', "'n'"),
             ('{"model": "m", "metric": "pop_bias", "mean": 0.5, "std": 0.0, "n": 1, '
              '"n_skipped": 0, "skip_reasons": []}', "'skip_reasons'"),
+            ('{"model": "m", "metric": "pop_bias", "mean": 0.5, "std": 0.0, "n": 1, '
+             '"n_skipped": 0, "report_format": 3}', "unknown report_format 3"),
+            ('{"model": "m", "metric": "pop_bias", "mean": 0.5, "std": 0.0, "n": 1, '
+             '"n_skipped": 0, "report_format": true}', "unknown report_format True"),
+            ('{"model": "m", "metric": "pop_bias", "mean": 0.5, "std": 0.0, "n": 1, '
+             '"n_skipped": 0, "report_format": "2"}', "unknown report_format '2'"),
         ],
     )
     def test_malformed_report_names_path_and_line(self, tmp_path, line, message):
@@ -855,37 +863,111 @@ class TestReportIO:
         assert set(separator) == {"-"}
 
 
-def _assert_columnar_matches_scalar(entries, pops, popular, cutoffs, log_base) -> None:
-    """``evaluate_run`` over a two-dialogue corpus equals ``scalar_report``,
-    or both raise ``ZeroDivisionError``."""
-    catalog = ItemCatalog({i: i.upper() for i in CATALOG_IDS})
-    turns = tuple(Turn("recommender", f"t{t}") for t in range(RAGGED_TURNS))
-    corpus = Corpus(catalog, (Dialogue("d0", turns), Dialogue("d1", turns)))
-    table = PopularityTable(
-        freq={i: 0 for i in TABLE_IDS},
+def _drawn_table(freqs, pops, popular) -> PopularityTable:
+    return PopularityTable(
+        freq=dict(zip(TABLE_IDS, freqs)),
         pop=dict(zip(TABLE_IDS, pops)),
         popular_set=frozenset(i for i, p in zip(TABLE_IDS, popular) if p),
         eta_policy=ThresholdPolicy.count_threshold(5),
     )
+
+
+def _assert_columnar_matches_scalar(entries, freqs, pops, popular, cutoffs, log_base) -> None:
+    """``evaluate_run`` over a two-dialogue corpus equals ``scalar_report``."""
+    catalog = ItemCatalog({i: i.upper() for i in CATALOG_IDS})
+    turns = tuple(Turn("recommender", f"t{t}") for t in range(RAGGED_TURNS))
+    corpus = Corpus(catalog, (Dialogue("d0", turns), Dialogue("d1", turns)))
+    table = _drawn_table(freqs, pops, popular)
     entries = [RunEntry(*e) for e in entries]
-
-    def outcome(evaluate):
-        try:
-            return evaluate()
-        except ZeroDivisionError:  # pearson on an underflowed variance product
-            return ZeroDivisionError
-
     run = RankedRun.from_entries("m", entries)
-    columnar = outcome(lambda: evaluate_run(run, corpus, table, cutoffs=cutoffs, log_base=log_base))
-    assert columnar == outcome(
-        lambda: scalar_report("m", entries, table, log_base, cutoffs=cutoffs)
+    columnar = evaluate_run(run, corpus, table, cutoffs=cutoffs, log_base=log_base)
+    assert columnar == scalar_report("m", entries, table, log_base, cutoffs=cutoffs)
+
+
+class TestIntegerPearson:
+    """CEP's column path equals the integer oracle ``cross_episode_popularity``
+    entry by entry, bit for bit, in both of ``_pearson_rows``' dtypes."""
+
+    @staticmethod
+    def _cep_both_ways(entries, table) -> tuple[list, list]:
+        entries = [RunEntry(*e) for e in entries]
+        by_episode: dict[tuple[str, int], list] = {}
+        for entry in entries:
+            by_episode.setdefault((entry.dialogue_id, entry.episode_index), []).append(entry)
+        oracle = [
+            cross_episode_popularity(
+                entry, by_episode.get((entry.dialogue_id, entry.episode_index - 1), []), table
+            )
+            for entry in entries
+        ]
+        run = RankedRun.from_entries("m", entries)
+        values, reasons = metrics_module._score_columns(run.entries, table, (), math.e)["cep"]
+        column = [
+            Skipped(metrics_module._REASONS[reason]) if reason else value
+            for value, reason in zip(values.tolist(), reasons.tolist())
+        ]
+        return column, oracle
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=RUN_ENTRIES,
+        freqs=TABLE_FREQS,
+        popular=st.lists(st.booleans(), min_size=len(TABLE_IDS), max_size=len(TABLE_IDS)),
     )
+    def test_column_cep_equals_the_oracle(self, entries, freqs, popular):
+        # one popularity for every item: a CEP that read it would score 0
+        table = _drawn_table(freqs, [0.5] * len(TABLE_IDS), popular)
+        column, oracle = self._cep_both_ways(entries, table)
+        assert column == oracle
+
+    # the tests' freqs are those of TABLE_IDS (i0..i6, u0, zz); lists are 4 items wide
+    BRANCH_ENTRIES = [
+        ("d0", 0, 0, ("i0", "i1", "i2", "i3"), ()), ("d0", 1, 1, ("i4", "i5", "i6", "u0"), ()),
+        ("d0", 2, 1, ("i1", "u1", "i0", "i6"), ()), ("d0", 3, 2, ("i3", "i2", "i5"), ()),
+        ("d1", 0, 0, ("i6", "i5", "i4", "i3"), ()), ("d1", 1, 1, ("i0", "i1", "i2", "i3"), ()),
+    ]
+
+    def test_int64_branch(self):
+        freqs = [5_000, 12, 731, 0, 4_999, 3, 260, 88, 1]
+        assert 4**2 * max(freqs) ** 2 < 2**63
+        table = _drawn_table(freqs, [0.5] * 9, [True] * 9)
+        column, oracle = self._cep_both_ways(self.BRANCH_ENTRIES, table)
+        assert column == oracle
+        assert all(isinstance(v, float) and v > 0.0 for v in column[1:4] + column[5:])
+
+    def test_python_int_branch(self):
+        # frequencies about 2**40, a few counts apart, so the sums pass int64;
+        # those of i4..i6, u0 are those of i0..i3 plus 7
+        big = 2**40
+        freqs = [big + 3, big, big + 1, big + 7, big + 10, big + 7, big + 8, big + 14, 1]
+        assert 4**2 * max(freqs) ** 2 >= 2**63
+        table = _drawn_table(freqs, [0.5] * 9, [True] * 9)
+        column, oracle = self._cep_both_ways(self.BRANCH_ENTRIES, table)
+        assert column == oracle
+        assert all(isinstance(v, float) and v > 0.0 for v in column[1:4] + column[5:])
+        # i4..i6, u0 against i0..i3: rho exactly 1
+        assert column[1] == popularity_bias(("i4", "i5", "i6", "u0"), table.popular_set)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.lists(st.integers(0, 2**40), min_size=2, max_size=12), shift=st.integers(0, 2**40))
+    def test_exact_profiles_correlate_exactly(self, x, shift):
+        # a shifted copy of x correlates as exactly 1, a mirrored one as
+        # exactly -1 and a constant one as 0, in both dtypes of the column path
+        k = len(x)
+        profiles = [x, [v + shift for v in x], [shift + 2**40 - v for v in x], [shift] * k]
+        freq = np.array([v for profile in profiles for v in profile] + [0], dtype=np.int64)
+        ranks = np.arange(4 * k, dtype=np.int32).reshape(4, k)
+        column = metrics_module._pearson_rows(
+            freq, ranks, np.zeros(3, dtype=np.int64), np.arange(1, 4), np.full(3, k)
+        )
+        expected = [0.0, 0.0, 0.0] if len(set(x)) == 1 else [1.0, -1.0, 0.0]
+        assert column.tolist() == expected
+        assert [pearson(x, profile) for profile in profiles[1:]] == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     data=st.data(),
-    width=st.integers(1, 9),
     terms=st.one_of(
         # count ratios, the popularity build_popularity makes: the limbs hold them
         st.lists(st.integers(0, 10**6), min_size=1, max_size=12).map(
@@ -900,15 +982,12 @@ def _assert_columnar_matches_scalar(entries, pops, popular, cutoffs, log_base) -
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
     ),
 )
-def test_exact_row_sums_equal_fsum(data, width, terms):
+def test_exact_row_sums_equal_fsum(data, terms):
+    width = data.draw(st.integers(1, len(terms)))  # callers may pass more terms than columns
     rows = data.draw(st.integers(0, 5))
     mask = np.array(data.draw(st.lists(
         st.lists(st.booleans(), min_size=width, max_size=width), min_size=rows, max_size=rows
     )), dtype=bool).reshape(rows, width)
-    codes = np.array(data.draw(st.lists(
-        st.lists(st.integers(0, len(terms) - 1), min_size=width, max_size=width),
-        min_size=rows, max_size=rows,
-    )), dtype=np.int64).reshape(rows, width)
 
     def outcome(sums):  # == takes -0.0 for 0.0: fsum's sign of a zero sum varies by Python version
         try:
@@ -916,16 +995,9 @@ def test_exact_row_sums_equal_fsum(data, width, terms):
         except OverflowError:  # fsum of finite terms past the float range
             return OverflowError
 
-    by_code = outcome(lambda: metrics_module._exact_row_sums(mask, terms, codes))
-    assert by_code == outcome(lambda: [
-        fsum(terms[c] for c, used in zip(row, used_row) if used)
-        for row, used_row in zip(codes.tolist(), mask.tolist())
+    assert outcome(lambda: metrics_module._exact_row_sums(mask, terms)) == outcome(lambda: [
+        fsum(t for t, used in zip(terms, used_row) if used) for used_row in mask.tolist()
     ])
-    if width <= len(terms):
-        by_column = outcome(lambda: metrics_module._exact_row_sums(mask, terms))
-        assert by_column == outcome(lambda: [
-            fsum(t for t, used in zip(terms, used_row) if used) for used_row in mask.tolist()
-        ])
 
 
 def test_exact_row_sums_round_once_at_the_limb_bound():
