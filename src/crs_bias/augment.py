@@ -552,16 +552,16 @@ class LongtailReport:
 def longtail_report(before: Corpus, after: Corpus) -> LongtailReport:
     if set(before.catalog.items) != set(after.catalog.items):
         raise AugmentError("longtail_report requires corpora over the same catalog")
-    x = train_counts(before)
+    x, counts_after = train_counts(before), train_counts(after)
     freq_before = dict(zip(before.catalog.items, x.tolist()))
-    freq_after = dict(zip(after.catalog.items, train_counts(after).tolist()))
+    freq_after = dict(zip(after.catalog.items, counts_after.tolist()))
     y = np.array(list(map(freq_after.__getitem__, freq_before)), dtype=np.int64)
     return LongtailReport(
         freq_before=freq_before,
         freq_after=freq_after,
         rank_correlation=1.0 if np.array_equal(x, y) else spearman(x, y),
-        coverage_before=item_coverage(freq_before),
-        coverage_after=item_coverage(freq_after),
+        coverage_before=item_coverage(x),
+        coverage_after=item_coverage(counts_after),
         n_items_gained=int(np.count_nonzero((x == 0) & (y > 0))),
         max_frequency_drop=int((x - y).max()),  # the catalog is never empty
         curve_before=tuple(np.sort(x)[::-1].tolist()),

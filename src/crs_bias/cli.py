@@ -71,8 +71,8 @@ def cmd_stats(config: RunConfig) -> int:
             "test": summary.dialogues_per_split.get("test", 0),
         },
         "items": len(corpus.catalog),
-        "iic": pop.item_coverage(table.freq),
-        "popular_item_ratio": pop.popular_item_ratio(table, corpus.catalog),
+        "iic": pop.item_coverage(table.counts),
+        "popular_item_ratio": pop.popular_item_ratio(table),
         "n_unknown_mentions": summary.n_unknown_mentions,
     }
     out = _prepare_output_dir(config)

@@ -43,7 +43,7 @@ import numpy as np
 
 from .corpus import Corpus, CorpusError, fill_checked, parse_id, read_json_lines, write_json_lines
 from .corpus import _all_of, _offsets, _sorted_distinct, _transpose
-from .popularity import ItemIndex, PopularityTable, item_coverage, train_frequencies
+from .popularity import ItemIndex, PopularityTable, item_coverage, train_counts
 
 DEFAULT_CUTOFFS = (10, 50)
 # on every report record; format 1 (no field) took CEP's rho over float popularities
@@ -271,7 +271,7 @@ def load_run(path: str | Path, items: ItemIndex | None = None) -> RankedRun:
 
 def initial_item_coverage(corpus: Corpus) -> float:
     """Catalog items with a training interaction / catalog size."""
-    return item_coverage(train_frequencies(corpus))
+    return item_coverage(train_counts(corpus))
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +369,9 @@ def cross_episode_popularity(
     length = min(len(current.ranked_item_ids), len(previous.ranked_item_ids))
     if length < 2:
         return Skipped("insufficient_overlap")
-    cur_freqs = [table.freq.get(i, 0) for i in current.ranked_item_ids[:length]]
-    prev_freqs = [table.freq.get(i, 0) for i in previous.ranked_item_ids[:length]]
+    # a ranked list holds no id twice, so it indexes its own frequencies
+    cur_freqs = table.freq_array(ItemIndex(current.ranked_item_ids[:length])).tolist()
+    prev_freqs = table.freq_array(ItemIndex(previous.ranked_item_ids[:length])).tolist()
     rho = pearson(cur_freqs, prev_freqs)
     return popularity_bias(current.ranked_item_ids, table.popular_set, log_base) * abs(rho)
 
@@ -758,8 +759,8 @@ _REPORT_FIELDS = (
 
 def load_report_records(path: str | Path) -> list[dict]:
     """Read a ``save_report`` file; a malformed line, a record missing a field
-    (or holding the wrong type), a ``mean`` or ``std`` past the float range or
-    a ``report_format`` but 1 (none) and 2 raises ``CorpusError`` with path:line."""
+    (or holding the wrong type or a negative count), a ``mean`` or ``std`` past
+    the float range or an unknown ``report_format`` raises ``CorpusError`` with path:line."""
     path = Path(path)
     records: list[dict] = []
     for lineno, record in read_json_lines(path):
@@ -769,7 +770,7 @@ def load_report_records(path: str | Path) -> list[dict]:
         for key, types in _REPORT_FIELDS:
             if key not in record:
                 raise CorpusError(f"{path}:{lineno}: report record missing {key!r}")
-            if type(record[key]) not in types:
+            if type(record[key]) not in types or types == (int,) and record[key] < 0:  # counts
                 raise CorpusError(f"{path}:{lineno}: report field {key!r} has {record[key]!r}")
         for key in ("mean", "std"):
             try:
@@ -778,8 +779,9 @@ def load_report_records(path: str | Path) -> list[dict]:
                 raise CorpusError(
                     f"{path}:{lineno}: report field {key!r} does not fit a float"
                 ) from None
-        if type(record.get("skip_reasons", {})) is not dict:
-            raise CorpusError(f"{path}:{lineno}: report field 'skip_reasons' is not an object")
+        reasons = record.get("skip_reasons", {})
+        if type(reasons) is not dict or any(type(c) is not int or c < 0 for c in reasons.values()):
+            raise CorpusError(f"{path}:{lineno}: report field 'skip_reasons' has {reasons!r}")
         records.append(record)
     return records
 

@@ -10,14 +10,13 @@ have 0.0, keeping values comparable across datasets of different size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import compress
+from dataclasses import dataclass, field
+from itertools import compress, repeat
 from pathlib import Path
-from typing import Iterable, Mapping
 
 import numpy as np
 
-from .corpus import TRAIN, Corpus, ItemCatalog, ItemIndex, write_json_lines
+from .corpus import TRAIN, Corpus, ItemIndex, write_json_lines
 
 DEFAULT_MIN_COUNT = 5
 
@@ -55,28 +54,45 @@ class ThresholdPolicy:
         return cls(kind="quantile", top_fraction=top_fraction)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopularityTable:
-    """Per-item frequency, normalized popularity, and the popular-item set."""
+    """Training frequency (``counts``, int64) and the ``popular`` mask per
+    catalog item, in catalog order; ``pop = counts / max(counts)`` (all zeros
+    when nothing was counted) is derived from them."""
 
-    freq: dict[str, int]
-    pop: dict[str, float]
-    popular_set: frozenset[str]
+    items: ItemIndex
+    counts: np.ndarray
+    popular: np.ndarray
     eta_policy: ThresholdPolicy
+    pop: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        top = self.counts.max(initial=0)
+        # int64 / int64 divides the exact doubles, as Python's int / int does below 2**53
+        object.__setattr__(self, "pop", self.counts / top if top else np.zeros(len(self.counts)))
+
+    @property
+    def popular_set(self) -> frozenset[str]:
+        """The ids of the popular items."""
+        return frozenset(compress(self.items.ids, self.popular.tolist()))
 
     def pop_of(self, item_id: str) -> float:
-        """Normalized popularity; 0.0 for items never seen in training."""
-        return self.pop.get(item_id, 0.0)
+        """Normalized popularity; 0.0 for items outside the catalog."""
+        code = self.items.code.get(item_id)
+        return 0.0 if code is None else float(self.pop[code])
+
+    def _codes(self, index: ItemIndex) -> np.ndarray:
+        """The catalog code of each interned id; one past the last for the others."""
+        return np.fromiter(map(self.items.code.get, index.ids, repeat(len(self.counts))), np.intp)
 
     def freq_array(self, index: ItemIndex) -> np.ndarray:
-        """Training frequency per interned id; 0 for ids outside the table."""
-        return np.array([self.freq.get(i, 0) for i in index.ids])
+        """Training frequency per interned id; 0 for ids outside the catalog."""
+        return np.append(self.counts, 0)[self._codes(index)]
 
     def arrays(self, index: ItemIndex) -> tuple[np.ndarray, np.ndarray]:
         """``pop`` values and the ``is_popular`` mask, one slot per interned id."""
-        pop = np.array([self.pop_of(i) for i in index.ids], dtype=np.float64)
-        popular = np.array([i in self.popular_set for i in index.ids], dtype=bool)
-        return pop, popular
+        codes = self._codes(index)
+        return np.append(self.pop, 0.0)[codes], np.append(self.popular, False)[codes]
 
 
 def train_counts(corpus: Corpus) -> np.ndarray:
@@ -90,27 +106,18 @@ def train_counts(corpus: Corpus) -> np.ndarray:
     return np.bincount(codes[codes < n_catalog], minlength=n_catalog)
 
 
-def train_frequencies(corpus: Corpus) -> dict[str, int]:
-    """``train_counts`` keyed by item id, in catalog order."""
-    return dict(zip(corpus.catalog.items, train_counts(corpus).tolist()))
+def item_coverage(counts: np.ndarray) -> float:
+    """Fraction of the catalog (one count per item) with frequency > 0."""
+    return int(np.count_nonzero(counts)) / len(counts)
 
 
-def item_coverage(freq: Mapping[str, int]) -> float:
-    """Fraction of the catalog (the keys of ``freq``) with frequency > 0."""
-    return sum(1 for f in freq.values() if f > 0) / len(freq)
-
-
-def _popular_items(
-    item_ids: Iterable[str], counts: np.ndarray, policy: ThresholdPolicy
-) -> frozenset[str]:
-    if policy.kind == "count_threshold":
-        assert policy.min_count is not None
-        popular = counts > policy.min_count
-    else:
-        assert policy.top_fraction is not None
-        n_top = max(1, math.ceil(policy.top_fraction * len(counts) - 1e-9))
-        popular = counts >= np.sort(counts)[len(counts) - n_top]
-    return frozenset(compress(item_ids, popular.tolist()))
+def _popular_items(counts: np.ndarray, policy: ThresholdPolicy) -> np.ndarray:
+    """The popular mask over ``counts``; all False when nothing was counted."""
+    if policy.kind == "count_threshold":  # ThresholdPolicy checks its own fields
+        return counts > policy.min_count
+    n_top = max(1, math.ceil(policy.top_fraction * len(counts) - 1e-9))
+    # with nothing counted, every count would tie with a boundary of 0
+    return (counts >= np.sort(counts)[len(counts) - n_top]) & counts.any()
 
 
 def build_popularity(corpus: Corpus, policy: ThresholdPolicy) -> PopularityTable:
@@ -118,31 +125,21 @@ def build_popularity(corpus: Corpus, policy: ThresholdPolicy) -> PopularityTable
 
     Only catalog items are tabulated; unknown mentions are the loader's
     concern. An empty training split yields an all-zero table with an empty
-    popular set (under a count threshold).
+    popular set, under either policy.
     """
     counts = train_counts(corpus)
-    item_ids = corpus.catalog.items
-    freq = dict(zip(item_ids, counts.tolist()))
-    max_freq = int(counts.max(initial=0))
-    if max_freq == 0:
-        # no training interactions at all: all-zero table, nothing is popular
-        pop = dict.fromkeys(freq, 0.0)
-        popular: frozenset[str] = frozenset()
-    else:
-        # int64 / int64 divides the exact doubles, as Python's int / int does below 2**53
-        pop = dict(zip(item_ids, (counts / max_freq).tolist()))
-        popular = _popular_items(item_ids, counts, policy)
-    return PopularityTable(freq=freq, pop=pop, popular_set=popular, eta_policy=policy)
+    popular = _popular_items(counts, policy)
+    return PopularityTable(ItemIndex(corpus.catalog.items), counts, popular, policy)
 
 
-def popular_item_ratio(table: PopularityTable, catalog: ItemCatalog) -> float:
+def popular_item_ratio(table: PopularityTable) -> float:
     """Fraction of the catalog inside the popular set."""
-    return len(table.popular_set) / len(catalog)
+    return int(np.count_nonzero(table.popular)) / len(table.popular)
 
 
 def save_table(table: PopularityTable, path: str | Path) -> None:
-    """Export one record per item: item_id, freq, pop, is_popular."""
+    """Export one record per catalog item: item_id, freq, pop, is_popular."""
+    rows = zip(table.items.ids, table.counts.tolist(), table.pop.tolist(), table.popular.tolist())
     write_json_lines(path, (
-        {"item_id": i, "freq": f, "pop": table.pop[i], "is_popular": i in table.popular_set}
-        for i, f in table.freq.items()
+        {"item_id": i, "freq": f, "pop": p, "is_popular": b} for i, f, p, b in rows
     ))

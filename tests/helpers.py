@@ -33,7 +33,7 @@ from crs_bias.metrics import (
     popularity_bias,
     rank_metrics,
 )
-from crs_bias.popularity import PopularityTable
+from crs_bias.popularity import ItemIndex, PopularityTable, ThresholdPolicy
 
 CATALOG_SIZE = 120
 MENTIONED_ITEMS = 80
@@ -52,6 +52,17 @@ def item_id(i: int) -> str:
 
 def standard_catalog() -> ItemCatalog:
     return ItemCatalog({item_id(i): f"Movie {i:03d}" for i in range(CATALOG_SIZE)})
+
+
+def count_table(counts: dict[str, int], popular=()) -> PopularityTable:
+    """A popularity table over the keys of ``counts``, in their order, with
+    those training frequencies and the popular set the caller chooses."""
+    return PopularityTable(
+        ItemIndex(counts),
+        np.array(list(counts.values())),
+        np.array([i in popular for i in counts], dtype=bool),
+        ThresholdPolicy.count_threshold(5),
+    )
 
 
 def store_records(columns) -> list[dict]:

@@ -43,9 +43,11 @@ from crs_bias.metrics import (
     popularity_bias,
     rank_metrics,
 )
-from crs_bias.popularity import PopularityTable, ThresholdPolicy, build_popularity
+from crs_bias.popularity import ThresholdPolicy, build_popularity
 
-from helpers import build_standard_corpus, scalar_report, single_mention_pool, store_records
+from helpers import (
+    build_standard_corpus, count_table, scalar_report, single_mention_pool, store_records,
+)
 
 DATA = Path(__file__).parent / "data"
 REAL_DATA_ENV = "CRS_BIAS_DATA_DIR"
@@ -193,13 +195,9 @@ def test_c04_pop_bias_matches_bruteforce_oracle():
 def test_c05_cep_uiop_bounds_and_skip_routing():
     rng = np.random.default_rng(20240601)
     items = [f"i{n}" for n in range(50)]
-    pop = {i: float(rng.random()) for i in items}
-    table = PopularityTable(
-        freq={i: int(rng.integers(0, 10_000)) for i in items},  # drawn apart from pop
-        pop=pop,
-        popular_set=frozenset(i for i in items if pop[i] > 0.6),
-        eta_policy=ThresholdPolicy.count_threshold(5),
-    )
+    chosen = {i for i in items if float(rng.random()) > 0.6}  # drawn apart from the counts
+    freq = {i: int(rng.integers(0, 10_000)) for i in items}
+    table = count_table(freq, chosen)
 
     def random_list(min_size=0, max_size=10):
         size = int(rng.integers(min_size, max_size + 1))
@@ -251,8 +249,8 @@ def test_c05_cep_uiop_bounds_and_skip_routing():
             last = max(previous, key=lambda e: e.turn_index)
             overlap = min(len(ranked), len(last.ranked_item_ids))
             rho = pearson(
-                [table.freq[i] for i in ranked[:overlap]],
-                [table.freq[i] for i in last.ranked_item_ids[:overlap]],
+                [freq[i] for i in ranked[:overlap]],
+                [freq[i] for i in last.ranked_item_ids[:overlap]],
             )
             assert result == bias * abs(rho)
 
@@ -269,12 +267,7 @@ def test_c05_cep_uiop_bounds_and_skip_routing():
 
     # zero-variance popularity profiles correlate as zero by definition,
     # no matter which side is flat
-    flat_table = PopularityTable(
-        freq={"f1": 5, "f2": 5, "f3": 5, "v1": 9, "v2": 3, "v3": 1},
-        pop={"f1": 0.5, "f2": 0.5, "f3": 0.5, "v1": 0.9, "v2": 0.3, "v3": 0.1},
-        popular_set=frozenset({"f1", "v1"}),
-        eta_policy=ThresholdPolicy.count_threshold(5),
-    )
+    flat_table = count_table({"f1": 5, "f2": 5, "f3": 5, "v1": 9, "v2": 3, "v3": 1}, {"f1", "v1"})
     n_zero_variance = 0
     varied = ("v1", "v2", "v3")
     for flat in itertools.permutations(("f1", "f2", "f3")):
@@ -440,6 +433,7 @@ def test_c09_every_appended_dialogue_respects_the_filter(
     standard_corpus, standard_pool, standard_table
 ):
     train_by_id = {d["dialogue_id"]: d for d in store_records(standard_corpus.columns)}
+    pop = dict(zip(standard_table.items.ids, standard_table.pop.tolist()))
     audited = 0
     for k in (1, 5, 10, 50):
         plan = pop_nudge(standard_corpus, standard_pool, standard_table, k, 32, seed=1234)
@@ -450,10 +444,10 @@ def test_c09_every_appended_dialogue_respects_the_filter(
                 anchor_pop = 0.0
                 for turn in anchor["turns"]:
                     for iid in turn["items"] + turn["targets"]:
-                        anchor_pop = max(anchor_pop, standard_table.pop.get(iid, 0.0))
+                        anchor_pop = max(anchor_pop, pop.get(iid, 0.0))
                 for synthetic_id in sampled:
                     item = standard_pool.item_of[synthetic_id]
-                    assert standard_table.pop.get(item, 0.0) <= anchor_pop, (
+                    assert pop.get(item, 0.0) <= anchor_pop, (
                         f"k={k}: {synthetic_id} more popular than anchor {anchor_id}"
                     )
                     audited += 1

@@ -34,9 +34,11 @@ from crs_bias.augment import (
 )
 from crs_bias.corpus import Corpus, CorpusError, Dialogue, ItemCatalog, Turn
 from crs_bias.metrics import initial_item_coverage
-from crs_bias.popularity import PopularityTable, ThresholdPolicy, train_frequencies
+from crs_bias.popularity import PopularityTable, train_counts
 
-from helpers import make_dialogue, reference_dialogue_max, reference_sample, store_records
+from helpers import (
+    count_table, make_dialogue, reference_dialogue_max, reference_sample, store_records,
+)
 
 
 def _synthetic(dialogue_id: str, item: str, split: str = "train") -> Dialogue:
@@ -59,17 +61,6 @@ def _pool(items: dict[str, str]) -> SyntheticPool:
     return SyntheticPool.from_dialogues([_synthetic(d, i) for d, i in items.items()])
 
 
-def _pop_table(freq: dict[str, int]) -> PopularityTable:
-    """A table with the given training frequencies and pop = freq / max."""
-    top = max(freq.values(), default=0)
-    return PopularityTable(
-        freq=freq,
-        pop={i: f / top if top else 0.0 for i, f in freq.items()},
-        popular_set=frozenset(),
-        eta_policy=ThresholdPolicy.count_threshold(5),
-    )
-
-
 # training frequencies with many ties and zeros, plus large values
 _FREQS = st.one_of(
     st.sampled_from([0, 0, 1, 2, 5, 10]),
@@ -90,7 +81,7 @@ def _assert_samples_match_reference(
     anchor's candidate prefix with the anchor's own RNG stream."""
     freq = {f"p{i}": f for i, f in enumerate(pool_freqs)}
     freq.update({f"a{j}": f for j, f in enumerate(anchor_freqs)})
-    table = _pop_table(freq)
+    table = count_table(freq)
     catalog = ItemCatalog({item: item.upper() for item in freq})
     train = Corpus(
         catalog, tuple(make_dialogue(f"d{j}", [f"a{j}"]) for j in range(len(anchor_freqs)))
@@ -311,7 +302,7 @@ class TestPopNudge:
         )
         # explicit frequencies so the filter example is exact:
         # pool item pops {s-hot: 0.9, s-warm: 0.4, s-cold: 0.2}
-        table = _pop_table({"a": 10, "b": 5, "c": 9, "d": 4, "e": 2})
+        table = count_table({"a": 10, "b": 5, "c": 9, "d": 4, "e": 2})
         pool = _pool({"s-hot": "c", "s-warm": "d", "s-cold": "e"})
         return train, pool, table
 
@@ -328,7 +319,7 @@ class TestPopNudge:
         # the filter removes strictly-more-popular items only
         catalog = ItemCatalog({"a": "A", "b": "B"})
         train = Corpus(catalog, (make_dialogue("d1", ["b"]),))
-        table = _pop_table({"a": 2, "b": 1})
+        table = count_table({"a": 2, "b": 1})
         pool = _pool({"s-same": "b"})
         plan = pop_nudge(train, pool, table, k=1, batch_size=1, seed=5)
         assert plan.batches[0].samples["d1"] == ("s-same",)
@@ -336,7 +327,7 @@ class TestPopNudge:
     def test_anchor_less_popular_than_whole_pool_gets_nothing(self):
         catalog = ItemCatalog({"a": "A", "b": "B"})
         train = Corpus(catalog, (make_dialogue("d1", ["b"]),))
-        table = _pop_table({"a": 10, "b": 1})
+        table = count_table({"a": 10, "b": 1})
         pool = _pool({"s1": "a"})
         plan = pop_nudge(train, pool, table, k=2, batch_size=1, seed=5)
         assert plan.batches[0].samples["d1"] == ()
@@ -434,7 +425,7 @@ class TestPopNudge:
     def test_unusable_frequencies_rejected(self, bad):
         catalog = ItemCatalog({"a": "A", "p0": "P0", "p1": "P1"})
         train = Corpus(catalog, (make_dialogue("d1", ["a"]),))
-        table = _pop_table({"a": 1, **bad})
+        table = count_table({"a": 1, **bad})
         pool = _pool({"s0": "p0", "s1": "p1"})
         with pytest.raises(AugmentError, match="2\\*\\*53|integers"):
             pop_nudge(train, pool, table, k=1, batch_size=1, seed=0)
@@ -444,7 +435,10 @@ class TestPopNudge:
     ):
         # with pop = freq / max_freq, sorting and cutting by frequency give
         # the candidate sets the popularity order gives
-        freq, pops = standard_table.freq, standard_table.pop_of
+        ids = standard_table.items.ids
+        freq = dict(zip(ids, standard_table.counts.tolist()))
+        pop = dict(zip(ids, standard_table.pop.tolist()))
+        pops = standard_table.pop_of
         by_freq = sorted(standard_pool.item_of, key=lambda s: (freq[standard_pool.item_of[s]], s))
         by_pop = sorted(standard_pool.item_of, key=lambda s: (pops(standard_pool.item_of[s]), s))
         assert by_freq == by_pop
@@ -453,7 +447,7 @@ class TestPopNudge:
         for anchor in _split_records(standard_corpus, "train"):
             anchor_freq = reference_dialogue_max(anchor, freq)
             assert bisect_right(freqs, anchor_freq) == bisect_right(
-                popularities, reference_dialogue_max(anchor, standard_table.pop)
+                popularities, reference_dialogue_max(anchor, pop)
             )
 
     def test_standard_plan_file_is_pinned(
@@ -708,7 +702,7 @@ class TestLongtail:
             catalog,
             (make_dialogue("d1", ["a"], split="test"), make_dialogue("d2", ["a"])),
         )
-        assert train_frequencies(corpus) == {"a": 1}
+        assert train_counts(corpus).tolist() == [1]
 
 
 class TestAnchorPopularity:
@@ -720,10 +714,10 @@ class TestAnchorPopularity:
         return corpus.columns.dialogue_max(table.arrays(corpus.columns.items)[0]).tolist()
 
     def test_max_over_items(self):
-        table = _pop_table({"a": 3, "b": 9, "c": 10})
+        table = count_table({"a": 3, "b": 9, "c": 10})
         assert self._anchor_popularity(make_dialogue("d", ["a", "b"]), table) == [0.9]
 
     def test_no_items_is_zero(self):
-        table = _pop_table({"a": 3})
+        table = count_table({"a": 3})
         chat = Dialogue("d", (Turn("seeker", "hello"),))
         assert self._anchor_popularity(chat, table) == [0.0]

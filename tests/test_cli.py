@@ -859,6 +859,14 @@ class TestEvaluate:
                 '{"model": "run_small", "metric": "cep", "mean": 0, "std": 0, "n": 1, '
                 '"n_skipped": 0, "report_format": 3}', id="unknown-report-format",
             ),
+            pytest.param(
+                '{"model": "run_small", "metric": "cep", "mean": 0, "std": 0, "n": -5, '
+                '"n_skipped": 0}', id="negative-n",
+            ),
+            pytest.param(
+                '{"model": "run_small", "metric": "cep", "mean": 0, "std": 0, "n": 1, '
+                '"n_skipped": 1, "skip_reasons": {"first_episode": 0.5}}', id="fractional-skip-count",
+            ),
         ],
     )
     def test_malformed_report_exits_2_with_path_line(self, tmp_path, capsys, line):

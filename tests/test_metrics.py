@@ -41,6 +41,7 @@ from crs_bias import metrics as metrics_module
 
 from helpers import (
     build_standard_corpus,
+    count_table,
     file_entries,
     reference_run_columns,
     run_columns_lists,
@@ -56,13 +57,10 @@ RHO_EXAMPLE = math.sqrt(3.0) / 2.0                 # freqs [8,2,4] vs [6,1,5]
 
 
 def _table(pop: dict[str, float], popular: set[str]) -> PopularityTable:
-    # the hand examples' popularities are tenths: frequencies proportional to them
-    return PopularityTable(
-        freq={i: round(10 * p) for i, p in pop.items()},
-        pop=pop,
-        popular_set=frozenset(popular),
-        eta_policy=ThresholdPolicy.count_threshold(5),
-    )
+    # the hand examples' popularities are tenths: counts round(10 p) and an
+    # unranked item of count 10 give them back bit for bit, since k / 10 is
+    # the double nearest the literal
+    return count_table({**{i: round(10 * p) for i, p in pop.items()}, "top": 10}, popular)
 
 
 class TestCoverage:
@@ -497,7 +495,7 @@ RUN_ENTRIES = st.lists(
     max_size=30,
     unique_by=lambda e: (e[0], e[1]),
 )
-# training frequencies up to 2**40, drawn apart from the popularities: CEP's
+# training frequencies up to 2**40 (popularities are derived from them): CEP's
 # integer sums over 12-item lists leave int64 once the largest passes 2**28
 TABLE_FREQS = st.integers(0, 2**40).flatmap(
     lambda top: st.lists(st.integers(0, top), min_size=len(TABLE_IDS), max_size=len(TABLE_IDS))
@@ -567,7 +565,6 @@ class TestEvaluateRun:
     @given(
         entries=RUN_ENTRIES,
         freqs=TABLE_FREQS,
-        pops=st.lists(st.floats(0.0, 1.0), min_size=len(TABLE_IDS), max_size=len(TABLE_IDS)),
         popular=st.lists(st.booleans(), min_size=len(TABLE_IDS), max_size=len(TABLE_IDS)),
         cutoffs=st.lists(st.integers(1, 16), min_size=1, max_size=3).map(tuple),
         log_base=st.sampled_from((math.e, 2.0, 10.0, 1.5)),
@@ -577,7 +574,6 @@ class TestEvaluateRun:
                  ("d0", 5, 2, ("i1", "i2", "i3"), ("u1",)), ("d0", 6, 1, (), ("i2",)),
                  ("d0", 7, 3, ("i0", "i3"), ("i3", "u0"))],
         freqs=[2, 9, 9, 0, 4, 0, 1, 3, 6],
-        pops=[0.9, 0.3, 0.3, 0.0, 0.1, 0.0, 0.2, 0.5, 0.7],
         popular=[True, False, True, False, False, False, False, True, True],
         cutoffs=(1, 16),
         log_base=math.e,
@@ -587,7 +583,6 @@ class TestEvaluateRun:
                  ("d0", 3, 1, ("i1", "i0", "i5"), ("i1",)), ("d0", 4, 1, ("i3", "i6", "i2"), ()),
                  ("d0", 5, 1, ("i0", "i5", "i1", "i2", "u1"), ()), ("d0", 6, 1, ("i6", "i0"), ())],
         freqs=[2**40, 7, 2**33, 0, 5, 1, 2**39 + 3, 12, 4],
-        pops=[0.9, 0.3, 0.6, 0.05, 0.1, 0.0, 0.2, 0.5, 0.7],
         popular=[True, False, True, False, False, False, False, True, True],
         cutoffs=(3,),
         log_base=math.e,
@@ -597,13 +592,12 @@ class TestEvaluateRun:
                  ("d1", 2, 2, ("i3", "i4", "i0", "i1"), ("i0",)), ("d0", 1, 1, ("i5", "i1"), ()),
                  ("d0", 0, 0, ("i2", "i0", "i4", "i3", "i5"), ()), ("d1", 3, 2, ("i6", "i1", "i0"), ())],
         freqs=[30, 1, 17, 17, 2, 0, 8, 5, 11],
-        pops=[0.9, 0.3, 0.6, 0.05, 0.1, 0.0, 0.2, 0.5, 0.7],
         popular=[True, False, True, False, False, False, False, True, True],
         cutoffs=(2, 5),
         log_base=2.0,
     )
-    def test_columnar_matches_scalar(self, entries, freqs, pops, popular, cutoffs, log_base):
-        _assert_columnar_matches_scalar(entries, freqs, pops, popular, cutoffs, log_base)
+    def test_columnar_matches_scalar(self, entries, freqs, popular, cutoffs, log_base):
+        _assert_columnar_matches_scalar(entries, freqs, popular, cutoffs, log_base)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -612,30 +606,29 @@ class TestEvaluateRun:
         popular=st.lists(st.booleans(), min_size=len(TABLE_IDS), max_size=len(TABLE_IDS)),
     )
     def test_columnar_matches_scalar_on_count_ratios(self, entries, freqs, popular):
-        # frequencies and popularities as build_popularity makes them
-        top = max(freqs)
-        pops = [f / top if top else 0.0 for f in freqs]
-        assert metrics_module._fixed_point(np.array(pops + [0.0]), 12) is not None
-        _assert_columnar_matches_scalar(entries, freqs, pops, popular, (5,), math.e)
+        # counts up to 5,000 keep the derived popularities in fixed-point range
+        pops = _drawn_table(freqs, popular).pop
+        assert metrics_module._fixed_point(np.append(pops, 0.0), 12) is not None
+        _assert_columnar_matches_scalar(entries, freqs, popular, (5,), math.e)
 
     def test_long_lists_fall_back_to_fsum_exactly(self):
         # over 1,200-item lists, discounts with a log base just above 1 (and
-        # popularities spread over ~100 binary orders of magnitude) are out of
-        # the two-limb fixed-point range, so utility sums use fsum
+        # popularities spread over 21 binary orders of magnitude, counts 1 to
+        # about 2**21) are out of the two-limb fixed-point range, so utility
+        # sums use fsum
         ids = [f"i{n}" for n in range(1_300)]
         catalog = ItemCatalog({i: i for i in ids})
         turns = tuple(Turn("recommender", f"t{t}") for t in range(4))
         corpus = Corpus(catalog, (Dialogue("d", turns),))
         rng = np.random.default_rng(5)
-        pop = {i: float(rng.random()) ** 8 for i in ids}
-        table = PopularityTable(
-            freq={i: int(rng.integers(1, 10**6)) for i in ids}, pop=pop,
-            popular_set=frozenset(i for i in ids if pop[i] > 0.4 ** 8),
-            eta_policy=ThresholdPolicy.count_threshold(5),
+        counts = [max(1, round(float(rng.random()) ** 8 * 2**21)) for _ in ids]
+        top = max(counts)
+        table = count_table(
+            dict(zip(ids, counts)), {i for i, c in zip(ids, counts) if c / top > 0.4 ** 8}
         )
         log_base = 1.0 + 2.0**-30
         discounts = [1.0 / (math.log(r) / math.log(log_base) + 1.0) for r in range(1, 1_201)]
-        for terms in (discounts, list(pop.values())):
+        for terms in (discounts, table.pop.tolist()):
             assert metrics_module._fixed_point(np.array(terms), 1_200) is None
         entries = tuple(
             RunEntry("d", t, t // 2, tuple(map(str, rng.choice(ids, size=1_200, replace=False))),
@@ -836,6 +829,22 @@ class TestReportIO:
              '"n_skipped": 0}', "'n'"),
             ('{"model": "m", "metric": "pop_bias", "mean": 0.5, "std": 0.0, "n": 1, '
              '"n_skipped": 0, "skip_reasons": []}', "'skip_reasons'"),
+            ('{"model": "m", "metric": "pop_bias", "mean": 0.5, "std": 0.0, "n": -5, '
+             '"n_skipped": 0}', "'n' has -5"),
+            ('{"model": "m", "metric": "pop_bias", "mean": 0.5, "std": 0.0, "n": 1, '
+             '"n_skipped": -1}', "'n_skipped' has -1"),
+            ('{"model": "m", "metric": "pop_bias", "mean": 0.5, "std": 0.0, "n": 1, '
+             '"n_skipped": 1, "skip_reasons": {"no_targets": 1.5}}',
+             "'skip_reasons' has .'no_targets': 1.5."),
+            ('{"model": "m", "metric": "pop_bias", "mean": 0.5, "std": 0.0, "n": 1, '
+             '"n_skipped": 1, "skip_reasons": {"no_targets": true}}',
+             "'skip_reasons' has .'no_targets': True."),
+            ('{"model": "m", "metric": "pop_bias", "mean": 0.5, "std": 0.0, "n": 1, '
+             '"n_skipped": 1, "skip_reasons": {"no_targets": "1"}}',
+             "'skip_reasons' has .'no_targets': '1'."),
+            ('{"model": "m", "metric": "pop_bias", "mean": 0.5, "std": 0.0, "n": 1, '
+             '"n_skipped": 1, "skip_reasons": {"no_targets": -1}}',
+             "'skip_reasons' has .'no_targets': -1."),
             ('{"model": "m", "metric": "pop_bias", "mean": 0.5, "std": 0.0, "n": 1, '
              '"n_skipped": 0, "report_format": 3}', "unknown report_format 3"),
             ('{"model": "m", "metric": "pop_bias", "mean": 0.5, "std": 0.0, "n": 1, '
@@ -863,21 +872,18 @@ class TestReportIO:
         assert set(separator) == {"-"}
 
 
-def _drawn_table(freqs, pops, popular) -> PopularityTable:
-    return PopularityTable(
-        freq=dict(zip(TABLE_IDS, freqs)),
-        pop=dict(zip(TABLE_IDS, pops)),
-        popular_set=frozenset(i for i, p in zip(TABLE_IDS, popular) if p),
-        eta_policy=ThresholdPolicy.count_threshold(5),
+def _drawn_table(freqs, popular) -> PopularityTable:
+    return count_table(
+        dict(zip(TABLE_IDS, freqs)), {i for i, p in zip(TABLE_IDS, popular) if p}
     )
 
 
-def _assert_columnar_matches_scalar(entries, freqs, pops, popular, cutoffs, log_base) -> None:
+def _assert_columnar_matches_scalar(entries, freqs, popular, cutoffs, log_base) -> None:
     """``evaluate_run`` over a two-dialogue corpus equals ``scalar_report``."""
     catalog = ItemCatalog({i: i.upper() for i in CATALOG_IDS})
     turns = tuple(Turn("recommender", f"t{t}") for t in range(RAGGED_TURNS))
     corpus = Corpus(catalog, (Dialogue("d0", turns), Dialogue("d1", turns)))
-    table = _drawn_table(freqs, pops, popular)
+    table = _drawn_table(freqs, popular)
     entries = [RunEntry(*e) for e in entries]
     run = RankedRun.from_entries("m", entries)
     columnar = evaluate_run(run, corpus, table, cutoffs=cutoffs, log_base=log_base)
@@ -915,8 +921,7 @@ class TestIntegerPearson:
         popular=st.lists(st.booleans(), min_size=len(TABLE_IDS), max_size=len(TABLE_IDS)),
     )
     def test_column_cep_equals_the_oracle(self, entries, freqs, popular):
-        # one popularity for every item: a CEP that read it would score 0
-        table = _drawn_table(freqs, [0.5] * len(TABLE_IDS), popular)
+        table = _drawn_table(freqs, popular)
         column, oracle = self._cep_both_ways(entries, table)
         assert column == oracle
 
@@ -930,7 +935,7 @@ class TestIntegerPearson:
     def test_int64_branch(self):
         freqs = [5_000, 12, 731, 0, 4_999, 3, 260, 88, 1]
         assert 4**2 * max(freqs) ** 2 < 2**63
-        table = _drawn_table(freqs, [0.5] * 9, [True] * 9)
+        table = _drawn_table(freqs, [True] * 9)
         column, oracle = self._cep_both_ways(self.BRANCH_ENTRIES, table)
         assert column == oracle
         assert all(isinstance(v, float) and v > 0.0 for v in column[1:4] + column[5:])
@@ -941,7 +946,7 @@ class TestIntegerPearson:
         big = 2**40
         freqs = [big + 3, big, big + 1, big + 7, big + 10, big + 7, big + 8, big + 14, 1]
         assert 4**2 * max(freqs) ** 2 >= 2**63
-        table = _drawn_table(freqs, [0.5] * 9, [True] * 9)
+        table = _drawn_table(freqs, [True] * 9)
         column, oracle = self._cep_both_ways(self.BRANCH_ENTRIES, table)
         assert column == oracle
         assert all(isinstance(v, float) and v > 0.0 for v in column[1:4] + column[5:])

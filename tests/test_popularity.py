@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from crs_bias.popularity import (
     item_coverage,
     popular_item_ratio,
     save_table,
-    train_frequencies,
+    train_counts,
 )
 
 from helpers import make_dialogue
@@ -34,8 +35,9 @@ def _corpus_with_counts(counts: dict[str, int], extra_items: tuple[str, ...] = (
 class TestBuild:
     def test_max_normalization(self, freq_corpus):
         table = build_popularity(freq_corpus, ThresholdPolicy.count_threshold(5))
-        assert table.freq == {"a": 10, "b": 5, "c": 2, "d": 0}
-        assert table.pop == {"a": 1.0, "b": 0.5, "c": 0.2, "d": 0.0}
+        assert table.items.ids == ["a", "b", "c", "d"]
+        assert table.counts.tolist() == [10, 5, 2, 0]
+        assert table.pop.tolist() == [1.0, 0.5, 0.2, 0.0]
 
     def test_count_threshold_is_strict(self, freq_corpus):
         # freq must exceed the threshold: b sits exactly at 5 and stays out
@@ -62,8 +64,9 @@ class TestBuild:
         catalog = ItemCatalog({"a": "A", "b": "B"})
         corpus = Corpus(catalog, (make_dialogue("t1", ["a"], split="test"),))
         table = build_popularity(corpus, policy)
-        assert table.freq == {"a": 0, "b": 0}
-        assert table.pop == {"a": 0.0, "b": 0.0}
+        assert table.counts.tolist() == [0, 0]
+        assert table.pop.tolist() == [0.0, 0.0]
+        assert table.popular.tolist() == [False, False]
         assert table.popular_set == frozenset()
 
     def test_item_counts_once_per_turn_even_as_mention_and_target(self):
@@ -71,20 +74,24 @@ class TestBuild:
         turn = Turn("recommender", "take @a", mentioned_item_ids=("a",), target_item_ids=("a",))
         corpus = Corpus(catalog, (Dialogue("d1", (Turn("seeker", "hi"), turn)),))
         table = build_popularity(corpus, ThresholdPolicy.count_threshold(5))
-        assert table.freq["a"] == 1
+        assert table.counts.tolist() == [1]
 
     def test_unknown_items_not_tabulated(self):
         catalog = ItemCatalog({"a": "A"})
         turn = Turn("recommender", "@a @zz", mentioned_item_ids=("a", "zz"))
         corpus = Corpus(catalog, (Dialogue("d1", (turn,)),))
         table = build_popularity(corpus, ThresholdPolicy.count_threshold(1))
-        assert set(table.freq) == {"a"}
+        assert table.items.ids == ["a"]
+        assert table.freq_array(ItemIndex(["zz", "a"])).tolist() == [0, 1]
 
     def test_order_independent(self, freq_corpus):
         table = build_popularity(freq_corpus, ThresholdPolicy.count_threshold(5))
         rows = list(reversed(range(len(freq_corpus.columns))))
         reversed_corpus = Corpus.from_columns(freq_corpus.catalog, freq_corpus.columns.take(rows))
-        assert build_popularity(reversed_corpus, ThresholdPolicy.count_threshold(5)) == table
+        other = build_popularity(reversed_corpus, ThresholdPolicy.count_threshold(5))
+        assert other.items.ids == table.items.ids
+        assert np.array_equal(other.counts, table.counts)
+        assert np.array_equal(other.popular, table.popular)
 
     def test_pop_of_unknown_is_zero(self, freq_corpus):
         table = build_popularity(freq_corpus, ThresholdPolicy.count_threshold(5))
@@ -109,7 +116,7 @@ class TestPolicy:
 class TestRatioAndProperties:
     def test_popular_item_ratio_fixture(self, freq_corpus):
         table = build_popularity(freq_corpus, ThresholdPolicy.count_threshold(5))
-        assert popular_item_ratio(table, freq_corpus.catalog) == 0.25
+        assert popular_item_ratio(table) == 0.25
 
     @settings(max_examples=100)
     @given(
@@ -138,11 +145,12 @@ class TestRatioAndProperties:
     def test_pop_values_in_unit_interval_and_argmax_at_one(self, counts):
         corpus = _corpus_with_counts(counts)
         table = build_popularity(corpus, ThresholdPolicy.count_threshold(1))
-        assert all(0.0 <= p <= 1.0 for p in table.pop.values())
-        max_freq = max(table.freq.values())
+        pop, freq = table.pop.tolist(), table.counts.tolist()
+        assert all(0.0 <= p <= 1.0 for p in pop)
+        max_freq = max(freq)
         if max_freq > 0:
-            attains_one = {i for i, p in table.pop.items() if p == 1.0}
-            assert attains_one == {i for i, f in table.freq.items() if f == max_freq}
+            attains_one = {i for i, p in zip(table.items.ids, pop) if p == 1.0}
+            assert attains_one == {i for i, f in zip(table.items.ids, freq) if f == max_freq}
 
 
 class TestExport:
@@ -151,18 +159,20 @@ class TestExport:
         out = tmp_path / "pop.jsonl"
         save_table(table, out)
         records = [json.loads(line) for line in out.read_text().splitlines()]
-        assert {r["item_id"]: r["freq"] for r in records} == table.freq
+        assert [r["item_id"] for r in records] == table.items.ids
+        assert [r["freq"] for r in records] == table.counts.tolist()
+        assert [r["pop"] for r in records] == table.pop.tolist()
         assert [r["is_popular"] for r in records if r["item_id"] == "a"] == [True]
 
 
 class TestFrequencyCount:
     def test_table_uses_the_shared_count(self, freq_corpus):
         table = build_popularity(freq_corpus, ThresholdPolicy.count_threshold(5))
-        assert table.freq == train_frequencies(freq_corpus) == {"a": 10, "b": 5, "c": 2, "d": 0}
+        assert table.counts.tolist() == train_counts(freq_corpus).tolist() == [10, 5, 2, 0]
 
     def test_coverage_counts_items_with_frequency(self, freq_corpus):
-        assert item_coverage(train_frequencies(freq_corpus)) == 0.75
-        assert item_coverage({"a": 0, "b": 0}) == 0.0
+        assert item_coverage(train_counts(freq_corpus)) == 0.75
+        assert item_coverage(np.array([0, 0])) == 0.0
 
 
 class TestItemIndex:
@@ -172,9 +182,31 @@ class TestItemIndex:
         assert index.ids == ["a", "b", "zz", "yy"]
         assert len(index) == 4
 
-    def test_table_arrays_follow_the_index(self, freq_corpus):
-        table = build_popularity(freq_corpus, ThresholdPolicy.count_threshold(5))
-        index = ItemIndex(["d", "a", "unknown"])
-        pop, popular = table.arrays(index)
-        assert pop.tolist() == [0.0, 1.0, 0.0]
-        assert popular.tolist() == [False, True, False]
+    @pytest.mark.parametrize("lookup", ["arrays", "freq_array"])
+    @pytest.mark.parametrize("order", ["by_hand", "corpus_index", "reversed_catalog"])
+    def test_table_arrays_follow_the_index(self, lookup, order):
+        # the freq_corpus counts, plus a test-split dialogue whose unknown ids
+        # the corpus's own index appends after the catalog
+        catalog = ItemCatalog({i: i.upper() for i in "abcd"})
+        dialogues = [make_dialogue(f"d{n:02d}", [i]) for n, i in enumerate("a" * 10 + "b" * 5 + "cc")]
+        dialogues.append(make_dialogue("u", ["zz", "a", "yy"], split="test"))
+        corpus = Corpus(catalog, tuple(dialogues))
+        table = build_popularity(corpus, ThresholdPolicy.count_threshold(5))
+        index = {
+            "by_hand": ItemIndex(["d", "a", "unknown"]),
+            "corpus_index": corpus.columns.items,
+            "reversed_catalog": ItemIndex(["zz", *reversed(catalog.items)]),
+        }[order]
+        if order == "corpus_index":
+            assert index.ids == ["a", "b", "c", "d", "zz", "yy"]
+        freq = {"a": 10, "b": 5, "c": 2, "d": 0}
+        if lookup == "arrays":
+            pop, popular = table.arrays(index)
+            assert pop.tolist() == [freq.get(i, 0) / 10 for i in index.ids]
+            assert popular.tolist() == [i == "a" for i in index.ids]
+        else:
+            assert table.freq_array(index).tolist() == [freq.get(i, 0) for i in index.ids]
+        top = table.counts.max()
+        for code, item in enumerate(table.items.ids):
+            assert table.pop_of(item) == table.counts[code] / top
+        assert table.popular_set == {i for i, p in zip(table.items.ids, table.popular) if p}
