@@ -244,6 +244,14 @@ class AugmentationPlan:
         return tuple(dict.fromkeys(s for batch in self.batches for s in batch.appended_ids()))
 
 
+def _gather_both(table: PopularityTable, train: Corpus, pool: SyntheticPool) -> tuple[tuple, tuple]:
+    """``table.gather`` over the training corpus's index and the pool's: one
+    walk when they share it, as ``augment`` loads them."""
+    on_train = table.gather(train.columns.items)
+    shared = pool.columns.items is train.columns.items
+    return on_train, on_train if shared else table.gather(pool.columns.items)
+
+
 def pop_nudge(
     train: Corpus,
     pool: SyntheticPool,
@@ -281,12 +289,11 @@ def pop_nudge(
     # prefix then gives each anchor its candidate set via one search. With
     # pop = freq / max_freq this is the popularity order, and frequencies
     # weight the draws exactly as popularities would
-    ranked_pool = sorted(zip(
-        table.freq_array(pool.columns.items)[pool.item_codes].tolist(), pool.columns.dialogue_ids
-    ))
+    (train_freqs, _, _), (item_freqs, _, _) = _gather_both(table, train, pool)
+    ranked_pool = sorted(zip(item_freqs[pool.item_codes].tolist(), pool.columns.dialogue_ids))
     pool_freqs, pool_ids = zip(*ranked_pool)
     weights, prefix = _weight_prefix(pool_freqs)
-    anchor_freqs = train.columns.dialogue_max(table.freq_array(train.columns.items))
+    anchor_freqs = train.columns.dialogue_max(train_freqs)
     cuts = np.searchsorted(np.asarray(pool_freqs), anchor_freqs[shuffled], side="right").tolist()
 
     batches: list[PlanBatch] = []
@@ -386,10 +393,10 @@ def audit_plan(
     """Independent filter check: every appended item must be at most as
     popular as its anchor. Returns a list of violations (empty = pass)."""
     violations: list[str] = []
-    anchor_pops = train.columns.dialogue_max(table.arrays(train.columns.items)[0])
+    (_, train_pops, _), (_, item_pops, _) = _gather_both(table, train, pool)
+    anchor_pops = train.columns.dialogue_max(train_pops)
     anchor_pop_of = dict(zip(train.columns.dialogue_ids, anchor_pops.tolist()))
-    item_pops = table.arrays(pool.columns.items)[0][pool.item_codes]
-    item_pop_of = dict(zip(pool.columns.dialogue_ids, item_pops.tolist()))
+    item_pop_of = dict(zip(pool.columns.dialogue_ids, item_pops[pool.item_codes].tolist()))
     for batch in plan.batches:
         for anchor_id, sampled in batch.samples.items():
             anchor_pop = anchor_pop_of.get(anchor_id)
@@ -465,7 +472,7 @@ def _plan_ids(value, key: str) -> tuple[str, ...]:
 
 
 def _plan_batch(record: dict) -> PlanBatch:
-    return PlanBatch(
+    batch = PlanBatch(
         index=_plan_field(record, "index", int),
         anchor_ids=_plan_ids(_plan_field(record, "anchors", list), "anchors"),
         samples={
@@ -473,14 +480,19 @@ def _plan_batch(record: dict) -> PlanBatch:
             for anchor, ids in _plan_field(record, "samples", dict).items()
         },
     )
+    strays = batch.samples.keys() - set(batch.anchor_ids)
+    if strays:  # their samples would never be appended
+        raise AugmentError(f"samples for {min(strays)!r}, not an anchor of batch {batch.index}")
+    return batch
 
 
 def load_plan(path: str | Path) -> AugmentationPlan:
     """Read a ``save_plan`` file; a header without ``format_version`` is
     version 1. A line that is not a JSON object raises ``CorpusError``; a
     second header, an unknown record, a missing or mistyped field, an
-    unknown format version and a repeated batch index raise
-    ``AugmentError``. Both name ``path:line``."""
+    unknown format version, a repeated batch index and samples keyed by a
+    dialogue that is not an anchor of their batch raise ``AugmentError``.
+    Both name ``path:line``."""
     path = Path(path)
     header: dict | None = None
     batches: dict[int, PlanBatch] = {}

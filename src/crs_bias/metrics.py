@@ -23,9 +23,9 @@ run's columns through the loader harness the corpus store uses
 pass per rule, and a run that breaks a rule is checked again record by
 record, so the error names the first bad line. ``evaluate_run`` scores a
 whole run column-wise over interned item codes and reproduces the reference
-functions bit for bit: discount row sums are exact as two fixed-point limbs
-(``fsum`` where they do not fit), and CEP's Pearson sums, over the items'
-integer training frequencies, are exact integers.
+functions bit for bit: each sum the reference takes with ``fsum`` is an
+exact integer sum, rounded once (rank discounts at the finest one's
+power-of-two scale; CEP's Pearson sums over integer training frequencies).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress
 from math import fsum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -370,8 +369,8 @@ def cross_episode_popularity(
     if length < 2:
         return Skipped("insufficient_overlap")
     # a ranked list holds no id twice, so it indexes its own frequencies
-    cur_freqs = table.freq_array(ItemIndex(current.ranked_item_ids[:length])).tolist()
-    prev_freqs = table.freq_array(ItemIndex(previous.ranked_item_ids[:length])).tolist()
+    cur_freqs = table.gather(ItemIndex(current.ranked_item_ids[:length]))[0][:length].tolist()
+    prev_freqs = table.gather(ItemIndex(previous.ranked_item_ids[:length]))[0][:length].tolist()
     rho = pearson(cur_freqs, prev_freqs)
     return popularity_bias(current.ranked_item_ids, table.popular_set, log_base) * abs(rho)
 
@@ -489,62 +488,37 @@ def _validate_join(model_name: str, run: RunColumns, corpus: Corpus) -> None:
         raise CorpusError(f"{where}run {model_name!r} does not join against corpus: {shown}")
 
 
-# rows summed, and Pearson rows scored, per block
+# rows summed, and Pearson rows scored, per block, so that no call holds an
+# (entries x width) matrix of integers
 _ROW_BLOCK = 512
-# bits in the low limb of a fixed-point term
-_LIMB = 31
 
 
-def _fixed_point(terms: np.ndarray, width: int) -> tuple[np.ndarray, int] | None:
-    """``(limbs, scale)``: per term, integer-valued doubles ``(high, low)``
-    with ``term == (high * 2**31 + low) * 2**-scale`` and ``0 <= low <
-    2**31``, when the high limbs, and the low limbs, of any ``width`` terms
-    sum below ``2**53`` in magnitude, so every partial sum of them is an
-    exact double; else None.
-
-    A finite double is an integer multiple of ``2**(exponent - 53)``, so
-    ``scale`` from the smallest exponent makes every term an integer.
-    """
-    if not np.isfinite(terms).all():
-        return None
-    exponents = np.frexp(terms[terms != 0.0])[1].tolist() or [0]
-    low_exponent, high_exponent = min(exponents), max(exponents)
-    scale = 53 - low_exponent
-    # |term| < 2**high_exponent, so |high| <= 2**(high_exponent + scale - _LIMB)
-    # and a sum of width terms stays below 2**(high_exponent + bits), finite
-    bits = width.bit_length()
-    if (low_exponent <= -900 or high_exponent + bits > 1023
-            or max(high_exponent + scale - _LIMB, _LIMB) + bits > 53):
-        return None
-    scaled = np.ldexp(terms, scale)  # exact integers
-    high = np.floor(np.ldexp(scaled, -_LIMB))
-    return np.stack((high, scaled - np.ldexp(high, _LIMB)), axis=1), scale
+def _sum_dtype(count: int, largest: int) -> type:
+    """``np.int64`` when any ``count`` integers of magnitude at most
+    ``largest`` sum below ``2**63`` in magnitude, else ``object`` (Python ints)."""
+    return np.int64 if count * largest < 2**63 else object
 
 
 def _exact_row_sums(mask: np.ndarray, terms: Sequence[float]) -> np.ndarray:
     """Per row, ``fsum`` of ``terms[j]`` for every ``j`` with ``mask[row, j]``,
-    bit for bit.
+    bit for bit, in blocks of ``_ROW_BLOCK`` rows.
 
-    Terms are summed as two fixed-point limbs (``_fixed_point``), whose
-    partial sums are exact in any order, so a matrix product sums them; then
-    adding the high sum times ``2**31`` to the low sum rounds once, to the
-    correctly rounded sum that ``fsum`` returns. Terms out of the limbs'
-    range are summed with ``fsum``, row by row. Rows go in blocks of
-    ``_ROW_BLOCK``.
+    The terms are integers at the finest term's power-of-two scale, and each
+    exact integer row sum (``_sum_dtype``) divided by the scale rounds once:
+    an int64 sum on its conversion to a double, which a scale below
+    ``2**1022`` divides exactly; a Python int by ``int / int``, which rounds
+    correctly and raises ``OverflowError`` where ``fsum`` does.
     """
     width = mask.shape[1]
-    terms = np.asarray(terms, dtype=np.float64)[:width]
-    fixed = _fixed_point(terms, width)
+    ratios = [float(term).as_integer_ratio() for term in terms[:width]]
+    scale = max((d for _, d in ratios), default=1)
+    ints = [n * (scale // d) for n, d in ratios]
+    dtype = _sum_dtype(width, max(map(abs, ints), default=0)) if scale < 2**1022 else object
+    ints, divisor = np.array(ints, dtype=dtype), float(scale) if dtype is np.int64 else scale
     sums = np.empty(len(mask))
     for start in range(0, len(mask), _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        used = mask[rows]
-        if fixed is None:
-            sums[rows] = [fsum(compress(terms.tolist(), row_used)) for row_used in used.tolist()]
-            continue
-        limbs, scale = fixed
-        high, low = (used @ limbs).T
-        sums[rows] = np.ldexp(np.ldexp(high, _LIMB) + low, -scale)
+        sums[rows] = (mask[rows] @ ints) / divisor
     return sums
 
 
@@ -585,11 +559,12 @@ def _pearson_rows(
     """``pearson(freq[ranks[x, :k]], freq[ranks[y, :k]])`` for every ``(x, y, k)``
     of ``x_rows``, ``y_rows`` and ``length``, bit for bit.
 
-    The same exact integer sums, in int64 while ``width**2 * max(freq)**2 <
-    2**63`` bounds them (frequencies are counts, never negative), else in
-    Python ints, then the same float steps; rows go in blocks."""
+    The same exact integer sums, each of ``width`` terms up to ``width *
+    max(freq)**2`` (frequencies are counts, never negative), in int64 or
+    Python ints by ``_sum_dtype``, then the same float steps; rows go in
+    blocks."""
     width = ranks.shape[1]
-    dtype = np.int64 if width**2 * int(freq.max(initial=0)) ** 2 < 2**63 else object
+    dtype = _sum_dtype(width, width * int(freq.max(initial=0)) ** 2)
     freq, columns = freq.astype(dtype), np.arange(width)
     rho = np.zeros(len(length))
     for start in range(0, len(length), _ROW_BLOCK):
@@ -616,12 +591,10 @@ def _score_columns(
     """Every metric for every entry: ``name -> (values, skip-reason codes)``.
 
     Each column equals the per-entry oracle functions above bit for bit.
-    Padding slots (code -1) read the last slot of ``pop``/``popular``/``freq``,
-    an extra unpopular item with popularity and frequency 0.
+    Padding slots (code -1) read the trailing slot of ``freq``/``pop``/``popular``
+    (see ``PopularityTable.gather``), an unpopular item with frequency 0.
     """
-    pop, popular = table.arrays(run.items)
-    pop, popular = np.append(pop, 0.0), np.append(popular, False)
-    freq = np.append(table.freq_array(run.items), 0)
+    freq, pop, popular = table.gather(run.items)
     ranks, lengths = run.ranks, run.lengths
     n, width = ranks.shape
     rows = np.arange(n)
@@ -760,7 +733,8 @@ _REPORT_FIELDS = (
 def load_report_records(path: str | Path) -> list[dict]:
     """Read a ``save_report`` file; a malformed line, a record missing a field
     (or holding the wrong type or a negative count), a ``mean`` or ``std`` past
-    the float range or an unknown ``report_format`` raises ``CorpusError`` with path:line."""
+    the float range, an unknown ``report_format``, a second model's record and a
+    repeated metric raise ``CorpusError`` with path:line."""
     path = Path(path)
     records: list[dict] = []
     for lineno, record in read_json_lines(path):
@@ -782,6 +756,11 @@ def load_report_records(path: str | Path) -> list[dict]:
         reasons = record.get("skip_reasons", {})
         if type(reasons) is not dict or any(type(c) is not int or c < 0 for c in reasons.values()):
             raise CorpusError(f"{path}:{lineno}: report field 'skip_reasons' has {reasons!r}")
+        if records and record["model"] != records[0]["model"]:
+            raise CorpusError(f"{path}:{lineno}: record of model {record['model']!r} in the "
+                              f"report of model {records[0]['model']!r}")
+        if any(r["metric"] == record["metric"] for r in records):
+            raise CorpusError(f"{path}:{lineno}: second record of metric {record['metric']!r}")
         records.append(record)
     return records
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import TRAIN, Corpus, ItemIndex, write_json_lines
+from .corpus import TRAIN, Corpus, ItemIndex, _encode, write_lines
 
 DEFAULT_MIN_COUNT = 5
 
@@ -81,18 +81,19 @@ class PopularityTable:
         code = self.items.code.get(item_id)
         return 0.0 if code is None else float(self.pop[code])
 
-    def _codes(self, index: ItemIndex) -> np.ndarray:
-        """The catalog code of each interned id; one past the last for the others."""
-        return np.fromiter(map(self.items.code.get, index.ids, repeat(len(self.counts))), np.intp)
-
-    def freq_array(self, index: ItemIndex) -> np.ndarray:
-        """Training frequency per interned id; 0 for ids outside the catalog."""
-        return np.append(self.counts, 0)[self._codes(index)]
-
-    def arrays(self, index: ItemIndex) -> tuple[np.ndarray, np.ndarray]:
-        """``pop`` values and the ``is_popular`` mask, one slot per interned id."""
-        codes = self._codes(index)
-        return np.append(self.pop, 0.0)[codes], np.append(self.popular, False)[codes]
+    def gather(self, index: ItemIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``counts``, ``pop`` and ``popular`` per interned id, from one code
+        lookup per id, each with one trailing slot that code -1 (padding)
+        reads: ids outside the catalog, and that slot, read 0, 0.0 and False."""
+        codes = np.fromiter(map(self.items.code.get, index.ids, repeat(-1)), np.intp, len(index))
+        known = np.flatnonzero(codes >= 0)
+        codes = codes[known]
+        columns = []
+        for values in (self.counts, self.pop, self.popular):
+            column = np.zeros(len(index) + 1, dtype=values.dtype)
+            column[known] = values[codes]
+            columns.append(column)
+        return tuple(columns)
 
 
 def train_counts(corpus: Corpus) -> np.ndarray:
@@ -138,8 +139,12 @@ def popular_item_ratio(table: PopularityTable) -> float:
 
 
 def save_table(table: PopularityTable, path: str | Path) -> None:
-    """Export one record per catalog item: item_id, freq, pop, is_popular."""
-    rows = zip(table.items.ids, table.counts.tolist(), table.pop.tolist(), table.popular.tolist())
-    write_json_lines(path, (
-        {"item_id": i, "freq": f, "pop": p, "is_popular": b} for i, f, p, b in rows
+    """Export one record per catalog item: item_id, freq, pop, is_popular.
+    Each line is the text of ``_ENCODER.encode`` of that record, assembled
+    from the arrays as ``corpus.dialogue_lines`` assembles dialogues."""
+    flags = ("false", "true")
+    rows = zip(map(_encode, table.items.ids), table.counts.tolist(),
+               map(float.__repr__, table.pop.tolist()), table.popular.tolist())
+    write_lines(path, (
+        f'{{"item_id": {i}, "freq": {f}, "pop": {p}, "is_popular": {flags[b]}}}' for i, f, p, b in rows
     ))

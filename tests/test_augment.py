@@ -613,6 +613,8 @@ class TestPlanIO:
             (BATCH.replace(b'["d1"]', b"[1]"), AugmentError, "'anchors' must be an array of ids"),
             (BATCH.replace(b'["s1"]', b'"s1"'), AugmentError, "must be an array of ids"),
             (BATCH.replace(b'{"d1": ["s1"]}', b"[]"), AugmentError, "plan field 'samples'"),
+            (BATCH.replace(b'["s1"]}', b'[], "d9": ["s1"]}'), AugmentError,
+             "samples for 'd9', not an anchor of batch 0"),
             (HEADER.strip(), AugmentError, "second header record"),
             (b'{"record": "footer"}', AugmentError, "unknown plan record"),
         ],
@@ -711,7 +713,7 @@ class TestAnchorPopularity:
         """The anchor popularity pop_nudge's audit reads: the max over a
         dialogue's items' popularity."""
         corpus = Corpus(ItemCatalog({i: i.upper() for i in "abc"}), (dialogue,))
-        return corpus.columns.dialogue_max(table.arrays(corpus.columns.items)[0]).tolist()
+        return corpus.columns.dialogue_max(table.gather(corpus.columns.items)[1]).tolist()
 
     def test_max_over_items(self):
         table = count_table({"a": 3, "b": 9, "c": 10})

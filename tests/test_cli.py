@@ -867,6 +867,14 @@ class TestEvaluate:
                 '{"model": "run_small", "metric": "cep", "mean": 0, "std": 0, "n": 1, '
                 '"n_skipped": 1, "skip_reasons": {"first_episode": 0.5}}', id="fractional-skip-count",
             ),
+            pytest.param(
+                '{"model": "other", "metric": "pop_bias", "mean": 0.9, "std": 0, "n": 1, '
+                '"n_skipped": 0}', id="second-model",
+            ),
+            pytest.param(
+                '{"model": "run_small", "metric": "cep", "mean": 0.9, "std": 0, "n": 1, '
+                '"n_skipped": 0}', id="repeated-metric",
+            ),
         ],
     )
     def test_malformed_report_exits_2_with_path_line(self, tmp_path, capsys, line):

@@ -606,16 +606,12 @@ class TestEvaluateRun:
         popular=st.lists(st.booleans(), min_size=len(TABLE_IDS), max_size=len(TABLE_IDS)),
     )
     def test_columnar_matches_scalar_on_count_ratios(self, entries, freqs, popular):
-        # counts up to 5,000 keep the derived popularities in fixed-point range
-        pops = _drawn_table(freqs, popular).pop
-        assert metrics_module._fixed_point(np.append(pops, 0.0), 12) is not None
         _assert_columnar_matches_scalar(entries, freqs, popular, (5,), math.e)
 
-    def test_long_lists_fall_back_to_fsum_exactly(self):
-        # over 1,200-item lists, discounts with a log base just above 1 (and
-        # popularities spread over 21 binary orders of magnitude, counts 1 to
-        # about 2**21) are out of the two-limb fixed-point range, so utility
-        # sums use fsum
+    def test_long_lists_sum_in_python_ints_exactly(self):
+        # over 1,200-item lists, discounts with a log base just above 1 span
+        # 33 binary orders of magnitude: at the finest one's scale, 1,200 of
+        # them can pass 2**63, so utility sums are Python ints
         ids = [f"i{n}" for n in range(1_300)]
         catalog = ItemCatalog({i: i for i in ids})
         turns = tuple(Turn("recommender", f"t{t}") for t in range(4))
@@ -628,8 +624,8 @@ class TestEvaluateRun:
         )
         log_base = 1.0 + 2.0**-30
         discounts = [1.0 / (math.log(r) / math.log(log_base) + 1.0) for r in range(1, 1_201)]
-        for terms in (discounts, table.pop.tolist()):
-            assert metrics_module._fixed_point(np.array(terms), 1_200) is None
+        scale = max(d.as_integer_ratio()[1] for d in discounts)
+        assert 1_200 * max(discounts) * scale >= 2**63
         entries = tuple(
             RunEntry("d", t, t // 2, tuple(map(str, rng.choice(ids, size=1_200, replace=False))),
                      tuple(map(str, rng.choice(ids, size=1_100, replace=False))))
@@ -851,6 +847,10 @@ class TestReportIO:
              '"n_skipped": 0, "report_format": true}', "unknown report_format True"),
             ('{"model": "m", "metric": "pop_bias", "mean": 0.5, "std": 0.0, "n": 1, '
              '"n_skipped": 0, "report_format": "2"}', "unknown report_format '2'"),
+            ('{"model": "b", "metric": "pop_bias", "mean": 0.9, "std": 0.0, "n": 1, '
+             '"n_skipped": 0}', "record of model 'b' in the report of model 'm'"),
+            ('{"model": "m", "metric": "cep", "mean": 0.9, "std": 0.0, "n": 1, '
+             '"n_skipped": 0}', "second record of metric 'cep'"),
         ],
     )
     def test_malformed_report_names_path_and_line(self, tmp_path, line, message):
@@ -974,16 +974,16 @@ class TestIntegerPearson:
 @given(
     data=st.data(),
     terms=st.one_of(
-        # count ratios, the popularity build_popularity makes: the limbs hold them
+        # count ratios, the popularity build_popularity makes
         st.lists(st.integers(0, 10**6), min_size=1, max_size=12).map(
             lambda fs: [f / max(fs) if max(fs) else 0.0 for f in fs]
         ),
-        # full 53-bit mantissas over 0-60 binary orders of magnitude: either side of the range
+        # full 53-bit mantissas over 0-60 binary orders of magnitude: either side of the int64 bound
         st.lists(
             st.builds(math.ldexp, st.integers(-2**53 + 1, 2**53 - 1), st.integers(-60, 0)),
             min_size=1, max_size=12,
         ),
-        # any finite doubles: mostly out of the limbs' range
+        # any finite doubles: mostly past the int64 bound, some past the float range
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
     ),
 )
@@ -1005,9 +1005,21 @@ def test_exact_row_sums_equal_fsum(data, terms):
     ])
 
 
-def test_exact_row_sums_round_once_at_the_limb_bound():
-    # exact sum 2**88 + m lies just above a rounding midpoint; a high limb past
-    # 2**53 would round to even first, then drop the low limb's 1
+@pytest.mark.parametrize("top, dtype", [(1.0, object), (1.0 - 2.0**-53, np.int64)])
+def test_exact_row_sums_either_side_of_the_int64_bound(top, dtype):
+    # at scale 2**62 the terms are 2**62 (or 2**62 - 2**9) and 2**8 + 1: two
+    # of them sum in int64 only while 2 * max|int| < 2**63
+    terms = [top, 2.0**-54 + 2.0**-62]
+    assert metrics_module._sum_dtype(2, int(top * 2**62)) is dtype
+    mask = np.array([[True, True], [True, False], [False, True], [False, False]])
+    assert metrics_module._exact_row_sums(mask, terms).tolist() == [
+        fsum(t for t, used in zip(terms, row) if used) for row in mask.tolist()
+    ]
+
+
+def test_exact_row_sums_round_once():
+    # exact sum 2**88 + m lies just above a rounding midpoint; rounding any
+    # partial sum to even first would drop the final 1
     m = (1 << 52) | (1 << 35) | 1
     terms = [1.0, math.ldexp(m, -88)]
     sums = metrics_module._exact_row_sums(np.ones((1, 2), dtype=bool), terms)

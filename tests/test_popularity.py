@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crs_bias.corpus import Corpus, Dialogue, ItemCatalog, Turn
+from crs_bias.corpus import _ENCODER, Corpus, Dialogue, ItemCatalog, Turn
 from crs_bias.popularity import (
     ItemIndex,
     ThresholdPolicy,
@@ -18,7 +18,7 @@ from crs_bias.popularity import (
     train_counts,
 )
 
-from helpers import make_dialogue
+from helpers import count_table, make_dialogue
 
 
 def _corpus_with_counts(counts: dict[str, int], extra_items: tuple[str, ...] = ()) -> Corpus:
@@ -82,7 +82,7 @@ class TestBuild:
         corpus = Corpus(catalog, (Dialogue("d1", (turn,)),))
         table = build_popularity(corpus, ThresholdPolicy.count_threshold(1))
         assert table.items.ids == ["a"]
-        assert table.freq_array(ItemIndex(["zz", "a"])).tolist() == [0, 1]
+        assert table.gather(ItemIndex(["zz", "a"]))[0].tolist() == [0, 1, 0]
 
     def test_order_independent(self, freq_corpus):
         table = build_popularity(freq_corpus, ThresholdPolicy.count_threshold(5))
@@ -164,6 +164,20 @@ class TestExport:
         assert [r["pop"] for r in records] == table.pop.tolist()
         assert [r["is_popular"] for r in records if r["item_id"] == "a"] == [True]
 
+    @pytest.mark.parametrize("counts", [
+        {"a": 7, "é\u2028": 3, 'q"\\\n\x00': 0, "m": 2**40, "🎬": 0},
+        {"a": 0, "ß": 0},
+    ], ids=["escaped-ids", "all-zero"])
+    def test_table_lines_are_the_encoder_text(self, tmp_path, counts):
+        table = count_table(counts, popular={"a", "m"})
+        out = tmp_path / "pop.jsonl"
+        save_table(table, out)
+        records = zip(table.items.ids, table.counts.tolist(), table.pop.tolist(), table.popular.tolist())
+        assert out.read_text(encoding="utf-8") == "".join(
+            _ENCODER.encode({"item_id": i, "freq": f, "pop": p, "is_popular": b}) + "\n"
+            for i, f, p, b in records
+        )
+
 
 class TestFrequencyCount:
     def test_table_uses_the_shared_count(self, freq_corpus):
@@ -182,9 +196,8 @@ class TestItemIndex:
         assert index.ids == ["a", "b", "zz", "yy"]
         assert len(index) == 4
 
-    @pytest.mark.parametrize("lookup", ["arrays", "freq_array"])
     @pytest.mark.parametrize("order", ["by_hand", "corpus_index", "reversed_catalog"])
-    def test_table_arrays_follow_the_index(self, lookup, order):
+    def test_table_gather_follows_the_index(self, order):
         # the freq_corpus counts, plus a test-split dialogue whose unknown ids
         # the corpus's own index appends after the catalog
         catalog = ItemCatalog({i: i.upper() for i in "abcd"})
@@ -200,12 +213,11 @@ class TestItemIndex:
         if order == "corpus_index":
             assert index.ids == ["a", "b", "c", "d", "zz", "yy"]
         freq = {"a": 10, "b": 5, "c": 2, "d": 0}
-        if lookup == "arrays":
-            pop, popular = table.arrays(index)
-            assert pop.tolist() == [freq.get(i, 0) / 10 for i in index.ids]
-            assert popular.tolist() == [i == "a" for i in index.ids]
-        else:
-            assert table.freq_array(index).tolist() == [freq.get(i, 0) for i in index.ids]
+        counts, pop, popular = table.gather(index)
+        # one trailing slot, read by padding code -1, as an item outside the catalog
+        assert counts.tolist() == [freq.get(i, 0) for i in index.ids] + [0]
+        assert pop.tolist() == [freq.get(i, 0) / 10 for i in index.ids] + [0.0]
+        assert popular.tolist() == [i == "a" for i in index.ids] + [False]
         top = table.counts.max()
         for code, item in enumerate(table.items.ids):
             assert table.pop_of(item) == table.counts[code] / top
