@@ -86,7 +86,7 @@ class SyntheticPool:
         item ids are interned into ``items`` (a fresh index when None)."""
         try:
             columns = DialogueColumns.from_dialogues(dialogues, items)
-        except CorpusError as exc:  # a repeated dialogue_id
+        except CorpusError as exc:  # a broken record rule, such as a repeated dialogue_id
             raise AugmentError(f"pool contains {exc}") from None
         return cls.from_columns(columns)
 

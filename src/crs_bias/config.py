@@ -210,6 +210,8 @@ class RunConfig:
     batch_size: int = _key("augment.batch_size", _parse_int, 32, minimum=1)
     seed: int | None = _key("seed", _parse_int, minimum=0, optional=True)
     generation: GenerationSettings = field(default_factory=GenerationSettings)
+    # the config file's directory, set by load_config: echoed paths are relative to it
+    _directory = Path()  # not annotated, so not a dataclass field
 
     def require_path(self, name: str) -> Path:
         """The named path field, validated to name a file before any work starts."""
@@ -226,15 +228,16 @@ class RunConfig:
         return self.seed
 
     def echo_dict(self) -> dict:
-        """Resolved config as a plain dict in the YAML layout, secret-looking
-        values redacted."""
+        """Resolved config as a plain dict in the YAML layout, each path
+        relative to the config file's directory (so the echo does not depend
+        on where the files are), secret-looking values redacted."""
         raw: dict = {}
         for owner, f in _keyed(self):
             *sections, leaf = f.metadata["key"].split(".")
             node = raw
             for section in sections:
                 node = node.setdefault(section, {})
-            node[leaf] = _plain(getattr(owner, f.name))
+            node[leaf] = _plain(getattr(owner, f.name), self._directory)
         return _redact(raw)
 
 
@@ -248,12 +251,14 @@ def _keyed(settings: Any) -> Iterator[tuple[Any, Field]]:
             yield from _keyed(getattr(settings, f.name))
 
 
-def _plain(value: Any) -> Any:
-    """A parsed value as JSON data."""
+def _plain(value: Any, directory: Path) -> Any:
+    """A parsed value as JSON data, a path as relative to ``directory``; a
+    relative path, and ``directory`` itself, are taken from the working
+    directory."""
     if isinstance(value, Path):
-        return str(value)
+        return os.path.relpath(value, directory)
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        return [_plain(v, directory) for v in value]
     if isinstance(value, ThresholdPolicy):
         return asdict(value)
     return value
@@ -321,6 +326,7 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
 
     overrides = overrides or {}
     config = RunConfig()
+    config._directory = path.parent
     declared = list(_keyed(config))
     keys = {tuple(f.metadata["key"].split(".")): f.metadata["key"] for _, f in declared}
     values = _read(data, (), keys)

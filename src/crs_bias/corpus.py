@@ -9,14 +9,15 @@ i.e. when a turn carries a non-empty target list.
 
 In memory, dialogues live in one ``DialogueColumns`` store: arrays per
 dialogue and per turn, with every item id interned into one ``ItemIndex``.
-Every store is filled one way, from corpus-file records checked in runs
-(``fill_checked``, which fills run files' columns too), and written one
-way, one JSON line per dialogue assembled from column slices
-(``dialogue_lines``). The per-turn work (unknown mentions, segmentation,
-and the frequency and join passes of the other modules) is array work over
-the store. ``Turn`` and ``Dialogue`` objects are an input type: a store
-can be filled from them, and the few accessors that build them back
-(``Corpus.dialogues`` and ``by_id``) are kept for the benchmark's counters.
+Every store is filled one way, from corpus-file records checked in runs by
+the one ``add_records`` that writes their rules (``fill_checked``, which
+fills run files' columns too), and written one way, one JSON line per
+dialogue assembled from column slices (``dialogue_lines``). The per-turn
+work (unknown mentions, segmentation, and the frequency and join passes of
+the other modules) is array work over the store. ``Turn`` and ``Dialogue``
+objects are an input type, checked as records when a store is filled from
+them; the accessors that build them back (``Corpus.dialogues`` and
+``by_id``) are kept for the benchmark's counters.
 
 File formats (UTF-8, one JSON object per line):
 
@@ -41,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import itemgetter, sub
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -51,7 +52,6 @@ import numpy as np
 SPEAKER_NAMES = ("seeker", "recommender")
 SPLIT_NAMES = ("train", "valid", "test")
 PROVENANCE_NAMES = ("original", "synthetic")
-SPEAKERS = frozenset(SPEAKER_NAMES)
 SPLITS = frozenset(SPLIT_NAMES)
 EPISODE_POLICIES = frozenset({"explicit", "accept_boundary"})
 
@@ -112,80 +112,47 @@ class ItemIndex:
             self.ids.append(item_id)
         return code
 
-    def intern_lists(self, firsts: list[list], seconds: list[list]) -> tuple[list[int], list[int]]:
-        """The codes of all ids of ``firsts`` and of all ids of ``seconds``,
-        two lists of id lists over the same entries. New ids are interned in
-        reading order: an entry's ``firsts`` ids, then its ``seconds`` ids.
-        An integer id reads as its decimal string; any other non-string
-        raises ``CorpusError``, or ``TypeError`` if it is unhashable."""
+    def intern_lists(self, firsts: list, seconds: list, labels: tuple) -> tuple[list, list]:
+        """The codes of all ids of ``firsts`` and of all ids of ``seconds``, two
+        lists of id lists over the same entries, named ``labels`` in errors. New
+        ids are interned in reading order (an entry's ``firsts``, then its
+        ``seconds``); an integer id reads as its decimal string. The first list
+        that is not an array, or id neither a string nor an integer, raises."""
         code_of = self.code.get
-        ids = (list(chain.from_iterable(firsts)), list(chain.from_iterable(seconds)))
-        codes = (list(map(code_of, ids[0])), list(map(code_of, ids[1])))
-        missing: list[tuple[int, int, int]] = []  # (entry, kind, position) of a new id or an int
-        for kind, lists in enumerate((firsts, seconds)):
+        # faults: (entry, kind, position) of each new, integer or bad id, and
+        # (position -1) of the first list of its kind that is not an array
+        lists, ids, codes, faults = (firsts, seconds), [], [], []
+        for kind in (0, 1):
+            arrays = lists[kind][: _first_not(lists[kind], list)]
+            if len(arrays) < len(lists[kind]):
+                faults.append((len(arrays), kind, -1))
+            ids.append(list(chain.from_iterable(arrays)))
+            try:
+                codes.append(list(map(code_of, ids[kind])))
+            except TypeError:  # an unhashable id
+                codes.append([code_of(i) if isinstance(i, str) else None for i in ids[kind]])
             if None in codes[kind]:
-                ends = list(accumulate(map(len, lists)))
+                ends = list(accumulate(map(len, arrays)))
                 positions = [j for j, code in enumerate(codes[kind]) if code is None]
-                missing += [(bisect_right(ends, j), kind, j) for j in positions]
-        for _, kind, j in sorted(missing):
-            codes[kind][j] = self.intern(parse_id(ids[kind][j], ""))
-        return codes
+                faults += [(bisect_right(ends, j), kind, j) for j in positions]
+        for entry, kind, j in sorted(faults):
+            if j < 0:
+                _id_arrays([lists[kind][entry]], labels[kind])  # raises
+            codes[kind][j] = self.intern(parse_id(ids[kind][j], f"{labels[kind]} item"))
+        return codes[0], codes[1]
 
 
-class _TurnFields(NamedTuple):
+class Turn(NamedTuple):
+    """One utterance: who spoke, the text, and item ids mentioned/accepted.
+
+    An immutable named tuple, the cheapest object to build that keeps the
+    field names. Its values are checked when it enters a store.
+    """
+
     speaker: str
     text: str
     mentioned_item_ids: tuple[str, ...] = ()
     target_item_ids: tuple[str, ...] = ()
-
-
-class Turn(_TurnFields):
-    """One utterance: who spoke, the text, and item ids mentioned/accepted.
-
-    An immutable named tuple, the cheapest object to build that keeps the
-    field names.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        speaker: str,
-        text: str,
-        mentioned_item_ids: tuple[str, ...] = (),
-        target_item_ids: tuple[str, ...] = (),
-    ) -> "Turn":
-        if type(speaker) is not str or speaker not in SPEAKERS:
-            raise CorpusError(f"unknown speaker {speaker!r}")
-        return tuple.__new__(cls, (speaker, text, mentioned_item_ids, target_item_ids))
-
-
-def _dialogue_codes(dialogue_id: str, n_turns: int, split, provenance, episodes) -> tuple[int, int]:
-    """The split and provenance codes of a dialogue's fields; ``CorpusError``
-    if they break a rule. ``episodes`` is None or a sequence of integers."""
-    if not dialogue_id:
-        raise CorpusError("dialogue_id must be non-empty")
-    if not n_turns:
-        raise CorpusError(f"dialogue {dialogue_id!r} has no turns")
-    split_code = _SPLIT_CODE.get(split) if type(split) is str else None
-    if split_code is None:
-        raise CorpusError(f"dialogue {dialogue_id!r}: unknown split {split!r}")
-    provenance_code = _PROVENANCE_CODE.get(provenance) if type(provenance) is str else None
-    if provenance_code is None:
-        raise CorpusError(f"dialogue {dialogue_id!r}: unknown provenance {provenance!r}")
-    if episodes is not None:
-        if len(episodes) != n_turns:
-            raise CorpusError(
-                f"dialogue {dialogue_id!r}: {len(episodes)} episode indices for {n_turns} turns"
-            )
-        if episodes[0] != 0:
-            raise CorpusError(f"dialogue {dialogue_id!r}: episodes must start at 0")
-        if not {0, 1}.issuperset(map(sub, episodes[1:], episodes)):
-            raise CorpusError(
-                f"dialogue {dialogue_id!r}: episode indices must be "
-                f"non-decreasing with steps of at most 1"
-            )
-    return split_code, provenance_code
 
 
 @dataclass(frozen=True)
@@ -202,12 +169,6 @@ class Dialogue:
     episode_index_per_turn: tuple[int, ...] | None = None
     provenance: str = "original"
 
-    def __post_init__(self) -> None:
-        _dialogue_codes(
-            self.dialogue_id, len(self.turns), self.split, self.provenance,
-            self.episode_index_per_turn,
-        )
-
     def item_ids(self) -> tuple[str, ...]:
         """Unique item ids across all turns, in first-appearance order."""
         return tuple(dict.fromkeys(
@@ -219,41 +180,84 @@ class Dialogue:
 _RUN_LENGTH = 256
 
 
-def _transpose(rows: list, keys) -> list[list]:
-    """``[[row[key] for row in rows] for key in keys]``, one pass per key."""
-    return [list(map(itemgetter(key), rows)) for key in keys]
-
-
 def _all_of(values, kind: type) -> bool:
     """Whether every value is exactly of type ``kind`` (so a bool is no int)."""
     return {kind}.issuperset(map(type, values))
 
 
-def _episode_column(episodes: list, n_turns: list[int]) -> list[int] | None:
-    """The episode indices of a run of records, one per turn and -1 for the
-    turns of a record without them; None if any record's indices break a
-    rule of ``_dialogue_codes``. ``episodes`` holds each record's field."""
-    given = [e for e in episodes if e is not None]
-    if not _all_of(given, list):
-        return None
-    lengths = list(map(len, given))
-    if lengths != [n for e, n in zip(episodes, n_turns) if e is not None]:
-        return None
-    flat = list(chain.from_iterable(given))
-    if not _all_of(flat, int):
-        return None
-    starts = _offsets(lengths)[:-1]
-    values = np.array(flat, dtype=np.int64)  # OverflowError past int64
+def _first_failing(values: list, valid) -> int:
+    """The first ``n`` with ``valid([values[n]])`` false; ``len(values)`` if ``valid(values)``."""
+    if valid(values):
+        return len(values)
+    return next(n for n, value in enumerate(values) if not valid([value]))
+
+
+def _first_not(values: list, kind: type) -> int:
+    """The position of the first value not exactly of type ``kind``."""
+    return _first_failing(values, lambda column: _all_of(column, kind))
+
+
+def _column(records, key: str, what: str) -> list:
+    """Each record's ``key``; ``CorpusError`` naming ``what`` if one has none."""
+    try:
+        return list(map(itemgetter(key), records))
+    except KeyError:
+        raise CorpusError(f"{what} missing {key!r}") from None
+
+
+def _id_arrays(lists: list, label: str) -> list:
+    """``lists``, checked; ``CorpusError`` for the first that is not an array."""
+    bad = _first_not(lists, list)
+    if bad < len(lists):
+        raise CorpusError(f"{label} must be an array of item ids, got {lists[bad]!r}")
+    return lists
+
+
+def _codes(names: list, code: dict, message) -> list[int]:
+    """``code[name]`` per name; ``CorpusError(message(n))`` at the first unknown name ``n``."""
+    try:
+        return list(map(code.__getitem__, names))
+    except (KeyError, TypeError):  # an unknown name, or an unhashable one
+        bad = next(n for n, x in enumerate(names) if not (isinstance(x, str) and x in code))
+        raise CorpusError(message(bad)) from None
+
+
+def _check_distinct(keys: list, seen, message: str) -> None:
+    """``CorpusError(message.format(key))`` for the first key in ``seen`` or repeated."""
+    earlier: set = set()
+    for key in keys:
+        if key in seen or key in earlier:
+            raise CorpusError(message.format(key))
+        earlier.add(key)
+
+
+_DUPLICATE_ID = "duplicate dialogue_id {!r}"
+
+
+def _episode_column(dialogue_ids: list[str], episodes: list, n_turns: list[int]) -> list[int]:
+    """The episode indices of a run of records, -1 for a record without them;
+    ``CorpusError`` naming a record whose indices break a rule."""
+    for row, e in enumerate(episodes):
+        if e is not None and len(e) != n_turns[row]:
+            raise CorpusError(f"dialogue {dialogue_ids[row]!r}: {len(e)} episode indices "
+                              f"for {n_turns[row]} turns")
+    column = list(chain(*([-1] * n if e is None else e for e, n in zip(episodes, n_turns))))
+    try:
+        values = np.array(column, dtype=np.int64)
+    except OverflowError:  # a value past int64 breaks a rule below; Python ints name it
+        values = np.array(column, dtype=object)
+    starts = _offsets(n_turns)[:-1]
     steps = np.diff(values)
     steps[starts[1:] - 1] = 0  # from one record to the next
-    if values[starts].any() or ((steps != 0) & (steps != 1)).any():
-        return None
-    if len(given) < len(episodes):
-        parts = iter(given)
-        flat = []
-        for e, n in zip(episodes, n_turns):
-            flat += [-1] * n if e is None else next(parts)
-    return flat
+    given = np.array([e is not None for e in episodes])
+    for rows, rule in (
+        (np.flatnonzero(given & (values[starts] != 0)), "episodes must start at 0"),
+        (np.searchsorted(starts, np.flatnonzero((steps != 0) & (steps != 1)), "right") - 1,
+         "episode indices must be non-decreasing with steps of at most 1"),
+    ):
+        if rows.size:
+            raise CorpusError(f"dialogue {dialogue_ids[rows[0]]!r}: {rule}")
+    return column
 
 
 def _offsets(lengths) -> np.ndarray:
@@ -476,20 +480,14 @@ class DialogueColumns:
 
 
 def fill_checked(builder, numbered: Iterable[tuple[int, dict]], path: Path | None = None) -> None:
-    """Append ``(number, record)`` pairs to ``builder`` in checked runs of
-    ``_RUN_LENGTH``.
-
-    ``builder.add_records(run)`` appends a whole run of pairs if every record
-    is valid, checking each rule once over the run, and returns False,
-    appending nothing, otherwise. A failed run is checked again record by
-    record with ``builder.check_record``, and the first bad record raises
-    ``CorpusError``, prefixed by ``path:number`` when ``path``, the file
-    the numbers are lines of, is given. An error that ``numbered`` itself
-    raises comes after the records before it are checked. The cyclic
-    collector is paused meanwhile (and the caller's setting restored):
-    young-generation passes would only walk each run of records again and
-    again, and the columns are a few dozen objects.
-    """
+    """Append ``(number, record)`` pairs to ``builder`` in runs of
+    ``_RUN_LENGTH``, each checked by ``builder.add_records``, the one place
+    a record's rules are written. A run that fails is added again record by
+    record; the first record that fails alone raises its error, prefixed by
+    ``path:number`` when ``path`` (the file of those line numbers) is given.
+    An error ``numbered`` raises comes after the records read before it are
+    checked. The cyclic collector is paused meanwhile (and then restored):
+    young-generation passes would only walk each run again and again."""
     run: list[tuple[int, dict]] = []
     enabled = gc.isenabled()
     gc.disable()
@@ -510,16 +508,17 @@ def fill_checked(builder, numbered: Iterable[tuple[int, dict]], path: Path | Non
 
 
 def _add_run(builder, run: list[tuple[int, dict]], path: Path | None) -> None:
-    if builder.add_records(run):
+    if not run:
         return
-    for number, record in run:
-        try:
-            builder.check_record(record)
-            if not builder.add_records([(number, record)]):  # the two checks agree: not reached
-                raise CorpusError("record fails a whole-run check")
-        except CorpusError as exc:
-            where = "" if path is None else f"{path}:{number}: "
-            raise CorpusError(f"{where}{exc}") from None
+    try:
+        builder.add_records(run)
+    except CorpusError:
+        for number, record in run:
+            try:
+                builder.add_records([(number, record)])
+            except CorpusError as exc:
+                where = "" if path is None else f"{path}:{number}: "
+                raise CorpusError(f"{where}{exc}") from None
 
 
 class _ColumnsBuilder:
@@ -542,88 +541,70 @@ class _ColumnsBuilder:
         self.n_targets = array("q")
         self.target_codes = array("i")
 
-    def add_records(self, run: list[tuple[int, dict]]) -> bool:
-        """Append a run of numbered corpus-file records if every one is valid,
-        checking each rule once over the whole run; False, with nothing
-        appended, if any check fails (new item ids may have been interned).
-        ``check_record`` then names the first bad field."""
-        records = [record for _, record in run]
-        if not records:
-            return True
+    def add_records(self, run: list[tuple[int, dict]]) -> None:
+        """Append a run of numbered corpus-file records, checking each rule
+        once over the run; a broken rule raises ``CorpusError`` and appends
+        nothing (new item ids may have been interned). For one record, the
+        error names its first fault: fields in order, turns, then values."""
+        lines, records = zip(*run)
+        ids = _column(records, "dialogue_id", "record")
+        if not _all_of(ids, str):
+            ids = [parse_id(i, "'dialogue_id'") for i in ids]
+        splits = _column(records, "split", "record")
+        turn_lists = _column(records, "turns", "record")
+        if not (_all_of(turn_lists, list) and all(turn_lists)):
+            raise CorpusError("'turns' must be a non-empty array")
+        episodes = [record.get("episodes") for record in records]
+        given = [e for e in episodes if e is not None]
+        bad = _first_failing(given, lambda e: _all_of(e, list) and _all_of(chain(*e), int))
+        if bad < len(given):
+            raise CorpusError(f"'episodes' must be an array of integers, got {given[bad]!r}")
+        turns = list(chain.from_iterable(turn_lists))
         try:
-            ids = [parse_id(record["dialogue_id"], "") for record in records]
-            splits = list(map(_SPLIT_CODE.__getitem__, map(itemgetter("split"), records)))
-            provenances = list(map(_PROVENANCE_CODE.__getitem__, (
-                record.get("provenance", "original") for record in records
-            )))
-            turns = [record["turns"] for record in records]
-            if not (_all_of(turns, list) and all(turns) and all(ids)):
-                return False
-            n_turns = list(map(len, turns))
-            speakers, texts, mentioned, targets = _transpose(
-                list(chain.from_iterable(turns)), ("speaker", "text", "items", "targets")
-            )
-            speakers = list(map(_SPEAKER_CODE.__getitem__, speakers))
-            if not (_all_of(texts, str) and _all_of(mentioned, list) and _all_of(targets, list)):
-                return False
-            episodes = _episode_column([record.get("episodes") for record in records], n_turns)
-            mention_codes, target_codes = self.items.intern_lists(mentioned, targets)
-        except (KeyError, TypeError, CorpusError, OverflowError):
-            return False
-        if episodes is None or len(set(ids)) != len(ids) or not self._seen.isdisjoint(ids):
-            return False
-        self.lines.fromlist([number for number, _ in run])
+            columns = self._turn_columns(turns)
+        except CorpusError:
+            for turn in turns:  # the first turn that breaks a rule names it
+                self._turn_columns([turn])
+            raise
+        if "" in ids:
+            raise CorpusError("dialogue_id must be non-empty")
+        split_codes = _codes(splits, _SPLIT_CODE, lambda n: (
+            f"dialogue {ids[n]!r}: unknown split {splits[n]!r}"))
+        provenances = [record.get("provenance", "original") for record in records]
+        provenance_codes = _codes(provenances, _PROVENANCE_CODE, lambda n: (
+            f"dialogue {ids[n]!r}: unknown provenance {provenances[n]!r}"))
+        n_turns = list(map(len, turn_lists))
+        episodes = _episode_column(ids, episodes, n_turns) if given else [-1] * len(turns)
+        _check_distinct(ids, self._seen, _DUPLICATE_ID)
         self._seen.update(ids)
+        self.lines.fromlist(list(lines))
         self.dialogue_ids += ids
-        self.split.fromlist(splits)
-        self.provenance.fromlist(provenances)
+        self.split.fromlist(split_codes)
+        self.provenance.fromlist(provenance_codes)
         self.n_turns.fromlist(n_turns)
+        self.episodes.fromlist(episodes)
+        speakers, texts, mentioned, targets, mention_codes, target_codes = columns
         self.speaker.fromlist(speakers)
         self.texts += texts
-        self.episodes.fromlist(episodes)
         self.n_mentions.fromlist(list(map(len, mentioned)))
         self.mention_codes.fromlist(mention_codes)
         self.n_targets.fromlist(list(map(len, targets)))
         self.target_codes.fromlist(target_codes)
-        return True
 
-    def check_record(self, record: dict) -> None:
-        """Raise ``CorpusError`` naming the first field of a corpus-file
-        record that breaks a rule, checked in field order; append nothing."""
-        try:
-            dialogue_id = parse_id(record["dialogue_id"], "'dialogue_id'")
-            split = record["split"]
-            turns = record["turns"]
-        except KeyError as exc:
-            raise CorpusError(f"record missing {exc.args[0]!r}") from None
-        if type(turns) is not list or not turns:
-            raise CorpusError("'turns' must be a non-empty array")
-        episodes = record.get("episodes")
-        if episodes is not None and (type(episodes) is not list or not _all_of(episodes, int)):
-            raise CorpusError(f"'episodes' must be an array of integers, got {episodes!r}")
-        for turn in turns:
-            if type(turn) is not dict:
-                raise CorpusError(f"turn is not an object: {turn!r}")
-            try:
-                speaker = turn["speaker"]
-                text = turn["text"]
-                mentioned = turn["items"]
-                targets = turn["targets"]
-            except KeyError as exc:
-                raise CorpusError(f"turn record missing {exc.args[0]!r}") from None
-            if type(text) is not str:
-                raise CorpusError(f"turn 'text' must be a string, got {text!r}")
-            for key, ids in (("items", mentioned), ("targets", targets)):
-                if type(ids) is not list:
-                    raise CorpusError(f"turn {key!r} must be an array of item ids, got {ids!r}")
-                for item_id in ids:
-                    parse_id(item_id, f"turn {key!r} item")
-            if type(speaker) is not str or speaker not in SPEAKERS:
-                raise CorpusError(f"unknown speaker {speaker!r}")
-        provenance = record.get("provenance", "original")
-        _dialogue_codes(dialogue_id, len(turns), split, provenance, episodes)
-        if dialogue_id in self._seen:
-            raise CorpusError(f"duplicate dialogue_id {dialogue_id!r}")
+    def _turn_columns(self, turns: list) -> tuple[list, ...]:
+        """The speaker codes, texts, id lists and item codes of turn records;
+        ``CorpusError`` for a broken rule, in the order one turn's are checked."""
+        bad = _first_not(turns, dict)
+        if bad < len(turns):
+            raise CorpusError(f"turn is not an object: {turns[bad]!r}")
+        keys = ("speaker", "text", "items", "targets")
+        speakers, texts, mentioned, targets = (_column(turns, key, "turn record") for key in keys)
+        bad = _first_not(texts, str)
+        if bad < len(texts):
+            raise CorpusError(f"turn 'text' must be a string, got {texts[bad]!r}")
+        codes = self.items.intern_lists(mentioned, targets, ("turn 'items'", "turn 'targets'"))
+        return (_codes(speakers, _SPEAKER_CODE, lambda n: f"unknown speaker {speakers[n]!r}"),
+                texts, mentioned, targets, *codes)
 
     def finish(self) -> DialogueColumns:
         return DialogueColumns(
@@ -690,13 +671,11 @@ class Corpus:
 
     def appended(self, source: DialogueColumns, rows: np.ndarray) -> "Corpus":
         """This corpus plus dialogues ``rows`` of ``source``, in that order,
-        as synthetic training dialogues; a dialogue_id already in the corpus
-        raises ``CorpusError``."""
+        as synthetic training dialogues; a dialogue_id already in the corpus,
+        or a row taken twice, raises ``CorpusError``."""
         base = self.columns
         added = source.take(rows).as_synthetic_training()
-        if not base.row_of.keys().isdisjoint(added.dialogue_ids):
-            clash = next(i for i in added.dialogue_ids if i in base.row_of)
-            raise CorpusError(f"duplicate dialogue_id {clash!r}")
+        _check_distinct(added.dialogue_ids, base.row_of.keys(), _DUPLICATE_ID)
         mention_codes, target_codes = added.mention_codes, added.target_codes
         if source.items is not base.items:
             used = _sorted_distinct(np.concatenate((mention_codes, target_codes)))
@@ -771,13 +750,13 @@ def _decode_line(text: str):
 
 
 def read_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
-    """``(line number, object)`` for each non-blank line. Lines are decoded
-    one at a time, so a bad byte, malformed JSON, a lone surrogate escape
-    or a non-object record raises ``CorpusError`` naming its own
-    ``path:line``."""
+    """``(line number, object)`` for each line that is not blank, that is,
+    not JSON whitespace alone. Lines are decoded one at a time, so a bad
+    byte, malformed JSON (a form feed too), a lone surrogate escape or a
+    non-object record raises ``CorpusError`` naming its own ``path:line``."""
     with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.isspace():  # a line read from a file is never empty
+            if not line.strip(b" \t\r\n"):
                 continue
             try:
                 record = _decode_line(line.decode("utf-8"))

@@ -19,12 +19,12 @@ standard deviations cover the scored entries only.
 
 The per-entry functions are the reference definitions. ``load_run`` fills a
 run's columns through the loader harness the corpus store uses
-(``corpus.fill_checked``): records are checked a run of 256 at a time, one
-pass per rule, and a run that breaks a rule is checked again record by
-record, so the error names the first bad line. ``evaluate_run`` scores a
-whole run column-wise over interned item codes and reproduces the reference
-functions bit for bit: each sum the reference takes with ``fsum`` is an
-exact integer sum, rounded once (rank discounts at the finest one's
+(``corpus.fill_checked``): ``_RunBuilder.add_records`` writes each rule once
+and checks 256 records at a time; a run that breaks a rule is added again
+record by record, so the error names the first bad line. ``evaluate_run``
+scores a whole run column-wise over interned item codes and reproduces the
+reference functions bit for bit: each sum the reference takes with ``fsum``
+is an exact integer sum, rounded once (rank discounts at the finest one's
 power-of-two scale; CEP's Pearson sums over integer training frequencies).
 """
 
@@ -41,7 +41,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus, CorpusError, fill_checked, parse_id, read_json_lines, write_json_lines
-from .corpus import _all_of, _offsets, _sorted_distinct, _transpose
+from .corpus import _all_of, _check_distinct, _column, _first_failing, _id_arrays, _offsets
+from .corpus import _sorted_distinct
 from .popularity import ItemIndex, PopularityTable, item_coverage, train_counts
 
 DEFAULT_CUTOFFS = (10, 50)
@@ -70,10 +71,12 @@ class RunEntry:
 
     def __post_init__(self) -> None:
         if len(set(self.ranked_item_ids)) != len(self.ranked_item_ids):
-            raise CorpusError(
-                f"run entry ({self.dialogue_id!r}, turn {self.turn_index}): "
-                f"ranked list contains duplicate item ids"
-            )
+            raise _repeated_ranked_id(self.dialogue_id, self.turn_index)
+
+
+def _repeated_ranked_id(dialogue_id: str, turn_index: int) -> CorpusError:
+    return CorpusError(f"run entry ({dialogue_id!r}, turn {turn_index}): "
+                       f"ranked list contains duplicate item ids")
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +106,14 @@ class RunColumns:
         return len(self.lengths)
 
 
-_RUN_FIELDS = ("dialogue_id", "turn_index", "episode_index", "ranked", "targets")
+def _index_column(records, key: str) -> list[int]:
+    """Each run record's ``key``, a non-negative 64-bit integer."""
+    values = _column(records, key, "run record")
+    bad = _first_failing(values, lambda v: _all_of(v, int) and 0 <= min(v, default=0)
+                         and max(v, default=0) < _INDEX_LIMIT)
+    if bad < len(values):
+        raise CorpusError(f"{key!r} must be a non-negative 64-bit integer, got {values[bad]!r}")
+    return values
 
 
 class _RunBuilder:
@@ -114,7 +124,7 @@ class _RunBuilder:
     def __init__(self, items: ItemIndex):
         self.items = items
         self._dialogue_code: dict[str, int] = {}
-        self._keys: set[tuple[int, int]] = set()
+        self._keys: set[tuple[str, int]] = set()
         self.lines = array("q")
         self.dialogue_codes = array("q")
         self.turn_index = array("q")
@@ -124,74 +134,45 @@ class _RunBuilder:
         self.n_targets = array("q")
         self.targets = array("i")
 
-    def add_records(self, run: list[tuple[int, dict]]) -> bool:
-        """Append a run of numbered run-file records if every one is valid,
-        checking each rule once over the whole run; False, with nothing
-        appended, if any check fails (new ids may have been interned)."""
-        if not run:
-            return True
+    def add_records(self, run: list[tuple[int, dict]]) -> None:
+        """Append numbered run-file records as ``_ColumnsBuilder`` does; for one
+        record: fields in order, a repeated entry, ranked ids, a repeat, targets."""
+        lines, records = zip(*run)
+        ids = _column(records, "dialogue_id", "run record")
+        if not _all_of(ids, str):
+            ids = [parse_id(i, "'dialogue_id'") for i in ids]
+        turns, episodes = (_index_column(records, key) for key in ("turn_index", "episode_index"))
+        ranked = _id_arrays(_column(records, "ranked", "run record"), "'ranked'")
+        targets = _id_arrays(_column(records, "targets", "run record"), "'targets'")
+        keys = list(zip(ids, turns))
+        _check_distinct(keys, self._keys, "duplicate run entry ({0[0]!r}, turn {0[1]})")
+        lengths, labels = list(map(len, ranked)), ("'ranked'", "'targets'")
         try:
-            lines, records = zip(*run)
-            ids, turns, episodes, ranked, targets = _transpose(records, _RUN_FIELDS)
-            if not _all_of(ids, str):
-                ids = [parse_id(i, "") for i in ids]
-            if not (_all_of(turns, int) and _all_of(episodes, int)
-                    and _all_of(ranked, list) and _all_of(targets, list)):
-                return False
-            if (np.array((turns, episodes), dtype=np.int64) < 0).any():  # OverflowError past int64
-                return False
-            code = self._dialogue_code
-            dialogues = [code.setdefault(d, len(code)) for d in ids]
-            keys = set(zip(dialogues, turns))
-            if len(keys) != len(records) or not self._keys.isdisjoint(keys):
-                return False
-            ranked_codes, target_codes = self.items.intern_lists(ranked, targets)
-            ranked_codes = np.array(ranked_codes, dtype=np.int32)
-            lengths = list(map(len, ranked))
-            # one sort finds every ranked list that names an item twice
-            owned = np.repeat(np.arange(len(records), dtype=np.int64) * len(self.items), lengths)
-            if len(_sorted_distinct(owned + ranked_codes)) < len(ranked_codes):
-                return False
-        except (KeyError, TypeError, CorpusError, OverflowError):
-            return False
-        self._keys |= keys
+            codes = self.items.intern_lists(ranked, targets, labels)
+        except CorpusError:  # a bad or repeated ranked id comes before a bad target
+            ranked_only = self.items.intern_lists(ranked, [[]] * len(ranked), labels)[0]
+            self._check_ranked(ids, turns, lengths, ranked_only)
+            raise
+        ranked_codes = np.array(codes[0], dtype=np.int32)
+        self._check_ranked(ids, turns, lengths, ranked_codes)
+        code = self._dialogue_code
+        self._keys.update(keys)
         self.lines.fromlist(list(lines))
-        self.dialogue_codes.fromlist(dialogues)
+        self.dialogue_codes.fromlist([code.setdefault(d, len(code)) for d in ids])
         self.turn_index.fromlist(turns)
         self.episode_index.fromlist(episodes)
         self.lengths.fromlist(lengths)
         self.ranked.append(ranked_codes)
         self.n_targets.fromlist(list(map(len, targets)))
-        self.targets.fromlist(target_codes)
-        return True
+        self.targets.fromlist(codes[1])
 
-    def check_record(self, record: dict) -> None:
-        """Raise ``CorpusError`` naming the first field of a run-file record
-        that breaks a rule, checked in field order; append nothing."""
-        try:
-            dialogue_id = parse_id(record["dialogue_id"], "'dialogue_id'")
-            for key in ("turn_index", "episode_index"):
-                value = record[key]
-                if type(value) is not int or not 0 <= value < _INDEX_LIMIT:
-                    raise CorpusError(
-                        f"{key!r} must be a non-negative 64-bit integer, got {value!r}"
-                    )
-            for key in ("ranked", "targets"):
-                if type(record[key]) is not list:
-                    raise CorpusError(f"{key!r} must be an array of item ids, got {record[key]!r}")
-        except KeyError as exc:
-            raise CorpusError(f"run record missing {exc.args[0]!r}") from None
-        turn_index = record["turn_index"]
-        if (self._dialogue_code.get(dialogue_id), turn_index) in self._keys:
-            raise CorpusError(f"duplicate run entry ({dialogue_id!r}, turn {turn_index})")
-        ranked = [parse_id(item_id, "'ranked' item") for item_id in record["ranked"]]
-        if len(set(ranked)) != len(ranked):
-            raise CorpusError(
-                f"run entry ({dialogue_id!r}, turn {turn_index}): "
-                f"ranked list contains duplicate item ids"
-            )
-        for item_id in record["targets"]:
-            parse_id(item_id, "'targets' item")
+    def _check_ranked(self, ids: list, turns: list, lengths: list, codes) -> None:
+        """``CorpusError`` for the first ranked list (``lengths`` of ``codes``) with a repeat."""
+        n = len(self.items)
+        keys = np.sort(np.repeat(np.arange(len(lengths), dtype=np.int64) * n, lengths) + codes)
+        repeated = keys[1:][keys[1:] == keys[:-1]]
+        if repeated.size:
+            raise _repeated_ranked_id(ids[repeated[0] // n], turns[repeated[0] // n])
 
     def finish(self, path: Path | None) -> RunColumns:
         lengths = np.array(self.lengths, dtype=np.int64)

@@ -1294,6 +1294,29 @@ class TestConfig:
         assert echo["seed"] == 1234
         assert echo["paths"]["catalog"].endswith("catalog_small.jsonl")
 
+    def test_echo_is_the_same_from_any_copy_of_the_config_directory(self, tmp_path, monkeypatch):
+        """Paths are echoed relative to the config file's directory; a flag's
+        path is taken from the working directory first."""
+        first = tmp_path / "first" / "project"
+        first.mkdir(parents=True)
+        for name in ("corpus_small", "catalog_small"):
+            shutil.copy(DATA / f"{name}.jsonl", first / f"{name}.jsonl")
+        paths = {"corpus": "corpus_small.jsonl", "catalog": "catalog_small.jsonl",
+                 "runs": ["runs/a.jsonl"], "output_dir": "out"}
+        (first / "config.yaml").write_text(yaml.safe_dump({"paths": paths, "seed": 7}))
+        second = tmp_path / "second" / "elsewhere" / "project"
+        shutil.copytree(first, second)
+        echoes = []
+        for root in (first, second):
+            monkeypatch.chdir(root.parent)
+            config = str(root / "config.yaml")
+            assert main(["stats", "--config", config]) == 0
+            assert main(["stats", "--config", config, "--output-dir", "project/flagged"]) == 0
+            echoes.append([(root / out / "config_echo.json").read_bytes() for out in ("out", "flagged")])
+        assert echoes[0] == echoes[1]
+        assert json.loads(echoes[0][0])["paths"] == dict(paths, pool=None)
+        assert json.loads(echoes[0][1])["paths"] == dict(paths, pool=None, output_dir="flagged")
+
 
 def test_readme_quick_start(tmp_path, capsys):
     """The README quick start, its config block verbatim, on the bundled data:
@@ -1356,7 +1379,7 @@ def test_commands_build_no_objects(tmp_path, monkeypatch, capsys):
         raise AssertionError("a command built an object")
 
     monkeypatch.setattr(Turn, "__new__", built)
-    monkeypatch.setattr(Dialogue, "__post_init__", built)
+    monkeypatch.setattr(Dialogue, "__init__", built)
     monkeypatch.setattr(RunEntry, "__post_init__", built)
     for make in (lambda: Turn("seeker", "hi"), lambda: Dialogue("d1", ()),
                  lambda: RunEntry("d1", 1, 0, ("m1",))):

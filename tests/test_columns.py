@@ -222,8 +222,8 @@ def test_item_codes_match_a_per_record_loop(records, data):
     targets = [turn["targets"] for turn in turns]
     cut = data.draw(st.integers(0, len(turns)))
     items = ItemIndex(CATALOG_IDS)
-    first = items.intern_lists(mentioned[:cut], targets[:cut])
-    second = items.intern_lists(mentioned[cut:], targets[cut:])
+    first = items.intern_lists(mentioned[:cut], targets[:cut], ("items", "targets"))
+    second = items.intern_lists(mentioned[cut:], targets[cut:], ("items", "targets"))
     codes, ids = reference_item_codes(CATALOG_IDS, mentioned, targets)
     assert (list(first[0]) + list(second[0]), list(first[1]) + list(second[1])) == codes
     assert items.ids == ids

@@ -7,6 +7,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,6 +182,20 @@ class TestInputBoundary:
             ('{"dialogue_id": "d1", "split": "train", "turns": [' + GOOD_TURN + "]}",
              "duplicate dialogue_id 'd1'"),
             ("[1, 2]", "record is not an object"),
+            ('{"split": "train", "turns": [' + GOOD_TURN + "]}", "record missing 'dialogue_id'"),
+            ('{"dialogue_id": "dx", "turns": [' + GOOD_TURN + "]}", "record missing 'split'"),
+            ('{"dialogue_id": "dx", "split": "train"}', "record missing 'turns'"),
+            (_line(GOOD_TURN.replace('"targets": []', '"targets": 5').join("[]")),
+             "turn 'targets' must be an array of item ids, got 5"),
+            (_line('[{"speaker": "seeker", "items": [], "targets": []}]'),
+             "turn record missing 'text'"),
+            (_line().replace('"dx"', '""'), "dialogue_id must be non-empty"),
+            (_line(extra=', "episodes": [0, 0]'), "dialogue 'dx': 2 episode indices for 1 turns"),
+            (_line(extra=', "episodes": [1]'), "dialogue 'dx': episodes must start at 0"),
+            (_line(f"[{GOOD_TURN}, {GOOD_TURN}]", ', "episodes": [0, 2]'),
+             "dialogue 'dx': episode indices must be non-decreasing with steps of at most 1"),
+            ("\x0c", "malformed record"),
+            ("\x0b", "malformed record"),
         ],
     )
     def test_bad_line_names_path_and_line(self, tmp_path, data_dir, line, message):
@@ -219,6 +234,7 @@ class TestInputBoundary:
             (['{"item_id": "7", "name": 7}'], ":1: 'name' must be a string"),
             (['{"item_id": "", "name": "A"}'], ":1: empty item_id"),
             (['{"item_id": "7"}'], ":1: catalog record missing 'name'"),
+            (['{"item_id": "7", "name": "A"}', "\x0c"], ":2: malformed record"),
         ],
     )
     def test_bad_catalog_line_names_path_and_line(self, tmp_path, lines, message):
@@ -231,6 +247,40 @@ class TestInputBoundary:
         path = tmp_path / "cat.jsonl"
         path.write_text('{"item_id": 7, "name": "A"}\n{"item_id": "8", "name": "B"}\n')
         assert load_catalog(path).items == {"7": "A", "8": "B"}
+
+
+def _turn(text: str = '"hi"', speaker: str = '"seeker"', items: str = "[]") -> str:
+    return f'{{"speaker": {speaker}, "text": {text}, "items": {items}, "targets": []}}'
+
+
+BAD_TEXT = _turn(text="7")
+BAD_SPEAKER = _turn(speaker='"x"')
+
+
+class TestFaultPrecedence:
+    """A record with two faults names the one read first: its fields, then
+    turn by turn (text, items, targets, speaker), then its values."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (_line(f"[{BAD_TEXT}, {BAD_SPEAKER}]"), "turn 'text' must be a string, got 7"),
+            (_line(f"[{BAD_SPEAKER}, {BAD_TEXT}]"), "unknown speaker 'x'"),
+            (_line(f"[{BAD_TEXT}]").replace('"train"', '"dev"'),
+             "turn 'text' must be a string, got 7"),
+            (_line(f"[{GOOD_TURN}, {GOOD_TURN}]", ', "provenance": "p", "episodes": [0, 2]'),
+             "dialogue 'dx': unknown provenance 'p'"),
+            (_line("[" + _turn(speaker='"x"', items='"m"') + "]"),
+             "turn 'items' must be an array of item ids, got 'm'"),
+            (_line().replace('"dx"', '""').replace('"train"', '"dev"'),
+             "dialogue_id must be non-empty"),
+        ],
+    )
+    def test_first_fault_is_named(self, tmp_path, data_dir, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(CorpusError, match=r"bad\.jsonl:1: " + re.escape(message) + "$"):
+            load_corpus(path, data_dir / "catalog_small.jsonl")
 
 
 class TestLoaderState:
@@ -281,29 +331,42 @@ class TestTurn:
 
 
 class TestInvariants:
+    """Dialogue and Turn objects are checked as they enter a store."""
+
+    @staticmethod
+    def _store(*dialogues: Dialogue) -> Corpus:
+        return Corpus(CATALOG, dialogues)
+
     def test_dialogue_requires_turns(self):
-        with pytest.raises(CorpusError, match="no turns"):
-            Dialogue("d", ())
+        with pytest.raises(CorpusError, match=r"^'turns' must be a non-empty array$"):
+            self._store(Dialogue("d", ()))
 
     def test_unknown_speaker_rejected(self):
-        with pytest.raises(CorpusError, match="speaker"):
-            Turn(speaker="narrator", text="...")
+        with pytest.raises(CorpusError, match=r"^unknown speaker 'narrator'$"):
+            self._store(Dialogue("d", (Turn(speaker="narrator", text="..."),)))
 
     def test_episode_indices_must_start_at_zero(self):
         with pytest.raises(CorpusError, match="start at 0"):
-            _d = Dialogue("d", (Turn("seeker", "a"),), episode_index_per_turn=(1,))
+            self._store(Dialogue("d", (Turn("seeker", "a"),), episode_index_per_turn=(1,)))
 
     @pytest.mark.parametrize("indices", [(0, 2), (0, -1)])
     def test_episode_indices_must_step_by_at_most_one(self, indices):
         turns = (Turn("seeker", "a"), Turn("recommender", "b"))
         with pytest.raises(CorpusError, match="non-decreasing"):
-            Dialogue("d", turns, episode_index_per_turn=indices)
+            self._store(Dialogue("d", turns, episode_index_per_turn=indices))
 
     def test_corpus_rejects_duplicate_ids(self):
         catalog = ItemCatalog({"m1": "One"})
         d = Dialogue("same", (Turn("seeker", "hi"),))
         with pytest.raises(CorpusError, match="duplicate"):
             Corpus(catalog, (d, d))
+
+    def test_appended_rejects_a_row_taken_twice(self):
+        base = Corpus(CATALOG, (Dialogue("d", (Turn("seeker", "hi"),)),))
+        pool = Corpus(CATALOG, (make_dialogue("s1", ["m1"]),)).columns
+        assert len(base.appended(pool, np.array([0])).columns) == 2
+        with pytest.raises(CorpusError, match=r"^duplicate dialogue_id 's1'$"):
+            base.appended(pool, np.array([0, 0]))
 
     def test_mention_token(self):
         assert mention_token("m42") == "@m42"
