@@ -19,7 +19,7 @@ from pathlib import Path
 from . import augment as aug
 from . import metrics as met
 from . import popularity as pop
-from .config import STRATEGIES, ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config
 from .corpus import CorpusError, load_catalog, load_corpus, save_corpus, segment_corpus, write_lines
 from .synthgen import (
     POOL_FORMAT,
@@ -251,10 +251,12 @@ def cmd_evaluate(config: RunConfig) -> int:
         try:
             loading = loader.submit(met.load_run, config.runs[0])
             corpus, _ = load_corpus(corpus_path, catalog_path)
+            # training counts read no episodes: counted first, they reuse the
+            # views the load derived
+            table = pop.build_popularity(corpus, config.eta_policy)
             # explicit policy validates that the files carry episode indices;
             # accept_boundary (re)derives them from the accepted-target rule
             corpus = segment_corpus(corpus, config.episode_policy)
-            table = pop.build_popularity(corpus, config.eta_policy)
             reports = []
             for next_path in [*config.runs[1:], None]:
                 run = loading.result()
@@ -271,7 +273,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     out = _prepare_output_dir(config)
     for report in reports:
         met.save_report(report, out / f"{report.model_name}{REPORT_SUFFIX}")
-    table_text = met.format_report_table(reports)
+    table_text = met.format_report_table(r for report in reports for r in report.to_records())
     write_lines(out / "report_table.txt", [table_text])
     print(table_text)
     return EXIT_OK
@@ -282,32 +284,27 @@ def cmd_report(config: RunConfig) -> int:
     report_files = sorted(out.glob(f"*{REPORT_SUFFIX}"))
     if not report_files:
         raise ConfigError(f"no *{REPORT_SUFFIX} files found in {out}")
-    reports = []
-    for path in report_files:
-        records = met.load_report_records(path)
-        metrics = {
-            r["metric"]: met.MetricSummary(
-                mean=r["mean"],
-                std=r["std"],
-                n=r["n"],
-                n_skipped=r["n_skipped"],
-                skip_reasons=r.get("skip_reasons", {}),
-            )
-            for r in records
-        }
-        n_entries = max((m.n + m.n_skipped for m in metrics.values()), default=0)
-        model = records[0]["model"] if records else path.stem
-        reports.append(met.BiasReport(model_name=model, n_entries=n_entries, metrics=metrics))
-    print(met.format_report_table(reports))
+    print(met.format_report_table(
+        record for path in report_files for record in met.load_report_records(path)
+    ))
     return EXIT_OK
 
 
+# each command's function and the override flags it reads; a flag sets the
+# config field its destination names
 _COMMANDS = {
-    "stats": cmd_stats,
-    "generate": cmd_generate,
-    "augment": cmd_augment,
-    "evaluate": cmd_evaluate,
-    "report": cmd_report,
+    "stats": (cmd_stats, ("--output-dir",)),
+    "generate": (cmd_generate, ("--seed", "--output-dir")),
+    "augment": (cmd_augment, ("--seed", "--k", "--batch-size", "--strategy", "--output-dir")),
+    "evaluate": (cmd_evaluate, ("--output-dir",)),
+    "report": (cmd_report, ("--output-dir",)),
+}
+_FLAGS = {
+    "--seed": {"type": int, "help": "override seed"},
+    "--k": {"type": int, "help": "override augment.k"},
+    "--batch-size": {"type": int, "help": "override augment.batch_size"},
+    "--strategy": {"help": "override augment.strategy"},
+    "--output-dir": {"help": "override paths.output_dir"},
 }
 
 
@@ -318,23 +315,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for conversational recommendation data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to the run config file")
-        cmd.add_argument("--seed", type=int, help="override config seed")
-        cmd.add_argument("--k", type=int, help="override augmentation k")
-        cmd.add_argument("--batch-size", type=int, help="override batch size")
-        cmd.add_argument("--strategy", choices=STRATEGIES, help="override augmentation strategy")
-        cmd.add_argument("--output-dir", help="override output directory")
+        for flag in flags:
+            cmd.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # the override flags' destinations are the names of the fields they set
         config = load_config(args.config, overrides=vars(args))
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command][0](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

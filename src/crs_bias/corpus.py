@@ -81,8 +81,7 @@ class ItemCatalog:
         if not self.items:
             raise CorpusError("catalog is empty")
         for item_id in self.items:
-            if not item_id:
-                raise CorpusError("catalog contains an empty item_id")
+            _check_item_id(item_id)
 
     def __contains__(self, item_id: str) -> bool:
         return item_id in self.items
@@ -92,6 +91,11 @@ class ItemCatalog:
 
     def name_of(self, item_id: str) -> str:
         return self.items[item_id]
+
+
+def _check_item_id(item_id: str) -> None:
+    if not item_id:
+        raise CorpusError("empty item_id")
 
 
 class ItemIndex:
@@ -403,14 +407,8 @@ class DialogueColumns:
             return self
         accepted = np.diff(self.target_offsets) > 0
         closed = np.cumsum(accepted) - accepted  # accepted turns before each turn
-        segmented = replace(
-            self, episodes=closed - np.repeat(closed[starts], np.diff(self.turn_offsets))
-        )
-        # episodes change no dialogue, turn or item: share what was derived from those
-        for name in ("row_of", "turn_dialogue", "touches", "dialogue_items"):
-            if name in self.__dict__:
-                segmented.__dict__[name] = self.__dict__[name]
-        return segmented
+        episodes = closed - np.repeat(closed[starts], np.diff(self.turn_offsets))
+        return replace(self, episodes=episodes)
 
     def iter_dialogues(self) -> Iterator[Dialogue]:
         """A ``Dialogue`` per dialogue, in order, each built as it is asked for."""
@@ -814,6 +812,8 @@ def parse_id(value, what: str) -> str:
 
 
 def load_catalog(path: str | Path) -> ItemCatalog:
+    """The catalog in ``path``; a line that breaks a rule raises
+    ``CorpusError`` naming ``path:line``, an empty catalog naming ``path``."""
     path = Path(path)
     items: dict[str, str] = {}
     for lineno, record in read_json_lines(path):
@@ -822,18 +822,18 @@ def load_catalog(path: str | Path) -> ItemCatalog:
             name = record["name"]
             if type(name) is not str:
                 raise CorpusError(f"'name' must be a string, got {name!r}")
+            _check_item_id(item_id)
         except KeyError as exc:
             raise CorpusError(f"{path}:{lineno}: catalog record missing {exc.args[0]!r}") from None
         except CorpusError as exc:
             raise CorpusError(f"{path}:{lineno}: {exc}") from None
-        if not item_id:
-            raise CorpusError(f"{path}:{lineno}: empty item_id")
         if item_id in items:
             raise CorpusError(f"{path}:{lineno}: duplicate item_id {item_id!r}")
         items[item_id] = name
-    if not items:
-        raise CorpusError(f"{path}: catalog is empty")
-    return ItemCatalog(items)
+    try:
+        return ItemCatalog(items)
+    except CorpusError as exc:  # every line passed: only the empty-catalog rule is left
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 def dialogue_to_record(dialogue: Dialogue) -> dict:

@@ -746,21 +746,15 @@ def load_report_records(path: str | Path) -> list[dict]:
     return records
 
 
-def format_report_table(reports: Iterable[BiasReport]) -> str:
-    """Aligned-column text table: one row per (model, metric)."""
+def format_report_table(records: Iterable[dict]) -> str:
+    """Aligned-column text table of report records, as ``BiasReport.to_records``
+    gives them and ``load_report_records`` reads them: one row per record."""
     rows = [("model", "metric", "mean", "std", "n", "skipped")]
-    for report in reports:
-        for name, summary in report.metrics.items():
-            rows.append(
-                (
-                    report.model_name,
-                    name,
-                    f"{summary.mean:.4f}",
-                    f"{summary.std:.4f}",
-                    str(summary.n),
-                    str(summary.n_skipped),
-                )
-            )
+    rows += (
+        (r["model"], r["metric"], f"{r['mean']:.4f}", f"{r['std']:.4f}", str(r["n"]),
+         str(r["n_skipped"]))
+        for r in records
+    )
     widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in rows]
     lines.insert(1, "-" * len(lines[0]))

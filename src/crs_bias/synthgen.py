@@ -350,10 +350,12 @@ class HttpChatBackend:
                 else:
                     try:
                         text = response.json()["choices"][0]["message"]["content"]
-                    except (KeyError, IndexError, ValueError) as exc:
+                    except (KeyError, IndexError, TypeError, ValueError) as exc:
                         raise BackendError(f"malformed backend response: {exc}") from exc
-                    if not text or not text.strip():
+                    if text is None or type(text) is str and not text.strip():
                         raise EmptyCompletionError("backend returned an empty completion")
+                    if type(text) is not str:
+                        raise BackendError(f"malformed backend response: content {text!r}")
                     return text
             if attempt < self.max_attempts:
                 if retry_after is None:
@@ -429,8 +431,9 @@ def parse_generated_record(
     ``en`` only where neither neighbouring character is a word character
     (so "Up" is not found in "Upon"), in ``zh`` wherever the name occurs. The
     final recommender turn naming the item carries it as the target. Text
-    without speaker prefixes, without any item mention, or where no
-    recommender turn names the item is rejected. Episode indices follow the
+    that is blank, holds a lone surrogate (it cannot be written as UTF-8),
+    has no speaker prefixes or no item mention, or where no recommender
+    turn names the item is rejected. Episode indices follow the
     ``accept_boundary`` policy: the target turn ends episode 0.
     """
     tag = _TAGGERS.get(language)
@@ -438,6 +441,10 @@ def parse_generated_record(
         raise ValueError(f"unsupported language {language!r}")
     if not raw.strip():
         raise DialogueRejected("empty_text")
+    try:
+        raw.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate: the pool file could not hold it
+        raise DialogueRejected("invalid_text") from None
     turns: list[tuple[str, list[str]]] = []
     # only \r\n, \r and \n end a line: str.splitlines also splits at form
     # feeds, U+0085 and U+2028, which an item name may hold

@@ -274,15 +274,33 @@ def file_entries(path) -> list[RunEntry]:
 
 
 class FakeResponse:
-    """A chat-completion reply as ``requests.post`` would return it."""
+    """A chat-completion reply as ``requests.post`` would return it; ``body``,
+    when given, is the reply's whole JSON text instead."""
 
-    def __init__(self, status_code=200, content="User: hi\nSystem: watch Alien.", headers=None):
+    def __init__(self, status_code=200, content="User: hi\nSystem: watch Alien.", headers=None,
+                 body=None):
         self.status_code = status_code
         self._content = content
         self.headers = headers or {}
+        self._body = body
 
     def json(self):
+        if self._body is not None:
+            return json.loads(self._body)
         return {"choices": [{"message": {"content": self._content}}]}
+
+
+# replies whose choices[0].message.content is not a string
+MALFORMED_REPLIES = [
+    "[]",
+    '{"choices": "x"}',
+    '{"choices": [{"message": {"content": 5}}]}',
+    '{"choices": [{"message": {"content": ["a"]}}]}',
+]
+# a reply whose completion holds a lone surrogate, escaped as \ud800
+SURROGATE_REPLY = json.dumps(
+    {"choices": [{"message": {"content": "User: hi\nSystem: watch Alien \ud800"}}]}
+)
 
 
 # ---------------------------------------------------------------------------

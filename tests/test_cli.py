@@ -30,11 +30,11 @@ from crs_bias.augment import MaterializedBatch
 from crs_bias.corpus import Dialogue, DialogueColumns, Turn
 from crs_bias.corpus import load_corpus, segment_corpus, write_lines
 from crs_bias.metrics import BiasReport, RunEntry, evaluate_run, format_report_table, load_run
-from crs_bias.metrics import save_report
+from crs_bias.metrics import load_report_records, save_report
 from crs_bias.popularity import ItemIndex, ThresholdPolicy, build_popularity
 from crs_bias.synthgen import HttpChatBackend, OfflineTemplateBackend, build_pool
 
-from helpers import FakeResponse
+from helpers import FakeResponse, MALFORMED_REPLIES, SURROGATE_REPLY
 
 DATA = Path(__file__).parent / "data"
 GOOD_TURN = b'{"speaker": "seeker", "text": "hi", "items": [], "targets": []}'
@@ -359,6 +359,39 @@ class TestGenerate:
         assert main(["generate", "--config", str(config)]) == 3
         assert "backend error: request failed: InvalidURL" in capsys.readouterr().err
 
+    def _http_config(self, tmp_path, monkeypatch, replies) -> Path:
+        """A config for ``http_chat`` over the one-item catalog ``Alien``,
+        whose requests are answered by ``replies`` in turn."""
+        catalog = tmp_path / "catalog.jsonl"
+        catalog.write_text('{"item_id": "m1", "name": "Alien"}\n')
+        monkeypatch.setenv("CRSBIAS_LLM_TOKEN", "t")
+        monkeypatch.setattr(requests, "post", lambda *a, **k: replies.pop(0))
+        return write_config(
+            tmp_path / "config.yaml",
+            paths={"catalog": str(catalog)},
+            generation={
+                "backend": "http_chat",
+                "max_attempts": 2,
+                "http": {"base_url": "http://127.0.0.1:9", "model": "chat-1"},
+            },
+        )
+
+    @pytest.mark.parametrize("body", MALFORMED_REPLIES)
+    def test_malformed_reply_exits_3_without_a_pool(self, tmp_path, capsys, monkeypatch, body):
+        config = self._http_config(tmp_path, monkeypatch, [FakeResponse(body=body)])
+        assert main(["generate", "--config", str(config)]) == 3
+        assert capsys.readouterr().err.startswith("backend error: malformed backend response: ")
+        assert not (tmp_path / "out" / "pool.jsonl").exists()
+
+    def test_lone_surrogate_reply_is_a_counted_rejection(self, tmp_path, monkeypatch):
+        replies = [FakeResponse(body=SURROGATE_REPLY), FakeResponse()]
+        config = self._http_config(tmp_path, monkeypatch, replies)
+        assert main(["generate", "--config", str(config)]) == 0
+        log = json.loads((tmp_path / "out" / "generation_log.json").read_text())
+        assert log["rejected"] == {"invalid_text": 1}
+        assert log["attempts"] == 2 and log["n_accepted"] == 1 and log["skipped"] == []
+        assert "watch @m1." in (tmp_path / "out" / "pool.jsonl").read_text(encoding="utf-8")
+
     def test_unknown_items_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path / "config.yaml", generation={"items": ["m1", "zz"]})
         assert main(["generate", "--config", str(config)]) == 2
@@ -677,13 +710,13 @@ class TestEvaluate:
         items = ItemIndex(corpus.catalog.items)
         expected = tmp_path / "expected"
         expected.mkdir()
-        reports = []
+        records = []
         for path in runs:
             report = evaluate_run(load_run(path, items=items), corpus, table,
                                   cutoffs=run_config.cutoffs, log_base=run_config.log_base)
             save_report(report, expected / f"{report.model_name}.report.jsonl")
-            reports.append(report)
-        write_lines(expected / "report_table.txt", [format_report_table(reports)])
+            records += report.to_records()
+        write_lines(expected / "report_table.txt", [format_report_table(records)])
         written = snapshot(tmp_path / "out")
         del written["config_echo.json"]
         assert written == snapshot(expected)
@@ -818,6 +851,22 @@ class TestEvaluate:
         capsys.readouterr()
         assert main(["report", "--config", str(config)]) == 0
         assert capsys.readouterr().out == (out / "report_table.txt").read_text()
+
+    def test_report_records_render_the_table_evaluate_wrote(self, tmp_path):
+        # model_b sorts before run_small, so report's file order is the run order
+        second = tmp_path / "model_b.jsonl"
+        shutil.copy(DATA / "run_small.jsonl", second)
+        config = self._config_with_runs(tmp_path, [second, DATA / "run_small.jsonl"])
+        assert main(["evaluate", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        records = [r for p in sorted(out.glob("*.report.jsonl")) for r in load_report_records(p)]
+        assert {r["model"] for r in records} == {"model_b", "run_small"}
+        assert format_report_table(records) + "\n" == (out / "report_table.txt").read_text()
+        format_1 = load_report_records(DATA / "run_small.report.format1.jsonl")
+        assert {r.get("report_format", 1) for r in format_1} == {1}
+        assert format_report_table(format_1) == format_report_table(
+            load_report_records(out / "run_small.report.jsonl")
+        )
 
     @pytest.mark.parametrize(
         "ranked, turn_index",
@@ -1316,6 +1365,82 @@ class TestConfig:
         assert echoes[0] == echoes[1]
         assert json.loads(echoes[0][0])["paths"] == dict(paths, pool=None)
         assert json.loads(echoes[0][1])["paths"] == dict(paths, pool=None, output_dir="flagged")
+
+
+# each command's override flags, with a value to give each flag
+FLAG_VALUES = {"--seed": "5", "--k": "3", "--batch-size": "2", "--strategy": "once_aug",
+               "--output-dir": "flagged"}
+READS = {
+    "stats": ("--output-dir",),
+    "generate": ("--seed", "--output-dir"),
+    "augment": ("--seed", "--k", "--batch-size", "--strategy", "--output-dir"),
+    "evaluate": ("--output-dir",),
+    "report": ("--output-dir",),
+}
+# where config_echo.json shows each flag's value
+ECHOED = {"--seed": ("seed",), "--k": ("augment", "k"), "--batch-size": ("augment", "batch_size"),
+          "--strategy": ("augment", "strategy"), "--output-dir": ("paths", "output_dir")}
+
+
+class TestFlags:
+    @pytest.fixture()
+    def workspace(self, workspace_with_pool, monkeypatch) -> Path:
+        """The pool workspace with a run file, as the working directory."""
+        raw = yaml.safe_load(workspace_with_pool.read_text())
+        raw["paths"]["runs"] = [str(DATA / "run_small.jsonl")]
+        workspace_with_pool.write_text(yaml.safe_dump(raw))
+        monkeypatch.chdir(workspace_with_pool.parent)
+        return workspace_with_pool
+
+    def test_ten_override_flags_in_all(self):
+        assert sum(map(len, READS.values())) == 10
+        assert list(READS) == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c in READS for f in READS[c]])
+    def test_a_flag_the_command_reads_sets_its_field(self, workspace, capsys, command, flag):
+        config = str(workspace)
+        if command == "report":  # report reads the reports in the flag's directory
+            assert main(["evaluate", "--config", config, "--output-dir", "flagged"]) == 0
+            capsys.readouterr()
+        assert main([command, "--config", config, flag, FLAG_VALUES[flag]]) == 0
+        out = workspace.parent / ("flagged" if flag == "--output-dir" else "out")
+        echo = json.loads((out / "config_echo.json").read_text())
+        for key in ECHOED[flag]:
+            echo = echo[key]
+        assert str(echo) == FLAG_VALUES[flag]
+        if command == "report":
+            assert capsys.readouterr().out == (out / "report_table.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "command, flag", [(c, f) for c in READS for f in FLAG_VALUES if f not in READS[c]]
+    )
+    def test_a_flag_the_command_does_not_read_exits_2_writing_nothing(
+        self, workspace, capsys, command, flag
+    ):
+        before = snapshot(workspace.parent)
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--config", str(workspace), flag, FLAG_VALUES[flag]])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in capsys.readouterr().err
+        assert snapshot(workspace.parent) == before
+
+    def test_augment_k_flag_is_echoed(self, workspace):
+        assert main(["augment", "--config", str(workspace), "--k", "3"]) == 0
+        echo = json.loads((workspace.parent / "out" / "config_echo.json").read_text())
+        assert echo["augment"]["k"] == 3
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--strategy", "nonsense",
+         "config error: augment.strategy must be one of ['once_aug', 'pop_nudge'], got 'nonsense'"),
+        ("--k", "0", "config error: augment.k must be >= 1, got 0"),
+        ("--seed", "-1", "config error: seed must be >= 0, got -1"),
+    ])
+    def test_a_bad_flag_value_is_the_config_fields_error(self, workspace, capsys, flag, value,
+                                                          message):
+        before = snapshot(workspace.parent)
+        assert main(["augment", "--config", str(workspace), flag, value]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert snapshot(workspace.parent) == before
 
 
 def test_readme_quick_start(tmp_path, capsys):

@@ -243,6 +243,29 @@ class TestInputBoundary:
         with pytest.raises(CorpusError, match=re.escape(f"cat.jsonl{message}")):
             load_catalog(path)
 
+    @pytest.mark.parametrize("text", ["", "\n \n\t\n"])
+    def test_empty_catalog_file_names_the_path(self, tmp_path, text):
+        path = tmp_path / "cat.jsonl"
+        path.write_text(text)
+        with pytest.raises(CorpusError) as raised:
+            load_catalog(path)
+        assert str(raised.value) == f"{path}: catalog is empty"
+
+    def test_empty_item_id_names_path_and_line_before_a_later_fault(self, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        path.write_text('{"item_id": "7", "name": "A"}\n{"item_id": "", "name": "B"}\n{"item_id"\n')
+        with pytest.raises(CorpusError) as raised:
+            load_catalog(path)
+        assert str(raised.value) == f"{path}:2: empty item_id"
+
+    @pytest.mark.parametrize(
+        "items, message", [({}, "catalog is empty"), ({"7": "A", "": "B"}, "empty item_id")]
+    )
+    def test_catalog_object_rules_have_the_file_texts(self, items, message):
+        with pytest.raises(CorpusError) as raised:
+            ItemCatalog(items)
+        assert str(raised.value) == message
+
     def test_integer_catalog_ids_read_as_strings(self, tmp_path):
         path = tmp_path / "cat.jsonl"
         path.write_text('{"item_id": 7, "name": "A"}\n{"item_id": "8", "name": "B"}\n')

@@ -864,7 +864,7 @@ class TestReportIO:
         corpus, _ = load_corpus(data_dir / "corpus_small.jsonl", data_dir / "catalog_small.jsonl")
         table = build_popularity(corpus, ThresholdPolicy.count_threshold(1))
         report = evaluate_run(load_run(data_dir / "run_small.jsonl"), corpus, table)
-        text = format_report_table([report])
+        text = format_report_table(report.to_records())
         assert "pop_bias" in text
         assert "run_small" in text
         header, separator, *rows = text.splitlines()

@@ -32,7 +32,8 @@ from crs_bias.synthgen import (
     render_prompt,
 )
 
-from helpers import FakeResponse, reference_accept_boundary, reference_pool_item, store_records
+from helpers import FakeResponse, MALFORMED_REPLIES, SURROGATE_REPLY
+from helpers import reference_accept_boundary, reference_pool_item, store_records
 
 
 def _items(pool) -> list[str]:
@@ -276,6 +277,13 @@ class TestParsing:
     def test_empty_text_rejected(self):
         with pytest.raises(DialogueRejected):
             parse_generated_record("   \n  ", "m1", "Inception")
+
+    @pytest.mark.parametrize("text", ["\ud800", "\udfff", "\udc00\ud800"])
+    def test_lone_surrogate_rejected(self, text):
+        # the JSON text "\ud800" decodes to it; no UTF-8 file can hold it
+        with pytest.raises(DialogueRejected) as err:
+            parse_generated_record(f"User: hi\nSystem: watch Alien {text}", "m1", "Alien")
+        assert err.value.reason == "invalid_text"
 
     @pytest.mark.parametrize("word", ["Upon", "Up_", "Up2", "CheckUp", "_Up", "2Up", "Upé"])
     def test_en_name_inside_a_word_not_tagged(self, word):
@@ -766,6 +774,31 @@ class TestHttpBackend:
         )
         with pytest.raises(EmptyCompletionError):
             self._backend().generate(TEMPLATE, "m1", "Alien", seed=0)
+
+    @pytest.mark.parametrize("body", MALFORMED_REPLIES)
+    def test_malformed_reply_is_a_backend_error(self, monkeypatch, body):
+        monkeypatch.setenv("CRSBIAS_LLM_TOKEN", "t")
+        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(body=body))
+        with pytest.raises(BackendError, match="^malformed backend response: ") as raised:
+            self._backend().generate(TEMPLATE, "m1", "Alien", seed=0)
+        assert not isinstance(raised.value, EmptyCompletionError)
+
+    @pytest.mark.parametrize("content", [None, "", " \n\t"])
+    def test_null_or_blank_content_is_an_empty_completion(self, monkeypatch, content):
+        monkeypatch.setenv("CRSBIAS_LLM_TOKEN", "t")
+        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(content=content))
+        with pytest.raises(EmptyCompletionError):
+            self._backend().generate(TEMPLATE, "m1", "Alien", seed=0)
+
+    def test_lone_surrogate_reply_is_rejected_and_retried(self, monkeypatch, tmp_path):
+        replies = [FakeResponse(body=SURROGATE_REPLY), FakeResponse()]
+        monkeypatch.setenv("CRSBIAS_LLM_TOKEN", "t")
+        monkeypatch.setattr(requests, "post", lambda *a, **k: replies.pop(0))
+        pool, record = build_pool(self._backend(), TEMPLATE, [("m1", "Alien")], seed=0,
+                                  output_path=tmp_path / "pool.jsonl", max_attempts=2)
+        assert record.attempts == 2 and record.rejected == {"invalid_text": 1}
+        assert record.skipped == () and replies == []
+        assert _items(load_pool(tmp_path / "pool.jsonl")) == _items(pool) == ["m1"]
 
     def test_client_error_is_typed_error(self, monkeypatch):
         monkeypatch.setenv("CRSBIAS_LLM_TOKEN", "t")
