@@ -24,13 +24,14 @@ import json
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
+from operator import ne
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .corpus import SYNTHETIC, Corpus, CorpusError, Dialogue, DialogueColumns, ItemIndex
-from .corpus import load_dialogues, read_json_lines, write_json_lines
+from .corpus import load_dialogues, read_json_lines, read_snapshot, write_json_lines
 from .popularity import PopularityTable, item_coverage, train_counts
 
 # stream tags keep the shuffle RNG disjoint from per-anchor sampling RNGs
@@ -113,17 +114,23 @@ class SyntheticPool:
 
 def load_pool(path: str | Path, items: ItemIndex | None = None) -> SyntheticPool:
     """Read a pool file; its item ids go into ``items`` (a new index if None).
-    A dialogue that breaks a pool rule is named with its ``path:line``."""
+    The file's column snapshot, which ``build_pool`` writes beside it, is
+    read in its place when the two match (``corpus.read_snapshot``). A
+    dialogue that breaks a pool rule is named with its ``path:line``."""
     path = Path(path)
-    return SyntheticPool.from_columns(load_dialogues(path, items), path)
+    columns = read_snapshot(path, items)
+    if columns is None:
+        columns = load_dialogues(path, items)
+    return SyntheticPool.from_columns(columns, path)
 
 
 def pool_digest(pool: SyntheticPool) -> str:
-    """Content digest of (dialogue_id, item_id) pairs, order-independent."""
-    digest = hashlib.sha256()
-    for dialogue_id in sorted(pool.item_of):
-        digest.update(f"{dialogue_id}\t{pool.item_of[dialogue_id]}\n".encode("utf-8"))
-    return digest.hexdigest()
+    """Content digest of (dialogue_id, item_id) pairs, order-independent:
+    the sha256 of the sorted pairs, one line of the two ids, tab-separated,
+    per pair."""
+    ids = pool.columns.items.ids
+    pairs = sorted(zip(pool.columns.dialogue_ids, map(ids.__getitem__, pool.item_codes.tolist())))
+    return hashlib.sha256("".join(f"{d}\t{i}\n" for d, i in pairs).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -550,36 +557,34 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
         return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LongtailReport:
-    """Frequency-distribution comparison between two corpora (same catalog)."""
+    """Frequency-distribution comparison between two corpora over one
+    catalog; ``counts_before`` and ``counts_after`` are the training
+    frequencies (int64) of the catalog's items, in catalog order."""
 
-    freq_before: dict[str, int]
-    freq_after: dict[str, int]
+    counts_before: np.ndarray
+    counts_after: np.ndarray
     rank_correlation: float
     coverage_before: float
     coverage_after: float
     n_items_gained: int
     max_frequency_drop: int
-    curve_before: tuple[int, ...]
-    curve_after: tuple[int, ...]
 
 
 def longtail_report(before: Corpus, after: Corpus) -> LongtailReport:
-    if set(before.catalog.items) != set(after.catalog.items):
+    """Compare ``before`` and ``after``, whose catalogs must hold the same
+    items, names and order."""
+    items, other = before.catalog.items, after.catalog.items
+    if items != other or any(map(ne, items, other)):  # other names, ids or order
         raise AugmentError("longtail_report requires corpora over the same catalog")
-    x, counts_after = train_counts(before), train_counts(after)
-    freq_before = dict(zip(before.catalog.items, x.tolist()))
-    freq_after = dict(zip(after.catalog.items, counts_after.tolist()))
-    y = np.array(list(map(freq_after.__getitem__, freq_before)), dtype=np.int64)
+    x, y = train_counts(before), train_counts(after)
     return LongtailReport(
-        freq_before=freq_before,
-        freq_after=freq_after,
+        counts_before=x,
+        counts_after=y,
         rank_correlation=1.0 if np.array_equal(x, y) else spearman(x, y),
         coverage_before=item_coverage(x),
-        coverage_after=item_coverage(counts_after),
+        coverage_after=item_coverage(y),
         n_items_gained=int(np.count_nonzero((x == 0) & (y > 0))),
         max_frequency_drop=int((x - y).max()),  # the catalog is never empty
-        curve_before=tuple(np.sort(x)[::-1].tolist()),
-        curve_after=tuple(np.sort(y)[::-1].tolist()),
     )

@@ -29,22 +29,40 @@ Ids (``dialogue_id``, ``item_id`` and the entries of ``items`` and
 ``targets``) are strings; an integer is read as its decimal string. Text
 fields are strings and ``episodes`` is an array of integers. Every line
 that breaks a rule raises ``CorpusError`` naming ``path:line``.
+
+A column snapshot, ``<file>.cols`` beside a corpus file (``write_snapshot``,
+``read_snapshot``), holds the store that loading the file gives:
+
+* one JSON header line, ``{"snapshot_format": 1, "source_sha256": <hex
+  sha256 of the file's bytes>, "arrays": [[name, dtype, length], ...]}``;
+* the arrays ``split``, ``provenance``, ``turn_offsets``, ``speaker``,
+  ``episodes``, ``mention_offsets``, ``mention_codes``, ``target_offsets``,
+  ``target_codes`` and ``lines``, little-endian, in that order;
+* for ``texts``, ``dialogue_ids`` and ``item_ids`` (the ids a fresh index
+  holds after the load, in its order), each string's length in code points
+  (``<i8``), then the UTF-8 bytes of them all;
+* the sha256 of every byte before it.
+
+A snapshot that does not match its file is ignored, and the file is read.
 """
 
 from __future__ import annotations
 
+import codecs
 import gc
+import hashlib
 import json
 import os
 from array import array
 from bisect import bisect_right
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -769,26 +787,34 @@ def read_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
-def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write each string plus a newline to ``.<name>.<pid>.tmp`` beside
-    ``path``, then rename it over ``path``: an error or an interrupt while
-    writing leaves the old file (or none) and no temp file behind. An
-    ``OSError`` creating the temp file or renaming it names ``path``."""
+@contextmanager
+def _replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """A file open for writing at ``.<name>.<pid>.tmp`` beside ``path``
+    (UTF-8 text, or bytes when ``binary``), renamed over ``path`` when the
+    block ends: an error or an interrupt while writing leaves the old file
+    (or none) and no temp file behind. An ``OSError`` creating the temp file
+    or renaming it names ``path``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        fh = tmp.open("w", encoding="utf-8")
+        fh = tmp.open("wb") if binary else tmp.open("w", encoding="utf-8")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with fh:
-            fh.writelines(line + "\n" for line in lines)
+            yield fh
         try:
             os.replace(tmp, path)
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, str(path)) from None
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each string plus a newline to ``path`` through ``_replacing``."""
+    with _replacing(path) as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 # built once: json.dumps with options builds a new encoder per call. Records
@@ -950,6 +976,241 @@ def _dialogue_line(dialogue_id: str, fields: str, turns: list[str], episodes: li
 
 def save_catalog(catalog: ItemCatalog, path: str | Path) -> None:
     write_json_lines(path, ({"item_id": i, "name": name} for i, name in catalog.items.items()))
+
+
+# ---------------------------------------------------------------------------
+# column snapshots
+
+SNAPSHOT_FORMAT = 1
+# the array columns of a snapshot, in body order, each with its little-endian dtype
+_SNAPSHOT_ARRAYS = [
+    ("split", "|i1"), ("provenance", "|i1"), ("turn_offsets", "<i8"), ("speaker", "|i1"),
+    ("episodes", "<i8"), ("mention_offsets", "<i8"), ("mention_codes", "<i4"),
+    ("target_offsets", "<i8"), ("target_codes", "<i4"), ("lines", "<i8"),
+]
+# the string columns, after the arrays: each as its strings' code-point
+# lengths, then the UTF-8 bytes of them all
+_SNAPSHOT_STRINGS = ("texts", "dialogue_ids", "item_ids")
+_SNAPSHOT_LAYOUT = _SNAPSHOT_ARRAYS + [
+    (f"{name}{part}", dtype) for name in _SNAPSHOT_STRINGS
+    for part, dtype in ((".lengths", "<i8"), (".utf8", "|u1"))
+]
+_SNAPSHOT_CHUNK = 1 << 16  # bytes hashed or decoded at a time
+_SNAPSHOT_RUN = 4096  # strings encoded at a time
+_HEADER_LIMIT = 1 << 16
+
+
+def snapshot_path(path: str | Path) -> Path:
+    """The column snapshot of the JSON-lines file ``path``: ``<path>.cols``."""
+    path = Path(path)
+    return path.with_name(path.name + ".cols")
+
+
+def _sha256_of(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        while chunk := fh.read(_SNAPSHOT_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _interning_order(columns: DialogueColumns) -> np.ndarray:
+    """The distinct codes of ``columns``, in the order a fresh index interns
+    them when their file is loaded: by turn, a turn's mentions before its
+    targets, each list in order (``ItemIndex.intern_lists``)."""
+    turns = np.concatenate((_owners(columns.mention_offsets), _owners(columns.target_offsets)))
+    codes = np.concatenate((columns.mention_codes, columns.target_codes))
+    seen = codes[np.argsort(turns, kind="stable")]
+    by_code = np.argsort(seen, kind="stable")  # each code's positions, in reading order
+    grouped = seen[by_code]
+    first = np.ones(len(seen), dtype=bool)
+    first[1:] = grouped[1:] != grouped[:-1]
+    return seen[np.sort(by_code[first])]
+
+
+def _utf8_runs(strings: list[str]) -> Iterator[bytes]:
+    """The UTF-8 bytes of ``"".join(strings)``, a run of strings at a time."""
+    for start in range(0, len(strings), _SNAPSHOT_RUN):
+        yield "".join(strings[start : start + _SNAPSHOT_RUN]).encode("utf-8")
+
+
+def write_snapshot(path: str | Path, columns: DialogueColumns) -> None:
+    """Write ``snapshot_path(path)`` (through ``_replacing``, a chunk at a
+    time) for the file ``path`` holding ``dialogue_lines(columns)``: the
+    store ``load_dialogues(path)`` reads, so its item ids go in the order a
+    fresh index interns them, and ``lines`` number the file's lines. See
+    ``read_snapshot`` for the layout."""
+    path = Path(path)
+    order = _interning_order(columns)
+    recode = np.zeros(len(columns.items), dtype=np.int32)
+    recode[order] = np.arange(len(order), dtype=np.int32)
+    loaded = {
+        **{name: getattr(columns, name) for name, _ in _SNAPSHOT_ARRAYS},
+        "mention_codes": recode[columns.mention_codes],
+        "target_codes": recode[columns.target_codes],
+        "lines": np.arange(1, len(columns) + 1),
+    }
+    arrays = [np.ascontiguousarray(loaded[name], dtype) for name, dtype in _SNAPSHOT_ARRAYS]
+    strings = [columns.texts, columns.dialogue_ids, [columns.items.ids[c] for c in order.tolist()]]
+    sizes = [len(a) for a in arrays]
+    for values in strings:
+        sizes += [len(values), sum(map(len, _utf8_runs(values)))]
+    header = {
+        "snapshot_format": SNAPSHOT_FORMAT,
+        "source_sha256": _sha256_of(path),
+        "arrays": [[name, dtype, n] for (name, dtype), n in zip(_SNAPSHOT_LAYOUT, sizes)],
+    }
+    digest = hashlib.sha256()
+    with _replacing(snapshot_path(path), binary=True) as fh:
+        def write(data) -> None:
+            digest.update(data)
+            fh.write(data)
+
+        write(json.dumps(header).encode("ascii") + b"\n")
+        for values in arrays:
+            write(values)
+        for values in strings:
+            write(np.fromiter(map(len, values), "<i8", len(values)))
+            for chunk in _utf8_runs(values):
+                write(chunk)
+        fh.write(digest.digest())
+
+
+def read_snapshot(path: str | Path, items: ItemIndex | None = None) -> DialogueColumns | None:
+    """The store in ``snapshot_path(path)``, equal to ``load_dialogues(path,
+    items)``: its item ids are interned into ``items`` (a fresh index when
+    None) in the order that load interns them. None, with ``items``
+    untouched, when there is no snapshot or it does not match ``path``.
+
+    A snapshot is one JSON header line, ``{"snapshot_format", "source_sha256",
+    "arrays": [[name, dtype, length], ...]}``, then the body: the ten array
+    columns (``_SNAPSHOT_ARRAYS``) as little-endian arrays; per string column
+    (texts, dialogue ids, item ids) the code-point length of each string,
+    then the UTF-8 bytes of them all; last, the sha256 of every byte before
+    it. A snapshot does not match when its format or layout is another, its
+    ``source_sha256`` is not the sha256 of ``path``'s bytes, its size or its
+    digest is off, or its columns break a store invariant (offsets, item
+    codes, split, speaker or provenance codes). It is read a chunk at a time."""
+    path = Path(path)
+    try:
+        with snapshot_path(path).open("rb") as fh:
+            columns = _read_snapshot(fh, path)
+    except (OSError, ValueError):  # missing or unreadable, or no match
+        return None
+    items = ItemIndex() if items is None else items
+    ids = columns.pop("item_ids")
+    remap = np.fromiter(map(items.intern, ids), np.int32, len(ids))
+    columns["mention_codes"] = remap[columns["mention_codes"]]
+    columns["target_codes"] = remap[columns["target_codes"]]
+    return DialogueColumns(items=items, **columns)
+
+
+def _read_snapshot(fh: IO[bytes], path: Path) -> dict:
+    """The columns of the open snapshot of ``path``, item codes indexing
+    ``item_ids``; ``ValueError`` when it does not match ``path``."""
+    line = fh.readline(_HEADER_LIMIT)
+    source, sizes = _snapshot_header(line)
+    digest = hashlib.sha256(line)
+    body = sum(np.dtype(dtype).itemsize * n for (_, dtype), n in zip(_SNAPSHOT_LAYOUT, sizes))
+    if os.fstat(fh.fileno()).st_size != len(line) + body + digest.digest_size:
+        raise ValueError("wrong size")
+    if source != _sha256_of(path):
+        raise ValueError("a snapshot of another file")
+    size_of = dict(zip(map(itemgetter(0), _SNAPSHOT_LAYOUT), sizes))
+    columns = {name: _read_array(fh, digest, np.dtype(dtype), size_of[name])
+               for name, dtype in _SNAPSHOT_ARRAYS}
+    for name in _SNAPSHOT_STRINGS:
+        lengths = _read_array(fh, digest, np.dtype("<i8"), size_of[f"{name}.lengths"])
+        columns[name] = _read_strings(fh, digest, size_of[f"{name}.utf8"], lengths)
+    if fh.read() != digest.digest():
+        raise ValueError("digest differs")
+    if not _store_invariants(columns):
+        raise ValueError("columns break a store invariant")
+    return columns
+
+
+def _snapshot_header(line: bytes) -> tuple[str, list[int]]:
+    """The source sha256 and the array lengths of a snapshot's header line;
+    ``ValueError`` for another format or layout."""
+    try:
+        header = json.loads(line)
+        layout = [(name, dtype) for name, dtype, _ in header["arrays"]]
+        sizes = [n for _, _, n in header["arrays"]]
+        version, source = header["snapshot_format"], header["source_sha256"]
+    except (KeyError, TypeError) as exc:  # JSON, but not a header
+        raise ValueError("not a snapshot header") from exc
+    if version != SNAPSHOT_FORMAT or layout != _SNAPSHOT_LAYOUT:
+        raise ValueError("another snapshot format")
+    if not all(type(n) is int and n >= 0 for n in sizes):
+        raise ValueError("a length is not a count")
+    return source, sizes
+
+
+def _read_array(fh: IO[bytes], digest, dtype: np.dtype, n: int) -> np.ndarray:
+    values = np.empty(n, dtype)
+    if fh.readinto(values.view(np.uint8)) != values.nbytes:
+        raise ValueError("truncated")
+    digest.update(values)
+    return values.astype(dtype.newbyteorder("="), copy=False)
+
+
+def _read_strings(fh: IO[bytes], digest, n_bytes: int, lengths: np.ndarray) -> list[str]:
+    """The strings of ``n_bytes`` of UTF-8, cut at their code-point
+    ``lengths``, decoded a chunk at a time."""
+    if (lengths < 0).any():
+        raise ValueError("negative length")
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    ends = np.cumsum(lengths)
+    strings: list[str] = []
+    text, base = "", 0  # the decoded code points not yet cut, from code point base on
+    while True:
+        size = min(n_bytes, _SNAPSHOT_CHUNK)
+        chunk = fh.read(size)
+        if len(chunk) != size:
+            raise ValueError("truncated")
+        digest.update(chunk)
+        n_bytes -= size
+        text += decode(chunk, final=not n_bytes)
+        stop = np.searchsorted(ends, base + len(text), "right")
+        cuts = (ends[len(strings) : stop] - base).tolist()
+        strings += map(text.__getitem__, map(slice, [0, *cuts[:-1]], cuts))
+        if cuts:
+            text, base = text[cuts[-1] :], base + cuts[-1]
+        if not n_bytes:
+            break
+    if text or len(strings) != len(lengths):
+        raise ValueError("lengths differ from the text")
+    return strings
+
+
+def _store_invariants(columns: dict) -> bool:
+    """Whether snapshot columns hold together as a store: lengths, CSR
+    offsets (every dialogue with a turn), item codes, and split, speaker
+    and provenance codes."""
+    n, n_turns = len(columns["dialogue_ids"]), len(columns["texts"])
+    sizes = {"split": n, "provenance": n, "lines": n, "turn_offsets": n + 1, "speaker": n_turns,
+             "episodes": n_turns, "mention_offsets": n_turns + 1, "target_offsets": n_turns + 1}
+
+    def offsets(name: str, total: int, least_step: int) -> bool:
+        values = columns[name]
+        steps = np.diff(values)
+        return values[0] == 0 and values[-1] == total and bool((steps >= least_step).all())
+
+    def within(name: str, limit: int) -> bool:
+        values = columns[name]
+        return not values.size or (values.min() >= 0 and values.max() < limit)
+
+    n_ids = len(columns["item_ids"])
+    return (
+        all(len(columns[name]) == size for name, size in sizes.items())
+        and offsets("turn_offsets", n_turns, 1)
+        and offsets("mention_offsets", len(columns["mention_codes"]), 0)
+        and offsets("target_offsets", len(columns["target_codes"]), 0)
+        and within("mention_codes", n_ids) and within("target_codes", n_ids)
+        and within("split", len(SPLIT_NAMES)) and within("provenance", len(PROVENANCE_NAMES))
+        and within("speaker", len(SPEAKER_NAMES))
+        and len(set(columns["item_ids"])) == n_ids
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from typing import Iterator, Protocol, Sequence
 import numpy as np
 
 from .corpus import CorpusError, ItemIndex, _ColumnsBuilder
-from .corpus import dialogue_lines, fill_checked, mention_token, write_lines
+from .corpus import dialogue_lines, fill_checked, mention_token, write_lines, write_snapshot
 from .augment import AugmentError, SyntheticPool
 
 LANGUAGES = frozenset({"en", "zh"})
@@ -555,7 +555,9 @@ def build_pool(
     order.
 
     Each round's records stream into the pool's column store in checked runs
-    and are dropped once filled; the pool file is written from the store. A
+    and are dropped once filled; the pool file is written from the store,
+    and then its column snapshot (``corpus.write_snapshot``), which
+    ``load_pool`` reads in place of the file while the two match. A
     repeated item id raises ``AugmentError``.
     """
     seeds = derived_seeds(seed, np.arange(len(items)), max_attempts)
@@ -601,6 +603,7 @@ def build_pool(
     synthetic_pool = SyntheticPool.from_columns(columns)
     if output_path is not None:
         write_lines(output_path, dialogue_lines(columns))
+        write_snapshot(output_path, columns)
     accepted = set(stored)
     record = GenerationRecord(
         skipped=tuple(

@@ -9,6 +9,7 @@ the whole catalog with one single-mention synthetic dialogue per item.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -18,8 +19,8 @@ import numpy as np
 
 from crs_bias.augment import SyntheticPool
 from crs_bias.corpus import (
-    Corpus, CorpusError, Dialogue, ItemCatalog, Turn, dialogue_lines, mention_token, parse_id,
-    read_json_lines,
+    Corpus, CorpusError, Dialogue, DialogueColumns, ItemCatalog, Turn, dialogue_lines,
+    mention_token, parse_id, read_json_lines,
 )
 from crs_bias.metrics import (
     DEFAULT_CUTOFFS,
@@ -67,6 +68,20 @@ def count_table(counts: dict[str, int], popular=()) -> PopularityTable:
 def store_records(columns) -> list[dict]:
     """A ``DialogueColumns`` store as the records of the file it writes."""
     return [json.loads(line) for line in dialogue_lines(columns)]
+
+
+def assert_same_store(got: DialogueColumns, expected: DialogueColumns) -> None:
+    """Every column of two stores is equal, arrays in dtype too, and so are
+    their indexes' ids and codes."""
+    assert got.items.ids == expected.items.ids
+    assert got.items.code == expected.items.code
+    for column in dataclasses.fields(DialogueColumns):
+        mine, theirs = getattr(got, column.name), getattr(expected, column.name)
+        if isinstance(theirs, np.ndarray):
+            assert mine.dtype == theirs.dtype, column.name
+            assert mine.tolist() == theirs.tolist(), column.name
+        elif column.name != "items":
+            assert type(mine) is list and mine == theirs, column.name
 
 
 def segmented_dialogue(dialogue_id: str, turns, split: str = "train") -> Dialogue:

@@ -403,7 +403,8 @@ def test_c08_cmd_generate_byte_identical(tmp_path, capsys):
     second = _snapshot(tmp_path / "out")
     capsys.readouterr()
     assert first == second
-    assert "pool.jsonl" in first
+    assert "pool.jsonl" in first and "pool.jsonl.cols" in first
+    assert not [name for name in first if name.endswith(".tmp")]
 
 
 def test_c08_columnar_evaluation_equals_scalar(standard_corpus, standard_table):

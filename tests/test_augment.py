@@ -680,10 +680,11 @@ class TestLongtail:
             make_dialogue("d1", ["a"]), make_dialogue("d2", ["a"]), make_dialogue("d3", ["b"]), extra,
         ))
         report = longtail_report(before, after)
-        assert report.freq_before == {"a": 2, "b": 1, "c": 0}
-        assert report.freq_after == {"a": 2, "b": 2, "c": 0}
+        assert dict(zip(catalog.items, report.counts_before.tolist())) == {"a": 2, "b": 1, "c": 0}
+        assert dict(zip(catalog.items, report.counts_after.tolist())) == {"a": 2, "b": 2, "c": 0}
+        assert report.counts_before.dtype == report.counts_after.dtype == np.int64
         assert report.max_frequency_drop <= 0
-        assert report.curve_after == (2, 2, 0)
+        assert sorted(report.counts_after.tolist(), reverse=True) == [2, 2, 0]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=2, max_size=200))
@@ -714,6 +715,14 @@ class TestLongtail:
         other = Corpus(ItemCatalog({"zz": "ZZ"}), (make_dialogue("d1", ["zz"]),))
         with pytest.raises(AugmentError, match="same catalog"):
             longtail_report(standard_corpus, other)
+
+    @pytest.mark.parametrize("items", [{"b": "B", "a": "A"}, {"a": "A", "b": "Bee"}])
+    def test_reordered_or_renamed_catalog_rejected(self, items):
+        # the counts are compared position by position, in catalog order
+        dialogues = (make_dialogue("d1", ["a"]), make_dialogue("d2", ["a"]))
+        before = Corpus(ItemCatalog({"a": "A", "b": "B"}), dialogues)
+        with pytest.raises(AugmentError, match="same catalog"):
+            longtail_report(before, Corpus(ItemCatalog(items), dialogues))
 
     def test_train_frequencies_ignore_other_splits(self):
         catalog = ItemCatalog({"a": "A"})

@@ -442,8 +442,9 @@ class TestGenerate:
         (tmp_path / "pools").mkdir()
         config = write_config(tmp_path / "config.yaml", paths={"pool": "pools/pool.jsonl"})
         assert main(["generate", "--config", str(config)]) == 0
-        assert (tmp_path / "pools" / "pool.jsonl").is_file()
-        assert not (tmp_path / "out" / "pool.jsonl").exists()
+        # the column snapshot goes beside the pool, and no temp file is left
+        assert sorted(os.listdir(tmp_path / "pools")) == ["pool.jsonl", "pool.jsonl.cols"]
+        assert sorted(os.listdir(tmp_path / "out")) == ["config_echo.json", "generation_log.json"]
 
     def test_unwritable_pool_names_the_pool_not_its_temp_file(self, tmp_path, capsys):
         # the pool's name fits in a directory entry; its longer temp file name does not
@@ -456,11 +457,16 @@ class TestGenerate:
 
 
 @pytest.fixture()
-def workspace_with_pool(tmp_path) -> Path:
+def workspace_with_pool(request, tmp_path) -> Path:
+    """A config whose ``paths.pool`` is a pool ``generate`` wrote, moved out
+    of the output directory alone, or with its column snapshot when the
+    fixture is parametrized with ``"with snapshot"``."""
     config = write_config(tmp_path / "config.yaml")
     assert main(["generate", "--config", str(config)]) == 0
     pool = tmp_path / "pool.jsonl"
     shutil.move(tmp_path / "out" / "pool.jsonl", pool)
+    if getattr(request, "param", None) == "with snapshot":
+        shutil.move(tmp_path / "out" / "pool.jsonl.cols", tmp_path / "pool.jsonl.cols")
     shutil.rmtree(tmp_path / "out")
     write_config(
         tmp_path / "config.yaml",
@@ -576,6 +582,11 @@ class TestAugment:
         err = capsys.readouterr().err
         assert f"input error: {pool}:2: pool dialogue " in err and "is not synthetic" in err
 
+    @pytest.mark.parametrize("workspace_with_pool", ["with snapshot"], indirect=True)
+    def test_pool_edited_after_generate_exits_2_with_path_line(self, workspace_with_pool, capsys):
+        # the snapshot no longer matches the pool file, which is read instead
+        self.test_pool_rule_error_exits_2_with_path_line(workspace_with_pool, capsys)
+
     def test_plan_from_another_pool_exits_2(self, workspace_with_pool, capsys, monkeypatch):
         import crs_bias.cli as cli_module
 
@@ -620,7 +631,7 @@ class TestAugment:
         assert snapshot(out)["augmented_corpus.jsonl"] == before["augmented_corpus.jsonl"]
         assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
 
-    @pytest.mark.parametrize("strategy, digests", [
+    pinned = pytest.mark.parametrize("strategy, digests", [
         ("pop_nudge", {
             "augment_summary.json": "48c46e7b63133da82e118f278389f6ed8f93b60885f59619508c835b24ff41da",
             "augmented_corpus.jsonl": "5971d9d7666ffa8b94c43732fe934f4d5df18ba1e696980fcfb8257dfcd32609",
@@ -631,6 +642,8 @@ class TestAugment:
             "augmented_corpus.jsonl": "222a8e029a09ab61f8a9e95abba2b98bd00723d1403b604cb16f66bca4448d63",
         }),
     ])
+
+    @pinned
     def test_augment_outputs_are_pinned(self, workspace_with_pool, strategy, digests):
         # as written by the per-dialogue loaders the columnar store replaced
         assert main(["augment", "--config", str(workspace_with_pool), "--strategy", strategy]) == 0
@@ -640,6 +653,17 @@ class TestAugment:
             for name, data in snapshot(out).items() if name != "config_echo.json"
         }
         assert written == digests
+
+    @pytest.mark.parametrize("workspace_with_pool", ["with snapshot"], indirect=True)
+    @pinned
+    def test_augment_outputs_from_the_snapshot_are_pinned(
+        self, workspace_with_pool, strategy, digests, monkeypatch
+    ):
+        def unread(path, items):
+            raise AssertionError(f"{path} was parsed, not read from its snapshot")
+
+        monkeypatch.setattr(cli.aug, "load_dialogues", unread)
+        self.test_augment_outputs_are_pinned(workspace_with_pool, strategy, digests)
 
     def test_failed_audit_exits_4(self, workspace_with_pool, capsys, monkeypatch):
         import crs_bias.cli as cli_module

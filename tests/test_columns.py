@@ -21,12 +21,17 @@ from crs_bias.corpus import (
     ItemIndex,
     dialogue_lines,
     load_corpus,
+    load_dialogues,
+    read_snapshot,
     save_corpus,
     segment_corpus,
+    write_lines,
+    write_snapshot,
 )
 from crs_bias.popularity import train_counts
 
 from helpers import (
+    assert_same_store,
     reference_accept_boundary,
     reference_dialogue_max,
     reference_item_codes,
@@ -126,8 +131,10 @@ def test_longtail_frequencies_match_loop(records, pool_records):
         pool = load_pool(_write(Path(tmp) / "pool.jsonl", pool_records))
     report = longtail_report(corpus, once_aug(corpus, pool))
     appended = [{**r, "split": "train"} for r in pool_records]
-    assert report.freq_before == reference_train_frequencies(CATALOG_IDS, records)
-    assert report.freq_after == reference_train_frequencies(CATALOG_IDS, records + appended)
+    assert dict(zip(CATALOG_IDS, report.counts_before.tolist())) == (
+        reference_train_frequencies(CATALOG_IDS, records))
+    assert dict(zip(CATALOG_IDS, report.counts_after.tolist())) == (
+        reference_train_frequencies(CATALOG_IDS, records + appended))
 
 
 @settings(max_examples=150, deadline=None)
@@ -276,3 +283,29 @@ def test_dialogue_lines_equal_the_json_encoder(records, data):
             ).encode("utf-8")
             assert written == expected
 
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=corpus_records(), data=st.data())
+def test_snapshot_reads_what_the_file_loads(records, data, monkeypatch_module):
+    # as build_pool's store does, the written store's index holds an id no
+    # dialogue touches, and its rows are in another order than their lines.
+    # Small chunks and runs cut multi-byte characters and strings apart
+    for name in ("_SNAPSHOT_CHUNK", "_SNAPSHOT_RUN"):
+        monkeypatch_module.setattr(corpus_module, name, data.draw(st.sampled_from([1, 3, 4096])))
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            loaded = load_dialogues(_write(root / "records.jsonl", records), ItemIndex(["unused"]))
+            store = loaded.take(data.draw(st.permutations(range(len(records)))))
+            path = root / "pool.jsonl"
+            write_lines(path, dialogue_lines(store))
+            write_snapshot(path, store)
+            known = data.draw(st.lists(st.sampled_from(["m2", "zz", "12", "other"]), unique=True))
+            for items in (None, known):
+                got = read_snapshot(path, None if items is None else ItemIndex(items))
+                assert got is not None
+                expected = load_dialogues(path, None if items is None else ItemIndex(items))
+                assert_same_store(got, expected)
+    finally:
+        monkeypatch_module.undo()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from crs_bias import synthgen
 from crs_bias.augment import load_pool
+from crs_bias.corpus import ItemIndex, load_dialogues, snapshot_path
 from crs_bias.synthgen import (
     BackendAuthError,
     BackendError,
@@ -33,7 +34,7 @@ from crs_bias.synthgen import (
 )
 
 from helpers import FakeResponse, MALFORMED_REPLIES, SURROGATE_REPLY
-from helpers import reference_accept_boundary, reference_pool_item, store_records
+from helpers import assert_same_store, reference_accept_boundary, reference_pool_item, store_records
 
 
 def _items(pool) -> list[str]:
@@ -609,6 +610,88 @@ class TestBuildPool:
             attempts=5,
             rejected={"no_speaker_prefixes": 3},
         )
+
+
+class TestPoolSnapshot:
+    """``build_pool`` writes ``pool.jsonl.cols`` beside the pool file, and
+    ``load_pool`` reads it in place of the file while the two match."""
+
+    # a blank name is skipped, m1 is accepted on its retry: the store's index
+    # holds a skipped id, and its rows were reordered into item order
+    ITEMS = [("e0", " "), *ITEMS[:4], ("u", "Amélie"), ("z", "千与千寻")]
+
+    @staticmethod
+    def _pool(directory, items=ITEMS, seed=5):
+        path = directory / "pool.jsonl"
+        backend = ScriptedBackend(reject=lambda item_id, attempt: item_id == "m1" and attempt == 0)
+        build_pool(backend, TEMPLATE, items, seed=seed, output_path=path)
+        return path
+
+    @pytest.fixture()
+    def json_loads(self, monkeypatch):
+        """The pool files ``load_pool`` parses as JSON."""
+        import crs_bias.augment as augment_module
+
+        calls = []
+        load_dialogues = augment_module.load_dialogues
+        monkeypatch.setattr(augment_module, "load_dialogues",
+                            lambda path, items: calls.append(path) or load_dialogues(path, items))
+        return calls
+
+    @pytest.mark.parametrize("known", [None, ["m3", "elsewhere", "z"]])
+    def test_snapshot_load_equals_the_json_load(self, tmp_path, json_loads, known):
+        path = self._pool(tmp_path)
+        assert snapshot_path(path) == tmp_path / "pool.jsonl.cols"
+        pool = load_pool(path, None if known is None else ItemIndex(known))
+        assert json_loads == []
+        expected = load_dialogues(path, None if known is None else ItemIndex(known))
+        assert_same_store(pool.columns, expected)
+        assert expected.lines.tolist() == list(range(1, len(expected) + 1))
+        assert len(pool) == 6
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pool.jsonl", "pool.jsonl.cols"]
+
+    @staticmethod
+    def _truncate(path, other):
+        path.write_bytes(path.read_bytes()[:-40])
+
+    @staticmethod
+    def _flip_body_byte(path, other):
+        data = bytearray(path.read_bytes())
+        data[data.index(b"\n") + 3] ^= 1
+        path.write_bytes(bytes(data))
+
+    @staticmethod
+    def _another_version(path, other):
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b'"snapshot_format": 1', b'"snapshot_format": 2', 1))
+
+    @staticmethod
+    def _another_pools(path, other):
+        path.write_bytes(snapshot_path(other).read_bytes())
+
+    @staticmethod
+    def _unknown_split(path, other):
+        # the first array is the split column; the digest is made to match
+        data = bytearray(path.read_bytes())
+        data[data.index(b"\n") + 1] = 7
+        data[-32:] = hashlib.sha256(data[:-32]).digest()
+        path.write_bytes(bytes(data))
+
+    @pytest.mark.parametrize(
+        "spoil", [_truncate, _flip_body_byte, _another_version, _another_pools, _unknown_split],
+        ids=["truncated", "flipped", "version", "another_pool", "unknown_split"],
+    )
+    def test_a_spoilt_snapshot_is_ignored(self, tmp_path, json_loads, spoil):
+        path = self._pool(tmp_path)
+        (tmp_path / "other").mkdir()
+        other = self._pool(tmp_path / "other", items=ITEMS[2:], seed=6)
+        spoil(snapshot_path(path), other)
+        spoilt = snapshot_path(path).read_bytes()
+        pool = load_pool(path, ItemIndex(["m3", "elsewhere"]))
+        assert json_loads == [path]
+        expected = load_dialogues(path, ItemIndex(["m3", "elsewhere"]))
+        assert_same_store(pool.columns, expected)  # nothing interned before the JSON load
+        assert snapshot_path(path).read_bytes() == spoilt  # never rewritten
 
 
 @settings(max_examples=200, deadline=None)
