@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .corpus import SYNTHETIC, Corpus, CorpusError, Dialogue, DialogueColumns, ItemIndex
-from .corpus import load_dialogues, read_json_lines, read_snapshot, write_json_lines
+from .corpus import load_dialogues, read_json_lines, read_snapshot, snapshot_path, write_json_lines
 from .popularity import PopularityTable, item_coverage, train_counts
 
 # stream tags keep the shuffle RNG disjoint from per-anchor sampling RNGs
@@ -118,7 +118,7 @@ def load_pool(path: str | Path, items: ItemIndex | None = None) -> SyntheticPool
     read in its place when the two match (``corpus.read_snapshot``). A
     dialogue that breaks a pool rule is named with its ``path:line``."""
     path = Path(path)
-    columns = read_snapshot(path, items)
+    columns = read_snapshot(snapshot_path(path), path, items)
     if columns is None:
         columns = load_dialogues(path, items)
     return SyntheticPool.from_columns(columns, path)

@@ -20,7 +20,15 @@ from . import augment as aug
 from . import metrics as met
 from . import popularity as pop
 from .config import ConfigError, RunConfig, load_config
-from .corpus import CorpusError, load_catalog, load_corpus, save_corpus, segment_corpus, write_lines
+from .corpus import (
+    CorpusError,
+    load_catalog,
+    load_corpus,
+    save_corpus,
+    segment_corpus,
+    write_lines,
+    write_snapshot,
+)
 from .synthgen import (
     POOL_FORMAT,
     BackendError,
@@ -56,6 +64,12 @@ def _prepare_output_dir(config: RunConfig) -> Path:
 def _pool_path(config: RunConfig) -> Path:
     """The pool file: ``paths.pool``, or ``pool.jsonl`` in the output directory."""
     return config.output_dir / "pool.jsonl" if config.pool is None else config.pool
+
+
+def _corpus_snapshot(config: RunConfig) -> Path:
+    """The corpus's column snapshot, which ``stats`` writes and ``augment``
+    and ``evaluate`` read while it matches the corpus file."""
+    return config.output_dir / "corpus.cols"
 
 
 def _report_paths(config: RunConfig) -> list[Path]:
@@ -95,6 +109,7 @@ def cmd_stats(config: RunConfig) -> int:
     out = _prepare_output_dir(config)
     _write_json(out / "stats.json", stats)
     pop.save_table(table, out / "popularity.jsonl")
+    write_snapshot(_corpus_snapshot(config), corpus.columns, summary.source_sha256)
 
     print(f"dialogues: train={stats['dialogues']['train']} "
           f"valid={stats['dialogues']['valid']} test={stats['dialogues']['test']}")
@@ -185,7 +200,7 @@ def cmd_augment(config: RunConfig) -> int:
     if not (pool_path := _pool_path(config)).is_file():
         raise ConfigError(f"paths.pool: no such file: {pool_path}")
 
-    corpus, _ = load_corpus(corpus_path, catalog_path)
+    corpus, _ = load_corpus(corpus_path, catalog_path, _corpus_snapshot(config))
     # one item index for corpus and pool: catalog order, unknown ids appended
     pool = aug.load_pool(pool_path, items=corpus.columns.items)
 
@@ -259,9 +274,8 @@ def cmd_evaluate(config: RunConfig) -> int:
     with ProcessPoolExecutor(max_workers=1, mp_context=get_context("fork")) as loader:
         try:
             loading = loader.submit(met.load_run, config.runs[0])
-            corpus, _ = load_corpus(corpus_path, catalog_path)
-            # training counts read no episodes: counted first, they reuse the
-            # views the load derived
+            corpus, _ = load_corpus(corpus_path, catalog_path, _corpus_snapshot(config))
+            # training counts read no episodes: they need no segmentation
             table = pop.build_popularity(corpus, config.eta_policy)
             # explicit policy validates that the files carry episode indices;
             # accept_boundary (re)derives them from the accepted-target rule

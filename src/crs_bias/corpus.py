@@ -30,8 +30,9 @@ Ids (``dialogue_id``, ``item_id`` and the entries of ``items`` and
 fields are strings and ``episodes`` is an array of integers. Every line
 that breaks a rule raises ``CorpusError`` naming ``path:line``.
 
-A column snapshot, ``<file>.cols`` beside a corpus file (``write_snapshot``,
-``read_snapshot``), holds the store that loading the file gives:
+A column snapshot of a corpus or pool file (``write_snapshot``,
+``read_snapshot``), wherever its writer puts it (``<file>.cols`` beside a
+pool, ``snapshot_path``), holds the store that loading the file gives:
 
 * one JSON header line, ``{"snapshot_format": 1, "source_sha256": <hex
   sha256 of the file's bytes>, "arrays": [[name, dtype, length], ...]}``;
@@ -59,7 +60,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -304,6 +305,11 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     return keys[distinct]
 
 
+def _distinct_pairs(owners: np.ndarray, codes: np.ndarray, n_codes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``(owner, code)`` pairs, sorted, of codes below ``n_codes``."""
+    return np.divmod(_sorted_distinct(owners * n_codes + codes), n_codes)
+
+
 def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """``concatenate([arange(s, e) for s, e in zip(starts, ends)])``."""
     lengths = ends - starts
@@ -374,30 +380,28 @@ class DialogueColumns:
         """The row of each turn's dialogue."""
         return _owners(self.turn_offsets)
 
-    @cached_property
-    def touches(self) -> tuple[np.ndarray, np.ndarray]:
+    def touches(self, keep) -> tuple[np.ndarray, np.ndarray]:
         """``(turn, code)`` of each distinct item a turn mentions or targets,
-        sorted by turn, then code: a turn touches an item once, however often
-        it names it."""
-        return self._distinct(
-            np.concatenate((_owners(self.mention_offsets), _owners(self.target_offsets)))
-        )
+        of the mentions and targets ``keep(turns, codes)`` picks (a mask over
+        the turn and code of each), sorted by turn, then code: a turn touches
+        an item once, however often it names it. Built on each call and not
+        kept, so only the pairs asked for are sorted and none outlive it."""
+        turns, codes = self._entries()
+        kept = keep(turns, codes)
+        turns, codes = turns[kept], codes[kept]  # the rest is freed before the sort
+        return _distinct_pairs(turns, codes, len(self.items))
 
     @cached_property
     def dialogue_items(self) -> tuple[np.ndarray, np.ndarray]:
         """``(row, code)`` of each distinct item a dialogue touches, sorted by
         row, then code."""
-        return self._distinct(np.concatenate((
-            self.turn_dialogue[_owners(self.mention_offsets)],
-            self.turn_dialogue[_owners(self.target_offsets)],
-        )))
+        turns, codes = self._entries()
+        return _distinct_pairs(self.turn_dialogue[turns], codes, len(self.items))
 
-    def _distinct(self, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct ``(owner, code)`` pairs, sorted, of every mention and
-        then every target; ``owners`` holds each one's owner in that order."""
-        n_codes = len(self.items)
-        codes = np.concatenate((self.mention_codes, self.target_codes))
-        return np.divmod(_sorted_distinct(owners * n_codes + codes), n_codes)
+    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The turn and the code of every mention, then of every target."""
+        return (np.concatenate((_owners(self.mention_offsets), _owners(self.target_offsets))),
+                np.concatenate((self.mention_codes, self.target_codes)))
 
     def dialogue_max(self, values: np.ndarray) -> np.ndarray:
         """Per dialogue, the largest ``values[code]`` over its items, or 0 for
@@ -734,6 +738,9 @@ class LoadSummary:
     dialogues_per_split: Counter = field(default_factory=Counter)
     n_unknown_mentions: int = 0
     unknown_item_ids: Counter = field(default_factory=Counter)
+    # the sha256 of the corpus file's bytes as they were parsed; None when
+    # the dialogues were read from a column snapshot instead
+    source_sha256: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -765,13 +772,17 @@ def _decode_line(text: str):
     return value
 
 
-def read_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
+def read_json_lines(path: Path, digest=None) -> Iterator[tuple[int, dict]]:
     """``(line number, object)`` for each line that is not blank, that is,
     not JSON whitespace alone. Lines are decoded one at a time, so a bad
     byte, malformed JSON (a form feed too), a lone surrogate escape or a
-    non-object record raises ``CorpusError`` naming its own ``path:line``."""
+    non-object record raises ``CorpusError`` naming its own ``path:line``.
+    Each line read, blank or not, is fed to ``digest`` (a ``hashlib``
+    object) when one is given."""
     with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if digest is not None:
+                digest.update(line)
             if not line.strip(b" \t\r\n"):
                 continue
             try:
@@ -811,10 +822,17 @@ def _replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
         tmp.unlink(missing_ok=True)
 
 
-def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write each string plus a newline to ``path`` through ``_replacing``."""
-    with _replacing(path) as fh:
-        fh.writelines(line + "\n" for line in lines)
+def write_lines(path: str | Path, lines: Iterable[str], digest=None) -> None:
+    """Write each string plus a newline to ``path`` in UTF-8 through
+    ``_replacing``, a run of lines at a time; every byte written is fed to
+    ``digest`` (a ``hashlib`` object) too when one is given."""
+    lines = iter(lines)
+    with _replacing(path, binary=True) as fh:
+        while run := list(islice(lines, _RUN_LENGTH)):
+            data = ("\n".join(run) + "\n").encode("utf-8")
+            if digest is not None:
+                digest.update(data)
+            fh.write(data)
 
 
 # built once: json.dumps with options builds a new encoder per call. Records
@@ -877,22 +895,33 @@ def dialogue_to_record(dialogue: Dialogue) -> dict:
     return record
 
 
-def load_dialogues(path: str | Path, items: ItemIndex | None = None) -> DialogueColumns:
+def load_dialogues(path: str | Path, items: ItemIndex | None = None, digest=None) -> DialogueColumns:
     """Read a corpus or pool file into columns, interning its item ids into
     ``items`` (a fresh index when None); a malformed line or a repeated
     dialogue_id raises ``CorpusError`` naming ``path:line``, the first such
-    line in the file."""
+    line in the file. The file's bytes are fed to ``digest`` when given."""
     path = Path(path)
-    return DialogueColumns.from_records(read_json_lines(path), items, path)
+    return DialogueColumns.from_records(read_json_lines(path, digest), items, path)
 
 
-def load_corpus(corpus_path: str | Path, catalog_path: str | Path) -> tuple[Corpus, LoadSummary]:
-    """Load and validate a corpus; unknown mentions are counted, not dropped."""
+def load_corpus(
+    corpus_path: str | Path, catalog_path: str | Path, snapshot: str | Path | None = None
+) -> tuple[Corpus, LoadSummary]:
+    """Load and validate a corpus; unknown mentions are counted, not dropped.
+    The column snapshot at ``snapshot``, when given, is read in place of the
+    corpus file while the two match (``read_snapshot``); otherwise the file
+    is parsed, and its sha256 goes into the summary."""
     catalog = load_catalog(catalog_path)
-    columns = load_dialogues(corpus_path, ItemIndex(catalog.items))
+    items = ItemIndex(catalog.items)
+    columns = digest = None
+    if snapshot is not None:
+        columns = read_snapshot(snapshot, corpus_path, items)
+    if columns is None:
+        digest = hashlib.sha256()
+        columns = load_dialogues(corpus_path, items, digest)
     n_catalog = len(catalog)
-    _, codes = columns.touches
-    unknown = np.bincount(codes[codes >= n_catalog] - n_catalog)
+    _, codes = columns.touches(lambda turns, codes: codes >= n_catalog)
+    unknown = np.bincount(codes - n_catalog)
     unknown_ids = columns.items.ids[n_catalog:]
     per_split = np.bincount(columns.split, minlength=len(SPLIT_NAMES)).tolist()
     summary = LoadSummary(
@@ -904,6 +933,7 @@ def load_corpus(corpus_path: str | Path, catalog_path: str | Path) -> tuple[Corp
         unknown_item_ids=Counter(
             {unknown_ids[c]: n for c, n in enumerate(unknown.tolist()) if n}
         ),
+        source_sha256=None if digest is None else digest.hexdigest(),
     )
     return Corpus.from_columns(catalog, columns), summary
 
@@ -1018,29 +1048,42 @@ def _interning_order(columns: DialogueColumns) -> np.ndarray:
     """The distinct codes of ``columns``, in the order a fresh index interns
     them when their file is loaded: by turn, a turn's mentions before its
     targets, each list in order (``ItemIndex.intern_lists``)."""
-    turns = np.concatenate((_owners(columns.mention_offsets), _owners(columns.target_offsets)))
-    codes = np.concatenate((columns.mention_codes, columns.target_codes))
-    seen = codes[np.argsort(turns, kind="stable")]
-    by_code = np.argsort(seen, kind="stable")  # each code's positions, in reading order
-    grouped = seen[by_code]
-    first = np.ones(len(seen), dtype=bool)
-    first[1:] = grouped[1:] != grouped[:-1]
-    return seen[np.sort(by_code[first])]
+    mentions, targets = columns.mention_offsets, columns.target_offsets
+    n_mentions, n_targets = len(columns.mention_codes), len(columns.target_codes)
+    # each code in reading order: a mention follows the targets of earlier
+    # turns too, a target every mention of its own turn and earlier ones
+    seen = np.empty(n_mentions + n_targets, dtype=np.int32)
+    seen[np.arange(n_mentions) + targets[_owners(mentions)]] = columns.mention_codes
+    seen[np.arange(n_targets) + mentions[_owners(targets) + 1]] = columns.target_codes
+    first = np.full(len(columns.items), len(seen))  # each code's first position
+    np.minimum.at(first, seen, np.arange(len(seen)))
+    used = np.flatnonzero(first < len(seen))
+    return used[np.argsort(first[used])]
 
 
-def _utf8_runs(strings: list[str]) -> Iterator[bytes]:
-    """The UTF-8 bytes of ``"".join(strings)``, a run of strings at a time."""
+def _runs(strings: list[str]) -> Iterator[str]:
+    """``"".join(strings)``, a run of strings at a time."""
     for start in range(0, len(strings), _SNAPSHOT_RUN):
-        yield "".join(strings[start : start + _SNAPSHOT_RUN]).encode("utf-8")
+        yield "".join(strings[start : start + _SNAPSHOT_RUN])
 
 
-def write_snapshot(path: str | Path, columns: DialogueColumns) -> None:
-    """Write ``snapshot_path(path)`` (through ``_replacing``, a chunk at a
-    time) for the file ``path`` holding ``dialogue_lines(columns)``: the
-    store ``load_dialogues(path)`` reads, so its item ids go in the order a
-    fresh index interns them, and ``lines`` number the file's lines. See
-    ``read_snapshot`` for the layout."""
-    path = Path(path)
+def _utf8_size(text: str) -> int:
+    """The UTF-8 size of ``text``, without encoding it to UTF-8: the length of
+    ASCII text; otherwise one byte per code point, one more past U+007F,
+    another past U+07FF and another past U+FFFF."""
+    if text.isascii():
+        return len(text)
+    points = np.frombuffer(text.encode("utf-32-le"), np.uint32)
+    return len(points) + sum(int(np.count_nonzero(points > top)) for top in (0x7F, 0x7FF, 0xFFFF))
+
+
+def write_snapshot(snapshot: str | Path, columns: DialogueColumns, source_sha256: str) -> None:
+    """Write the column snapshot ``snapshot`` (through ``_replacing``, a
+    chunk at a time) of ``columns``, the store loaded from a JSON-lines file
+    whose bytes have the sha256 ``source_sha256``: ``columns.lines`` number
+    that file's lines, and item ids go in the order a fresh index interns
+    them when the file is loaded, so ``read_snapshot`` gives the store
+    ``load_dialogues`` reads. See ``read_snapshot`` for the layout."""
     order = _interning_order(columns)
     recode = np.zeros(len(columns.items), dtype=np.int32)
     recode[order] = np.arange(len(order), dtype=np.int32)
@@ -1048,20 +1091,19 @@ def write_snapshot(path: str | Path, columns: DialogueColumns) -> None:
         **{name: getattr(columns, name) for name, _ in _SNAPSHOT_ARRAYS},
         "mention_codes": recode[columns.mention_codes],
         "target_codes": recode[columns.target_codes],
-        "lines": np.arange(1, len(columns) + 1),
     }
     arrays = [np.ascontiguousarray(loaded[name], dtype) for name, dtype in _SNAPSHOT_ARRAYS]
     strings = [columns.texts, columns.dialogue_ids, [columns.items.ids[c] for c in order.tolist()]]
     sizes = [len(a) for a in arrays]
     for values in strings:
-        sizes += [len(values), sum(map(len, _utf8_runs(values)))]
+        sizes += [len(values), sum(map(_utf8_size, _runs(values)))]
     header = {
         "snapshot_format": SNAPSHOT_FORMAT,
-        "source_sha256": _sha256_of(path),
+        "source_sha256": source_sha256,
         "arrays": [[name, dtype, n] for (name, dtype), n in zip(_SNAPSHOT_LAYOUT, sizes)],
     }
     digest = hashlib.sha256()
-    with _replacing(snapshot_path(path), binary=True) as fh:
+    with _replacing(snapshot, binary=True) as fh:
         def write(data) -> None:
             digest.update(data)
             fh.write(data)
@@ -1071,16 +1113,19 @@ def write_snapshot(path: str | Path, columns: DialogueColumns) -> None:
             write(values)
         for values in strings:
             write(np.fromiter(map(len, values), "<i8", len(values)))
-            for chunk in _utf8_runs(values):
-                write(chunk)
+            for text in _runs(values):
+                write(text.encode("utf-8"))
         fh.write(digest.digest())
 
 
-def read_snapshot(path: str | Path, items: ItemIndex | None = None) -> DialogueColumns | None:
-    """The store in ``snapshot_path(path)``, equal to ``load_dialogues(path,
-    items)``: its item ids are interned into ``items`` (a fresh index when
-    None) in the order that load interns them. None, with ``items``
-    untouched, when there is no snapshot or it does not match ``path``.
+def read_snapshot(
+    snapshot: str | Path, source: str | Path, items: ItemIndex | None = None
+) -> DialogueColumns | None:
+    """The store in the column snapshot ``snapshot`` of the file ``source``,
+    equal to ``load_dialogues(source, items)``: its item ids are interned
+    into ``items`` (a fresh index when None) in the order that load interns
+    them. None, with ``items`` untouched, when there is no snapshot or it
+    does not match ``source``.
 
     A snapshot is one JSON header line, ``{"snapshot_format", "source_sha256",
     "arrays": [[name, dtype, length], ...]}``, then the body: the ten array
@@ -1088,13 +1133,12 @@ def read_snapshot(path: str | Path, items: ItemIndex | None = None) -> DialogueC
     (texts, dialogue ids, item ids) the code-point length of each string,
     then the UTF-8 bytes of them all; last, the sha256 of every byte before
     it. A snapshot does not match when its format or layout is another, its
-    ``source_sha256`` is not the sha256 of ``path``'s bytes, its size or its
-    digest is off, or its columns break a store invariant (offsets, item
+    ``source_sha256`` is not the sha256 of ``source``'s bytes, its size or
+    its digest is off, or its columns break a store invariant (offsets, item
     codes, split, speaker or provenance codes). It is read a chunk at a time."""
-    path = Path(path)
     try:
-        with snapshot_path(path).open("rb") as fh:
-            columns = _read_snapshot(fh, path)
+        with Path(snapshot).open("rb") as fh:
+            columns = _read_snapshot(fh, Path(source))
     except (OSError, ValueError):  # missing or unreadable, or no match
         return None
     items = ItemIndex() if items is None else items
@@ -1105,16 +1149,16 @@ def read_snapshot(path: str | Path, items: ItemIndex | None = None) -> DialogueC
     return DialogueColumns(items=items, **columns)
 
 
-def _read_snapshot(fh: IO[bytes], path: Path) -> dict:
-    """The columns of the open snapshot of ``path``, item codes indexing
-    ``item_ids``; ``ValueError`` when it does not match ``path``."""
+def _read_snapshot(fh: IO[bytes], source: Path) -> dict:
+    """The columns of the open snapshot of ``source``, item codes indexing
+    ``item_ids``; ``ValueError`` when it does not match ``source``."""
     line = fh.readline(_HEADER_LIMIT)
-    source, sizes = _snapshot_header(line)
+    sha256, sizes = _snapshot_header(line)
     digest = hashlib.sha256(line)
     body = sum(np.dtype(dtype).itemsize * n for (_, dtype), n in zip(_SNAPSHOT_LAYOUT, sizes))
     if os.fstat(fh.fileno()).st_size != len(line) + body + digest.digest_size:
         raise ValueError("wrong size")
-    if source != _sha256_of(path):
+    if sha256 != _sha256_of(source):
         raise ValueError("a snapshot of another file")
     size_of = dict(zip(map(itemgetter(0), _SNAPSHOT_LAYOUT), sizes))
     columns = {name: _read_array(fh, digest, np.dtype(dtype), size_of[name])

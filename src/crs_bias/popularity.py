@@ -97,13 +97,13 @@ class PopularityTable:
 
 def train_counts(corpus: Corpus) -> np.ndarray:
     """Per-catalog-item interaction counts over the training split, in
-    catalog order: an item counts once per turn that touches it."""
+    catalog order: an item counts once per turn that touches it. Only the
+    training turns' catalog items are sorted into distinct pairs."""
     columns = corpus.columns
-    turns, codes = columns.touches
-    in_train = (columns.split == TRAIN)[columns.turn_dialogue[turns]]
+    in_train = np.repeat(columns.split == TRAIN, np.diff(columns.turn_offsets))  # per turn
     n_catalog = len(corpus.catalog)
-    codes = codes[in_train]
-    return np.bincount(codes[codes < n_catalog], minlength=n_catalog)
+    _, codes = columns.touches(lambda turns, codes: in_train[turns] & (codes < n_catalog))
+    return np.bincount(codes, minlength=n_catalog)
 
 
 def item_coverage(counts: np.ndarray) -> float:

@@ -17,21 +17,31 @@ pipeline runs deterministic and network-free.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import random
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, ItemIndex, _ColumnsBuilder
-from .corpus import dialogue_lines, fill_checked, mention_token, write_lines, write_snapshot
+from .corpus import (
+    CorpusError,
+    ItemIndex,
+    _ColumnsBuilder,
+    dialogue_lines,
+    fill_checked,
+    mention_token,
+    snapshot_path,
+    write_lines,
+    write_snapshot,
+)
 from .augment import AugmentError, SyntheticPool
 
 LANGUAGES = frozenset({"en", "zh"})
@@ -600,10 +610,13 @@ def build_pool(
     columns = builder.finish()
     if stored != sorted(stored):  # rows accepted on a retry go back into item order
         columns = columns.take(np.argsort(stored))
+    # rows are numbered as the lines of the pool file written from them
+    columns = replace(columns, lines=np.arange(1, len(columns) + 1))
     synthetic_pool = SyntheticPool.from_columns(columns)
     if output_path is not None:
-        write_lines(output_path, dialogue_lines(columns))
-        write_snapshot(output_path, columns)
+        digest = hashlib.sha256()
+        write_lines(output_path, dialogue_lines(columns), digest)
+        write_snapshot(snapshot_path(output_path), columns, digest.hexdigest())
     accepted = set(stored)
     record = GenerationRecord(
         skipped=tuple(

@@ -491,7 +491,7 @@ def test_input_error_leaves_no_output(workspace_with_pool, capsys, command):
     workspace_with_pool.write_text(yaml.safe_dump(config))
     assert main([command, "--config", str(workspace_with_pool)]) == 2
     assert capsys.readouterr().err == f"input error: {corpus}:1: record missing 'split'\n"
-    assert not (root / "out").exists()
+    assert not (root / "out").exists()  # nor, for stats, a corpus.cols
 
 
 class TestAugment:
@@ -671,6 +671,101 @@ class TestAugment:
         monkeypatch.setattr(cli_module.aug, "audit_plan", lambda *a, **k: ["forced violation"])
         assert main(["augment", "--config", str(workspace_with_pool)]) == 4
         assert "invariant violation" in capsys.readouterr().err
+
+
+class TestCorpusSnapshot:
+    """``stats`` writes ``corpus.cols`` into the output directory; ``augment``
+    and ``evaluate`` read it in place of the corpus file while the two match."""
+
+    # after the bundled corpus: a blank line, then a dialogue with non-ASCII
+    # text, an unknown integer id and no episode indices
+    EXTRA = (b'\n{"dialogue_id": "d4", "split": "train", "turns": [{"speaker": "seeker", '
+             b'"text": "\xe6\x9c\x89\xe4\xbb\x80\xe4\xb9\x88\xe5\xa5\xbd\xe7\x94\xb5\xe5\xbd\xb1\xef\xbc\x9f", '
+             b'"items": [], "targets": []}, {"speaker": "recommender", "text": "@m2 \xe6\x88\x96 @9", '
+             b'"items": ["m2", 9], "targets": ["m2"]}]}\n')
+
+    @pytest.fixture()
+    def config(self, tmp_path) -> Path:
+        """A config over a copy of the corpus and catalog, with a pool and a
+        run; ``generate`` and ``stats`` have run."""
+        (tmp_path / "corpus.jsonl").write_bytes((DATA / "corpus_small.jsonl").read_bytes() + self.EXTRA)
+        shutil.copy(DATA / "catalog_small.jsonl", tmp_path / "catalog.jsonl")
+        config = write_config(
+            tmp_path / "config.yaml",
+            paths={"corpus": str(tmp_path / "corpus.jsonl"), "catalog": str(tmp_path / "catalog.jsonl"),
+                   "runs": [str(DATA / "run_small.jsonl")]},
+            augment={"strategy": "pop_nudge", "k": 1, "batch_size": 2},
+        )
+        for command in ("generate", "stats"):
+            assert main([command, "--config", str(config)]) == 0
+        return config
+
+    @staticmethod
+    def _outputs(config: Path) -> dict[str, bytes]:
+        """The output directory after ``augment`` and ``evaluate``, less the
+        config echo and the corpus snapshot."""
+        for command in ("augment", "evaluate"):
+            assert main([command, "--config", str(config)]) == 0
+        return {name: data for name, data in snapshot(config.parent / "out").items()
+                if name not in ("config_echo.json", "corpus.cols")}
+
+    @pytest.fixture()
+    def parsed(self, monkeypatch):
+        """The corpus files ``load_corpus`` parses as JSON."""
+        import crs_bias.corpus as corpus_module
+
+        calls = []
+        load_dialogues = corpus_module.load_dialogues
+        monkeypatch.setattr(corpus_module, "load_dialogues",
+                            lambda path, *a: calls.append(Path(path).name) or load_dialogues(path, *a))
+        return calls
+
+    def test_stats_writes_the_same_snapshot_twice(self, config):
+        out = config.parent / "out"
+        first = (out / "corpus.cols").read_bytes()
+        assert hashlib.sha256(first).hexdigest() == (
+            "76d32d4534218d0e728a4d70f07eb0a888be0ff979cc5b92671906aca65dd4c5"
+        )
+        (out / "corpus.cols").unlink()
+        assert main(["stats", "--config", str(config)]) == 0
+        assert (out / "corpus.cols").read_bytes() == first
+
+    def test_stats_never_reads_the_snapshot(self, config, monkeypatch, parsed):
+        import crs_bias.corpus as corpus_module
+
+        def unread(*args):
+            raise AssertionError("stats read a snapshot")
+
+        monkeypatch.setattr(corpus_module, "read_snapshot", unread)
+        assert main(["stats", "--config", str(config)]) == 0
+        assert parsed == ["corpus.jsonl"]
+
+    def test_augment_and_evaluate_read_the_snapshot(self, config, parsed):
+        from_snapshot = self._outputs(config)
+        assert parsed == []
+        assert {"augmented_corpus.jsonl", "plan.jsonl", "run_small.report.jsonl"} < set(from_snapshot)
+        (config.parent / "out" / "corpus.cols").unlink()
+        assert self._outputs(config) == from_snapshot
+        assert parsed == ["corpus.jsonl", "corpus.jsonl"]
+
+    def test_catalog_edited_after_stats(self, config, parsed):
+        # one item fewer and one more, in another order: the snapshot holds no
+        # catalog, so its ids are interned into the edited one
+        catalog = config.parent / "catalog.jsonl"
+        lines = catalog.read_text().splitlines()
+        catalog.write_text("\n".join([lines[2], '{"item_id": "9", "name": "Nine"}', lines[0],
+                                      lines[1]]) + "\n")
+        from_snapshot = self._outputs(config)
+        assert parsed == []
+        (config.parent / "out" / "corpus.cols").unlink()
+        assert self._outputs(config) == from_snapshot
+
+    @pytest.mark.parametrize("command", ["augment", "evaluate"])
+    def test_corpus_line_broken_after_stats_exits_2_with_path_line(self, config, capsys, command):
+        corpus = config.parent / "corpus.jsonl"
+        corpus.write_text(corpus.read_text().replace('"split": "test"', '"split": "dev"'))
+        assert main([command, "--config", str(config)]) == 2
+        assert f"input error: {corpus}:3: dialogue 'd3': unknown split 'dev'" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -4,8 +4,10 @@ mention/target overlap and turns without items."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -285,27 +287,75 @@ def test_dialogue_lines_equal_the_json_encoder(records, data):
 
 
 
-@settings(max_examples=100, deadline=None)
-@given(records=corpus_records(), data=st.data())
-def test_snapshot_reads_what_the_file_loads(records, data, monkeypatch_module):
-    # as build_pool's store does, the written store's index holds an id no
-    # dialogue touches, and its rows are in another order than their lines.
-    # Small chunks and runs cut multi-byte characters and strings apart
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(st.characters(blacklist_categories=("Cs",))))
+def test_utf8_size_is_the_encoded_length(text):
+    assert corpus_module._utf8_size(text) == len(text.encode("utf-8"))
+
+
+def _snapshot_equals_the_json_load(root: Path, path: Path, columns, sha256: str, known) -> None:
+    """``read_snapshot`` of the snapshot of ``columns`` equals
+    ``load_dialogues(path)`` column for column, into a fresh index and into
+    one that already holds ``known``."""
+    snapshot = root / "corpus.cols"
+    write_snapshot(snapshot, columns, sha256)
+    for items in (None, known):
+        got = read_snapshot(snapshot, path, None if items is None else ItemIndex(items))
+        assert got is not None
+        expected = load_dialogues(path, None if items is None else ItemIndex(items))
+        assert_same_store(got, expected)
+
+
+def _small_chunks(data, monkeypatch_module) -> None:
+    """Small chunks and runs cut multi-byte characters and strings apart."""
     for name in ("_SNAPSHOT_CHUNK", "_SNAPSHOT_RUN"):
         monkeypatch_module.setattr(corpus_module, name, data.draw(st.sampled_from([1, 3, 4096])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=corpus_records(), data=st.data())
+def test_snapshot_reads_what_the_written_file_loads(records, data, monkeypatch_module):
+    # as build_pool's store does, the written store's index holds an id no
+    # dialogue touches, its rows are in another order than the lines they
+    # were read from, and the file's sha256 is taken as it is written
+    _small_chunks(data, monkeypatch_module)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             loaded = load_dialogues(_write(root / "records.jsonl", records), ItemIndex(["unused"]))
             store = loaded.take(data.draw(st.permutations(range(len(records)))))
-            path = root / "pool.jsonl"
-            write_lines(path, dialogue_lines(store))
-            write_snapshot(path, store)
+            store = replace(store, lines=np.arange(1, len(store) + 1))
+            path, digest = root / "pool.jsonl", hashlib.sha256()
+            write_lines(path, dialogue_lines(store), digest)
+            assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
             known = data.draw(st.lists(st.sampled_from(["m2", "zz", "12", "other"]), unique=True))
-            for items in (None, known):
-                got = read_snapshot(path, None if items is None else ItemIndex(items))
-                assert got is not None
-                expected = load_dialogues(path, None if items is None else ItemIndex(items))
-                assert_same_store(got, expected)
+            _snapshot_equals_the_json_load(root, path, store, digest.hexdigest(), known)
+    finally:
+        monkeypatch_module.undo()
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=writer_records(), data=st.data())
+def test_snapshot_reads_what_a_corpus_file_loads(records, data, monkeypatch_module):
+    # a hand-written corpus file: blank lines between records, integer and
+    # unknown ids, records with and without episodes, ASCII or UTF-8 text.
+    # Its store keeps the file's line numbers, which the snapshot holds
+    _small_chunks(data, monkeypatch_module)
+    ensure_ascii = data.draw(st.booleans())
+    blank = st.lists(st.sampled_from(["", " ", "\t", " \r"]), max_size=2)
+    text = "".join(
+        "".join(line + "\n" for line in data.draw(blank)) + json.dumps(r, ensure_ascii=ensure_ascii) + "\n"
+        for r in records
+    ) + "".join(line + "\n" for line in data.draw(blank))
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            path = root / "corpus.jsonl"
+            path.write_text(text, encoding="utf-8")
+            digest = hashlib.sha256()
+            loaded = load_dialogues(path, ItemIndex(CATALOG_IDS), digest)
+            assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+            known = data.draw(st.sampled_from([[], ["m1", "7"], ["zz", "12", "m1"]]))
+            _snapshot_equals_the_json_load(root, path, loaded, digest.hexdigest(), known)
     finally:
         monkeypatch_module.undo()

@@ -650,6 +650,12 @@ class TestPoolSnapshot:
         assert len(pool) == 6
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pool.jsonl", "pool.jsonl.cols"]
 
+    def test_snapshot_bytes_are_pinned(self, tmp_path):
+        data = snapshot_path(self._pool(tmp_path)).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "5f94d5e74953d38a6e22d71a954c029767b7bdd1cfba49b758ca4bd7fe323603"
+        )
+
     @staticmethod
     def _truncate(path, other):
         path.write_bytes(path.read_bytes()[:-40])
