@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections import deque
 from pathlib import Path
 
 from . import augment as aug
@@ -255,6 +257,16 @@ def cmd_augment(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _loader_count(n_runs: int) -> int:
+    """How many processes load ``n_runs`` run files: one per CPU this process
+    may use, and no more than the runs."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform (macOS, Windows)
+        cpus = os.cpu_count() or 1
+    return min(n_runs, cpus)
+
+
 def cmd_evaluate(config: RunConfig) -> int:
     corpus_path = config.require_path("corpus")
     catalog_path = config.require_path("catalog")
@@ -262,18 +274,20 @@ def cmd_evaluate(config: RunConfig) -> int:
     for run_path in config.runs:
         if not run_path.is_file():
             raise ConfigError(f"paths.runs: no such file: {run_path}")
-    # run files load in one forked process, one file ahead of scoring, while
-    # this one loads the corpus; each run interns its ids into its own index.
-    # Errors surface in the sequential order: the corpus's, then run by run
-    # its load's and its join's; nothing is written before every run scored
+    # run files load ahead of scoring in forked processes, one per CPU this
+    # one may use, while this one loads the corpus; each run interns its ids
+    # into its own index. Results are taken in config order, so errors
+    # surface in the sequential order: the corpus's, then run by run its
+    # load's and its join's; nothing is written before every run scored
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
+    loaders = _loader_count(len(config.runs))
     sys.stdout.flush()  # or a forked child could print buffered output again
     sys.stderr.flush()
-    with ProcessPoolExecutor(max_workers=1, mp_context=get_context("fork")) as loader:
+    with ProcessPoolExecutor(max_workers=loaders, mp_context=get_context("fork")) as pool:
         try:
-            loading = loader.submit(met.load_run, config.runs[0])
+            loading = deque(pool.submit(met.load_run, path) for path in config.runs[:loaders])
             corpus, _ = load_corpus(corpus_path, catalog_path, _corpus_snapshot(config))
             # training counts read no episodes: they need no segmentation
             table = pop.build_popularity(corpus, config.eta_policy)
@@ -281,16 +295,16 @@ def cmd_evaluate(config: RunConfig) -> int:
             # accept_boundary (re)derives them from the accepted-target rule
             corpus = segment_corpus(corpus, config.episode_policy)
             reports = []
-            for next_path in [*config.runs[1:], None]:
-                run = loading.result()
+            for next_path in [*config.runs[loaders:], *[None] * loaders]:
+                run = loading.popleft().result()
                 if next_path is not None:
-                    loading = loader.submit(met.load_run, next_path)
+                    loading.append(pool.submit(met.load_run, next_path))
                 reports.append(met.evaluate_run(
                     run, corpus, table, cutoffs=config.cutoffs, log_base=config.log_base
                 ))
-                del run  # scored: at most this run and the next one are held
+                del run  # scored: at most this run and `loaders` loaded ones are held
         except BaseException:
-            loader.shutdown(cancel_futures=True)
+            pool.shutdown(cancel_futures=True)
             raise
 
     out = _prepare_output_dir(config)

@@ -31,7 +31,8 @@ class ConfigError(ValueError):
 
 STRATEGIES = ("once_aug", "pop_nudge")
 _BACKENDS = frozenset({OfflineTemplateBackend.kind, HttpChatBackend.kind})
-# accepted from older configs and ignored: scoring is columnar
+# accepted from older configs and ignored: scoring is columnar, and run files
+# load in one process per CPU, at most one per run, whatever it says
 _IGNORED_KEYS = frozenset({("metrics", "n_workers")})
 _REDACT_SUFFIXES = ("token", "secret", "password", "api_key")
 

@@ -822,13 +822,18 @@ def _replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
         tmp.unlink(missing_ok=True)
 
 
+# lines joined and encoded together: a short run keeps a writer's transient
+# copies small and writes as fast as a long one
+_WRITE_RUN_LENGTH = 64
+
+
 def write_lines(path: str | Path, lines: Iterable[str], digest=None) -> None:
     """Write each string plus a newline to ``path`` in UTF-8 through
     ``_replacing``, a run of lines at a time; every byte written is fed to
     ``digest`` (a ``hashlib`` object) too when one is given."""
     lines = iter(lines)
     with _replacing(path, binary=True) as fh:
-        while run := list(islice(lines, _RUN_LENGTH)):
+        while run := list(islice(lines, _WRITE_RUN_LENGTH)):
             data = ("\n".join(run) + "\n").encode("utf-8")
             if digest is not None:
                 digest.update(data)

@@ -844,13 +844,18 @@ class TestEvaluate:
         config = self._config_with_runs(tmp_path, runs)
         assert main(["evaluate", "--config", str(config)]) == 0
         assert multiprocessing.active_children() == []
+        written = snapshot(tmp_path / "out")
+        del written["config_echo.json"]
+        assert written == self._scored_in_process(config, runs, tmp_path / "expected")
 
+    def _scored_in_process(self, config: Path, runs: list[Path], expected: Path) -> dict:
+        """The outputs of ``evaluate`` as scoring every run in this process,
+        over one index shared by all runs, writes them."""
         run_config = load_config(config)
         corpus, _ = load_corpus(run_config.corpus, run_config.catalog)
         corpus = segment_corpus(corpus, run_config.episode_policy)
         table = build_popularity(corpus, run_config.eta_policy)
         items = ItemIndex(corpus.catalog.items)
-        expected = tmp_path / "expected"
         expected.mkdir()
         records = []
         for path in runs:
@@ -859,9 +864,62 @@ class TestEvaluate:
             save_report(report, expected / f"{report.model_name}.report.jsonl")
             records += report.to_records()
         write_lines(expected / "report_table.txt", [format_report_table(records)])
+        return snapshot(expected)
+
+    @pytest.mark.parametrize("loaders", [1, 2, 5])
+    def test_outputs_do_not_depend_on_the_loader_count(self, tmp_path, monkeypatch, loaders):
+        # five runs, each with ids outside the catalog ("zz", "yy", "xx")
+        # interned into an index of its own, loaded by 1, 2 or 5 processes
+        runs = [
+            self._write_run(tmp_path / "model_e.jsonl", [
+                ("d1", 3, 1, ["xx", "m2", "m3"], ["m2", "xx"]),
+                ("d2", 1, 0, ["m4"], ["m3"]),
+            ]),
+            DATA / "run_small.jsonl",
+            self._write_run(tmp_path / "model_b.jsonl", [
+                ("d1", 1, 0, ["zz", "m4", "m1", "m2"], ["yy", "m1"]),
+                ("d1", 3, 1, ["m2", "zz", "m3"], ["m2"]),
+                ("d3", 1, 0, ["m4", "m3"], ["m4", "m4"]),
+            ]),
+            self._write_run(tmp_path / "model_a.jsonl", [
+                ("d3", 1, 0, ["yy", "xx", "m1"], ["m1"]),
+                ("d1", 1, 0, ["m3", "zz"], ["zz"]),
+            ]),
+            self._write_run(tmp_path / "model_c.jsonl", [
+                ("d2", 1, 0, ["yy", "m3"], []),
+                ("d1", 3, 1, ["m3", "m1", "yy", "m2"], ["m3"]),
+                ("d1", 1, 0, ["m1", "m3", "m4", "yy"], ["zz"]),
+                ("d1", 2, 1, [], ["m1"]),
+            ]),
+        ]
+        def loader_count(n_runs: int) -> int:
+            assert n_runs == len(runs)
+            return loaders
+
+        monkeypatch.setattr(cli, "_loader_count", loader_count)
+        config = self._config_with_runs(tmp_path, runs)
+        assert main(["evaluate", "--config", str(config)]) == 0
+        assert multiprocessing.active_children() == []
         written = snapshot(tmp_path / "out")
         del written["config_echo.json"]
-        assert written == snapshot(expected)
+        assert written == self._scored_in_process(config, runs, tmp_path / "expected")
+
+    def test_loader_count_is_one_per_usable_cpu_up_to_the_runs(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert [cli._loader_count(n) for n in (1, 2, 3, 4, 50)] == [1, 2, 3, 3, 3]
+        # where the affinity call does not exist, every CPU counts
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert [cli._loader_count(n) for n in (1, 3, 50, 100)] == [1, 3, 50, 64]
+        # and where the CPU count is unknown, one process loads them all
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert [cli._loader_count(n) for n in (1, 2, 50)] == [1, 1, 1]
+
+    @staticmethod
+    def _assert_nothing_left(tmp_path: Path) -> None:
+        """A failed ``evaluate`` wrote no output and left no loader process."""
+        assert not (tmp_path / "out").exists()
+        assert multiprocessing.active_children() == []
 
     def test_corpus_error_comes_before_a_run_error(self, tmp_path, capsys):
         corpus = tmp_path / "bad_corpus.jsonl"
@@ -874,8 +932,7 @@ class TestEvaluate:
         config.write_text(yaml.safe_dump(raw))
         assert main(["evaluate", "--config", str(config)]) == 2
         assert capsys.readouterr().err == f"input error: {corpus}:4: record missing 'split'\n"
-        assert not (tmp_path / "out").exists()
-        assert multiprocessing.active_children() == []
+        self._assert_nothing_left(tmp_path)
 
     @pytest.mark.parametrize("second, third", [("load", "join"), ("join", "load")])
     def test_run_errors_come_in_run_order(self, tmp_path, capsys, second, third):
@@ -900,8 +957,34 @@ class TestEvaluate:
             assert "run 'join_run' does not join against corpus: dialogue 'd2': " in err
         else:
             assert "malformed record" in err
-        assert not (tmp_path / "out").exists()
-        assert multiprocessing.active_children() == []
+        self._assert_nothing_left(tmp_path)
+
+    def test_a_run_error_waits_for_the_runs_listed_before_it(self, tmp_path, capsys, monkeypatch):
+        # run 1 takes longer to load than run 2 and breaks only at its last
+        # line, where it names a turn past the end of the corpus; run 2's load
+        # error arrives first, yet run 1's join error is the one reported
+        n = 20_000
+        corpus = tmp_path / "long_corpus.jsonl"
+        turn = {"speaker": "seeker", "text": "hi", "items": [], "targets": []}
+        corpus.write_text((DATA / "corpus_small.jsonl").read_text() + json.dumps(
+            {"dialogue_id": "long", "split": "test", "turns": [turn] * (n - 1)}
+        ) + "\n")
+        long_run = self._write_run(
+            tmp_path / "long_run.jsonl", [("long", t, 0, ["m1", "m2"], []) for t in range(n)]
+        )
+        malformed = tmp_path / "malformed_run.jsonl"
+        malformed.write_text('{"dialogue_id": "d1"\n')
+        monkeypatch.setattr(cli, "_loader_count", lambda n_runs: 2)
+        config = self._config_with_runs(tmp_path, [long_run, malformed])
+        raw = yaml.safe_load(config.read_text())
+        raw["paths"]["corpus"] = str(corpus)
+        config.write_text(yaml.safe_dump(raw))
+        assert main(["evaluate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {long_run}:{n}: run 'long_run' does not join against corpus: "
+            f"dialogue 'long': turn_index {n - 1} out of range\n"
+        )
+        self._assert_nothing_left(tmp_path)
 
     def test_importing_the_cli_does_not_import_multiprocessing(self):
         # the loader process is started inside evaluate, so the other commands
@@ -921,6 +1004,7 @@ class TestEvaluate:
         config = self._config_with_runs(tmp_path, [bad])
         assert main(["evaluate", "--config", str(config)]) == 2
         assert "ghost" in capsys.readouterr().err
+        self._assert_nothing_left(tmp_path)
 
     def test_join_error_names_the_first_unjoined_line(self, tmp_path, capsys):
         bad = tmp_path / "ghost_run.jsonl"
@@ -931,6 +1015,7 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert f"{bad}:3: run 'ghost_run' does not join against corpus: unknown dialogue 'ghost'" in err
+        self._assert_nothing_left(tmp_path)
 
     def test_runs_sharing_a_stem_exit_2_before_any_output(self, tmp_path, capsys):
         first, second = tmp_path / "a" / "model.jsonl", tmp_path / "b" / "model.jsonl"
@@ -942,7 +1027,7 @@ class TestEvaluate:
         assert capsys.readouterr().err == (
             f"config error: paths.runs: {first} and {second} would both write model.report.jsonl\n"
         )
-        assert not (tmp_path / "out").exists()
+        self._assert_nothing_left(tmp_path)
 
     def test_no_runs_configured(self, tmp_path, capsys):
         config = self._config_with_runs(tmp_path, [])
@@ -972,6 +1057,7 @@ class TestEvaluate:
         )
         assert main(["evaluate", "--config", str(config)]) == 2
         assert "explicit" in capsys.readouterr().err
+        self._assert_nothing_left(tmp_path)
 
     def test_report_command_renders_saved_reports(self, tmp_path, capsys):
         config = self._config_with_runs(tmp_path, [DATA / "run_small.jsonl"])
@@ -1024,6 +1110,7 @@ class TestEvaluate:
         config = self._config_with_runs(tmp_path, [bad])
         assert main(["evaluate", "--config", str(config)]) == 2
         assert "bad_run.jsonl:4:" in capsys.readouterr().err
+        self._assert_nothing_left(tmp_path)
 
     def test_duplicate_run_entry_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "dup_run.jsonl"
@@ -1032,6 +1119,7 @@ class TestEvaluate:
         config = self._config_with_runs(tmp_path, [bad])
         assert main(["evaluate", "--config", str(config)]) == 2
         assert "dup_run.jsonl:4: duplicate run entry ('d1', turn 3)" in capsys.readouterr().err
+        self._assert_nothing_left(tmp_path)
 
     @pytest.mark.parametrize(
         "line",

@@ -501,6 +501,16 @@ class TestWriters:
         write_json_lines(tmp_path / "c.jsonl", [{"b": "é", "a": 1}], json.JSONEncoder(sort_keys=True))
         assert (tmp_path / "c.jsonl").read_bytes() == b'{"a": 1, "b": "\\u00e9"}\n'
 
+    @pytest.mark.parametrize("run_length", [1, 3, 64])
+    def test_lines_past_one_run_are_written_and_digested_whole(self, tmp_path, monkeypatch, run_length):
+        monkeypatch.setattr("crs_bias.corpus._WRITE_RUN_LENGTH", run_length)
+        lines = [f"line {i}: é" for i in range(130)]
+        digest = hashlib.sha256()
+        write_lines(tmp_path / "a.txt", iter(lines), digest)
+        written = (tmp_path / "a.txt").read_bytes()
+        assert written == "".join(line + "\n" for line in lines).encode("utf-8")
+        assert digest.hexdigest() == hashlib.sha256(written).hexdigest()
+
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_error_midway_keeps_previous_file(self, tmp_path, error):
         path = tmp_path / "out.jsonl"
