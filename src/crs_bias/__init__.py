@@ -12,20 +12,7 @@ from .corpus import (
     segment_corpus,
 )
 from .popularity import PopularityTable, ThresholdPolicy, build_popularity, popular_item_ratio
-from .metrics import (
-    BiasReport,
-    RankedRun,
-    RunEntry,
-    Skipped,
-    cross_episode_popularity,
-    evaluate_run,
-    initial_item_coverage,
-    intent_oriented_popularity,
-    popularity_bias,
-    popularity_coverage,
-    rank_metrics,
-    ranking_utility,
-)
+from .metrics import BiasReport, RankedRun, RunEntry, evaluate_run
 from .augment import (
     AugmentationPlan,
     SyntheticPool,

@@ -3,7 +3,6 @@
 A run pairs each evaluated (dialogue, turn) with the model's ranked item
 list and the ground-truth targets. This module scores:
 
-* initial item coverage — fraction of the catalog that training dialogues touch;
 * popularity bias — position-discounted popular-item utility times the
   popular fraction of the list;
 * cross-episode popularity — popularity bias scaled by how strongly the
@@ -17,15 +16,16 @@ Entries that a metric cannot score (no targets, first episode, empty list,
 ...) are skipped and the skip reasons are disclosed in the report; means and
 standard deviations cover the scored entries only.
 
-The per-entry functions are the reference definitions. ``load_run`` fills a
-run's columns through the loader harness the corpus store uses
-(``corpus.fill_checked``): ``_RunBuilder.add_records`` writes each rule once
-and checks 256 records at a time; a run that breaks a rule is added again
-record by record, so the error names the first bad line. ``evaluate_run``
-scores a whole run column-wise over interned item codes and reproduces the
-reference functions bit for bit: each sum the reference takes with ``fsum``
-is an exact integer sum, rounded once (rank discounts at the finest one's
-power-of-two scale; CEP's Pearson sums over integer training frequencies).
+``load_run`` fills a run's columns through the loader harness the corpus
+store uses (``corpus.fill_checked``): ``_RunBuilder.add_records`` writes each
+rule once and checks 256 records at a time; a run that breaks a rule is added
+again record by record, so the error names the first bad line.
+``evaluate_run`` is the one scoring path: it scores a whole run column-wise
+over interned item codes. The per-entry definitions it reproduces bit for
+bit live in the test suite (``tests/reference.py``); each sum they take with
+``fsum`` is here an exact integer sum, rounded once (rank discounts at the
+finest one's power-of-two scale; CEP's Pearson sums over integer training
+frequencies).
 """
 
 from __future__ import annotations
@@ -43,20 +43,13 @@ import numpy as np
 from .corpus import Corpus, CorpusError, fill_checked, parse_id, read_json_lines, write_json_lines
 from .corpus import _all_of, _check_distinct, _column, _first_failing, _id_arrays, _offsets
 from .corpus import _sorted_distinct
-from .popularity import ItemIndex, PopularityTable, item_coverage, train_counts
+from .popularity import ItemIndex, PopularityTable
 
 DEFAULT_CUTOFFS = (10, 50)
 # on every report record; format 1 (no field) took CEP's rho over float popularities
 REPORT_FORMAT = 2
 # run-file turn and episode indices are stored as int64
 _INDEX_LIMIT = 2**63
-
-
-@dataclass(frozen=True)
-class Skipped:
-    """Marker result for an entry a metric cannot score, with the reason why."""
-
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -246,22 +239,13 @@ def load_run(path: str | Path, items: ItemIndex | None = None) -> RankedRun:
 
 
 # ---------------------------------------------------------------------------
-# corpus-level coverage
-
-
-def initial_item_coverage(corpus: Corpus) -> float:
-    """Catalog items with a training interaction / catalog size."""
-    return item_coverage(train_counts(corpus))
-
-
-# ---------------------------------------------------------------------------
-# popularity-oriented scores (per ranked list)
+# scoring settings and the rank discount
 
 
 def _check_scoring(cutoffs: Sequence[int] = (), log_base: float = math.e) -> None:
     """Raise ``ValueError`` naming a cutoff below 1 or a ``log_base`` outside
-    (1, inf), where the rank discount log_b(r) + 1 would drop below 1. Every
-    scoring entry point calls it."""
+    (1, inf), where the rank discount log_b(r) + 1 would drop below 1.
+    ``evaluate_run`` calls it before it scores anything."""
     for k in cutoffs:
         if k < 1:
             raise ValueError(f"cutoff must be >= 1, got {k!r}")
@@ -272,135 +256,6 @@ def _check_scoring(cutoffs: Sequence[int] = (), log_base: float = math.e) -> Non
 def _rank_discount(rank: int, log_base: float) -> float:
     # rank is 1-based; the top item always contributes 1/(log(1)+1) = 1.
     return math.log(rank) / math.log(log_base) + 1.0
-
-
-def ranking_utility(
-    ranked: Sequence[str],
-    popular_set: frozenset[str] | set[str],
-    log_base: float = math.e,
-) -> float:
-    """Position-discounted count of popular items: sum of 1/(log(rank)+1)."""
-    _check_scoring(log_base=log_base)
-    return fsum(
-        1.0 / _rank_discount(rank, log_base)
-        for rank, item_id in enumerate(ranked, start=1)
-        if item_id in popular_set
-    )
-
-
-def popularity_coverage(ranked: Sequence[str], popular_set: frozenset[str] | set[str]) -> float:
-    """Fraction of the ranked list drawn from the popular set (0 for an empty list)."""
-    if not ranked:
-        return 0.0
-    return sum(1 for item_id in ranked if item_id in popular_set) / len(ranked)
-
-
-def popularity_bias(
-    ranked: Sequence[str],
-    popular_set: frozenset[str] | set[str],
-    log_base: float = math.e,
-) -> float:
-    """Ranking utility times popularity coverage."""
-    return ranking_utility(ranked, popular_set, log_base) * popularity_coverage(ranked, popular_set)
-
-
-def pearson(x: Sequence[int], y: Sequence[int]) -> float:
-    """Pearson correlation of two integer sequences, 0.0 when either side
-    has zero variance. Its sums are exact integers; only the last steps,
-    ``float(n) / sqrt(float(dx) * float(dy))``, round."""
-    k = len(x)
-    if k != len(y):
-        raise ValueError("pearson requires sequences of equal length")
-    if k < 2:
-        raise ValueError("pearson requires at least 2 points")
-    sum_x, sum_y = sum(x), sum(y)
-    n = k * sum(a * b for a, b in zip(x, y)) - sum_x * sum_y
-    dx = k * sum(a * a for a in x) - sum_x * sum_x
-    dy = k * sum(b * b for b in y) - sum_y * sum_y
-    if dx == 0 or dy == 0:
-        return 0.0
-    # clamp rounding spill so |rho| <= 1 holds exactly
-    return max(-1.0, min(1.0, float(n) / math.sqrt(float(dx) * float(dy))))
-
-
-def cross_episode_popularity(
-    current: RunEntry,
-    previous_episode_entries: Sequence[RunEntry],
-    table: PopularityTable,
-    log_base: float = math.e,
-) -> float | Skipped:
-    """Popularity bias of the current list, scaled by |Pearson| between its
-    popularity profile and the previous episode's final recommendations.
-
-    Profiles are the items' training frequencies, which Pearson cannot tell
-    from their max-normalized popularities, aligned by rank position and
-    truncated to the shorter list; the comparator is the previous episode's
-    last recommendation turn. First-episode entries and truncations shorter
-    than 2 are skipped; zero-variance profiles correlate as 0.
-    """
-    _check_scoring(log_base=log_base)
-    if current.episode_index == 0:
-        return Skipped("first_episode")
-    if not previous_episode_entries:
-        return Skipped("no_previous_episode")
-    if not current.ranked_item_ids:
-        return Skipped("empty_ranked_list")
-    previous = max(previous_episode_entries, key=lambda e: e.turn_index)
-    length = min(len(current.ranked_item_ids), len(previous.ranked_item_ids))
-    if length < 2:
-        return Skipped("insufficient_overlap")
-    # a ranked list holds no id twice, so it indexes its own frequencies
-    cur_freqs = table.gather(ItemIndex(current.ranked_item_ids[:length]))[0][:length].tolist()
-    prev_freqs = table.gather(ItemIndex(previous.ranked_item_ids[:length]))[0][:length].tolist()
-    rho = pearson(cur_freqs, prev_freqs)
-    return popularity_bias(current.ranked_item_ids, table.popular_set, log_base) * abs(rho)
-
-
-def intent_oriented_popularity(
-    entry: RunEntry,
-    table: PopularityTable,
-    log_base: float = math.e,
-) -> float | Skipped:
-    """Gap between target popularity and the list's popularity bias,
-    |pop(target) - pi*P|, averaged when a turn has several targets."""
-    _check_scoring(log_base=log_base)
-    if not entry.target_item_ids:
-        return Skipped("no_targets")
-    if not entry.ranked_item_ids:
-        return Skipped("empty_ranked_list")
-    bias = popularity_bias(entry.ranked_item_ids, table.popular_set, log_base)
-    gaps = [abs(table.pop_of(t) - bias) for t in entry.target_item_ids]
-    return fsum(gaps) / len(gaps)
-
-
-# ---------------------------------------------------------------------------
-# rank-accuracy metrics
-
-
-def rank_metrics(
-    entry: RunEntry,
-    cutoffs: Sequence[int] = DEFAULT_CUTOFFS,
-) -> dict[str, float] | Skipped:
-    """Hit, NDCG (binary relevance, log2 discount) and MRR at each cutoff.
-
-    NDCG normalizes by the full ideal ranking (all targets at the top,
-    untruncated), so the normalizer does not change with the cutoff and all
-    three metrics are monotone non-decreasing in k.
-    """
-    _check_scoring(cutoffs)
-    targets = set(entry.target_item_ids)
-    if not targets:
-        return Skipped("no_targets")
-    idcg = fsum(1.0 / math.log2(rank + 1) for rank in range(1, len(targets) + 1))
-    out: dict[str, float] = {}
-    for k in cutoffs:
-        top = entry.ranked_item_ids[:k]
-        hit_ranks = [rank for rank, item_id in enumerate(top, start=1) if item_id in targets]
-        dcg = fsum(1.0 / math.log2(rank + 1) for rank in hit_ranks)
-        out[f"hit@{k}"] = 1.0 if hit_ranks else 0.0
-        out[f"ndcg@{k}"] = dcg / idcg
-        out[f"mrr@{k}"] = 1.0 / hit_ranks[0] if hit_ranks else 0.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +391,16 @@ def _previous_rows(run: RunColumns) -> np.ndarray:
 def _pearson_rows(
     freq: np.ndarray, ranks: np.ndarray, x_rows: np.ndarray, y_rows: np.ndarray, length: np.ndarray
 ) -> np.ndarray:
-    """``pearson(freq[ranks[x, :k]], freq[ranks[y, :k]])`` for every ``(x, y, k)``
-    of ``x_rows``, ``y_rows`` and ``length``, bit for bit.
+    """Pearson's rho of ``freq[ranks[x, :k]]`` and ``freq[ranks[y, :k]]`` for
+    every ``(x, y, k)`` of ``x_rows``, ``y_rows`` and ``length``, 0.0 when
+    either side has zero variance, bit for bit as the reference ``pearson``
+    (``tests/reference.py``) gives it.
 
-    The same exact integer sums, each of ``width`` terms up to ``width *
-    max(freq)**2`` (frequencies are counts, never negative), in int64 or
-    Python ints by ``_sum_dtype``, then the same float steps; rows go in
-    blocks."""
+    Exact integer sums N = k*sum(xy) - sum(x)*sum(y), Dx and Dy, each of
+    ``width`` terms up to ``width * max(freq)**2`` (frequencies are counts,
+    never negative), in int64 or Python ints by ``_sum_dtype``; only
+    ``float(N) / sqrt(float(Dx) * float(Dy))``, clipped to [-1, 1], rounds.
+    Rows go in blocks."""
     width = ranks.shape[1]
     dtype = _sum_dtype(width, width * int(freq.max(initial=0)) ** 2)
     freq, columns = freq.astype(dtype), np.arange(width)
@@ -570,7 +428,9 @@ def _score_columns(
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Every metric for every entry: ``name -> (values, skip-reason codes)``.
 
-    Each column equals the per-entry oracle functions above bit for bit.
+    Each column equals the per-entry reference functions of the test suite
+    (``tests/reference.py``) bit for bit, skip reasons and their order
+    included.
     Padding slots (code -1) read the trailing slot of ``freq``/``pop``/``popular``
     (see ``PopularityTable.gather``), an unpopular item with frequency 0.
     """
@@ -589,7 +449,7 @@ def _score_columns(
     bias = utility * coverage
     scores = {"pop_bias": (bias, np.where(empty, _EMPTY, 0))}
 
-    # cross-episode popularity, with the oracle's skip order
+    # cross-episode popularity, with the reference's skip order
     previous = _previous_rows(run)
     overlap = np.minimum(lengths, lengths[previous])
     cep_reason = np.select(
@@ -656,8 +516,8 @@ def evaluate_run(
     """Score every entry and aggregate mean/std per metric, with Hit, NDCG
     and MRR at each of ``cutoffs``.
 
-    Scoring is column-wise over the run's interned item codes and equals the
-    per-entry functions above bit for bit; aggregation runs in entry order
+    Scoring is column-wise over the run's interned item codes (see
+    ``_score_columns``); aggregation runs in entry order
     with exact (fsum) summation. Metrics with zero scored entries are omitted
     from the report rather than reported as 0. A cutoff below 1 or a
     ``log_base`` outside (1, inf) raises ``ValueError``.
@@ -707,8 +567,9 @@ _REPORT_FIELDS = (
 def load_report_records(path: str | Path) -> list[dict]:
     """Read a ``save_report`` file; a malformed line, a record missing a field
     (or holding the wrong type or a negative count), a ``mean`` or ``std`` past
-    the float range, an unknown ``report_format``, a second model's record and a
-    repeated metric raise ``CorpusError`` with path:line."""
+    the float range, an unknown ``report_format``, a record of another format
+    than the first record's (formats 1 and 2 define CEP differently), a second
+    model's record and a repeated metric raise ``CorpusError`` with path:line."""
     path = Path(path)
     records: list[dict] = []
     for lineno, record in read_json_lines(path):
@@ -730,6 +591,10 @@ def load_report_records(path: str | Path) -> list[dict]:
         reasons = record.get("skip_reasons", {})
         if type(reasons) is not dict or any(type(c) is not int or c < 0 for c in reasons.values()):
             raise CorpusError(f"{path}:{lineno}: report field 'skip_reasons' has {reasons!r}")
+        first = records[0].get("report_format", 1) if records else version
+        if version != first:
+            raise CorpusError(f"{path}:{lineno}: report_format {version} record in a report "
+                              f"of report_format {first}")
         if records and record["model"] != records[0]["model"]:
             raise CorpusError(f"{path}:{lineno}: record of model {record['model']!r} in the "
                               f"report of model {records[0]['model']!r}")

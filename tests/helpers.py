@@ -28,13 +28,16 @@ from crs_bias.metrics import (
     MetricSummary,
     RankedRun,
     RunEntry,
+)
+from crs_bias.popularity import ItemIndex, PopularityTable
+
+from reference import (
     Skipped,
     cross_episode_popularity,
     intent_oriented_popularity,
     popularity_bias,
     rank_metrics,
 )
-from crs_bias.popularity import ItemIndex, PopularityTable
 
 CATALOG_SIZE = 120
 MENTIONED_ITEMS = 80

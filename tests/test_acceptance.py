@@ -31,22 +31,20 @@ from crs_bias.augment import (
 )
 from crs_bias.cli import main
 from crs_bias.corpus import dialogue_lines, load_corpus, save_catalog, save_corpus, write_lines
-from crs_bias.metrics import (
-    RankedRun,
-    RunEntry,
+from crs_bias.metrics import RankedRun, RunEntry, evaluate_run
+from crs_bias.popularity import ThresholdPolicy, build_popularity
+
+from helpers import (
+    build_standard_corpus, count_table, scalar_report, single_mention_pool, store_records,
+)
+from reference import (
     Skipped,
     cross_episode_popularity,
-    evaluate_run,
     initial_item_coverage,
     intent_oriented_popularity,
     pearson,
     popularity_bias,
     rank_metrics,
-)
-from crs_bias.popularity import ThresholdPolicy, build_popularity
-
-from helpers import (
-    build_standard_corpus, count_table, scalar_report, single_mention_pool, store_records,
 )
 
 DATA = Path(__file__).parent / "data"

@@ -33,12 +33,12 @@ from crs_bias.augment import (
     weighted_sample_without_replacement,
 )
 from crs_bias.corpus import Corpus, CorpusError, Dialogue, ItemCatalog, Turn
-from crs_bias.metrics import initial_item_coverage
 from crs_bias.popularity import PopularityTable, train_counts
 
 from helpers import (
     count_table, make_dialogue, reference_dialogue_max, reference_sample, store_records,
 )
+from reference import initial_item_coverage
 
 
 def _synthetic(dialogue_id: str, item: str, split: str = "train") -> Dialogue:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -20,23 +21,15 @@ from crs_bias.metrics import (
     RankedRun,
     RunColumns,
     RunEntry,
-    Skipped,
-    cross_episode_popularity,
     evaluate_run,
     format_report_table,
-    initial_item_coverage,
-    intent_oriented_popularity,
     load_run,
-    pearson,
-    popularity_bias,
-    popularity_coverage,
-    rank_metrics,
-    ranking_utility,
     save_report,
     load_report_records,
 )
 from crs_bias.popularity import ItemIndex, PopularityTable, ThresholdPolicy, build_popularity
 
+import crs_bias
 from crs_bias import metrics as metrics_module
 
 from helpers import (
@@ -48,6 +41,17 @@ from helpers import (
     run_records,
     scalar_report,
     standard_run,
+)
+from reference import (
+    Skipped,
+    cross_episode_popularity,
+    initial_item_coverage,
+    intent_oriented_popularity,
+    pearson,
+    popularity_bias,
+    popularity_coverage,
+    rank_metrics,
+    ranking_utility,
 )
 
 # hand-derived reference values (natural log, 1-based ranks)
@@ -810,6 +814,22 @@ class TestReportIO:
         assert [r["metric"] for r in records][:3] == ["pop_bias", "cep", "uiop"]
         assert all("report_format" not in r for r in records)
 
+    @pytest.mark.parametrize("first, other", [(1, 2), (2, 1)])
+    def test_mixed_report_formats_are_refused(self, tmp_path, data_dir, first, other):
+        # formats 1 and 2 define CEP differently, so one file must not hold both
+        records = [json.loads(line) for line in
+                   (data_dir / "run_small.report.format1.jsonl").read_text().splitlines()]
+        for index, record in enumerate(records):
+            version = other if index in (2, 4) else first
+            record.pop("report_format", None)
+            if version == 2:
+                record["report_format"] = 2
+        path = tmp_path / "run_small.report.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(CorpusError, match=f"run_small.report.jsonl:3: report_format "
+                                              f"{other} record in a report of report_format {first}"):
+            load_report_records(path)
+
     @pytest.mark.parametrize(
         "line, message",
         [
@@ -1091,3 +1111,31 @@ def test_property_tail_of_unpopular_items_dilutes_coverage(ranked, n_extra):
         assert after < before
     else:
         assert after == 0.0
+
+
+# the package's public names: a change to the API shows up as a diff here
+PUBLIC_NAMES = [
+    "AugmentationPlan", "BiasReport", "Corpus", "CorpusError", "Dialogue", "HttpChatBackend",
+    "ItemCatalog", "LoadSummary", "OfflineTemplateBackend", "PopularityTable", "PromptTemplate",
+    "RankedRun", "RunEntry", "SyntheticPool", "ThresholdPolicy", "Turn", "audit_plan",
+    "build_pool", "build_popularity", "evaluate_run", "load_corpus", "longtail_report",
+    "once_aug", "parse_generated_record", "pop_nudge", "popular_item_ratio", "render_prompt",
+    "save_corpus", "segment_corpus", "weighted_sample_without_replacement",
+]
+# per-entry reference definitions, which only the tests hold (tests/reference.py)
+REFERENCE_NAMES = [
+    "Skipped", "cross_episode_popularity", "initial_item_coverage", "intent_oriented_popularity",
+    "pearson", "popularity_bias", "popularity_coverage", "rank_metrics", "ranking_utility",
+]
+
+
+class TestPublicApi:
+    def test_package_exports_exactly_the_public_names(self):
+        exported = sorted(name for name, value in vars(crs_bias).items()
+                          if not name.startswith("_") and not inspect.ismodule(value))
+        assert exported == PUBLIC_NAMES
+
+    @pytest.mark.parametrize("name", REFERENCE_NAMES)
+    def test_reference_definitions_are_not_in_the_package(self, name):
+        assert not hasattr(metrics_module, name)
+        assert not hasattr(crs_bias, name)
