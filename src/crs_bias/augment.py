@@ -30,9 +30,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import SYNTHETIC, Corpus, CorpusError, Dialogue, DialogueColumns, ItemIndex
-from .corpus import load_dialogues, read_json_lines, read_snapshot, snapshot_path, write_json_lines
+from .corpus import SYNTHETIC, Corpus, Dialogue, DialogueColumns, ItemIndex
+from .corpus import load_dialogues, read_snapshot, snapshot_path
 from .popularity import PopularityTable, item_coverage, train_counts
+from .records import AugmentError, CorpusError, read_json_lines, write_json_lines
+from .records import AuditError  # re-exported: defined in records
 
 # stream tags keep the shuffle RNG disjoint from per-anchor sampling RNGs
 _STREAM_SHUFFLE = 0
@@ -40,14 +42,6 @@ _STREAM_ANCHOR = 1
 
 # the plan format save_plan writes; load_plan also reads version 1
 PLAN_FORMAT_VERSION = 2
-
-
-class AugmentError(ValueError):
-    """Invalid augmentation input (bad pool, inconsistent plan, ...)."""
-
-
-class AuditError(RuntimeError):
-    """A generated plan violates the popularity filter invariant."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,39 +7,25 @@ configured output directory, and is reproducible from config + seed alone
 
 Exit codes: 0 success, 2 config/input error (a file-system error too),
 3 generation-backend error, 4 internal invariant violation.
+
+At top level this module imports only the config parser and ``records``;
+each command imports the package modules it calls when it starts, so
+``report`` and ``--help`` never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import deque
 from pathlib import Path
 
-from . import augment as aug
-from . import metrics as met
-from . import popularity as pop
 from .config import ConfigError, RunConfig, load_config
-from .corpus import (
-    CorpusError,
-    load_catalog,
-    load_corpus,
-    save_corpus,
-    segment_corpus,
-    write_lines,
-    write_snapshot,
-)
-from .synthgen import (
-    POOL_FORMAT,
-    BackendError,
-    HttpChatBackend,
-    OfflineTemplateBackend,
-    build_pool,
-    builtin_template,
-    load_template,
-)
+from .records import OFFLINE_BACKEND, AugmentError, AuditError, BackendError, CorpusError
+from .records import format_report_table, load_report_records, write_lines
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -92,6 +78,9 @@ def _percent(value: float) -> str:
 
 
 def cmd_stats(config: RunConfig) -> int:
+    from . import popularity as pop
+    from .corpus import load_corpus, write_snapshot
+
     corpus_path = config.require_path("corpus")
     catalog_path = config.require_path("catalog")
 
@@ -125,8 +114,10 @@ def cmd_stats(config: RunConfig) -> int:
 
 
 def _make_backend(config: RunConfig):
+    from .synthgen import HttpChatBackend, OfflineTemplateBackend
+
     gen = config.generation
-    if gen.backend == "offline_template":
+    if gen.backend == OFFLINE_BACKEND:
         return OfflineTemplateBackend()
     if gen.http.base_url is None or gen.http.model is None:
         raise ConfigError("generation.http.base_url and generation.http.model are "
@@ -142,6 +133,9 @@ def _make_backend(config: RunConfig):
 
 
 def cmd_generate(config: RunConfig) -> int:
+    from .corpus import load_catalog
+    from .synthgen import POOL_FORMAT, build_pool, builtin_template, load_template
+
     seed = config.require_seed()
     catalog = load_catalog(config.require_path("catalog"))
     if config.generation.items is None:
@@ -196,6 +190,10 @@ def cmd_generate(config: RunConfig) -> int:
 
 
 def cmd_augment(config: RunConfig) -> int:
+    from . import augment as aug
+    from . import popularity as pop
+    from .corpus import load_corpus, save_corpus
+
     seed = config.require_seed()
     corpus_path = config.require_path("corpus")
     catalog_path = config.require_path("catalog")
@@ -215,7 +213,7 @@ def cmd_augment(config: RunConfig) -> int:
         plan = aug.pop_nudge(corpus, pool, table, config.k, config.batch_size, seed)
         violations = aug.audit_plan(plan, corpus, pool, table)
         if violations:
-            raise aug.AuditError(
+            raise AuditError(
                 f"plan failed popularity-filter audit ({len(violations)} violations); "
                 f"first: {violations[0]}"
             )
@@ -235,7 +233,8 @@ def cmd_augment(config: RunConfig) -> int:
         "seed": seed,
         "iic_before": tail.coverage_before,
         "iic_after": tail.coverage_after,
-        "rank_correlation": tail.rank_correlation,
+        # NaN (a constant frequency column) is not JSON: it is written as null
+        "rank_correlation": None if math.isnan(tail.rank_correlation) else tail.rank_correlation,
         "n_items_gained": tail.n_items_gained,
         "max_frequency_drop": tail.max_frequency_drop,
         "n_train_dialogues_after": len(augmented.split_rows("train")),
@@ -268,6 +267,15 @@ def _loader_count(n_runs: int) -> int:
 
 
 def cmd_evaluate(config: RunConfig) -> int:
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    # imported before the loader processes fork, so that they inherit every
+    # module and import none of their own
+    from . import metrics as met
+    from . import popularity as pop
+    from .corpus import load_corpus, segment_corpus
+
     corpus_path = config.require_path("corpus")
     catalog_path = config.require_path("catalog")
     report_paths = _report_paths(config)
@@ -279,9 +287,6 @@ def cmd_evaluate(config: RunConfig) -> int:
     # into its own index. Results are taken in config order, so errors
     # surface in the sequential order: the corpus's, then run by run its
     # load's and its join's; nothing is written before every run scored
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
     loaders = _loader_count(len(config.runs))
     sys.stdout.flush()  # or a forked child could print buffered output again
     sys.stderr.flush()
@@ -310,7 +315,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     out = _prepare_output_dir(config)
     for report, path in zip(reports, report_paths):
         met.save_report(report, path)
-    table_text = met.format_report_table(r for report in reports for r in report.to_records())
+    table_text = format_report_table(r for report in reports for r in report.to_records())
     write_lines(out / "report_table.txt", [table_text])
     print(table_text)
     return EXIT_OK
@@ -318,7 +323,7 @@ def cmd_evaluate(config: RunConfig) -> int:
 
 def cmd_report(config: RunConfig) -> int:
     paths = _report_paths(config)
-    print(met.format_report_table(r for path in paths for r in met.load_report_records(path)))
+    print(format_report_table(r for path in paths for r in load_report_records(path)))
     return EXIT_OK
 
 
@@ -364,13 +369,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # OSError: an input that cannot be read, or an output that cannot be written
-    except (CorpusError, aug.AugmentError, OSError) as exc:
+    except (CorpusError, AugmentError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except aug.AuditError as exc:
+    except AuditError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

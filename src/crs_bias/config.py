@@ -19,10 +19,8 @@ from typing import Any, Callable, Collection, Iterator, Mapping
 
 import yaml
 
-from .corpus import EPISODE_POLICIES, CorpusError, parse_id
-from .metrics import DEFAULT_CUTOFFS
-from .popularity import DEFAULT_MIN_COUNT, ThresholdPolicy
-from .synthgen import LANGUAGES, HttpChatBackend, OfflineTemplateBackend
+from .records import DEFAULT_CUTOFFS, DEFAULT_MIN_COUNT, EPISODE_POLICIES, HTTP_BACKEND, LANGUAGES
+from .records import OFFLINE_BACKEND, CorpusError, ThresholdPolicy, parse_id
 
 
 class ConfigError(ValueError):
@@ -30,7 +28,7 @@ class ConfigError(ValueError):
 
 
 STRATEGIES = ("once_aug", "pop_nudge")
-_BACKENDS = frozenset({OfflineTemplateBackend.kind, HttpChatBackend.kind})
+_BACKENDS = frozenset({OFFLINE_BACKEND, HTTP_BACKEND})
 # accepted from older configs and ignored: scoring is columnar, and run files
 # load in one process per CPU, at most one per run, whatever it says
 _IGNORED_KEYS = frozenset({("metrics", "n_workers")})
@@ -130,7 +128,7 @@ def _parse_base_url(value: Any, name: str) -> str | None:
 
 
 def _parse_items(value: Any, name: str) -> list[str] | None:
-    """A non-empty YAML list of distinct item ids, each read by ``corpus.parse_id``."""
+    """A non-empty YAML list of distinct item ids, each read by ``records.parse_id``."""
     if value is None:
         return None
     if type(value) is not list or not value:
@@ -184,7 +182,7 @@ class HttpSettings:
 
 @dataclass
 class GenerationSettings:
-    backend: str = _key("generation.backend", _parse_choice, "offline_template", choices=_BACKENDS)
+    backend: str = _key("generation.backend", _parse_choice, OFFLINE_BACKEND, choices=_BACKENDS)
     language: str = _key("generation.language", _parse_choice, "en", choices=LANGUAGES)
     template: Path | None = _key("generation.template", _parse_path)
     items: list[str] | None = _key("generation.items", _parse_items)

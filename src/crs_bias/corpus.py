@@ -57,32 +57,30 @@ import os
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from .records import EPISODE_POLICIES, CorpusError, _replacing, parse_id, read_json_lines
+from .records import write_json_lines, write_lines
+from .records import _ENCODER  # re-exported: defined in records
+
 # a column stores each of these as its position in the tuple
 SPEAKER_NAMES = ("seeker", "recommender")
 SPLIT_NAMES = ("train", "valid", "test")
 PROVENANCE_NAMES = ("original", "synthetic")
 SPLITS = frozenset(SPLIT_NAMES)
-EPISODE_POLICIES = frozenset({"explicit", "accept_boundary"})
 
 _SPEAKER_CODE = {name: code for code, name in enumerate(SPEAKER_NAMES)}
 _SPLIT_CODE = {name: code for code, name in enumerate(SPLIT_NAMES)}
 _PROVENANCE_CODE = {name: code for code, name in enumerate(PROVENANCE_NAMES)}
 TRAIN = _SPLIT_CODE["train"]
 SYNTHETIC = _PROVENANCE_CODE["synthetic"]
-
-
-class CorpusError(ValueError):
-    """Malformed corpus input or a violated corpus invariant."""
 
 
 def mention_token(item_id: str) -> str:
@@ -744,120 +742,8 @@ class LoadSummary:
 
 
 # ---------------------------------------------------------------------------
+# corpus and catalog files, read and written through ``records``'
 # line-delimited I/O
-
-
-def _has_lone_surrogate(record) -> bool:
-    """Whether a decoded record holds text that cannot be written as UTF-8."""
-    try:
-        json.dumps(record, ensure_ascii=False).encode("utf-8")
-    except UnicodeEncodeError:
-        return True
-    return False
-
-
-_scan_once = json.JSONDecoder().scan_once
-
-
-def _decode_line(text: str):
-    """``json.loads(text)``: one scanner call when the value starts the line
-    and only JSON whitespace follows it, else ``json.loads`` itself, which
-    also words every error."""
-    try:
-        value, end = _scan_once(text, 0)
-    except (StopIteration, ValueError):
-        return json.loads(text)
-    if text[end:].strip(" \t\n\r"):
-        return json.loads(text)
-    return value
-
-
-def read_json_lines(path: Path, digest=None) -> Iterator[tuple[int, dict]]:
-    """``(line number, object)`` for each line that is not blank, that is,
-    not JSON whitespace alone. Lines are decoded one at a time, so a bad
-    byte, malformed JSON (a form feed too), a lone surrogate escape or a
-    non-object record raises ``CorpusError`` naming its own ``path:line``.
-    Each line read, blank or not, is fed to ``digest`` (a ``hashlib``
-    object) when one is given."""
-    with path.open("rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if digest is not None:
-                digest.update(line)
-            if not line.strip(b" \t\r\n"):
-                continue
-            try:
-                record = _decode_line(line.decode("utf-8"))
-            except ValueError as exc:  # bad UTF-8, bad JSON, or an int too long to convert
-                message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
-                raise CorpusError(f"{path}:{lineno}: malformed record: {message}") from exc
-            # only a \u escape can produce a surrogate (the decoder joins valid pairs)
-            if b"\\u" in line and _has_lone_surrogate(record):
-                raise CorpusError(f"{path}:{lineno}: malformed record: lone surrogate escape")
-            if type(record) is not dict:
-                raise CorpusError(f"{path}:{lineno}: record is not an object")
-            yield lineno, record
-
-
-@contextmanager
-def _replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
-    """A file open for writing at ``.<name>.<pid>.tmp`` beside ``path``
-    (UTF-8 text, or bytes when ``binary``), renamed over ``path`` when the
-    block ends: an error or an interrupt while writing leaves the old file
-    (or none) and no temp file behind. An ``OSError`` creating the temp file
-    or renaming it names ``path``."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        fh = tmp.open("wb") if binary else tmp.open("w", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
-    try:
-        with fh:
-            yield fh
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, str(path)) from None
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-# lines joined and encoded together: a short run keeps a writer's transient
-# copies small and writes as fast as a long one
-_WRITE_RUN_LENGTH = 64
-
-
-def write_lines(path: str | Path, lines: Iterable[str], digest=None) -> None:
-    """Write each string plus a newline to ``path`` in UTF-8 through
-    ``_replacing``, a run of lines at a time; every byte written is fed to
-    ``digest`` (a ``hashlib`` object) too when one is given."""
-    lines = iter(lines)
-    with _replacing(path, binary=True) as fh:
-        while run := list(islice(lines, _WRITE_RUN_LENGTH)):
-            data = ("\n".join(run) + "\n").encode("utf-8")
-            if digest is not None:
-                digest.update(data)
-            fh.write(data)
-
-
-# built once: json.dumps with options builds a new encoder per call. Records
-# are trees, so the encoder skips its circular-reference bookkeeping
-_ENCODER = json.JSONEncoder(ensure_ascii=False, check_circular=False)
-
-
-def write_json_lines(path: str | Path, records: Iterable, encoder=_ENCODER) -> None:
-    """``write_lines`` of one JSON record per line, each encoded by ``encoder``."""
-    write_lines(path, map(encoder.encode, records))
-
-
-def parse_id(value, what: str) -> str:
-    """An id field: a string (a ``str`` subclass, such as ``numpy.str_``, as
-    its plain ``str`` value), or an integer read as its decimal string."""
-    if type(value) is str:
-        return value
-    if type(value) is int or isinstance(value, str):
-        return str(value)
-    raise CorpusError(f"{what} must be a string or an integer, got {value!r}")
 
 
 def load_catalog(path: str | Path) -> ItemCatalog:

@@ -40,14 +40,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, CorpusError, fill_checked, parse_id, read_json_lines, write_json_lines
-from .corpus import _all_of, _check_distinct, _column, _first_failing, _id_arrays, _offsets
-from .corpus import _sorted_distinct
+from .corpus import Corpus, fill_checked, _all_of, _check_distinct, _column, _first_failing
+from .corpus import _id_arrays, _offsets, _sorted_distinct
 from .popularity import ItemIndex, PopularityTable
+from .records import DEFAULT_CUTOFFS, REPORT_FORMAT, CorpusError, parse_id, read_json_lines
+from .records import write_json_lines
+from .records import format_report_table, load_report_records  # re-exported: defined in records
 
-DEFAULT_CUTOFFS = (10, 50)
-# on every report record; format 1 (no field) took CEP's rho over float popularities
-REPORT_FORMAT = 2
 # run-file turn and episode indices are stored as int64
 _INDEX_LIMIT = 2**63
 
@@ -546,74 +545,10 @@ def evaluate_run(
 
 
 # ---------------------------------------------------------------------------
-# report rendering
+# report files, read and rendered by ``records`` (``load_report_records``,
+# ``format_report_table``)
 
 
 def save_report(report: BiasReport, path: str | Path) -> None:
     encoder = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
     write_json_lines(path, report.to_records(), encoder)
-
-
-_REPORT_FIELDS = (
-    ("model", (str,)),
-    ("metric", (str,)),
-    ("mean", (int, float)),
-    ("std", (int, float)),
-    ("n", (int,)),
-    ("n_skipped", (int,)),
-)
-
-
-def load_report_records(path: str | Path) -> list[dict]:
-    """Read a ``save_report`` file; a malformed line, a record missing a field
-    (or holding the wrong type or a negative count), a ``mean`` or ``std`` past
-    the float range, an unknown ``report_format``, a record of another format
-    than the first record's (formats 1 and 2 define CEP differently), a second
-    model's record and a repeated metric raise ``CorpusError`` with path:line."""
-    path = Path(path)
-    records: list[dict] = []
-    for lineno, record in read_json_lines(path):
-        version = record.get("report_format", 1)
-        if type(version) is not int or version not in (1, REPORT_FORMAT):
-            raise CorpusError(f"{path}:{lineno}: unknown report_format {version!r}")
-        for key, types in _REPORT_FIELDS:
-            if key not in record:
-                raise CorpusError(f"{path}:{lineno}: report record missing {key!r}")
-            if type(record[key]) not in types or types == (int,) and record[key] < 0:  # counts
-                raise CorpusError(f"{path}:{lineno}: report field {key!r} has {record[key]!r}")
-        for key in ("mean", "std"):
-            try:
-                float(record[key])
-            except OverflowError:
-                raise CorpusError(
-                    f"{path}:{lineno}: report field {key!r} does not fit a float"
-                ) from None
-        reasons = record.get("skip_reasons", {})
-        if type(reasons) is not dict or any(type(c) is not int or c < 0 for c in reasons.values()):
-            raise CorpusError(f"{path}:{lineno}: report field 'skip_reasons' has {reasons!r}")
-        first = records[0].get("report_format", 1) if records else version
-        if version != first:
-            raise CorpusError(f"{path}:{lineno}: report_format {version} record in a report "
-                              f"of report_format {first}")
-        if records and record["model"] != records[0]["model"]:
-            raise CorpusError(f"{path}:{lineno}: record of model {record['model']!r} in the "
-                              f"report of model {records[0]['model']!r}")
-        if any(r["metric"] == record["metric"] for r in records):
-            raise CorpusError(f"{path}:{lineno}: second record of metric {record['metric']!r}")
-        records.append(record)
-    return records
-
-
-def format_report_table(records: Iterable[dict]) -> str:
-    """Aligned-column text table of report records, as ``BiasReport.to_records``
-    gives them and ``load_report_records`` reads them: one row per record."""
-    rows = [("model", "metric", "mean", "std", "n", "skipped")]
-    rows += (
-        (r["model"], r["metric"], f"{r['mean']:.4f}", f"{r['std']:.4f}", str(r["n"]),
-         str(r["n_skipped"]))
-        for r in records
-    )
-    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
-    lines = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in rows]
-    lines.insert(1, "-" * len(lines[0]))
-    return "\n".join(lines)

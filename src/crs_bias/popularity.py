@@ -16,42 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import TRAIN, Corpus, ItemIndex, _encode, write_lines
-
-DEFAULT_MIN_COUNT = 5
-
-
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """Which items count as "popular".
-
-    ``count_threshold``: items with strictly more than ``min_count``
-    training interactions. ``quantile``: the top ``top_fraction`` of the
-    catalog by frequency; items tied with the boundary frequency are all
-    included, so the set may slightly exceed the nominal fraction.
-    """
-
-    kind: str
-    min_count: int | None = None
-    top_fraction: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "count_threshold":
-            if self.min_count is None or self.min_count < 1:
-                raise ValueError("count_threshold requires min_count >= 1")
-        elif self.kind == "quantile":
-            if self.top_fraction is None or not (0.0 < self.top_fraction <= 1.0):
-                raise ValueError("quantile requires top_fraction in (0, 1]")
-        else:
-            raise ValueError(f"unknown threshold policy kind {self.kind!r}")
-
-    @classmethod
-    def count_threshold(cls, min_count: int = DEFAULT_MIN_COUNT) -> "ThresholdPolicy":
-        return cls(kind="count_threshold", min_count=min_count)
-
-    @classmethod
-    def quantile(cls, top_fraction: float) -> "ThresholdPolicy":
-        return cls(kind="quantile", top_fraction=top_fraction)
+from .corpus import TRAIN, Corpus, ItemIndex, _encode
+from .records import ThresholdPolicy, write_lines
+from .records import DEFAULT_MIN_COUNT  # re-exported: defined in records
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,19 +32,18 @@ from typing import Iterator, Protocol, Sequence
 import numpy as np
 
 from .corpus import (
-    CorpusError,
     ItemIndex,
     _ColumnsBuilder,
     dialogue_lines,
     fill_checked,
     mention_token,
     snapshot_path,
-    write_lines,
     write_snapshot,
 )
-from .augment import AugmentError, SyntheticPool
+from .augment import SyntheticPool
+from .records import HTTP_BACKEND, LANGUAGES, OFFLINE_BACKEND, AugmentError, BackendError
+from .records import CorpusError, write_lines
 
-LANGUAGES = frozenset({"en", "zh"})
 # Version of the pool bytes that (template, items, seed) give with the offline
 # backend, recorded in generation_log.json. Format 3: attempt seeds come from
 # a splitmix64 key chain over (seed, item index, attempt), each row's choices
@@ -59,10 +58,6 @@ _SPEAKER_PREFIXES = {
     "system": "recommender",
     "recommender": "recommender",
 }
-
-
-class BackendError(RuntimeError):
-    """Text-generation backend failure."""
 
 
 class BackendAuthError(BackendError):
@@ -110,25 +105,26 @@ class PromptTemplate:
 
 def load_template(path: str | Path) -> PromptTemplate:
     """Read a template file: a one-line header ``<template_id> <language>``,
-    then an optional system preamble separated from the body by a ``---`` line."""
+    then an optional system preamble, ended by the first line that is
+    exactly ``---``, then the body."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise ValueError("empty template file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"header must be '<template_id> <language>', got {lines[0]!r}")
-    rest = "\n".join(lines[1:])
-    if "\n---\n" in rest or rest.startswith("---\n"):
-        preamble, _, body = rest.partition("---")
-        body = body.lstrip("\n")
-    else:
-        preamble, body = "", rest
+    # text mode ends lines at \n, \r\n and \r alone, all read as \n; a form
+    # feed or U+2028 stays inside its line, as in parse_generated_record
+    header, *rest = text.split("\n")
+    fields = header.split()
+    if len(fields) != 2:
+        raise ValueError(f"header must be '<template_id> <language>', got {header!r}")
+    preamble: list[str] = []
+    if "---" in rest:
+        cut = rest.index("---")
+        preamble, rest = rest[:cut], rest[cut + 1 :]
     return PromptTemplate(
-        template_id=header[0],
-        language=header[1],
-        body=body.strip(),
-        system_preamble=preamble.strip(),
+        template_id=fields[0],
+        language=fields[1],
+        body="\n".join(rest).strip(),
+        system_preamble="\n".join(preamble).strip(),
     )
 
 
@@ -241,7 +237,7 @@ class OfflineTemplateBackend:
     only on its own item name and seed, never on the rest of the batch.
     """
 
-    kind = "offline_template"
+    kind = OFFLINE_BACKEND
 
     def generate_batch(
         self, template: PromptTemplate, items: Sequence[tuple[str, str]], seeds: Sequence[int]
@@ -287,7 +283,7 @@ class HttpChatBackend:
     completions are not reproducible from the seed.
     """
 
-    kind = "http_chat"
+    kind = HTTP_BACKEND
 
     def __init__(
         self,

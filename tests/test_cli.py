@@ -23,7 +23,9 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from crs_bias import augment as aug
 from crs_bias import cli
+from crs_bias import synthgen
 from crs_bias.cli import main
 from crs_bias.config import ConfigError, RunConfig, _redact, load_config
 from crs_bias.augment import MaterializedBatch
@@ -239,7 +241,7 @@ class TestGenerate:
                 return ["no speakers" if len(rounds) == 1 and i in ("m1", "m3") else text
                         for (i, _), text in zip(items, texts)]
 
-        monkeypatch.setattr(cli, "OfflineTemplateBackend", FirstRoundRejectsTwo)
+        monkeypatch.setattr(synthgen, "OfflineTemplateBackend", FirstRoundRejectsTwo)
         config = write_config(tmp_path / "config.yaml")
         assert main(["generate", "--config", str(config)]) == 0
         log = json.loads((tmp_path / "out" / "generation_log.json").read_text())
@@ -501,8 +503,8 @@ class TestAugment:
         config = str(write_config(tmp_path / "config.yaml"))
         monkeypatch.chdir(tmp_path)
         read = []
-        load_pool = cli.aug.load_pool
-        monkeypatch.setattr(cli.aug, "load_pool",
+        load_pool = aug.load_pool
+        monkeypatch.setattr(aug, "load_pool",
                             lambda path, **kw: read.append(path) or load_pool(path, **kw))
         out = tmp_path / ("flagged" if flags else "out")
         assert main(["generate", "--config", config, *flags]) == 0
@@ -588,11 +590,9 @@ class TestAugment:
         self.test_pool_rule_error_exits_2_with_path_line(workspace_with_pool, capsys)
 
     def test_plan_from_another_pool_exits_2(self, workspace_with_pool, capsys, monkeypatch):
-        import crs_bias.cli as cli_module
-
-        pop_nudge = cli_module.aug.pop_nudge
+        pop_nudge = aug.pop_nudge
         monkeypatch.setattr(
-            cli_module.aug, "pop_nudge",
+            aug, "pop_nudge",
             lambda *a, **k: dataclasses.replace(pop_nudge(*a, **k), pool_digest="0" * 64),
         )
         assert main(["augment", "--config", str(workspace_with_pool)]) == 2
@@ -662,15 +662,43 @@ class TestAugment:
         def unread(path, items):
             raise AssertionError(f"{path} was parsed, not read from its snapshot")
 
-        monkeypatch.setattr(cli.aug, "load_dialogues", unread)
+        monkeypatch.setattr(aug, "load_dialogues", unread)
         self.test_augment_outputs_are_pinned(workspace_with_pool, strategy, digests)
 
     def test_failed_audit_exits_4(self, workspace_with_pool, capsys, monkeypatch):
-        import crs_bias.cli as cli_module
-
-        monkeypatch.setattr(cli_module.aug, "audit_plan", lambda *a, **k: ["forced violation"])
+        monkeypatch.setattr(aug, "audit_plan", lambda *a, **k: ["forced violation"])
         assert main(["augment", "--config", str(workspace_with_pool)]) == 4
         assert "invariant violation" in capsys.readouterr().err
+
+    def test_undefined_rank_correlation_is_written_as_null(self, tmp_path, capsys):
+        # no training turn names an item: the frequencies before augmenting
+        # are constant, so the rank correlation is undefined (NaN)
+        catalog = tmp_path / "catalog.jsonl"
+        catalog.write_text("".join(
+            json.dumps({"item_id": f"m{i}", "name": name}) + "\n"
+            for i, name in enumerate(("Alpha", "Beta", "Gamma"), start=1)
+        ))
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"dialogue_id": "d1", "split": "train", "turns": [
+            {"speaker": "seeker", "text": "Anything good?", "items": [], "targets": []},
+            {"speaker": "recommender", "text": "Not today.", "items": [], "targets": []},
+        ]}) + "\n")
+        config = write_config(
+            tmp_path / "config.yaml",
+            paths={"corpus": str(corpus), "catalog": str(catalog)},
+            augment={"strategy": "once_aug"},
+        )
+        assert main(["generate", "--config", str(config)]) == 0
+        assert main(["augment", "--config", str(config)]) == 0
+        assert "long-tail rank correlation: nan" in capsys.readouterr().out
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        text = (tmp_path / "out" / "augment_summary.json").read_text()
+        summary = json.loads(text, parse_constant=refuse)
+        assert summary["rank_correlation"] is None
+        assert (summary["iic_before"], summary["iic_after"]) == (0.0, 1.0)
 
 
 class TestCorpusSnapshot:

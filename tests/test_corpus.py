@@ -503,7 +503,7 @@ class TestWriters:
 
     @pytest.mark.parametrize("run_length", [1, 3, 64])
     def test_lines_past_one_run_are_written_and_digested_whole(self, tmp_path, monkeypatch, run_length):
-        monkeypatch.setattr("crs_bias.corpus._WRITE_RUN_LENGTH", run_length)
+        monkeypatch.setattr("crs_bias.records._WRITE_RUN_LENGTH", run_length)
         lines = [f"line {i}: é" for i in range(130)]
         digest = hashlib.sha256()
         write_lines(tmp_path / "a.txt", iter(lines), digest)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import inspect
 import json
 import math
@@ -1131,9 +1132,24 @@ REFERENCE_NAMES = [
 
 class TestPublicApi:
     def test_package_exports_exactly_the_public_names(self):
-        exported = sorted(name for name, value in vars(crs_bias).items()
-                          if not name.startswith("_") and not inspect.ismodule(value))
-        assert exported == PUBLIC_NAMES
+        # the package fills its namespace on first use, so vars() lists only
+        # the names used so far; __all__ and dir() list them all
+        assert sorted(crs_bias.__all__) == PUBLIC_NAMES
+        listed = sorted(name for name in dir(crs_bias) if not name.startswith("_")
+                        and not inspect.ismodule(getattr(crs_bias, name)))
+        assert listed == PUBLIC_NAMES
+
+    @pytest.mark.parametrize("name", PUBLIC_NAMES)
+    def test_public_name_is_its_defining_module_object(self, name):
+        value = getattr(crs_bias, name)
+        assert value.__name__ == name
+        assert value.__module__.startswith("crs_bias.")
+        assert getattr(importlib.import_module(value.__module__), name) is value
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            crs_bias.no_such_name
+        assert not hasattr(crs_bias, "no_such_name")
 
     @pytest.mark.parametrize("name", REFERENCE_NAMES)
     def test_reference_definitions_are_not_in_the_package(self, name):

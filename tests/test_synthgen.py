@@ -112,6 +112,21 @@ class TestTemplates:
         assert template.system_preamble == "preamble line"
         assert template.body == "body with {item_name}"
 
+    def test_preamble_ends_at_a_line_that_is_exactly_the_separator(self, tmp_path):
+        path = tmp_path / "custom.txt"
+        path.write_text("t en\nBe brief --- really brief.\n---\nRecommend {item_name}.\n")
+        template = load_template(path)
+        assert template.system_preamble == "Be brief --- really brief."
+        assert template.body == "Recommend {item_name}."
+
+    @pytest.mark.parametrize("inside", ["\f", "\u2028", "\x85", "\v"])
+    def test_body_lines_end_only_at_newlines(self, tmp_path, inside):
+        path = tmp_path / "custom.txt"
+        path.write_bytes(f"t en\r\npre\r---\nRecommend {{item_name}}{inside}now.\r\n".encode())
+        template = load_template(path)
+        assert template.system_preamble == "pre"
+        assert template.body == f"Recommend {{item_name}}{inside}now."
+
     def test_template_file_without_preamble(self, tmp_path):
         path = tmp_path / "plain.txt"
         path.write_text("plain zh\n只推荐 {item_name}。\n")
