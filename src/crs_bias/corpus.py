@@ -34,17 +34,20 @@ A column snapshot of a corpus or pool file (``write_snapshot``,
 ``read_snapshot``), wherever its writer puts it (``<file>.cols`` beside a
 pool, ``snapshot_path``), holds the store that loading the file gives:
 
-* one JSON header line, ``{"snapshot_format": 1, "source_sha256": <hex
+* one JSON header line, ``{"snapshot_format": 2, "source_sha256": <hex
   sha256 of the file's bytes>, "arrays": [[name, dtype, length], ...]}``;
 * the arrays ``split``, ``provenance``, ``turn_offsets``, ``speaker``,
-  ``episodes``, ``mention_offsets``, ``mention_codes``, ``target_offsets``,
-  ``target_codes`` and ``lines``, little-endian, in that order;
-* for ``texts``, ``dialogue_ids`` and ``item_ids`` (the ids a fresh index
-  holds after the load, in its order), each string's length in code points
-  (``<i8``), then the UTF-8 bytes of them all;
+  ``text_offsets``, ``text_bytes``, ``episodes``, ``mention_offsets``,
+  ``mention_codes``, ``target_offsets``, ``target_codes`` and ``lines``,
+  little-endian, in that order (the turn texts are ``text_bytes``, their
+  UTF-8, cut at the byte offsets ``text_offsets``);
+* for ``dialogue_ids`` and ``item_ids`` (the ids a fresh index holds after
+  the load, in its order), each string's size in UTF-8 bytes (``<i8``),
+  then the UTF-8 bytes of them all;
 * the sha256 of every byte before it.
 
-A snapshot that does not match its file is ignored, and the file is read.
+A snapshot that does not match its file, or of another format, is ignored,
+and the file is read.
 """
 
 from __future__ import annotations
@@ -314,6 +317,34 @@ def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
 
 
+def _encoded(texts: list[str]) -> tuple[bytes, list[int]]:
+    """The UTF-8 of ``texts`` joined, and each text's size in bytes: its
+    length when the run is ASCII. ``UnicodeEncodeError`` for a lone surrogate."""
+    joined = "".join(texts)
+    if joined.isascii():
+        return joined.encode("ascii"), list(map(len, texts))
+    parts = [text.encode() for text in texts]
+    return b"".join(parts), list(map(len, parts))
+
+
+def _encodes(texts: list[str]) -> bool:
+    """Whether ``texts`` can be written as UTF-8."""
+    try:
+        _encoded(texts)
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _decoded(data: bytes, cuts: list[int]) -> list[str]:
+    """The strings of the UTF-8 ``data`` between successive byte offsets
+    ``cuts``: when ``data`` is ASCII, slices of it decoded once."""
+    if data.isascii():  # a byte per character
+        text = data.decode("ascii")
+        return list(map(text.__getitem__, map(slice, cuts[:-1], cuts[1:])))
+    return [data[start:end].decode() for start, end in zip(cuts[:-1], cuts[1:])]
+
+
 @dataclass(frozen=True, eq=False)
 class DialogueColumns:
     """Dialogues stored column-wise, every item id interned into ``items``.
@@ -321,9 +352,11 @@ class DialogueColumns:
     Per dialogue ``d``: ``dialogue_ids[d]``, its ``split`` and
     ``provenance`` codes (positions in ``SPLIT_NAMES`` and
     ``PROVENANCE_NAMES``), and its turns ``turn_offsets[d]:turn_offsets[d + 1]``.
-    Per turn ``t``: the ``speaker`` code, ``texts[t]``, ``episodes[t]`` (-1
-    in a dialogue without episode indices), and the record's raw ``items``
-    and ``targets`` lists, in order and with any repeats, as the codes
+    Per turn ``t``: the ``speaker`` code, its text as the UTF-8 bytes
+    ``text_bytes[text_offsets[t]:text_offsets[t + 1]]`` (decoded only by a
+    writer, ``turn_texts``), ``episodes[t]`` (-1 in a dialogue without
+    episode indices), and the record's raw ``items`` and ``targets`` lists,
+    in order and with any repeats, as the codes
     ``mention_codes[mention_offsets[t]:mention_offsets[t + 1]]`` and
     ``target_codes[target_offsets[t]:target_offsets[t + 1]]``. ``lines[d]``
     is the number dialogue ``d``'s record was filled with (``fill_checked``):
@@ -336,7 +369,8 @@ class DialogueColumns:
     provenance: np.ndarray
     turn_offsets: np.ndarray
     speaker: np.ndarray
-    texts: list[str]
+    text_offsets: np.ndarray
+    text_bytes: np.ndarray
     episodes: np.ndarray
     mention_offsets: np.ndarray
     mention_codes: np.ndarray
@@ -430,10 +464,17 @@ class DialogueColumns:
         episodes = closed - np.repeat(closed[starts], np.diff(self.turn_offsets))
         return replace(self, episodes=episodes)
 
+    def turn_texts(self, lo: int, hi: int) -> list[str]:
+        """The texts of turns ``lo:hi``, decoded: the one place a text
+        becomes a ``str``, called by the writers for the turns they write."""
+        bounds = self.text_offsets[lo : hi + 1]
+        data = self.text_bytes[bounds[0] : bounds[-1]].tobytes()
+        return _decoded(data, (bounds - bounds[0]).tolist())
+
     def iter_dialogues(self) -> Iterator[Dialogue]:
         """A ``Dialogue`` per dialogue, in order, each built as it is asked for."""
         speakers = list(map(SPEAKER_NAMES.__getitem__, self.speaker.tolist()))
-        texts = self.texts
+        texts = self.turn_texts(0, len(self.speaker))
         mentions = self._id_lists(self.mention_offsets, self.mention_codes)
         targets = self._id_lists(self.target_offsets, self.target_codes)
         episodes = self.episodes.tolist()
@@ -466,7 +507,11 @@ class DialogueColumns:
     def take(self, rows) -> "DialogueColumns":
         """Dialogues ``rows`` of this store, in that order, sharing its ``items``."""
         rows = np.asarray(rows, dtype=np.int64)
-        turns = _ranges(self.turn_offsets[rows], self.turn_offsets[rows + 1])
+        firsts, ends = self.turn_offsets[rows], self.turn_offsets[rows + 1]
+        turns = _ranges(firsts, ends)
+        # one byte slice per dialogue: an index per byte would be 8 times the text
+        slices = map(slice, self.text_offsets[firsts].tolist(), self.text_offsets[ends].tolist())
+        text_bytes = np.concatenate([np.empty(0, np.uint8), *map(self.text_bytes.__getitem__, slices)])
 
         def gather(offsets: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             starts, ends = offsets[turns], offsets[turns + 1]
@@ -479,9 +524,10 @@ class DialogueColumns:
             dialogue_ids=[self.dialogue_ids[row] for row in rows.tolist()],
             split=self.split[rows],
             provenance=self.provenance[rows],
-            turn_offsets=_offsets(self.turn_offsets[rows + 1] - self.turn_offsets[rows]),
+            turn_offsets=_offsets(ends - firsts),
             speaker=self.speaker[turns],
-            texts=[self.texts[t] for t in turns.tolist()],
+            text_offsets=_offsets(self.text_offsets[turns + 1] - self.text_offsets[turns]),
+            text_bytes=text_bytes,
             episodes=self.episodes[turns],
             mention_offsets=mention_offsets,
             mention_codes=mention_codes,
@@ -552,7 +598,8 @@ class _ColumnsBuilder:
         self.provenance = array("b")
         self.n_turns = array("q")
         self.speaker = array("b")
-        self.texts: list[str] = []
+        self.text_sizes = array("q")  # in UTF-8 bytes
+        self.text_bytes = bytearray()
         self.episodes = array("q")
         self.n_mentions = array("q")
         self.mention_codes = array("i")
@@ -601,17 +648,19 @@ class _ColumnsBuilder:
         self.provenance.fromlist(provenance_codes)
         self.n_turns.fromlist(n_turns)
         self.episodes.fromlist(episodes)
-        speakers, texts, mentioned, targets, mention_codes, target_codes = columns
+        speakers, (text_bytes, text_sizes), mentioned, targets, mention_codes, target_codes = columns
         self.speaker.fromlist(speakers)
-        self.texts += texts
+        self.text_bytes += text_bytes
+        self.text_sizes.fromlist(text_sizes)
         self.n_mentions.fromlist(list(map(len, mentioned)))
         self.mention_codes.fromlist(mention_codes)
         self.n_targets.fromlist(list(map(len, targets)))
         self.target_codes.fromlist(target_codes)
 
-    def _turn_columns(self, turns: list) -> tuple[list, ...]:
-        """The speaker codes, texts, id lists and item codes of turn records;
-        ``CorpusError`` for a broken rule, in the order one turn's are checked."""
+    def _turn_columns(self, turns: list) -> tuple:
+        """The speaker codes, UTF-8 texts (``_encoded``), id lists and item
+        codes of turn records; ``CorpusError`` for a broken rule, in the order
+        one turn's are checked."""
         bad = _first_not(turns, dict)
         if bad < len(turns):
             raise CorpusError(f"turn is not an object: {turns[bad]!r}")
@@ -620,9 +669,14 @@ class _ColumnsBuilder:
         bad = _first_not(texts, str)
         if bad < len(texts):
             raise CorpusError(f"turn 'text' must be a string, got {texts[bad]!r}")
+        try:
+            encoded = _encoded(texts)
+        except UnicodeEncodeError:  # a lone surrogate, which UTF-8 cannot hold
+            bad = _first_failing(texts, _encodes)
+            raise CorpusError(f"turn 'text' must hold no lone surrogate, got {texts[bad]!r}") from None
         codes = self.items.intern_lists(mentioned, targets, ("turn 'items'", "turn 'targets'"))
         return (_codes(speakers, _SPEAKER_CODE, lambda n: f"unknown speaker {speakers[n]!r}"),
-                texts, mentioned, targets, *codes)
+                encoded, mentioned, targets, *codes)
 
     def finish(self) -> DialogueColumns:
         return DialogueColumns(
@@ -632,7 +686,8 @@ class _ColumnsBuilder:
             provenance=np.array(self.provenance, dtype=np.int8),
             turn_offsets=_offsets(self.n_turns),
             speaker=np.array(self.speaker, dtype=np.int8),
-            texts=self.texts,
+            text_offsets=_offsets(self.text_sizes),
+            text_bytes=np.frombuffer(self.text_bytes, np.uint8),
             episodes=np.array(self.episodes, dtype=np.int64),
             mention_offsets=_offsets(self.n_mentions),
             mention_codes=np.array(self.mention_codes, dtype=np.int32),
@@ -711,7 +766,8 @@ class Corpus:
             provenance=np.concatenate((base.provenance, added.provenance)),
             turn_offsets=joined(base.turn_offsets, added.turn_offsets),
             speaker=np.concatenate((base.speaker, added.speaker)),
-            texts=base.texts + added.texts,
+            text_offsets=joined(base.text_offsets, added.text_offsets),
+            text_bytes=np.concatenate((base.text_bytes, added.text_bytes)),
             episodes=np.concatenate((base.episodes, added.episodes)),
             mention_offsets=joined(base.mention_offsets, added.mention_offsets),
             mention_codes=np.concatenate((base.mention_codes, mention_codes)),
@@ -817,7 +873,7 @@ def load_corpus(
     per_split = np.bincount(columns.split, minlength=len(SPLIT_NAMES)).tolist()
     summary = LoadSummary(
         n_dialogues=len(columns),
-        n_turns=len(columns.texts),
+        n_turns=len(columns.speaker),
         dialogues_per_split=Counter({s: n for s, n in zip(SPLIT_NAMES, per_split) if n}),
         n_unknown_mentions=int(unknown.sum()),
         # codes past the catalog are in first-appearance order
@@ -858,7 +914,7 @@ def dialogue_lines(columns: DialogueColumns) -> Iterator[str]:
             f'{speaker}{text}, "items": {mentions}, "targets": {targets}}}'
             for speaker, text, mentions, targets in zip(
                 map(speakers.__getitem__, columns.speaker[lo:hi].tolist()),
-                map(_encode, columns.texts[lo:hi]),
+                map(_encode, columns.turn_texts(lo, hi)),
                 _json_arrays(columns.mention_offsets[lo : hi + 1], columns.mention_codes, ids, alone),
                 _json_arrays(columns.target_offsets[lo : hi + 1], columns.target_codes, ids, alone),
             )
@@ -902,22 +958,22 @@ def save_catalog(catalog: ItemCatalog, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # column snapshots
 
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 # the array columns of a snapshot, in body order, each with its little-endian dtype
 _SNAPSHOT_ARRAYS = [
     ("split", "|i1"), ("provenance", "|i1"), ("turn_offsets", "<i8"), ("speaker", "|i1"),
-    ("episodes", "<i8"), ("mention_offsets", "<i8"), ("mention_codes", "<i4"),
-    ("target_offsets", "<i8"), ("target_codes", "<i4"), ("lines", "<i8"),
+    ("text_offsets", "<i8"), ("text_bytes", "|u1"), ("episodes", "<i8"),
+    ("mention_offsets", "<i8"), ("mention_codes", "<i4"), ("target_offsets", "<i8"),
+    ("target_codes", "<i4"), ("lines", "<i8"),
 ]
-# the string columns, after the arrays: each as its strings' code-point
-# lengths, then the UTF-8 bytes of them all
-_SNAPSHOT_STRINGS = ("texts", "dialogue_ids", "item_ids")
+# the string tables, after the arrays: each as its strings' sizes in UTF-8
+# bytes, then the UTF-8 bytes of them all
+_SNAPSHOT_STRINGS = ("dialogue_ids", "item_ids")
 _SNAPSHOT_LAYOUT = _SNAPSHOT_ARRAYS + [
     (f"{name}{part}", dtype) for name in _SNAPSHOT_STRINGS
     for part, dtype in ((".lengths", "<i8"), (".utf8", "|u1"))
 ]
-_SNAPSHOT_CHUNK = 1 << 16  # bytes hashed or decoded at a time
-_SNAPSHOT_RUN = 4096  # strings encoded at a time
+_SNAPSHOT_CHUNK = 1 << 16  # bytes hashed or checked as UTF-8 at a time
 _HEADER_LIMIT = 1 << 16
 
 
@@ -952,22 +1008,6 @@ def _interning_order(columns: DialogueColumns) -> np.ndarray:
     return used[np.argsort(first[used])]
 
 
-def _runs(strings: list[str]) -> Iterator[str]:
-    """``"".join(strings)``, a run of strings at a time."""
-    for start in range(0, len(strings), _SNAPSHOT_RUN):
-        yield "".join(strings[start : start + _SNAPSHOT_RUN])
-
-
-def _utf8_size(text: str) -> int:
-    """The UTF-8 size of ``text``, without encoding it to UTF-8: the length of
-    ASCII text; otherwise one byte per code point, one more past U+007F,
-    another past U+07FF and another past U+FFFF."""
-    if text.isascii():
-        return len(text)
-    points = np.frombuffer(text.encode("utf-32-le"), np.uint32)
-    return len(points) + sum(int(np.count_nonzero(points > top)) for top in (0x7F, 0x7FF, 0xFFFF))
-
-
 def write_snapshot(snapshot: str | Path, columns: DialogueColumns, source_sha256: str) -> None:
     """Write the column snapshot ``snapshot`` (through ``_replacing``, a
     chunk at a time) of ``columns``, the store loaded from a JSON-lines file
@@ -984,10 +1024,11 @@ def write_snapshot(snapshot: str | Path, columns: DialogueColumns, source_sha256
         "target_codes": recode[columns.target_codes],
     }
     arrays = [np.ascontiguousarray(loaded[name], dtype) for name, dtype in _SNAPSHOT_ARRAYS]
-    strings = [columns.texts, columns.dialogue_ids, [columns.items.ids[c] for c in order.tolist()]]
+    tables = [list(map(str.encode, strings))
+              for strings in (columns.dialogue_ids, [columns.items.ids[c] for c in order.tolist()])]
     sizes = [len(a) for a in arrays]
-    for values in strings:
-        sizes += [len(values), sum(map(_utf8_size, _runs(values)))]
+    for encoded in tables:
+        sizes += [len(encoded), sum(map(len, encoded))]
     header = {
         "snapshot_format": SNAPSHOT_FORMAT,
         "source_sha256": source_sha256,
@@ -1002,10 +1043,9 @@ def write_snapshot(snapshot: str | Path, columns: DialogueColumns, source_sha256
         write(json.dumps(header).encode("ascii") + b"\n")
         for values in arrays:
             write(values)
-        for values in strings:
-            write(np.fromiter(map(len, values), "<i8", len(values)))
-            for text in _runs(values):
-                write(text.encode("utf-8"))
+        for encoded in tables:
+            write(np.fromiter(map(len, encoded), "<i8", len(encoded)))
+            write(b"".join(encoded))
         fh.write(digest.digest())
 
 
@@ -1019,14 +1059,16 @@ def read_snapshot(
     does not match ``source``.
 
     A snapshot is one JSON header line, ``{"snapshot_format", "source_sha256",
-    "arrays": [[name, dtype, length], ...]}``, then the body: the ten array
-    columns (``_SNAPSHOT_ARRAYS``) as little-endian arrays; per string column
-    (texts, dialogue ids, item ids) the code-point length of each string,
-    then the UTF-8 bytes of them all; last, the sha256 of every byte before
-    it. A snapshot does not match when its format or layout is another, its
+    "arrays": [[name, dtype, length], ...]}``, then the body: the twelve
+    array columns (``_SNAPSHOT_ARRAYS``, the turn texts among them as UTF-8
+    bytes and their byte offsets) as little-endian arrays; per string table
+    (dialogue ids, item ids) the size in UTF-8 bytes of each string, then the
+    UTF-8 bytes of them all; last, the sha256 of every byte before it. A
+    snapshot does not match when its format or layout is another, its
     ``source_sha256`` is not the sha256 of ``source``'s bytes, its size or
     its digest is off, or its columns break a store invariant (offsets, item
-    codes, split, speaker or provenance codes). It is read a chunk at a time."""
+    codes, split, speaker or provenance codes, text bytes that are not UTF-8
+    or a text offset inside a character). No text is decoded."""
     try:
         with Path(snapshot).open("rb") as fh:
             columns = _read_snapshot(fh, Path(source))
@@ -1055,8 +1097,8 @@ def _read_snapshot(fh: IO[bytes], source: Path) -> dict:
     columns = {name: _read_array(fh, digest, np.dtype(dtype), size_of[name])
                for name, dtype in _SNAPSHOT_ARRAYS}
     for name in _SNAPSHOT_STRINGS:
-        lengths = _read_array(fh, digest, np.dtype("<i8"), size_of[f"{name}.lengths"])
-        columns[name] = _read_strings(fh, digest, size_of[f"{name}.utf8"], lengths)
+        sizes = _read_array(fh, digest, np.dtype("<i8"), size_of[f"{name}.lengths"])
+        columns[name] = _read_strings(fh, digest, size_of[f"{name}.utf8"], sizes)
     if fh.read() != digest.digest():
         raise ValueError("digest differs")
     if not _store_invariants(columns):
@@ -1089,42 +1131,43 @@ def _read_array(fh: IO[bytes], digest, dtype: np.dtype, n: int) -> np.ndarray:
     return values.astype(dtype.newbyteorder("="), copy=False)
 
 
-def _read_strings(fh: IO[bytes], digest, n_bytes: int, lengths: np.ndarray) -> list[str]:
-    """The strings of ``n_bytes`` of UTF-8, cut at their code-point
-    ``lengths``, decoded a chunk at a time."""
-    if (lengths < 0).any():
-        raise ValueError("negative length")
+def _read_strings(fh: IO[bytes], digest, n_bytes: int, sizes: np.ndarray) -> list[str]:
+    """The strings of ``n_bytes`` of UTF-8, cut at their byte ``sizes``."""
+    if (sizes < 0).any() or sizes.sum() != n_bytes:
+        raise ValueError("sizes differ from the bytes")
+    data = fh.read(n_bytes)
+    if len(data) != n_bytes:
+        raise ValueError("truncated")
+    digest.update(data)
+    return _decoded(data, _offsets(sizes).tolist())  # UnicodeDecodeError is a ValueError
+
+
+def _is_utf8(data: np.ndarray, offsets: np.ndarray) -> bool:
+    """Whether ``data`` is UTF-8, checked a chunk at a time with no text
+    decoded whole, and none of the ``offsets`` into it falls inside a
+    character (at a continuation byte)."""
+    if not data.size or data.max() < 0x80:  # ASCII
+        return True
+    if ((data[offsets[offsets < data.size]] & 0xC0) == 0x80).any():
+        return False
     decode = codecs.getincrementaldecoder("utf-8")().decode
-    ends = np.cumsum(lengths)
-    strings: list[str] = []
-    text, base = "", 0  # the decoded code points not yet cut, from code point base on
-    while True:
-        size = min(n_bytes, _SNAPSHOT_CHUNK)
-        chunk = fh.read(size)
-        if len(chunk) != size:
-            raise ValueError("truncated")
-        digest.update(chunk)
-        n_bytes -= size
-        text += decode(chunk, final=not n_bytes)
-        stop = np.searchsorted(ends, base + len(text), "right")
-        cuts = (ends[len(strings) : stop] - base).tolist()
-        strings += map(text.__getitem__, map(slice, [0, *cuts[:-1]], cuts))
-        if cuts:
-            text, base = text[cuts[-1] :], base + cuts[-1]
-        if not n_bytes:
-            break
-    if text or len(strings) != len(lengths):
-        raise ValueError("lengths differ from the text")
-    return strings
+    try:
+        for start in range(0, data.size, _SNAPSHOT_CHUNK):
+            stop = start + _SNAPSHOT_CHUNK
+            decode(data[start:stop].tobytes(), final=stop >= data.size)
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def _store_invariants(columns: dict) -> bool:
     """Whether snapshot columns hold together as a store: lengths, CSR
-    offsets (every dialogue with a turn), item codes, and split, speaker
-    and provenance codes."""
-    n, n_turns = len(columns["dialogue_ids"]), len(columns["texts"])
-    sizes = {"split": n, "provenance": n, "lines": n, "turn_offsets": n + 1, "speaker": n_turns,
-             "episodes": n_turns, "mention_offsets": n_turns + 1, "target_offsets": n_turns + 1}
+    offsets (every dialogue with a turn), UTF-8 text bytes cut between
+    characters, item codes, and split, speaker and provenance codes."""
+    n, n_turns = len(columns["dialogue_ids"]), len(columns["speaker"])
+    sizes = {"split": n, "provenance": n, "lines": n, "turn_offsets": n + 1,
+             "text_offsets": n_turns + 1, "episodes": n_turns, "mention_offsets": n_turns + 1,
+             "target_offsets": n_turns + 1}
 
     def offsets(name: str, total: int, least_step: int) -> bool:
         values = columns[name]
@@ -1139,6 +1182,8 @@ def _store_invariants(columns: dict) -> bool:
     return (
         all(len(columns[name]) == size for name, size in sizes.items())
         and offsets("turn_offsets", n_turns, 1)
+        and offsets("text_offsets", len(columns["text_bytes"]), 0)
+        and _is_utf8(columns["text_bytes"], columns["text_offsets"])
         and offsets("mention_offsets", len(columns["mention_codes"]), 0)
         and offsets("target_offsets", len(columns["target_codes"]), 0)
         and within("mention_codes", n_ids) and within("target_codes", n_ids)

@@ -560,11 +560,11 @@ def build_pool(
     skipped with their last reason. The pool and the skipped items keep item
     order.
 
-    Each round's records stream into the pool's column store in checked runs
-    and are dropped once filled; the pool file is written from the store,
-    and then its column snapshot (``corpus.write_snapshot``), which
-    ``load_pool`` reads in place of the file while the two match. A
-    repeated item id raises ``AugmentError``.
+    Each round's records stream into the pool's column store in checked runs;
+    they and the round's raw completions are dropped once filled. The pool
+    file is written from the store, and then its column snapshot
+    (``corpus.write_snapshot``), which ``load_pool`` reads in place of the
+    file while the two match. A repeated item id raises ``AugmentError``.
     """
     seeds = derived_seeds(seed, np.arange(len(items)), max_attempts)
     builder = _ColumnsBuilder(ItemIndex(i for i, _ in items))
@@ -591,13 +591,14 @@ def build_pool(
     for attempt in range(max_attempts):
         if not pending:
             break
-        texts = backend.generate_batch(template, [items[i] for i in pending], seeds[pending, attempt])
+        batch = backend.generate_batch(template, [items[i] for i in pending], seeds[pending, attempt])
         attempts += len(pending)
         n_stored = len(stored)
         try:
-            fill_checked(builder, parsed(pending, texts))
+            fill_checked(builder, parsed(pending, batch))
         except CorpusError as exc:  # a repeated dialogue_id
             raise AugmentError(f"pool contains {exc}") from None
+        del batch  # the round's raw completions, filled into the store
         accepted = set(stored[n_stored:])
         pending = [index for index in pending if index not in accepted]
 

@@ -752,7 +752,7 @@ class TestCorpusSnapshot:
         out = config.parent / "out"
         first = (out / "corpus.cols").read_bytes()
         assert hashlib.sha256(first).hexdigest() == (
-            "76d32d4534218d0e728a4d70f07eb0a888be0ff979cc5b92671906aca65dd4c5"
+            "c46f39665c40f90b267fa54a35ee5b626530994bc329f00c94ec28af41e63ea4"
         )
         (out / "corpus.cols").unlink()
         assert main(["stats", "--config", str(config)]) == 0
@@ -826,23 +826,53 @@ class TestEvaluate:
         cep = [r for r in records if r["metric"] == "cep"][0]
         assert cep["skip_reasons"] == {"first_episode": 2}
 
-    def test_evaluate_outputs_are_pinned(self, tmp_path):
-        # as written by the per-dialogue loaders the columnar store replaced;
-        # less report_format 2, the report records equal format 1's
-        # (model_b 39004cd2…, run_small 32a490fc…)
+    # as written by the per-dialogue loaders the columnar store replaced;
+    # less report_format 2, the report records equal format 1's
+    # (model_b 39004cd2…, run_small 32a490fc…)
+    PINNED_REPORTS = {
+        "model_b.report.jsonl": "f2babea57cef949c7fbf0f873f57b64d9156d090991825023a686919cc23fb5d",
+        "report_table.txt": "214d4e607047830bdb23d652c27357ae88cf0656d216bc01586fa20ecfe48d20",
+        "run_small.report.jsonl": "dc9d1f4fd270d17aaea5334cb5d9b6aa6b3cf6cbb7ae6ae098988cc0c70fbf32",
+    }
+
+    def _two_runs(self, tmp_path) -> Path:
         second = tmp_path / "model_b.jsonl"
         shutil.copy(DATA / "run_small.jsonl", second)
-        config = self._config_with_runs(tmp_path, [DATA / "run_small.jsonl", second])
+        return self._config_with_runs(tmp_path, [DATA / "run_small.jsonl", second])
+
+    def test_evaluate_outputs_are_pinned(self, tmp_path):
+        config = self._two_runs(tmp_path)
         assert main(["evaluate", "--config", str(config)]) == 0
         written = {
             name: hashlib.sha256(data).hexdigest()
             for name, data in snapshot(tmp_path / "out").items() if name != "config_echo.json"
         }
-        assert written == {
-            "model_b.report.jsonl": "f2babea57cef949c7fbf0f873f57b64d9156d090991825023a686919cc23fb5d",
-            "report_table.txt": "214d4e607047830bdb23d652c27357ae88cf0656d216bc01586fa20ecfe48d20",
-            "run_small.report.jsonl": "dc9d1f4fd270d17aaea5334cb5d9b6aa6b3cf6cbb7ae6ae098988cc0c70fbf32",
-        }
+        assert written == self.PINNED_REPORTS
+
+    @pytest.mark.parametrize("from_snapshot", [False, True], ids=["parsed", "corpus_cols"])
+    def test_evaluate_decodes_no_text(self, tmp_path, monkeypatch, from_snapshot):
+        # no metric reads a turn text: with the one accessor that decodes
+        # texts made to raise, evaluate writes the pinned reports, from the
+        # corpus file or from the corpus.cols that stats wrote
+        import crs_bias.corpus as corpus_module
+
+        config = self._two_runs(tmp_path)
+        if from_snapshot:
+            assert main(["stats", "--config", str(config)]) == 0
+
+            def unread(*args):
+                raise AssertionError("the corpus was parsed, not read from corpus.cols")
+
+            monkeypatch.setattr(corpus_module, "load_dialogues", unread)
+
+        def decode(*args):
+            raise AssertionError("evaluate decoded a turn text")
+
+        monkeypatch.setattr(DialogueColumns, "turn_texts", decode)
+        assert main(["evaluate", "--config", str(config)]) == 0
+        written = snapshot(tmp_path / "out")
+        assert {name: hashlib.sha256(written[name]).hexdigest()
+                for name in self.PINNED_REPORTS} == self.PINNED_REPORTS
 
     def _write_run(self, path: Path, records: list[tuple]) -> Path:
         path.write_text("".join(

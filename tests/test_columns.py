@@ -288,9 +288,19 @@ def test_dialogue_lines_equal_the_json_encoder(records, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=st.text(st.characters(blacklist_categories=("Cs",))))
-def test_utf8_size_is_the_encoded_length(text):
-    assert corpus_module._utf8_size(text) == len(text.encode("utf-8"))
+@given(texts=st.lists(st.text(st.characters(blacklist_categories=("Cs",))), min_size=1, max_size=6),
+       data=st.data())
+def test_turn_texts_decode_the_texts_stored(texts, data):
+    # ASCII runs, multi-byte and astral characters, empty texts
+    turns = [{"speaker": "seeker", "text": text, "items": [], "targets": []} for text in texts]
+    columns = corpus_module.DialogueColumns.from_records(
+        [(1, {"dialogue_id": "d", "split": "train", "turns": turns})]
+    )
+    assert columns.text_bytes.tobytes() == "".join(texts).encode("utf-8")
+    assert np.diff(columns.text_offsets).tolist() == [len(text.encode("utf-8")) for text in texts]
+    lo = data.draw(st.integers(0, len(texts)))
+    hi = data.draw(st.integers(lo, len(texts)))
+    assert columns.turn_texts(lo, hi) == texts[lo:hi]
 
 
 def _snapshot_equals_the_json_load(root: Path, path: Path, columns, sha256: str, known) -> None:
@@ -307,9 +317,8 @@ def _snapshot_equals_the_json_load(root: Path, path: Path, columns, sha256: str,
 
 
 def _small_chunks(data, monkeypatch_module) -> None:
-    """Small chunks and runs cut multi-byte characters and strings apart."""
-    for name in ("_SNAPSHOT_CHUNK", "_SNAPSHOT_RUN"):
-        monkeypatch_module.setattr(corpus_module, name, data.draw(st.sampled_from([1, 3, 4096])))
+    """Small chunks cut multi-byte characters apart."""
+    monkeypatch_module.setattr(corpus_module, "_SNAPSHOT_CHUNK", data.draw(st.sampled_from([1, 3, 4096])))
 
 
 @settings(max_examples=100, deadline=None)

@@ -364,6 +364,15 @@ class TestInvariants:
         with pytest.raises(CorpusError, match=r"^'turns' must be a non-empty array$"):
             self._store(Dialogue("d", ()))
 
+    def test_lone_surrogate_text_rejected(self):
+        # a store holds texts as UTF-8, which cannot hold a lone surrogate;
+        # the bad turn is named in a run of dialogues with non-ASCII text
+        good = Dialogue("d0", (Turn("seeker", "Ça va — 你好 🎬"),))
+        bad = Dialogue("d1", (Turn("seeker", "fine"), Turn("recommender", "hi \ud800")))
+        message = r"^turn 'text' must hold no lone surrogate, got 'hi \\ud800'$"
+        with pytest.raises(CorpusError, match=message):
+            self._store(good, bad)
+
     def test_unknown_speaker_rejected(self):
         with pytest.raises(CorpusError, match=r"^unknown speaker 'narrator'$"):
             self._store(Dialogue("d", (Turn(speaker="narrator", text="..."),)))

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -595,6 +596,32 @@ class TestBuildPool:
         assert len(pool) == len(offline) == len(ITEMS)
         assert backend.calls[0][1] == derived_seeds(5, np.arange(len(ITEMS)), 1)[:, 0].tolist()
 
+    def test_no_raw_batch_outlives_its_round(self, tmp_path, monkeypatch):
+        # each round's completions are dropped once filled into the store,
+        # so none is alive when the pool file is written
+        class Batch(list):
+            """A list that a weak reference can point to."""
+
+        batches = []
+
+        class Backend(ScriptedBackend):
+            def generate_batch(self, template, items, seeds):
+                batch = Batch(super().generate_batch(template, items, seeds))
+                batches.append(weakref.ref(batch))
+                return batch
+
+        write_lines, alive = synthgen.write_lines, []
+
+        def write(*args):
+            alive.extend(ref() for ref in batches if ref() is not None)
+            return write_lines(*args)
+
+        monkeypatch.setattr(synthgen, "write_lines", write)
+        backend = Backend(reject=lambda item_id, attempt: item_id == "m1" and attempt == 0)
+        pool, _ = build_pool(backend, TEMPLATE, ITEMS, seed=5, output_path=tmp_path / "pool.jsonl")
+        assert len(batches) == 2 and len(pool) == len(ITEMS)
+        assert alive == []
+
     def test_blank_name_skipped_before_any_round(self):
         items = [("m1", " "), ("m2", "Heat")]
         backend = ScriptedBackend()
@@ -635,10 +662,18 @@ class TestPoolSnapshot:
     # holds a skipped id, and its rows were reordered into item order
     ITEMS = [("e0", " "), *ITEMS[:4], ("u", "Amélie"), ("z", "千与千寻")]
 
-    @staticmethod
-    def _pool(directory, items=ITEMS, seed=5):
+    class NonAsciiBackend(ScriptedBackend):
+        """Seeker lines with two- to four-byte UTF-8 characters: names are
+        tagged as ``@<item_id>``, so without them every text is ASCII."""
+
+        def generate_batch(self, template, items, seeds):
+            batch = super().generate_batch(template, items, seeds)
+            return [text.replace("User: hi", "User: Ça va — 你好 🎬") for text in batch]
+
+    @classmethod
+    def _pool(cls, directory, items=ITEMS, seed=5):
         path = directory / "pool.jsonl"
-        backend = ScriptedBackend(reject=lambda item_id, attempt: item_id == "m1" and attempt == 0)
+        backend = cls.NonAsciiBackend(reject=lambda item_id, attempt: item_id == "m1" and attempt == 0)
         build_pool(backend, TEMPLATE, items, seed=seed, output_path=path)
         return path
 
@@ -668,7 +703,7 @@ class TestPoolSnapshot:
     def test_snapshot_bytes_are_pinned(self, tmp_path):
         data = snapshot_path(self._pool(tmp_path)).read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
-            "5f94d5e74953d38a6e22d71a954c029767b7bdd1cfba49b758ca4bd7fe323603"
+            "b526242a8613ed1265d6b310a7616b0d9e6afa3cd2cd01ad5a5ec24795c2759d"
         )
 
     @staticmethod
@@ -684,23 +719,63 @@ class TestPoolSnapshot:
     @staticmethod
     def _another_version(path, other):
         data = path.read_bytes()
-        path.write_bytes(data.replace(b'"snapshot_format": 1', b'"snapshot_format": 2', 1))
+        path.write_bytes(data.replace(b'"snapshot_format": 2', b'"snapshot_format": 1', 1))
 
     @staticmethod
     def _another_pools(path, other):
         path.write_bytes(snapshot_path(other).read_bytes())
 
     @staticmethod
-    def _unknown_split(path, other):
-        # the first array is the split column; the digest is made to match
-        data = bytearray(path.read_bytes())
-        data[data.index(b"\n") + 1] = 7
+    def _resealed(path, data: bytearray) -> None:
+        """Write ``data`` to ``path`` with its digest made to match."""
         data[-32:] = hashlib.sha256(data[:-32]).digest()
         path.write_bytes(bytes(data))
 
+    @staticmethod
+    def _array(data: bytearray, name: str) -> tuple[int, int]:
+        """The position and size in bytes of array ``name`` in a snapshot."""
+        start = data.index(b"\n") + 1
+        for array, dtype, n in json.loads(data[:start])["arrays"]:
+            if array == name:
+                return start, np.dtype(dtype).itemsize * n
+            start += np.dtype(dtype).itemsize * n
+        raise KeyError(name)
+
+    @staticmethod
+    def _unknown_split(path, other):
+        # the first array is the split column
+        data = bytearray(path.read_bytes())
+        data[data.index(b"\n") + 1] = 7
+        TestPoolSnapshot._resealed(path, data)
+
+    @staticmethod
+    def _text_byte_not_utf8(path, other):
+        data = bytearray(path.read_bytes())
+        start, size = TestPoolSnapshot._array(data, "text_bytes")
+        data[start + size // 2] = 0xFF  # no UTF-8 byte is 0xFF
+        TestPoolSnapshot._resealed(path, data)
+
+    @staticmethod
+    def _text_offset_inside_a_character(path, other):
+        # the offset nearest the second byte of the first multi-byte
+        # character moves onto that byte; the offsets still ascend
+        data = bytearray(path.read_bytes())
+        start, size = TestPoolSnapshot._array(data, "text_bytes")
+        text = np.frombuffer(data, np.uint8, size, start)
+        inside = int(np.flatnonzero(text >= 0xC0)[0]) + 1
+        at, n_bytes = TestPoolSnapshot._array(data, "text_offsets")
+        offsets = np.frombuffer(data, "<i8", n_bytes // 8, at).copy()
+        turn = max(int(np.searchsorted(offsets, inside, "right")) - 1, 1)
+        assert offsets[turn - 1] <= inside <= offsets[turn + 1]
+        offsets[turn] = inside
+        data[at : at + n_bytes] = offsets.tobytes()
+        TestPoolSnapshot._resealed(path, data)
+
     @pytest.mark.parametrize(
-        "spoil", [_truncate, _flip_body_byte, _another_version, _another_pools, _unknown_split],
-        ids=["truncated", "flipped", "version", "another_pool", "unknown_split"],
+        "spoil", [_truncate, _flip_body_byte, _another_version, _another_pools, _unknown_split,
+                  _text_byte_not_utf8, _text_offset_inside_a_character],
+        ids=["truncated", "flipped", "version", "another_pool", "unknown_split", "text_not_utf8",
+             "text_offset_inside_a_character"],
     )
     def test_a_spoilt_snapshot_is_ignored(self, tmp_path, json_loads, spoil):
         path = self._pool(tmp_path)
